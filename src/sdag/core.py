@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -60,13 +60,21 @@ class TxOutput(NamedTuple):
     address: bytes
 
 
-@dataclass(frozen=True)
+def _cache_slot():
+    """An identity computed on first use: not an init argument, not part of
+    equality, hash or repr, and held in a slot rather than an instance dict
+    (extra dict keys would defeat CPython's key-sharing instance dicts)."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A single transaction; the sole payload of a block.
 
     Normal txs spend previous outputs; Registration opens a miner's reward
     address; Redemption claims accrued mining rewards and rolls the address
     forward; Empty carries nothing (blocks mined with an idle mempool).
+    The encoding, txid and sighash are cached on the instance.
     """
 
     kind: TxKind
@@ -74,6 +82,9 @@ class Transaction:
     outputs: tuple[TxOutput, ...] = ()
     reward_claim: Optional[int] = None
     next_address: Optional[bytes] = None
+    _encoding: Optional[bytes] = _cache_slot()
+    _txid: Optional[bytes] = _cache_slot()
+    _sighash: Optional[bytes] = _cache_slot()
 
     def __post_init__(self):
         if self.kind is TxKind.NORMAL:
@@ -96,7 +107,11 @@ class Transaction:
                 raise ValueError("bad output")
 
     def txid(self) -> bytes:
-        return sha256(encode_tx(self))
+        h = self._txid
+        if h is None:
+            h = sha256(encode_tx(self))
+            object.__setattr__(self, "_txid", h)
+        return h
 
 
 EMPTY_TX = Transaction(TxKind.EMPTY)
@@ -104,6 +119,14 @@ EMPTY_TX = Transaction(TxKind.EMPTY)
 
 def encode_tx(tx: Transaction) -> bytes:
     """Injective, length-prefixed encoding.  The Empty tx encodes to b''."""
+    enc = tx._encoding
+    if enc is None:
+        enc = _encode_tx(tx)
+        object.__setattr__(tx, "_encoding", enc)
+    return enc
+
+
+def _encode_tx(tx: Transaction) -> bytes:
     if tx.kind is TxKind.EMPTY:
         return b""
     parts = [bytes([tx.kind.value])]
@@ -132,14 +155,18 @@ def encode_tx(tx: Transaction) -> bytes:
 
 def sighash(tx: Transaction) -> bytes:
     """Digest signed by input witnesses: the tx encoding with witnesses blanked."""
-    stripped = Transaction(
-        kind=tx.kind,
-        inputs=tuple(TxInput(i.txid, i.index, b"") for i in tx.inputs),
-        outputs=tx.outputs,
-        reward_claim=tx.reward_claim,
-        next_address=tx.next_address,
-    )
-    return sha256(encode_tx(stripped))
+    h = tx._sighash
+    if h is None:
+        stripped = Transaction(
+            kind=tx.kind,
+            inputs=tuple(TxInput(i.txid, i.index, b"") for i in tx.inputs),
+            outputs=tx.outputs,
+            reward_claim=tx.reward_claim,
+            next_address=tx.next_address,
+        )
+        h = sha256(_encode_tx(stripped))
+        object.__setattr__(tx, "_sighash", h)
+    return h
 
 
 class _Reader:
@@ -187,9 +214,10 @@ def decode_tx(data: bytes) -> Transaction:
     return Transaction(kind, tuple(inputs), tuple(outputs), reward_claim, next_address)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
-    """The six-field block: three backward references, creator, nonce, payload."""
+    """The six-field block: three backward references, creator, nonce, payload.
+    The block id is cached on the instance."""
 
     idp: bytes
     idm: bytes
@@ -197,6 +225,7 @@ class Block:
     peer: bytes
     pow: int
     mes: Transaction
+    _id: Optional[bytes] = _cache_slot()
 
     def __post_init__(self):
         for ref in (self.idp, self.idm, self.idt, self.peer):
@@ -238,7 +267,11 @@ def decode_block(data: bytes) -> Block:
 
 
 def block_id(block: Block) -> bytes:
-    return sha256(canonical_encode(block))
+    h = block._id
+    if h is None:
+        h = sha256(canonical_encode(block))
+        object.__setattr__(block, "_id", h)
+    return h
 
 
 def unit_fraction(h: bytes) -> Fraction:
@@ -336,6 +369,7 @@ def mine(
             continue
         if want is None or cls is want:
             block = Block(template.idp, template.idm, template.idt, template.peer, nonce, template.mes)
+            object.__setattr__(block, "_id", h)  # h is the block's id
             return MineResult(block, i + 1)
     raise MiningExhausted(max_attempts)
 

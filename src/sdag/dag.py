@@ -67,7 +67,7 @@ class SDag:
         # main chain and its level-set partition
         self.main_chain: list[bytes] = [GENESIS_ID]
         self._level_of: dict[bytes, int] = {GENESIS_ID: 0}
-        self._level_sets: list[list[bytes]] = [[GENESIS_ID]]
+        self._level_sets: list[tuple[bytes, ...]] = [(GENESIS_ID,)]
 
     # -- queries ---------------------------------------------------------
 
@@ -101,7 +101,9 @@ class SDag:
         """
         if bid is None:
             bid = block_id(block)
-        cls = classify_hash(bid, self.params)
+        return self._check(block, bid, classify_hash(bid, self.params))
+
+    def _check(self, block: Block, bid: bytes, cls: BlockClass) -> Optional[Violation]:
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
         missing = [r for r in self._refs(block) if r not in self.blocks]
@@ -131,11 +133,11 @@ class SDag:
         bid = block_id(block)
         if bid in self.blocks:
             return None
-        v = self.check_block(block, bid)
+        cls = classify_hash(bid, self.params)
+        v = self._check(block, bid, cls)
         if v is not None:
             return v
         self.blocks[bid] = block
-        cls = classify_hash(bid, self.params)
         self._class[bid] = cls
         self.children[bid] = set()
         self._unreferenced.add(bid)
@@ -188,16 +190,13 @@ class SDag:
                 if ref not in self._level_of:
                     self._level_of[ref] = index
                     queue.append(ref)
-        self._level_sets.append(lev)
+        self._level_sets.append(tuple(lev))
 
     # -- derived sets ----------------------------------------------------
 
     def milestone_leaf_set(self) -> set[bytes]:
         """Milestone-tree nodes (incl. genesis) without a milestone child."""
         return {bid for bid, kids in self.ms_children.items() if not kids}
-
-    def longest_chain(self) -> list[bytes]:
-        return list(self.main_chain)
 
     def confirm_set(self, ms: bytes) -> set[bytes]:
         """All blocks reachable from ms along references, plus ms itself."""
@@ -215,10 +214,9 @@ class SDag:
         return seen
 
     def level_index(self, ms: bytes) -> int:
-        try:
-            k = self.main_chain.index(ms)
-        except ValueError:
-            raise KeyError(f"{ms.hex()} is not on the main chain") from None
+        k = self.ms_height.get(ms)
+        if k is None or k >= len(self.main_chain) or self.main_chain[k] != ms:
+            raise KeyError(f"{ms.hex()} is not on the main chain")
         return k
 
     def level_set(self, ms: bytes) -> list[bytes]:
@@ -228,6 +226,11 @@ class SDag:
 
     def level_sets(self) -> list[list[bytes]]:
         return [list(lev) for lev in self._level_sets]
+
+    def recent_levels(self, count: int) -> list[tuple[bytes, ...]]:
+        """The last `count` main-chain level sets (never the genesis
+        pseudo-level), oldest first, without copying the levels."""
+        return self._level_sets[max(1, len(self._level_sets) - count) :]
 
     def pending_set(self) -> set[bytes]:
         return {bid for bid in self.blocks if bid not in self._level_of}

@@ -52,7 +52,7 @@ class TxValidity(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardRecord:
     block_id: bytes
     kind: BlockKind
@@ -159,16 +159,6 @@ def iter_ordered_blocks(sdag: SDag) -> list[OrderedBlock]:
             continue
         for bid in dfs_order(sdag, ms):
             out.append(OrderedBlock(bid, k))
-    return out
-
-
-def order_all(sdag: SDag) -> list[tuple[Transaction, OrderedBlock]]:
-    """Canonical transaction sequence; empty payloads contribute nothing."""
-    out = []
-    for ob in iter_ordered_blocks(sdag):
-        tx = sdag.blocks[ob.block_id].mes
-        if tx.kind is not TxKind.EMPTY:
-            out.append((tx, ob))
     return out
 
 
@@ -284,7 +274,7 @@ class Outpoint(NamedTuple):
     index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     txid: bytes
     block_id: bytes

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import Transaction, tx_distance
+from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx, sha256
 from .dag import SDag
 
 # wide enough that per-miner counts are ~20 at desk scale; narrower windows
@@ -69,11 +69,17 @@ class Mempool:
         Empty list means the miner mines an empty block."""
         if cq <= 0:
             return []
+        if len(head_id) != HASH_BYTES:
+            raise ValueError("head id must be 32 bytes")
+        # tx_distance(head, tx) = N / 2**256 for the integer digest N, so
+        # distance <= cq  <=>  N <= floor(cq * 2**256), and N orders as the
+        # distance does
+        limit = (cq.numerator << SCALE_BITS) // cq.denominator
         hits = []
         for txid, entry in self.entries.items():
-            dist = tx_distance(head_id, entry.tx)
-            if dist <= cq:
-                hits.append((-entry.fee, dist, txid))
+            n = int.from_bytes(sha256(head_id + encode_tx(entry.tx)), "big")
+            if n <= limit:
+                hits.append((-entry.fee, n, txid))
         hits.sort()
         return [txid for _, _, txid in hits]
 
@@ -86,11 +92,9 @@ def estimate_power(
     among observed miners (or 1 with none observed)."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    levels = sdag.level_sets()[1:]  # skip the genesis pseudo-level
-    recent = levels[-window:]
     mine = total = 0
     peers: set[bytes] = set()
-    for lev in recent:
+    for lev in sdag.recent_levels(window):
         for bid in lev:
             peer = sdag.blocks[bid].peer
             peers.add(peer)
@@ -103,7 +107,7 @@ def estimate_power(
         q = Fraction(1, max(len(peers), 1) + (0 if miner in peers else 1))
     else:
         q = Fraction(mine, total)
-    return HashPowerEstimate(miner=miner, q=q, window=min(window, len(levels)) or window)
+    return HashPowerEstimate(miner=miner, q=q, window=min(window, sdag.height()) or window)
 
 
 # -- collision estimates -------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import (
     GENESIS_ID,
@@ -29,7 +29,7 @@ from .core import (
     mine,
 )
 from .dag import SDag, topological_order
-from .ledger import Ledger, OrderedBlock, build_ledger, dfs_order, genesis_outpoint
+from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_outpoint
 from .mempool import Mempool, estimate_power
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
@@ -44,11 +44,6 @@ class Relay:
 
 
 @dataclass(frozen=True)
-class Publish:
-    block: Block
-
-
-@dataclass(frozen=True)
 class RequestMissing:
     ids: tuple[bytes, ...]
 
@@ -59,7 +54,29 @@ class RequestLevels:
     end_height: int
 
 
-Action = Union[Relay, Publish, RequestMissing, RequestLevels]
+Action = Union[Relay, RequestMissing, RequestLevels]
+
+
+class LevelDelta(NamedTuple):
+    """The net change one main-chain level set makes to the node ledger at
+    its parent milestone: the outputs it spends (with their values, so the
+    change can be undone), the outputs it creates, the txids it accepts."""
+
+    spent: dict[Outpoint, tuple[int, bytes]]
+    created: dict[Outpoint, tuple[int, bytes]]
+    accepted: frozenset[bytes]
+
+    def apply(self, ledger: Ledger) -> None:
+        for op in self.spent:
+            del ledger.utxo[op]
+        ledger.utxo.update(self.created)
+        ledger.accepted_ids.update(self.accepted)
+
+    def undo(self, ledger: Ledger) -> None:
+        for op in self.created:
+            del ledger.utxo[op]
+        ledger.utxo.update(self.spent)
+        ledger.accepted_ids.difference_update(self.accepted)
 
 
 class NodeState:
@@ -74,6 +91,7 @@ class NodeState:
         genesis_outputs: Sequence[tuple[int, bytes]] = (),
         scheme: SignatureScheme = DEFAULT_SCHEME,
         orphan_cap: int = DEFAULT_ORPHAN_CAP,
+        level_deltas: Optional[dict[bytes, LevelDelta]] = None,
     ):
         self.params = params
         self.scheme = scheme
@@ -92,7 +110,12 @@ class NodeState:
         self._relayed: set[bytes] = set()
         self.mining_attempts = 0
         self.rejected_blocks = 0
-        # incremental ledger cache at the main-chain tip
+        # ledger at the main-chain tip (utxo and accepted ids, no entries),
+        # moved between chains by applying and undoing level deltas.  The
+        # delta of a milestone depends only on its milestone ancestry, so
+        # nodes with the same params, genesis outputs and scheme may share
+        # one table: milestone id -> LevelDelta.
+        self.level_deltas = {} if level_deltas is None else level_deltas
         self._cache_chain: list[bytes] = [GENESIS_ID]
         self._cache = self._fresh_ledger()
         self._q_cache: Optional[tuple[bytes, Fraction]] = None
@@ -105,32 +128,51 @@ class NodeState:
             ledger.utxo[genesis_outpoint(i)] = (value, address)
         return ledger
 
-    def _apply_level(self, ledger: Ledger, k: int) -> None:
-        ms = self.sdag.main_chain[k]
+    def _fold_level(self, k: int) -> LevelDelta:
+        """Fold main-chain level k with build_ledger's rules onto the cache
+        (at level k-1) and return the net change, leaving the cache as it
+        is.  The fold reads only the level's own inputs and txids, so it
+        runs on a scratch ledger holding just those."""
         items = []
-        for bid in dfs_order(self.sdag, ms):
+        for bid in dfs_order(self.sdag, self.sdag.main_chain[k]):
             tx = self.sdag.blocks[bid].mes
             if tx.kind is not TxKind.EMPTY:
                 items.append((tx, OrderedBlock(bid, k)))
-        build_ledger(items, scheme=self.scheme, into=ledger)
+        utxo = self._cache.utxo
+        inputs = dict.fromkeys(Outpoint(i.txid, i.index) for tx, _ob in items for i in tx.inputs)
+        before = {op: utxo[op] for op in inputs if op in utxo}
+        known = {tx.txid() for tx, _ob in items} & self._cache.accepted_ids
+        scratch = Ledger(utxo=dict(before), accepted_ids=set(known))
+        build_ledger(items, scheme=self.scheme, into=scratch)
+        return LevelDelta(
+            spent={op: v for op, v in before.items() if op not in scratch.utxo},
+            created={op: v for op, v in scratch.utxo.items() if op not in before},
+            accepted=frozenset(scratch.accepted_ids - known),
+        )
 
     def _refresh_ledger_cache(self) -> None:
         chain = self.sdag.main_chain
-        prefix = 0
-        limit = min(len(chain), len(self._cache_chain))
-        while prefix < limit and chain[prefix] == self._cache_chain[prefix]:
-            prefix += 1
-        if prefix < len(self._cache_chain):
-            # chain switch: rebuild from scratch (switches are rare)
-            self._cache = self._fresh_ledger()
-            prefix = 1
-        for k in range(max(prefix, 1), len(chain)):
-            self._apply_level(self._cache, k)
-        self._cache_chain = list(chain)
+        old = self._cache_chain
+        # both are root paths of the milestone tree: equal at a height means
+        # equal below it
+        fork = min(len(chain), len(old)) - 1
+        while chain[fork] != old[fork]:
+            fork -= 1
+        fork += 1
+        # chain switch: undo the abandoned levels back to the fork point
+        for ms in reversed(old[fork:]):
+            self.level_deltas[ms].undo(self._cache)
+        for k in range(fork, len(chain)):
+            delta = self.level_deltas.get(chain[k])
+            if delta is None:
+                delta = self.level_deltas[chain[k]] = self._fold_level(k)
+            delta.apply(self._cache)
+        self._cache_chain = chain[:]
 
     @property
     def ledger_cache(self) -> Ledger:
-        if self._cache_chain != self.sdag.main_chain:
+        """The ledger at the main-chain tip; `entries` is not kept."""
+        if self._cache_chain[-1] != self.sdag.chain_tip():
             self._refresh_ledger_cache()
         return self._cache
 

@@ -37,7 +37,7 @@ from .core import (
 )
 from .curves import make_curve
 from .ledger import build_from_dag, genesis_outpoint
-from .node import NodeState
+from .node import LevelDelta, NodeState
 from .sigs import DEFAULT_SCHEME
 
 # event ranks for deterministic tie-breaking: (time, rank, actor, seq)
@@ -197,12 +197,16 @@ class Simulation:
         n_outputs = int(config.lam * config.horizon * 1.5) + 64
         self.genesis_outputs = [(2, self.user_address)] * n_outputs
 
+        # every node folds the same milestone levels with the same rules, so
+        # the first to reach a level folds it and the rest reuse its delta
+        level_deltas: dict[bytes, LevelDelta] = {}
         self.nodes = [
             NodeState(
                 self.params,
                 secret=sha256(b"sim-peer-" + i.to_bytes(4, "big")),
                 seed=self.master.getrandbits(64),
                 genesis_outputs=self.genesis_outputs,
+                level_deltas=level_deltas,
             )
             for i in range(config.n)
         ]
@@ -213,6 +217,7 @@ class Simulation:
                 secret=sha256(b"sim-adversary"),
                 seed=self.master.getrandbits(64),
                 genesis_outputs=self.genesis_outputs,
+                level_deltas=level_deltas,
             )
         self.private_pending: list[Block] = []
         self.adversary_blocks = 0

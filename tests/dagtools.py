@@ -19,12 +19,19 @@ from sdag.dag import SDag
 RANDOM_PARAMS = Params(d=Fraction(1), p=Fraction(1, 3), c=Fraction(1, 10), r_n=1, r_m=2)
 
 
-def random_dag(rng: random.Random, n_blocks: int = 50, n_miners: int = 5, params: Params = RANDOM_PARAMS) -> SDag:
+def random_dag(
+    rng: random.Random,
+    n_blocks: int = 50,
+    n_miners: int = 5,
+    params: Params = RANDOM_PARAMS,
+    payload=lambda rng: EMPTY_TX,
+) -> SDag:
     """Grow a valid random DAG one block at a time.
 
     Each block extends its miner's own head, references a random known
     milestone (or genesis) and a random regular block of another miner (or
     genesis); the milestone/regular class emerges from the real hash.
+    `payload(rng)` gives each block's transaction.
     """
     sdag = SDag(params)
     miners = [sha256(b"rand-miner-%d" % i) for i in range(n_miners)]
@@ -41,7 +48,7 @@ def random_dag(rng: random.Random, n_blocks: int = 50, n_miners: int = 5, params
             for bid in blocks
         ]
         idt = rng.choice(others) if others and rng.random() < 0.8 else GENESIS_ID
-        block = Block(heads[miner], idm, idt, miner, rng.getrandbits(64), EMPTY_TX)
+        block = Block(heads[miner], idm, idt, miner, rng.getrandbits(64), payload(rng))
         violation = sdag.insert(block)
         assert violation is None, violation
         bid = block_id(block)

@@ -1,5 +1,7 @@
 """Block primitives: encodings, hashing, classification, mining."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,61 @@ def test_decode_rejects_trailing_bytes():
         decode_block(enc + b"\x00")
     with pytest.raises(ValueError):
         decode_tx(encode_tx(make_normal()) + b"\x00")
+
+
+# -- cached identities -----------------------------------------------------
+
+
+def sample_block(tx=None):
+    return Block(H("p"), H("m"), H("t"), H("peer"), 7, tx or make_normal(n_in=2, n_out=2))
+
+
+def fill_caches(block):
+    block_id(block)
+    block.mes.txid()
+    sighash(block.mes)
+    return block
+
+
+def test_cached_identities_leave_equality_hash_repr_alone():
+    cold, warm = sample_block(), fill_caches(sample_block())
+    assert None not in (warm._id, warm.mes._encoding, warm.mes._txid, warm.mes._sighash)
+    assert cold._id is None and cold.mes._txid is None
+    for a, b in ((cold, warm), (cold.mes, warm.mes)):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+    # the caches live in slots, not in an instance dict
+    assert not hasattr(warm, "__dict__") and not hasattr(warm.mes, "__dict__")
+
+
+def test_cached_identities_match_a_decoded_copy():
+    block = fill_caches(sample_block())
+    fresh = decode_block(canonical_encode(block))
+    assert fresh._id is None and fresh.mes._encoding is None
+    assert block_id(fresh) == block_id(block) == sha256(canonical_encode(fresh))
+    assert fresh.mes.txid() == block.mes.txid() == sha256(encode_tx(fresh.mes))
+    assert sighash(fresh.mes) == sighash(block.mes)
+
+
+def test_mined_block_id_is_its_hash():
+    params = Params(d=Fraction(1, 2), p=Fraction(1, 4))
+    template = Block(GENESIS_ID, GENESIS_ID, GENESIS_ID, H("miner"), 0, make_normal())
+    block = mine(template, params, 10_000).block
+    assert block._id is not None
+    assert block_id(block) == sha256(canonical_encode(block))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_cached_identities_survive_copy_and_pickle(warm):
+    block, ref = sample_block(), sample_block()
+    if warm:
+        fill_caches(block)
+    for clone in (copy.copy(block), copy.deepcopy(block), pickle.loads(pickle.dumps(block))):
+        assert clone == block and hash(clone) == hash(block)
+        assert block_id(clone) == block_id(ref)
+        assert clone.mes.txid() == ref.mes.txid()
+        assert sighash(clone.mes) == sighash(ref.mes)
 
 
 # -- classification --------------------------------------------------------

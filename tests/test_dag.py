@@ -140,6 +140,21 @@ def test_confirm_set_matches_brute_force_small():
             assert sdag.confirm_set(bid) == brute_force_confirm(sdag, bid)
 
 
+def test_level_lookups_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(10):
+        sdag = random_dag(rng, n_blocks=50)
+        for bid in sdag.blocks:
+            if bid in sdag.main_chain:
+                assert sdag.level_index(bid) == sdag.main_chain.index(bid)
+            else:  # regular blocks and forked milestones
+                with pytest.raises(KeyError):
+                    sdag.level_index(bid)
+        levels = sdag.level_sets()[1:]
+        for count in range(1, len(levels) + 3):
+            assert [list(lev) for lev in sdag.recent_levels(count)] == levels[-count:]
+
+
 def test_insertion_order_independence_small():
     rng = random.Random(11)
     done = 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sdag.core import Transaction, TxKind, TxOutput, TxInput, sha256, tx_distance
+from sdag.core import Transaction, TxKind, TxOutput, TxInput, encode_tx, sha256, tx_distance
 from sdag.mempool import (
     Mempool,
     collision_prob,
@@ -74,6 +74,40 @@ def test_workable_monotone_in_cq(seed):
     small = set(pool.workable(HEAD, Fraction(1, 8)))
     large = set(pool.workable(HEAD, Fraction(1, 2)))
     assert small <= large
+
+
+def oracle_workable(pool, head, cq):
+    """`workable` by its definition: exact Fraction distances."""
+    hits = []
+    for txid, entry in pool.entries.items():
+        dist = tx_distance(head, entry.tx)
+        if dist <= cq:
+            hits.append((-entry.fee, dist, txid))
+    return [txid for _, _, txid in sorted(hits)]
+
+
+def test_workable_integer_boundary():
+    pool = Mempool()
+    txs = [normal_tx(i) for i in range(20)]
+    for i, tx in enumerate(txs):
+        pool.add_tx(tx, 0.0, fee=i % 2)
+    target = txs[7]
+    digest = int.from_bytes(sha256(HEAD + encode_tx(target)), "big")
+    at = Fraction(digest, 2**256)  # exactly the target's distance
+    below = Fraction(digest - 1, 2**256)
+    assert target.txid() in pool.workable(HEAD, at)
+    assert target.txid() not in pool.workable(HEAD, below)
+    for cq in (at, below):
+        assert pool.workable(HEAD, cq) == oracle_workable(pool, HEAD, cq)
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=2**64))
+def test_workable_matches_fraction_oracle(cq):
+    # denominators other than powers of two make floor(cq * 2**256) round
+    pool = Mempool()
+    for i in range(12):
+        pool.add_tx(normal_tx(i), 0.0, fee=i % 3)
+    assert pool.workable(HEAD, cq) == oracle_workable(pool, HEAD, cq)
 
 
 def test_estimate_power_counts_recent_levels(demo):

@@ -1,8 +1,10 @@
 """Node state machine: solidification, relay, block creation, convergence."""
 
+import random
 from fractions import Fraction
 
 from sdag.core import (
+    EMPTY_TX,
     GENESIS_ID,
     Block,
     BlockClass,
@@ -15,9 +17,11 @@ from sdag.core import (
     sha256,
     sighash,
 )
-from sdag.ledger import build_from_dag
-from sdag.node import NodeState, Publish, Relay, RequestLevels, RequestMissing
+from sdag.ledger import OrderedBlock, build_from_dag, build_ledger, dfs_order
+from sdag.node import NodeState, Relay, RequestLevels, RequestMissing
 from sdag.sigs import DEFAULT_SCHEME
+
+from dagtools import RANDOM_PARAMS, random_dag
 
 PARAMS = Params(d=Fraction(1), p=Fraction(1, 4), c=Fraction(1), r_n=1, r_m=2)
 
@@ -162,3 +166,98 @@ def test_tip_reference_prefers_other_miner():
     # b's tip set contains a's registration block if it is regular-class
     if a.sdag.block_class(block_id(ra)) is BlockClass.REGULAR:
         assert rb.idt == block_id(ra)
+
+
+# -- shared per-milestone ledger deltas ------------------------------------
+
+
+class RandomPayloads:
+    """Transactions for random DAGs: spends of genesis outputs and of earlier
+    transactions' outputs, double spends, duplicates, overspends, bad
+    signatures, registrations and empty payloads."""
+
+    def __init__(self, n_genesis):
+        self.outpoints = [(GENESIS_ID, i) for i in range(n_genesis)]
+        self.made = []
+
+    def __call__(self, rng):
+        r = rng.random()
+        if r < 0.15:
+            return EMPTY_TX
+        if r < 0.25 and self.made:
+            return rng.choice(self.made)
+        if r < 0.35:
+            tx = Transaction(TxKind.REGISTRATION, next_address=sha256(b"reg%d" % rng.getrandbits(32)))
+            self.made.append(tx)
+            return tx
+        spent = rng.sample(self.outpoints, k=min(len(self.outpoints), rng.choice((1, 1, 2))))
+        outputs = (TxOutput(rng.choice((1, 2, 3, 4)), U_ADDR),)
+        bare = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, b"") for t, i in spent), outputs)
+        secret = U_SECRET if rng.random() < 0.9 else sha256(b"thief")
+        witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
+        tx = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, witness) for t, i in spent), outputs)
+        self.outpoints.append((tx.txid(), 0))
+        self.made.append(tx)
+        return tx
+
+
+def scratch_fold(sdag, genesis_outputs):
+    """The node ledger by its definition, build_ledger over the whole main
+    chain from genesis, and each level's net change as seen in that fold."""
+    ledger = build_ledger([], genesis_outputs)
+    deltas = {}
+    for k, ms in enumerate(sdag.main_chain[1:], start=1):
+        utxo, ids = dict(ledger.utxo), set(ledger.accepted_ids)
+        items = []
+        for bid in dfs_order(sdag, ms):
+            tx = sdag.blocks[bid].mes
+            if tx.kind is not TxKind.EMPTY:
+                items.append((tx, OrderedBlock(bid, k)))
+        build_ledger(items, scheme=DEFAULT_SCHEME, into=ledger)
+        deltas[ms] = (
+            {op: v for op, v in utxo.items() if op not in ledger.utxo},
+            {op: v for op, v in ledger.utxo.items() if op not in utxo},
+            ledger.accepted_ids - ids,
+        )
+    return ledger, deltas
+
+
+def test_shared_level_deltas_match_scratch_fold():
+    genesis = tuple((2, U_ADDR) for _ in range(12))
+    switches = 0
+    reasons = set()
+    for seed in range(8):
+        rng = random.Random(seed)
+        sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=RandomPayloads(len(genesis)))
+        in_order = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
+        shuffled = in_order[:]
+        rng.shuffle(shuffled)
+        table = {}
+        nodes = [
+            NodeState(RANDOM_PARAMS, secret=sha256(tag), genesis_outputs=genesis, level_deltas=table)
+            for tag in (b"oracle-a", b"oracle-b")
+        ]
+        for pair in zip(in_order, shuffled):
+            for node, block in zip(nodes, pair):
+                before = node.sdag.main_chain[:]
+                node.on_receive_block(block)
+                if node.sdag.main_chain[: len(before)] != before:
+                    switches += 1
+                expect, deltas = scratch_fold(node.sdag, genesis)
+                got = node.ledger_cache
+                assert got.utxo == expect.utxo
+                assert got.accepted_ids == expect.accepted_ids
+                for ms, delta in deltas.items():
+                    assert table[ms] == delta
+        # equal-height tips may differ: the incumbent wins ties
+        assert nodes[0].sdag.height() == nodes[1].sdag.height() == sdag.height()
+        assert set(table) <= {bid for bid in sdag.blocks if sdag.block_class(bid) is BlockClass.MILESTONE}
+        reasons |= {e.reason for e in expect.entries}
+    # the DAGs exercise chain switches and every rejection the fold makes
+    assert switches >= 8
+    assert {"", "duplicate", "input not in utxo", "bad signature", "outputs exceed inputs"} <= reasons
+
+
+def test_lone_node_keeps_a_private_delta_table():
+    a, b = make_node(b"lone-a"), make_node(b"lone-b")
+    assert a.level_deltas is not b.level_deltas
