@@ -20,7 +20,9 @@ class DelayCurve:
         raise NotImplementedError
 
     def inverse(self, y):
-        """Quantile function for inverse-CDF sampling; accepts arrays."""
+        """Quantile function for inverse-CDF sampling; accepts arrays.  A
+        Python float takes a scalar path without numpy that returns the
+        same bits as the array path."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -41,6 +43,9 @@ class QuadraticCurve(DelayCurve):
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def inverse(self, y):
+        if isinstance(y, float):
+            # math.sqrt is correctly rounded, as np.sqrt is
+            return self.t0 * (1.0 - math.sqrt(1.0 - y))
         y = np.asarray(y, dtype=float)
         out = self.t0 * (1.0 - np.sqrt(1.0 - y))
         return float(out) if np.ndim(out) == 0 else out
@@ -56,6 +61,8 @@ class UniformCurve(DelayCurve):
         return float(u) if np.ndim(u) == 0 else u
 
     def inverse(self, y):
+        if isinstance(y, float):
+            return self.t0 * y
         y = np.asarray(y, dtype=float)
         out = self.t0 * y
         return float(out) if np.ndim(out) == 0 else out
@@ -74,6 +81,8 @@ class InstantCurve(DelayCurve):
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):
+        if isinstance(y, float):
+            return 0.0
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         return float(out) if np.ndim(out) == 0 else out
@@ -92,6 +101,8 @@ class StepCurve(DelayCurve):
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):
+        if isinstance(y, float):
+            return float(self.t0)
         y = np.asarray(y, dtype=float)
         out = np.full_like(y, self.t0)
         return float(out) if np.ndim(out) == 0 else out

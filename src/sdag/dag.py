@@ -4,6 +4,10 @@ Every stored block keeps the closure invariant (all three references resolve
 to stored blocks) and the graph stays acyclic.  Milestone-class blocks form
 a tree over the idm references; the longest root-to-leaf path is the main
 chain, with ties resolved by retaining the incumbent tip.
+
+A block's class and validity verdict depend only on its bytes (given that
+its parents are stored), and a milestone's level set only on its ancestry.
+`DagFacts` keeps both, so SDags that share one table derive each once.
 """
 
 from __future__ import annotations
@@ -47,17 +51,36 @@ class CycleError(ValueError):
     pass
 
 
+class DagFacts:
+    """Facts that are pure functions of the blocks, for SDags with the same
+    params to share: block id -> (class, verdict with all parents stored),
+    and milestone id -> level set (its confirm set minus its parent's, in
+    discovery order).  A missing-parent verdict depends on arrival order
+    and is never stored."""
+
+    def __init__(self, params: Params):
+        self.params = params
+        self.verdicts: dict[bytes, tuple[BlockClass, Optional[Violation]]] = {}
+        self.levels: dict[bytes, tuple[bytes, ...]] = {}
+
+
 class SDag:
     """A peer's local structured DAG.
 
     Single-writer, multiple-reader: call insert from one context only.
+    SDags given the same `facts` table validate each block and walk each
+    level once between them; without one an SDag keeps a private table.
     """
 
-    def __init__(self, params: Params):
+    def __init__(self, params: Params, facts: Optional[DagFacts] = None):
+        if facts is None:
+            facts = DagFacts(params)
+        elif facts.params != params:
+            raise ValueError("DagFacts table was made for other params")
         self.params = params
+        self.facts = facts
         self.genesis_id = GENESIS_ID
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
-        self.children: dict[bytes, set[bytes]] = {GENESIS_ID: set()}
         self._class: dict[bytes, BlockClass] = {}
         self._unreferenced: set[bytes] = set()
         # milestone tree
@@ -103,12 +126,18 @@ class SDag:
             bid = block_id(block)
         return self._check(block, bid, classify_hash(bid, self.params))
 
+    def _missing(self, block: Block) -> Optional[Violation]:
+        for ref in self._refs(block):
+            if ref not in self.blocks:
+                return Violation(ViolationKind.MISSING_PARENT, ref.hex())
+        return None
+
     def _check(self, block: Block, bid: bytes, cls: BlockClass) -> Optional[Violation]:
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
-        missing = [r for r in self._refs(block) if r not in self.blocks]
-        if missing:
-            return Violation(ViolationKind.MISSING_PARENT, missing[0].hex())
+        missing = self._missing(block)
+        if missing is not None:
+            return missing
         if block.idp != self.genesis_id:
             target = self.blocks[block.idp]
             if target.peer != block.peer:
@@ -133,17 +162,27 @@ class SDag:
         bid = block_id(block)
         if bid in self.blocks:
             return None
-        cls = classify_hash(bid, self.params)
-        v = self._check(block, bid, cls)
+        fact = self.facts.verdicts.get(bid)
+        if fact is None:
+            cls = classify_hash(bid, self.params)
+            v = self._check(block, bid, cls)
+            if v is not None and v.kind is ViolationKind.MISSING_PARENT:
+                return v
+            self.facts.verdicts[bid] = (cls, v)
+        else:
+            # the stored verdict holds once the parents are here; bad pow
+            # is reported before missing parents, as _check does
+            cls, v = fact
+            if cls is not BlockClass.INVALID:
+                missing = self._missing(block)
+                if missing is not None:
+                    return missing
         if v is not None:
             return v
         self.blocks[bid] = block
         self._class[bid] = cls
-        self.children[bid] = set()
         self._unreferenced.add(bid)
-        for ref in set(self._refs(block)):
-            self.children[ref].add(bid)
-            self._unreferenced.discard(ref)
+        self._unreferenced.difference_update(self._refs(block))
         if cls is BlockClass.MILESTONE:
             parent = block.idm
             self.ms_parent[bid] = parent
@@ -178,8 +217,17 @@ class SDag:
             self._append_level(new_chain[k], k)
 
     def _append_level(self, ms: bytes, index: int) -> None:
-        # BFS over the references of ms, stopping at already-confirmed blocks;
-        # expansion order (idp, idm, idt) keeps discovery deterministic.
+        lev = self.facts.levels.get(ms)
+        if lev is None:
+            lev = self.facts.levels[ms] = self._walk_level(ms, index)
+        else:
+            self._level_of.update(dict.fromkeys(lev, index))
+        self._level_sets.append(lev)
+
+    def _walk_level(self, ms: bytes, index: int) -> tuple[bytes, ...]:
+        # BFS over the references of ms, stopping at already-confirmed blocks
+        # (the confirm set of its parent milestone); expansion order (idp,
+        # idm, idt) keeps discovery deterministic.
         lev: list[bytes] = []
         queue = deque([ms])
         self._level_of[ms] = index
@@ -190,7 +238,7 @@ class SDag:
                 if ref not in self._level_of:
                     self._level_of[ref] = index
                     queue.append(ref)
-        self._level_sets.append(tuple(lev))
+        return tuple(lev)
 
     # -- derived sets ----------------------------------------------------
 

@@ -225,19 +225,18 @@ def resolve_peer_chain(
         else:
             kids.setdefault(parent, []).append(bid)
 
+    # root-to-leaf paths in depth-first order, with an explicit stack so a
+    # long own chain cannot exhaust the interpreter's recursion limit
     paths: list[list[bytes]] = []
-
-    def expand(path: list[bytes]) -> None:
-        tail = path[-1]
-        nxt = kids.get(tail)
+    stack = [[root] for root in sorted(roots, reverse=True)]
+    while stack:
+        path = stack.pop()
+        nxt = kids.get(path[-1])
         if not nxt:
             paths.append(path)
-            return
-        for child in sorted(nxt):
-            expand(path + [child])
-
-    for root in sorted(roots):
-        expand([root])
+            continue
+        for child in sorted(nxt, reverse=True):
+            stack.append(path + [child])
 
     if not paths:
         return PeerChainView(miner, [], False, None, set())

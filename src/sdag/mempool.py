@@ -84,29 +84,39 @@ class Mempool:
         return [txid for _, _, txid in hits]
 
 
+def power_counts(sdag: SDag, window: int = DEFAULT_POWER_WINDOW) -> tuple[dict[bytes, int], int]:
+    """Blocks per miner in the last `window` main-chain level sets, and their
+    total.  It depends only on the chain tip, so peers may share it."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    counts: dict[bytes, int] = {}
+    total = 0
+    for lev in sdag.recent_levels(window):
+        for bid in lev:
+            peer = sdag.blocks[bid].peer
+            counts[peer] = counts.get(peer, 0) + 1
+        total += len(lev)
+    return counts, total
+
+
+def power_share(counts: dict[bytes, int], total: int, miner: bytes) -> Fraction:
+    """A miner's hash-power share from `power_counts`.  With no blocks of
+    its own, assume an equal split among the observed miners and it (or 1
+    with none observed)."""
+    if total == 0:
+        return Fraction(1)
+    mine = counts.get(miner, 0)
+    if mine == 0:
+        return Fraction(1, len(counts) + 1)
+    return Fraction(mine, total)
+
+
 def estimate_power(
     sdag: SDag, miner: bytes, window: int = DEFAULT_POWER_WINDOW
 ) -> HashPowerEstimate:
     """Estimate a miner's hash-power share from block counts in the last
-    `window` main-chain level sets.  With no data, assume an equal split
-    among observed miners (or 1 with none observed)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    mine = total = 0
-    peers: set[bytes] = set()
-    for lev in sdag.recent_levels(window):
-        for bid in lev:
-            peer = sdag.blocks[bid].peer
-            peers.add(peer)
-            total += 1
-            if peer == miner:
-                mine += 1
-    if total == 0:
-        q = Fraction(1)
-    elif mine == 0:
-        q = Fraction(1, max(len(peers), 1) + (0 if miner in peers else 1))
-    else:
-        q = Fraction(mine, total)
+    `window` main-chain level sets (`power_counts`, then `power_share`)."""
+    q = power_share(*power_counts(sdag, window), miner)
     return HashPowerEstimate(miner=miner, q=q, window=min(window, sdag.height()) or window)
 
 

@@ -28,9 +28,9 @@ from .core import (
     block_id,
     mine,
 )
-from .dag import SDag, topological_order
+from .dag import DagFacts, SDag, topological_order
 from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_outpoint
-from .mempool import Mempool, estimate_power
+from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
 DEFAULT_ORPHAN_CAP = 10_000
@@ -79,9 +79,35 @@ class LevelDelta(NamedTuple):
         ledger.accepted_ids.difference_update(self.accepted)
 
 
+class SharedFacts:
+    """What nodes with the same params, genesis outputs and scheme derive
+    identically, computed by the first node that needs it:
+    - `dag`: block verdicts and level sets (see `DagFacts`);
+    - `level_deltas`: milestone id -> LevelDelta, which depends only on the
+      milestone's ancestry;
+    - `power`: chain tip -> `power_counts` of the chain ending there;
+    - `genesis_utxo`: the genesis outputs as a UTXO map, copied per node."""
+
+    def __init__(
+        self,
+        params: Params,
+        genesis_outputs: Sequence[tuple[int, bytes]] = (),
+        scheme: SignatureScheme = DEFAULT_SCHEME,
+    ):
+        self.dag = DagFacts(params)
+        self.genesis_outputs = tuple(genesis_outputs)
+        self.scheme = scheme
+        self.genesis_utxo = {
+            genesis_outpoint(i): out for i, out in enumerate(self.genesis_outputs)
+        }
+        self.level_deltas: dict[bytes, LevelDelta] = {}
+        self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
+
+
 class NodeState:
     """One peer's complete local state; confine each instance to a single
-    logical execution context."""
+    logical execution context.  Nodes given the same `shared` facts derive
+    each of them once between them; a node without one keeps its own."""
 
     def __init__(
         self,
@@ -91,17 +117,22 @@ class NodeState:
         genesis_outputs: Sequence[tuple[int, bytes]] = (),
         scheme: SignatureScheme = DEFAULT_SCHEME,
         orphan_cap: int = DEFAULT_ORPHAN_CAP,
-        level_deltas: Optional[dict[bytes, LevelDelta]] = None,
+        shared: Optional[SharedFacts] = None,
     ):
         self.params = params
         self.scheme = scheme
         self.secret = secret
         self.public = scheme.derive_public(secret)
         self.identity = scheme.address(self.public)
-        self.sdag = SDag(params)
+        self.genesis_outputs = tuple(genesis_outputs)
+        if shared is None:
+            shared = SharedFacts(params, self.genesis_outputs, scheme)
+        elif shared.genesis_outputs != self.genesis_outputs or shared.scheme is not scheme:
+            raise ValueError("shared facts were made for other genesis outputs or scheme")
+        self.shared = shared
+        self.sdag = SDag(params, shared.dag)
         self.mempool = Mempool()
         self.my_head = GENESIS_ID
-        self.genesis_outputs = tuple(genesis_outputs)
         self.rng = random.Random(seed)
         self.orphan_blocks: dict[bytes, Block] = {}
         self.orphans_by_missing: dict[bytes, set[bytes]] = {}
@@ -111,22 +142,12 @@ class NodeState:
         self.mining_attempts = 0
         self.rejected_blocks = 0
         # ledger at the main-chain tip (utxo and accepted ids, no entries),
-        # moved between chains by applying and undoing level deltas.  The
-        # delta of a milestone depends only on its milestone ancestry, so
-        # nodes with the same params, genesis outputs and scheme may share
-        # one table: milestone id -> LevelDelta.
-        self.level_deltas = {} if level_deltas is None else level_deltas
+        # moved between chains by applying and undoing shared level deltas
+        self.level_deltas = shared.level_deltas
         self._cache_chain: list[bytes] = [GENESIS_ID]
-        self._cache = self._fresh_ledger()
-        self._q_cache: Optional[tuple[bytes, Fraction]] = None
+        self._cache = Ledger(utxo=dict(shared.genesis_utxo))
 
     # -- ledger cache ----------------------------------------------------
-
-    def _fresh_ledger(self) -> Ledger:
-        ledger = Ledger()
-        for i, (value, address) in enumerate(self.genesis_outputs):
-            ledger.utxo[genesis_outpoint(i)] = (value, address)
-        return ledger
 
     def _fold_level(self, k: int) -> LevelDelta:
         """Fold main-chain level k with build_ledger's rules onto the cache
@@ -202,10 +223,9 @@ class NodeState:
         bid = block_id(block)
         if bid in self.sdag or bid in self.orphan_blocks:
             return
-        missing = sorted(
-            {r for r in (block.idp, block.idm, block.idt) if r not in self.sdag.blocks}
-        )
-        if missing:
+        stored = self.sdag.blocks
+        if block.idp not in stored or block.idm not in stored or block.idt not in stored:
+            missing = sorted({r for r in (block.idp, block.idm, block.idt) if r not in stored})
             self._buffer_orphan(bid, block, missing, actions)
             return
         if self._try_insert(bid, block, actions):
@@ -281,12 +301,12 @@ class NodeState:
     # -- create path -----------------------------------------------------
 
     def _estimated_q(self) -> Fraction:
+        """estimate_power's share, from the peer count shared per chain tip."""
         tip = self.sdag.chain_tip()
-        if self._q_cache is not None and self._q_cache[0] == tip:
-            return self._q_cache[1]
-        q = estimate_power(self.sdag, self.identity).q
-        self._q_cache = (tip, q)
-        return q
+        counts = self.shared.power.get(tip)
+        if counts is None:
+            counts = self.shared.power[tip] = power_counts(self.sdag)
+        return power_share(*counts, self.identity)
 
     def _pick_tx(self) -> Transaction:
         if self.my_head == GENESIS_ID:

@@ -37,7 +37,7 @@ from .core import (
 )
 from .curves import make_curve
 from .ledger import build_from_dag, genesis_outpoint
-from .node import LevelDelta, NodeState
+from .node import NodeState, SharedFacts
 from .sigs import DEFAULT_SCHEME
 
 # event ranks for deterministic tie-breaking: (time, rank, actor, seq)
@@ -197,16 +197,17 @@ class Simulation:
         n_outputs = int(config.lam * config.horizon * 1.5) + 64
         self.genesis_outputs = [(2, self.user_address)] * n_outputs
 
-        # every node folds the same milestone levels with the same rules, so
-        # the first to reach a level folds it and the rest reuse its delta
-        level_deltas: dict[bytes, LevelDelta] = {}
+        # every node validates the same blocks, walks and folds the same
+        # milestone levels and counts the same tips: the first to need a fact
+        # derives it and the rest read it
+        shared = SharedFacts(self.params, self.genesis_outputs)
         self.nodes = [
             NodeState(
                 self.params,
                 secret=sha256(b"sim-peer-" + i.to_bytes(4, "big")),
                 seed=self.master.getrandbits(64),
                 genesis_outputs=self.genesis_outputs,
-                level_deltas=level_deltas,
+                shared=shared,
             )
             for i in range(config.n)
         ]
@@ -217,7 +218,7 @@ class Simulation:
                 secret=sha256(b"sim-adversary"),
                 seed=self.master.getrandbits(64),
                 genesis_outputs=self.genesis_outputs,
-                level_deltas=level_deltas,
+                shared=shared,
             )
         self.private_pending: list[Block] = []
         self.adversary_blocks = 0
@@ -243,7 +244,7 @@ class Simulation:
         heapq.heappush(self.heap, (time, rank, actor, self.seq, payload))
 
     def _sample_delay(self) -> float:
-        return float(self.curve.inverse(self.master.random()))
+        return self.curve.inverse(self.master.random())
 
     def _broadcast(self, block: Block, t: float, skip: int = -1) -> None:
         for j in range(self.cfg.n):

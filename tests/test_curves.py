@@ -1,5 +1,7 @@
 """Broadcast delay curves: CDF shape, inverse sampling, means."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -72,3 +74,15 @@ def test_make_curve_rejects_bad_input():
         make_curve("quadratic", 0.0)
     with pytest.raises(ValueError):
         make_curve("quadratic", float("inf"))
+
+
+@pytest.mark.parametrize("name", CURVES)
+@pytest.mark.parametrize("t0", [0.5, 2.0])
+def test_scalar_inverse_matches_array_path_bitwise(name, t0):
+    curve = make_curve(name, t0)
+    rng = random.Random(17)
+    ys = [0.0, 0.5, 1.0 - 2.0**-53] + [rng.random() for _ in range(1000)]
+    for y in ys:
+        got = curve.inverse(y)
+        assert type(got) is float
+        assert got.hex() == float(curve.inverse(np.asarray(y))).hex()

@@ -1,6 +1,7 @@
 """DAG storage, validity rules, milestone tree, level sets."""
 
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from sdag.core import (
     mine,
     sha256,
 )
-from sdag.dag import CycleError, SDag, ViolationKind, topological_order
+from sdag.dag import CycleError, DagFacts, SDag, ViolationKind, topological_order
 
 from dagtools import (
     RANDOM_PARAMS,
@@ -225,3 +226,102 @@ def test_confirm_set_unknown_raises(demo):
         demo.sdag.confirm_set(sha256(b"nope"))
     with pytest.raises(KeyError):
         demo.sdag.level_set(demo.ids["b1"])  # pending, not on the chain
+
+
+# -- shared block facts ------------------------------------------------------
+
+
+def rule_breakers(sdag, rng, count):
+    """Blocks over `sdag`'s blocks that break the peer, tip or milestone rule."""
+    stored = [bid for bid in sdag.blocks if bid != GENESIS_ID]
+    regular = [bid for bid in stored if sdag.block_class(bid) is BlockClass.REGULAR]
+    milestones = [bid for bid in stored if sdag.block_class(bid) is BlockClass.MILESTONE]
+    outsider = sha256(b"outsider")
+    out = []
+    for k in range(count):
+        nonce = rng.getrandbits(64)
+        if k % 4 == 0:  # idp targets another miner's block
+            out.append(Block(rng.choice(stored), GENESIS_ID, GENESIS_ID, outsider, nonce, EMPTY_TX))
+        elif k % 4 == 1:  # idt targets a milestone
+            out.append(Block(GENESIS_ID, GENESIS_ID, rng.choice(milestones), outsider, nonce, EMPTY_TX))
+        elif k % 4 == 2:  # idt targets the same miner
+            idt = rng.choice(regular)
+            out.append(Block(GENESIS_ID, GENESIS_ID, idt, sdag.blocks[idt].peer, nonce, EMPTY_TX))
+        else:  # idm targets a regular block
+            out.append(Block(GENESIS_ID, rng.choice(regular), GENESIS_ID, outsider, nonce, EMPTY_TX))
+    return out
+
+
+def arrivals(blocks, valid, rng):
+    """Shuffled passes over `blocks` until every block in `valid` could be
+    stored: children often arrive before their parents, and again later."""
+    present = {GENESIS_ID}
+    seq = []
+    while not valid <= present:
+        order = blocks[:]
+        rng.shuffle(order)
+        for block in order:
+            seq.append(block)
+            bid = block_id(block)
+            if bid in valid and all(r in present for r in (block.idp, block.idm, block.idt)):
+                present.add(bid)
+    return seq
+
+
+def test_shared_facts_match_private_tables():
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(6):
+        source = random_dag(rng, n_blocks=60)
+        valid = set(source.blocks)
+        blocks = [b for bid, b in source.blocks.items() if bid != GENESIS_ID]
+        blocks += rule_breakers(source, rng, 12)
+        facts = DagFacts(RANDOM_PARAMS)
+        shared = [SDag(RANDOM_PARAMS, facts) for _ in range(3)]
+        private = [SDag(RANDOM_PARAMS) for _ in range(3)]
+        feeds = [arrivals(blocks, valid, rng) for _ in range(3)]
+        # one arrival per peer in turn, so each reads verdicts the others stored
+        for step in itertools.zip_longest(*feeds):
+            for block, a, b in zip(step, shared, private):
+                if block is not None:
+                    got = a.insert(block)
+                    assert got == b.insert(block)
+                    if got is not None:
+                        kinds.add(got.kind)
+        miners = {b.peer for b in blocks}
+        for a, b in zip(shared, private):
+            assert a.blocks == b.blocks == source.blocks
+            assert a.main_chain == b.main_chain
+            assert a.level_sets() == b.level_sets()
+            assert a.pending_set() == b.pending_set()
+            for m in miners:
+                assert a.tip_set(m) == b.tip_set(m)
+        assert len(facts.verdicts) == len(blocks)
+        assert all(v is None or v.kind is not ViolationKind.MISSING_PARENT for _c, v in facts.verdicts.values())
+    assert kinds == {
+        ViolationKind.MISSING_PARENT,
+        ViolationKind.PEER_RULE,
+        ViolationKind.TIP_RULE,
+        ViolationKind.MS_RULE,
+    }
+
+
+def test_shared_facts_report_bad_pow_before_missing_parents():
+    ghost = sha256(b"ghost")
+    nonce = 0
+    while True:
+        block = Block(ghost, GENESIS_ID, GENESIS_ID, sha256(b"A"), nonce, EMPTY_TX)
+        if SDag(EASY).check_block(block).kind is ViolationKind.BAD_POW:
+            break
+        nonce += 1
+    facts = DagFacts(EASY)
+    for sdag in (SDag(EASY, facts), SDag(EASY, facts), SDag(EASY)):
+        assert sdag.insert(block).kind is ViolationKind.BAD_POW
+
+
+def test_shared_facts_must_match_params():
+    facts = DagFacts(RANDOM_PARAMS)
+    same = Params(d=Fraction(1), p=Fraction(1, 3), c=Fraction(1, 10), r_n=1, r_m=2)
+    assert SDag(same, facts).facts is facts
+    with pytest.raises(ValueError):
+        SDag(EASY, facts)

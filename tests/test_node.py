@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sdag.core import (
     EMPTY_TX,
     GENESIS_ID,
@@ -18,7 +20,8 @@ from sdag.core import (
     sighash,
 )
 from sdag.ledger import OrderedBlock, build_from_dag, build_ledger, dfs_order
-from sdag.node import NodeState, Relay, RequestLevels, RequestMissing
+from sdag.mempool import estimate_power, power_share
+from sdag.node import NodeState, Relay, RequestLevels, RequestMissing, SharedFacts
 from sdag.sigs import DEFAULT_SCHEME
 
 from dagtools import RANDOM_PARAMS, random_dag
@@ -232,9 +235,10 @@ def test_shared_level_deltas_match_scratch_fold():
         in_order = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
         shuffled = in_order[:]
         rng.shuffle(shuffled)
-        table = {}
+        shared = SharedFacts(RANDOM_PARAMS, genesis)
+        table = shared.level_deltas
         nodes = [
-            NodeState(RANDOM_PARAMS, secret=sha256(tag), genesis_outputs=genesis, level_deltas=table)
+            NodeState(RANDOM_PARAMS, secret=sha256(tag), genesis_outputs=genesis, shared=shared)
             for tag in (b"oracle-a", b"oracle-b")
         ]
         for pair in zip(in_order, shuffled):
@@ -249,6 +253,11 @@ def test_shared_level_deltas_match_scratch_fold():
                 assert got.accepted_ids == expect.accepted_ids
                 for ms, delta in deltas.items():
                     assert table[ms] == delta
+                # the peer count shared per tip gives estimate_power's share
+                assert node._estimated_q() == estimate_power(node.sdag, node.identity).q
+                counts = shared.power[node.sdag.chain_tip()]
+                for miner in counts[0]:
+                    assert power_share(*counts, miner) == estimate_power(node.sdag, miner).q
         # equal-height tips may differ: the incumbent wins ties
         assert nodes[0].sdag.height() == nodes[1].sdag.height() == sdag.height()
         assert set(table) <= {bid for bid in sdag.blocks if sdag.block_class(bid) is BlockClass.MILESTONE}
@@ -261,3 +270,13 @@ def test_shared_level_deltas_match_scratch_fold():
 def test_lone_node_keeps_a_private_delta_table():
     a, b = make_node(b"lone-a"), make_node(b"lone-b")
     assert a.level_deltas is not b.level_deltas
+    assert a.sdag.facts is not b.sdag.facts
+
+
+def test_shared_facts_must_match_the_node():
+    shared = SharedFacts(PARAMS, GENESIS_OUTPUTS)
+    NodeState(PARAMS, secret=sha256(b"m0"), genesis_outputs=GENESIS_OUTPUTS, shared=shared)
+    with pytest.raises(ValueError):
+        NodeState(PARAMS, secret=sha256(b"m1"), genesis_outputs=GENESIS_OUTPUTS[1:], shared=shared)
+    with pytest.raises(ValueError):
+        NodeState(RANDOM_PARAMS, secret=sha256(b"m2"), genesis_outputs=GENESIS_OUTPUTS, shared=shared)

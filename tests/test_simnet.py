@@ -1,9 +1,12 @@
 """Discrete-event simulator: determinism, convergence, adversaries."""
 
 import dataclasses
+import hashlib
+import sys
 
 import pytest
 
+from sdag import cli
 from sdag.ledger import build_from_dag
 from sdag.simnet import (
     PeerChainFork,
@@ -151,3 +154,64 @@ def test_zero_traffic_mines_empty_blocks():
     assert m.tps_effective == 0.0
     assert m.blocks_created > 0
     assert m.duplicate_count == 0
+
+
+def test_long_own_chain_resolves_without_recursion():
+    # each miner's own chain grows past the interpreter's recursion limit,
+    # which peer-chain resolution once walked recursively
+    m = run(SimConfig(n=2, mu=1.0, horizon=1300, lam=0.2))
+    assert m.blocks_created > 2 * sys.getrecursionlimit()
+    assert set(m.reward_by_miner) == {0, 1}
+
+
+PINNED_INI = """\
+[simulation]
+n = {n}
+mu = 0.1
+p = 0.2
+c = 1.0
+lambda = 0.5
+t0 = 0.5
+horizon = 400
+seed = 42
+finality_depth = 3
+"""
+
+# sha256 of metrics.csv, queueing_latency.csv and infection_latency.csv,
+# recorded before peers shared block verdicts, level sets and peer counts
+PINNED_OUTPUTS = {
+    "n8": (
+        PINNED_INI.format(n=8),
+        "dd68612267161077734302fca7f508fd018105c34771f82ab0f821bf0a115051",
+        "c7c287e0149a85bd55829538765f1dca1e0e5b109924437f01d0fd8d1a44bba5",
+        "79c7e753713d5ff34e2a8275e929ff5e5d7ec50224b215117ab2c872d064090f",
+    ),
+    "private-milestone-fork": (
+        PINNED_INI.format(n=5)
+        + "adversary_share = 0.3\nadversary_strategy = private-milestone-fork\n",
+        "45b3800609c277f6e72f02feb2a927703c6d273a38a3577eef1de8e28a8d2c79",
+        "914433a95245dbd32907e48734e793026b914f0db5c434f373793301c8ef70d2",
+        "4b89d0852d806f477326362000adc6b15a9e176f76b3604d4bb650124ff4ec3c",
+    ),
+    "peer-chain-fork": (
+        PINNED_INI.format(n=5)
+        + "adversary_share = 0.3\nadversary_strategy = peer-chain-fork:victim=0\n",
+        "41862921c985a793f8cecdd852122c549528d1c580b6ee1113a275c5a1452104",
+        "9acd4f93ca92438b58176650e9ef6fb6a41f0c5e24c7727e82716030050da3fc",
+        "f305ca8e56492aee7d472aac08ffe88a0ea67ecdafb95fa57717b59c886e64d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_small_config_outputs_are_pinned(name, tmp_path):
+    ini, *expected = PINNED_OUTPUTS[name]
+    config = tmp_path / "sim.ini"
+    config.write_text(ini)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--seed", "42", "--out", str(out)]) == 0
+    got = [
+        hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("metrics.csv", "queueing_latency.csv", "infection_latency.csv")
+    ]
+    assert got == expected
