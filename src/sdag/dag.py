@@ -193,28 +193,25 @@ class SDag:
                 self._switch_to(bid)
         return None
 
-    def _chain_path(self, tip: bytes) -> list[bytes]:
-        path = []
-        cur: Optional[bytes] = tip
-        while cur is not None:
-            path.append(cur)
-            cur = self.ms_parent[cur]
-        path.reverse()
-        return path
-
     def _switch_to(self, tip: bytes) -> None:
-        new_chain = self._chain_path(tip)
-        fork = 0
-        limit = min(len(new_chain), len(self.main_chain))
-        while fork < limit and new_chain[fork] == self.main_chain[fork]:
-            fork += 1
+        # walk back from the new tip to the first milestone already on the
+        # main chain (the genesis at worst) and splice the branch on there;
+        # the chain is a new list, so a caller's reference keeps the old one
+        chain = self.main_chain
+        branch = []
+        cur = tip
+        while self.ms_height[cur] >= len(chain) or chain[self.ms_height[cur]] != cur:
+            branch.append(cur)
+            cur = self.ms_parent[cur]
+        fork = self.ms_height[cur] + 1
         for lev in self._level_sets[fork:]:
             for bid in lev:
                 del self._level_of[bid]
         del self._level_sets[fork:]
-        self.main_chain = new_chain
-        for k in range(fork, len(new_chain)):
-            self._append_level(new_chain[k], k)
+        branch.reverse()
+        self.main_chain = chain[:fork] + branch
+        for k, ms in enumerate(branch, start=fork):
+            self._append_level(ms, k)
 
     def _append_level(self, ms: bytes, index: int) -> None:
         lev = self.facts.levels.get(ms)

@@ -63,16 +63,32 @@ class RewardRecord:
     amount: int
 
 
+class Claim(NamedTuple):
+    """What the chain looked like just before one claim: the previous
+    claim's position (None for the first) and the payout address in force
+    (None before the registration)."""
+
+    prev: Optional[int]
+    address: Optional[bytes]
+
+
 @dataclass
 class PeerChainView:
     """One miner's canonical peer chain as determined by redemption
-    signature continuity; everything off it is forked and earns nothing."""
+    signature continuity; everything off it is forked and earns nothing.
+
+    `position` maps each chain block to its index in `blocks`.  `claims`
+    maps the position of every claim on the chain (a registration at
+    position 0 and every redemption, validly signed or not) to its `Claim`,
+    in chain order."""
 
     miner: bytes
     blocks: list[bytes]
     registered: bool
     current_address: Optional[bytes]
     forked: set[bytes]
+    position: dict[bytes, int]
+    claims: dict[int, Claim]
 
 
 class RedemptionError(ValueError):
@@ -183,86 +199,72 @@ def _redemption_sig_ok(tx: Transaction, address: Optional[bytes], scheme: Signat
     return scheme.verify(public, sighash(tx), sig)
 
 
-def _walk_claims(
-    sdag: SDag, path: Sequence[bytes], scheme: SignatureScheme
-) -> tuple[int, int, Optional[bytes], bool]:
-    """Follow registration/redemption continuity along a chain path.
-
-    Returns (valid claim count, position after last valid claim, current
-    payout address, registered flag)."""
-    address: Optional[bytes] = None
-    registered = False
-    claims = 0
-    covered = 0
-    for pos, bid in enumerate(path):
-        tx = sdag.blocks[bid].mes
-        if tx.kind is TxKind.REGISTRATION and not registered and pos == 0:
-            address = tx.next_address
-            registered = True
-        elif tx.kind is TxKind.REDEMPTION:
-            if registered and _redemption_sig_ok(tx, address, scheme):
-                address = tx.next_address
-                claims += 1
-                covered = pos
-    return claims, covered, address, registered
-
-
 def resolve_peer_chain(
     sdag: SDag, miner: bytes, scheme: SignatureScheme = DEFAULT_SCHEME
 ) -> PeerChainView:
     """Pick the canonical chain among the branches of a miner's own-chain
-    tree.  Branches are scored by valid redemption continuity (count, then
-    coverage, then length, then smallest leaf id); everything else is
-    forked and earns nothing."""
-    mine = [bid for bid, b in sdag.blocks.items() if b.peer == miner and bid != GENESIS_ID]
-    kids: dict[bytes, list[bytes]] = {}
-    roots = []
-    mine_set = set(mine)
-    for bid in mine:
-        parent = sdag.blocks[bid].idp
-        if parent == GENESIS_ID or parent not in mine_set:
-            roots.append(bid)
-        else:
-            kids.setdefault(parent, []).append(bid)
+    tree.  Branches are scored by valid redemption continuity (registered at
+    the root, then valid claim count, then coverage, i.e. the position of
+    the last valid claim, then length, then smallest leaf id); everything
+    else is forked and earns nothing.
 
-    # root-to-leaf paths in depth-first order, with an explicit stack so a
-    # long own chain cannot exhaust the interpreter's recursion limit
-    paths: list[list[bytes]] = []
-    stack = [[root] for root in sorted(roots, reverse=True)]
-    while stack:
-        path = stack.pop()
-        nxt = kids.get(path[-1])
-        if not nxt:
-            paths.append(path)
+    One pass over the miner's blocks in storage order, which puts every
+    parent before its children, derives each block's walk state from its
+    parent's, so each redemption signature is checked once.  A block scores
+    higher than its parent, so the best-scoring block is a leaf, and leaf
+    ids are unique, so the winner does not depend on enumeration order.
+    The view records each chain block's position and, for each claim, the
+    previous claim position and the payout address in force before it."""
+    # walk state after a block: (registered, valid claims, coverage, length,
+    # payout address); the first four are the score, then the block id
+    walks: dict[bytes, tuple[bool, int, int, int, Optional[bytes]]] = {}
+    best: Optional[bytes] = None
+    best_key: tuple = ()
+    for bid, block in sdag.blocks.items():
+        if block.peer != miner or bid == GENESIS_ID:
             continue
-        for child in sorted(nxt, reverse=True):
-            stack.append(path + [child])
+        tx = block.mes
+        parent = walks.get(block.idp)
+        if parent is None:  # a root: only here does a registration count
+            registered = tx.kind is TxKind.REGISTRATION
+            walk = (registered, 0, 0, 1, tx.next_address if registered else None)
+        else:
+            registered, claims, covered, length, address = parent
+            if (
+                registered
+                and tx.kind is TxKind.REDEMPTION
+                and _redemption_sig_ok(tx, address, scheme)
+            ):
+                walk = (True, claims + 1, length, length + 1, tx.next_address)
+            else:
+                walk = (registered, claims, covered, length + 1, address)
+        walks[bid] = walk
+        key = walk[:4]
+        if best is None or key > best_key or (key == best_key and bid < best):
+            best, best_key = bid, key
+    if best is None:
+        return PeerChainView(miner, [], False, None, set(), {}, {})
 
-    if not paths:
-        return PeerChainView(miner, [], False, None, set())
-
-    best = None
-    best_score = None
-    best_walk = None
-    for path in paths:
-        walk = _walk_claims(sdag, path, scheme)
-        claims, covered, _, registered = walk
-        # larger is better except the leaf id, where smaller wins
-        key = (
-            1 if registered else 0,
-            claims,
-            covered,
-            len(path),
-            bytes(255 - b for b in path[-1]),
-        )
-        if best_score is None or key > best_score:
-            best_score = key
-            best = path
-            best_walk = walk
-    assert best is not None and best_walk is not None
-    forked = mine_set - set(best)
-    _, _, address, registered = best_walk
-    return PeerChainView(miner, best, registered, address, forked)
+    blocks = []
+    cur = best
+    while cur in walks:
+        blocks.append(cur)
+        cur = sdag.blocks[cur].idp
+    blocks.reverse()
+    position: dict[bytes, int] = {}
+    claims_at: dict[int, Claim] = {}
+    prev_claim: Optional[int] = None
+    address_before: Optional[bytes] = None
+    for pos, bid in enumerate(blocks):
+        position[bid] = pos
+        kind = sdag.blocks[bid].mes.kind
+        if kind is TxKind.REDEMPTION or (pos == 0 and kind is TxKind.REGISTRATION):
+            claims_at[pos] = Claim(prev_claim, address_before)
+            prev_claim = pos
+        address_before = walks[bid][4]
+    registered, _, _, _, address = walks[best]
+    forked = set(walks).difference(position)
+    return PeerChainView(miner, blocks, registered, address, forked, position, claims_at)
 
 
 # -- ledger construction -------------------------------------------------
@@ -342,15 +344,15 @@ def build_ledger(
     ordered: Iterable[tuple[Transaction, OrderedBlock]],
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
     scheme: SignatureScheme = DEFAULT_SCHEME,
-    redemption_check=None,
     into: Optional[Ledger] = None,
 ) -> Ledger:
     """Fold an ordered transaction sequence through the UTXO recurrence.
 
     First-seen wins among conflicting spends; rejected transactions leave
-    the state untouched.  `redemption_check(tx, block_id, ledger)` returns
-    the payout address for a valid redemption or raises RedemptionError.
-    Pass `into` to extend an existing ledger incrementally.
+    the state untouched.  A redemption needs the resolved peer chains and
+    settled rewards that only `build_from_dag` has, so here it is always
+    rejected with reason "no redemption context".  Pass `into` to extend an
+    existing ledger incrementally.
     """
     if into is None:
         ledger = Ledger()
@@ -377,15 +379,7 @@ def build_ledger(
         elif tx.kind is TxKind.REGISTRATION:
             accepted = True
         elif tx.kind is TxKind.REDEMPTION:
-            if redemption_check is None:
-                reason = "no redemption context"
-            else:
-                try:
-                    payout = redemption_check(tx, ob.block_id, ledger)
-                    ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
-                    accepted = True
-                except RedemptionError as exc:
-                    reason = str(exc)
+            reason = "no redemption context"
         if accepted:
             ledger.accepted_ids.add(txid)
         ledger.entries.append(
@@ -409,34 +403,7 @@ def build_from_dag(
     lev_sizes = {k: len(lev) for k, lev in enumerate(sdag.level_sets())}
     miners = {sdag.blocks[ob.block_id].peer for ob in ordered_blocks}
     views = {m: resolve_peer_chain(sdag, m, scheme) for m in miners}
-    on_chain: dict[bytes, bytes] = {}
-    for view in views.values():
-        for bid in view.blocks:
-            on_chain[bid] = view.miner
-
     rewards: dict[bytes, RewardRecord] = {}
-    chain_positions = {
-        m: {bid: i for i, bid in enumerate(v.blocks)} for m, v in views.items()
-    }
-
-    def redemption_check(tx: Transaction, block_id: bytes, ledger: Ledger) -> bytes:
-        miner = sdag.blocks[block_id].peer
-        view = views[miner]
-        pos = chain_positions[miner].get(block_id)
-        if pos is None:
-            raise RedemptionError("redemption off the canonical peer chain")
-        # signature must chain from the address declared by the previous claim
-        address = _address_before(sdag, view, pos, scheme)
-        if not _redemption_sig_ok(tx, address, scheme):
-            raise BadSignature("signature does not match declared address")
-        expected = _accrued_span(sdag, view, pos, rewards)
-        if expected is None:
-            raise WrongAmount(-1, tx.reward_claim or 0)
-        if tx.reward_claim != expected:
-            raise WrongAmount(expected, tx.reward_claim or 0)
-        assert address is not None
-        return address
-
     ledger = Ledger()
     for i, (value, address) in enumerate(genesis_outputs):
         ledger.utxo[genesis_outpoint(i)] = (value, address)
@@ -444,6 +411,7 @@ def build_from_dag(
     position = 0
     for ob in ordered_blocks:
         block = sdag.blocks[ob.block_id]
+        view = views[block.peer]
         tx = block.mes
         validity = TxValidity.NONE
         fee = 0
@@ -461,11 +429,11 @@ def build_from_dag(
                     for j, out in enumerate(tx.outputs):
                         ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
             elif tx.kind is TxKind.REGISTRATION:
-                accepted = ob.block_id in on_chain and chain_positions[block.peer].get(ob.block_id) == 0
+                accepted = view.position.get(ob.block_id) == 0
                 reason = "" if accepted else "not the canonical registration"
             elif tx.kind is TxKind.REDEMPTION:
                 try:
-                    payout = redemption_check(tx, ob.block_id, ledger)
+                    payout = validate_redemption(sdag, view, ob.block_id, rewards, scheme)
                     ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
                     accepted = True
                 except RedemptionError as exc:
@@ -486,7 +454,7 @@ def build_from_dag(
                 else BlockKind.REGULAR_PLUS
             )
             status = (
-                ChainStatus.ON_PEER_CHAIN if ob.block_id in on_chain else ChainStatus.FORKED
+                ChainStatus.ON_PEER_CHAIN if ob.block_id in view.position else ChainStatus.FORKED
             )
             amount = block_reward(kind, status, validity, fee, lev_sizes[ob.level_index], params)
             rewards[ob.block_id] = RewardRecord(
@@ -495,43 +463,13 @@ def build_from_dag(
     return LedgerBuild(ledger, rewards, views, final_levels)
 
 
-def _claim_positions(sdag: SDag, view: PeerChainView) -> list[int]:
-    """Positions of the registration and every redemption on the canonical
-    chain, in order (only signature-valid ones shift the address chain, but
-    position 0 always anchors the first span)."""
-    out = []
-    for pos, bid in enumerate(view.blocks):
-        kind = sdag.blocks[bid].mes.kind
-        if pos == 0 and kind is TxKind.REGISTRATION:
-            out.append(pos)
-        elif kind is TxKind.REDEMPTION:
-            out.append(pos)
-    return out
-
-
-def _address_before(
-    sdag: SDag, view: PeerChainView, pos: int, scheme: SignatureScheme
-) -> Optional[bytes]:
-    prefix = view.blocks[:pos]
-    _, _, address, registered = _walk_claims(sdag, prefix, scheme)
-    return address if registered else None
-
-
-def _prev_claim_pos(sdag: SDag, view: PeerChainView, pos: int) -> Optional[int]:
-    prev = None
-    for p in _claim_positions(sdag, view):
-        if p < pos:
-            prev = p
-    return prev
-
-
 def _accrued_span(
-    sdag: SDag, view: PeerChainView, pos: int, rewards: dict[bytes, RewardRecord]
+    view: PeerChainView, pos: int, rewards: dict[bytes, RewardRecord]
 ) -> Optional[int]:
     """Rewards claimable by the redemption at `pos`: every chain block from
     the previous claim (inclusive, its own fixed reward rolls forward) up to
     but excluding this one.  None if any span block has no settled reward."""
-    prev = _prev_claim_pos(sdag, view, pos)
+    prev = view.claims[pos].prev
     if prev is None:
         return None
     total = 0
@@ -543,12 +481,9 @@ def _accrued_span(
     return total
 
 
-def accrued_rewards(
-    sdag: SDag, view: PeerChainView, rewards: dict[bytes, RewardRecord]
-) -> int:
+def accrued_rewards(view: PeerChainView, rewards: dict[bytes, RewardRecord]) -> int:
     """Unclaimed settled rewards at the head of the canonical chain."""
-    claims = _claim_positions(sdag, view)
-    start = claims[-1] if claims else 0
+    start = next(reversed(view.claims), 0)
     return sum(
         rewards[bid].amount for bid in view.blocks[start:] if bid in rewards
     )
@@ -560,22 +495,24 @@ def validate_redemption(
     block_id: bytes,
     rewards: dict[bytes, RewardRecord],
     scheme: SignatureScheme = DEFAULT_SCHEME,
-) -> None:
-    """Standalone check of one redemption block on a resolved chain; raises
-    BadSignature or WrongAmount."""
-    positions = {bid: i for i, bid in enumerate(view.blocks)}
-    pos = positions.get(block_id)
+) -> bytes:
+    """Check one redemption block on a resolved chain against the rewards
+    settled so far and return its payout address: the address declared
+    before it, whose key must have signed it.  Raises RedemptionError
+    (BadSignature or WrongAmount for a signed claim that fails)."""
+    pos = view.position.get(block_id)
     if pos is None:
         raise RedemptionError("block not on the canonical peer chain")
     tx = sdag.blocks[block_id].mes
     if tx.kind is not TxKind.REDEMPTION:
         raise RedemptionError("not a redemption block")
-    address = _address_before(sdag, view, pos, scheme)
-    if not _redemption_sig_ok(tx, address, scheme):
+    address = view.claims[pos].address
+    if address is None or not _redemption_sig_ok(tx, address, scheme):
         raise BadSignature("signature does not match declared address")
-    expected = _accrued_span(sdag, view, pos, rewards)
+    expected = _accrued_span(view, pos, rewards)
     if expected is None or tx.reward_claim != expected:
         raise WrongAmount(expected if expected is not None else -1, tx.reward_claim or 0)
+    return address
 
 
 def ledger_csv(build: LedgerBuild) -> str:

@@ -36,7 +36,7 @@ from .core import (
     sighash,
 )
 from .curves import make_curve
-from .ledger import build_from_dag, genesis_outpoint
+from .ledger import build_from_dag, genesis_outpoint, resolve_peer_chain
 from .node import NodeState, SharedFacts
 from .sigs import DEFAULT_SCHEME
 
@@ -59,8 +59,8 @@ class PrivateMilestoneFork:
 
 @dataclass(frozen=True)
 class PeerChainFork:
-    """Mine regular blocks impersonating a victim, forking the victim's own
-    chain one block back."""
+    """Mine regular blocks impersonating a victim, forking the victim's
+    canonical peer chain, as the ledger resolves it, one block back."""
 
     victim: int = 0
 
@@ -342,37 +342,6 @@ class Simulation:
                 self.private_pending.clear()
                 self.adversary_releases += 1
 
-    def _victim_chain(self) -> list[bytes]:
-        assert self.adv_node is not None and isinstance(
-            self.cfg.adversary_strategy, PeerChainFork
-        )
-        victim = self.nodes[self.cfg.adversary_strategy.victim].identity
-        view = self.adv_node.sdag
-        mine_ids = [
-            bid for bid, b in view.blocks.items() if b.peer == victim and bid != GENESIS_ID
-        ]
-        kids: dict[bytes, list[bytes]] = {}
-        roots = []
-        mine_set = set(mine_ids)
-        for bid in mine_ids:
-            parent = view.blocks[bid].idp
-            if parent in mine_set:
-                kids.setdefault(parent, []).append(bid)
-            else:
-                roots.append(bid)
-        best: list[bytes] = []
-        stack = [[r] for r in sorted(roots)]
-        while stack:
-            path = stack.pop()
-            nxt = kids.get(path[-1])
-            if not nxt:
-                if len(path) > len(best) or (len(path) == len(best) and path < best):
-                    best = path
-                continue
-            for child in sorted(nxt):
-                stack.append(path + [child])
-        return best
-
     def _handle_adv_mine(self, t: float) -> None:
         assert self.adv_node is not None
         strategy = self.cfg.adversary_strategy
@@ -383,9 +352,9 @@ class Simulation:
             self.private_pending.append(block)
             self._maybe_release(t)
         elif isinstance(strategy, PeerChainFork):
-            chain = self._victim_chain()
+            victim_peer = self.nodes[strategy.victim].identity
+            chain = resolve_peer_chain(self.adv_node.sdag, victim_peer).blocks
             if len(chain) >= 2:
-                victim_peer = self.nodes[strategy.victim].identity
                 template = Block(
                     idp=chain[-2],
                     idm=self.adv_node.sdag.chain_tip(),

@@ -143,8 +143,29 @@ def test_confirm_set_matches_brute_force_small():
 
 def test_level_lookups_match_brute_force():
     rng = random.Random(5)
+    reorgs = 0
     for _ in range(10):
         sdag = random_dag(rng, n_blocks=50)
+        # replay in storage order: after every insert the main chain is the
+        # milestone-parent walk from the highest tip, its levels partition
+        # that tip's confirm set, and the previous chain list is untouched
+        replay = SDag(sdag.params)
+        for block in list(sdag.blocks.values())[1:]:
+            before = replay.main_chain
+            snapshot = list(before)
+            replay.insert(block)
+            assert before == snapshot
+            walk = []
+            cur = replay.chain_tip()
+            while cur is not None:
+                walk.append(cur)
+                cur = replay.ms_parent[cur]
+            assert replay.main_chain == walk[::-1]
+            assert replay.height() == max(replay.ms_height.values())
+            confirmed = list(itertools.chain.from_iterable(replay.level_sets()))
+            assert len(confirmed) == len(set(confirmed))
+            assert set(confirmed) == brute_force_confirm(replay, replay.chain_tip())
+            reorgs += before[-1] not in replay.main_chain
         for bid in sdag.blocks:
             if bid in sdag.main_chain:
                 assert sdag.level_index(bid) == sdag.main_chain.index(bid)
@@ -154,6 +175,7 @@ def test_level_lookups_match_brute_force():
         levels = sdag.level_sets()[1:]
         for count in range(1, len(levels) + 3):
             assert [list(lev) for lev in sdag.recent_levels(count)] == levels[-count:]
+    assert reorgs  # some switches left the old tip behind
 
 
 def test_insertion_order_independence_small():

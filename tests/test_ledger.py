@@ -1,6 +1,7 @@
 """DAG-to-ledger: ordering, UTXO folding, rewards, redemption chain."""
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,12 @@ from sdag.dag import SDag
 from sdag.ledger import (
     BlockKind,
     ChainStatus,
+    OrderedBlock,
     TxValidity,
     accrued_rewards,
     block_reward,
     build_from_dag,
+    build_ledger,
     dfs_order,
     ledger_csv,
     resolve_peer_chain,
@@ -224,7 +227,7 @@ def make_redemption(claim, secret, next_address):
 def accrued_for(chain, miner):
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
     view = build.peer_views[miner]
-    return build, view, accrued_rewards(chain.sdag, view, build.rewards)
+    return build, view, accrued_rewards(view, build.rewards)
 
 
 def test_redemption_happy_path(chain):
@@ -239,7 +242,10 @@ def test_redemption_happy_path(chain):
     # the claim becomes a spendable output at the rolled-forward address
     assert build.ledger.utxo[(red.txid(), 0)] == (accrued, A_ADDR)
     view = build.peer_views[A_ADDR]
-    validate_redemption(chain.sdag, view, red_block, build.rewards)
+    assert validate_redemption(chain.sdag, view, red_block, build.rewards) == A_ADDR
+    # without resolved peer chains the plain fold rejects every redemption
+    plain = build_ledger([(red, OrderedBlock(red_block, 1))])
+    assert [(e.accepted, e.reason) for e in plain.entries] == [(False, "no redemption context")]
 
 
 def test_redemption_wrong_amount_rejected(chain):
@@ -315,3 +321,153 @@ def test_csv_shape(chain):
     lines = ledger_csv(build).strip().splitlines()
     assert lines[0] == "level,position,block_id,tx_id,accepted,reward"
     assert len(lines) == len(build.ledger.entries) + 1
+
+
+# -- peer-chain resolution against brute-force path enumeration -------------
+
+
+def oracle_sig_ok(tx, address):
+    witness = tx.inputs[0].witness if tx.inputs else b""
+    if address is None or len(witness) != 96:
+        return False
+    public, sig = witness[:32], witness[32:]
+    return S.address(public) == address and S.verify(public, sighash(tx), sig)
+
+
+def oracle_walk(sdag, path):
+    """Registration/redemption continuity along one path: (valid claims,
+    position of the last valid claim, payout address, registered)."""
+    address = None
+    registered = False
+    claims = 0
+    covered = 0
+    for pos, bid in enumerate(path):
+        tx = sdag.blocks[bid].mes
+        if tx.kind is TxKind.REGISTRATION and not registered and pos == 0:
+            address = tx.next_address
+            registered = True
+        elif tx.kind is TxKind.REDEMPTION:
+            if registered and oracle_sig_ok(tx, address):
+                address = tx.next_address
+                claims += 1
+                covered = pos
+    return claims, covered, address, registered
+
+
+def oracle_paths(sdag, miner):
+    """Every root-to-leaf path of the miner's own-chain tree."""
+    mine = {bid for bid, b in sdag.blocks.items() if b.peer == miner and bid != GENESIS_ID}
+    kids = {}
+    for bid in mine:
+        kids.setdefault(sdag.blocks[bid].idp, []).append(bid)
+    paths = []
+    stack = [[root] for root in kids.get(GENESIS_ID, [])]
+    while stack:
+        path = stack.pop()
+        if path[-1] not in kids:
+            paths.append(path)
+        for child in kids.get(path[-1], []):
+            stack.append(path + [child])
+    return mine, paths
+
+
+def oracle_key(sdag, path):
+    claims, covered, _, registered = oracle_walk(sdag, path)
+    return (registered, claims, covered, len(path))
+
+
+def oracle_view(sdag, miner):
+    """The canonical chain by enumeration: the path with the largest key,
+    smallest leaf id among equal keys, and its claims re-walked from the
+    chain prefix."""
+    mine, paths = oracle_paths(sdag, miner)
+    best = min(paths, key=lambda p: (tuple(-int(x) for x in oracle_key(sdag, p)), p[-1]))
+    _, _, address, registered = oracle_walk(sdag, best)
+    positions = [
+        pos
+        for pos, bid in enumerate(best)
+        if sdag.blocks[bid].mes.kind is TxKind.REDEMPTION
+        or (pos == 0 and sdag.blocks[bid].mes.kind is TxKind.REGISTRATION)
+    ]
+    claims = {}
+    for i, pos in enumerate(positions):
+        _, _, before, reg_before = oracle_walk(sdag, best[:pos])
+        claims[pos] = (positions[i - 1] if i else None, before if reg_before else None)
+    return best, registered, address, mine - set(best), claims, paths
+
+
+FOREST_KEYS = [sha256(b"forest-key-%d" % i) for i in range(3)]
+FOREST_ADDRS = [S.address(S.derive_public(k)) for k in FOREST_KEYS]
+FOREST_MINERS = [sha256(b"forest-miner-%d" % i) for i in range(3)]
+
+
+def random_forest(rng):
+    """Own-chain trees of three miners, interleaved: up to two roots on the
+    genesis per miner, registrations and redemptions anywhere (each signed
+    by one of three keys and declaring one of three addresses, so some
+    chain the declared address, some are signed by the wrong key and some
+    move the address), forks at random depth and extra equal-length
+    siblings."""
+    sdag = SDag(PARAMS)
+    own = {m: [] for m in FOREST_MINERS}
+    roots = dict.fromkeys(FOREST_MINERS, 0)
+    for _ in range(rng.randint(10, 40)):
+        miner = rng.choice(FOREST_MINERS)
+        newest = own[miner][-1] if own[miner] else None
+        if newest is None or (roots[miner] < 2 and rng.random() < 0.1):
+            parent = GENESIS_ID
+            roots[miner] += 1
+        elif rng.random() < 0.15 and sdag.blocks[newest].idp != GENESIS_ID:
+            parent = sdag.blocks[newest].idp  # an equal-length sibling
+        elif rng.random() < 0.6:
+            parent = newest
+        else:
+            parent = rng.choice(own[miner])  # a fork at random depth
+        r = rng.random()
+        if r < 0.35:
+            tx = EMPTY_TX
+        elif r < 0.55:
+            tx = reg(rng.choice(FOREST_ADDRS))
+        else:
+            tx = make_redemption(rng.randint(0, 5), rng.choice(FOREST_KEYS), rng.choice(FOREST_ADDRS))
+        block = Block(parent, GENESIS_ID, GENESIS_ID, miner, rng.getrandbits(64), tx)
+        assert sdag.insert(block) is None
+        own[miner].append(block_id(block))
+    return sdag
+
+
+def test_resolve_peer_chain_matches_path_enumeration():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ("two roots", "late registration", "valid claim", "wrong key", "moved address", "tie"), 0
+    )
+    for _ in range(300):
+        sdag = random_forest(rng)
+        for miner in FOREST_MINERS:
+            if not any(b.peer == miner for b in sdag.blocks.values()):
+                assert resolve_peer_chain(sdag, miner).blocks == []
+                continue
+            blocks, registered, address, forked, claims, paths = oracle_view(sdag, miner)
+            view = resolve_peer_chain(sdag, miner)
+            assert view.blocks == blocks
+            assert view.registered == registered
+            assert view.current_address == address
+            assert view.forked == forked
+            assert view.position == {bid: i for i, bid in enumerate(blocks)}
+            assert view.claims == claims
+            # what this forest exercised
+            keys = sorted((oracle_key(sdag, p) for p in paths), reverse=True)
+            seen["tie"] += len(keys) > 1 and keys[0] == keys[1]
+            seen["two roots"] += len({p[0] for p in paths}) > 1
+            for path in paths:
+                for pos, bid in enumerate(path):
+                    tx = sdag.blocks[bid].mes
+                    seen["late registration"] += pos > 0 and tx.kind is TxKind.REGISTRATION
+                    if tx.kind is TxKind.REDEMPTION and pos > 0:
+                        _, _, declared, reg_before = oracle_walk(sdag, path[:pos])
+                        if reg_before and oracle_sig_ok(tx, declared):
+                            seen["valid claim"] += 1
+                            seen["moved address"] += tx.next_address != declared
+                        elif reg_before:
+                            seen["wrong key"] += 1
+    assert all(seen.values()), seen
