@@ -254,6 +254,10 @@ def secure_latency_mc(
     not exceed the total count of 0-tags on [0, T] plus an independent
     Poisson(adversary_rate*T) adversary milestone count.
     """
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    if not (math.isfinite(pn_mu_honest) and pn_mu_honest > 0):
+        raise ValueError("the honest milestone rate must be positive and finite")
     for t_len in t_grid:
         if t_len <= 2 * t0:
             raise ValueError("every T must exceed 2*t0")

@@ -63,16 +63,19 @@ _STRATEGIES = ("none", "private-milestone-fork", "peer-chain-fork")
 
 
 def _parse_strategy(value: str):
-    name, _, arg = value.partition(":")
-    if name == "none":
+    if value == "none":
         return None
+    name, _, arg = value.partition(":")
     if name == "private-milestone-fork":
-        depth = int(arg.partition("=")[2]) if arg else 13
-        return PrivateMilestoneFork(depth)
-    if name == "peer-chain-fork":
-        victim = int(arg.partition("=")[2]) if arg else 0
-        return PeerChainFork(victim)
-    raise ValueError(f"unknown adversary_strategy {value!r}; choose from {_STRATEGIES}")
+        key, strategy = "depth", PrivateMilestoneFork
+    elif name == "peer-chain-fork":
+        key, strategy = "victim", PeerChainFork
+    else:
+        raise ValueError(f"unknown adversary_strategy {value!r}; choose from {_STRATEGIES}")
+    got, _, number = arg.partition("=")
+    if arg and got != key:
+        raise ValueError(f"{name} takes {key}=N, got {arg!r}")
+    return strategy(int(number)) if arg else strategy()
 
 
 def load_sim_config(path: str) -> SimConfig:

@@ -70,6 +70,8 @@ class SDag:
     Single-writer, multiple-reader: call insert from one context only.
     SDags given the same `facts` table validate each block and walk each
     level once between them; without one an SDag keeps a private table.
+    `main_chain` is never changed in place: a chain switch assigns a new
+    list, so a reference taken before an insert keeps the chain as it was.
     """
 
     def __init__(self, params: Params, facts: Optional[DagFacts] = None):
@@ -195,8 +197,7 @@ class SDag:
 
     def _switch_to(self, tip: bytes) -> None:
         # walk back from the new tip to the first milestone already on the
-        # main chain (the genesis at worst) and splice the branch on there;
-        # the chain is a new list, so a caller's reference keeps the old one
+        # main chain (the genesis at worst) and splice the branch on there
         chain = self.main_chain
         branch = []
         cur = tip

@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     GENESIS_ID,
-    Block,
     Params,
     Transaction,
     TxKind,
@@ -313,8 +312,9 @@ class LedgerBuild:
     finalized_levels: int
 
 
-def genesis_outpoint(index: int) -> Outpoint:
-    return Outpoint(GENESIS_ID, index)
+def genesis_utxo(outputs: Sequence[tuple[int, bytes]]) -> dict[Outpoint, tuple[int, bytes]]:
+    """The genesis outputs as a UTXO map, the state every fold starts from."""
+    return {Outpoint(GENESIS_ID, i): out for i, out in enumerate(outputs)}
 
 
 def _verify_normal(tx: Transaction, ledger: Ledger, scheme: SignatureScheme) -> tuple[bool, int, str]:
@@ -340,6 +340,58 @@ def _verify_normal(tx: Transaction, ledger: Ledger, scheme: SignatureScheme) -> 
     return True, total_in - total_out, ""
 
 
+class _PeerChainContext(NamedTuple):
+    sdag: SDag
+    view: PeerChainView  # the canonical peer chain of the block's miner
+    rewards: dict[bytes, RewardRecord]  # settled so far
+
+
+def _fold_tx(
+    ledger: Ledger,
+    tx: Transaction,
+    ob: OrderedBlock,
+    scheme: SignatureScheme,
+    context: Optional[_PeerChainContext] = None,
+) -> tuple[bool, int]:
+    """Judge one transaction, apply it if accepted and append its entry;
+    return (accepted, fee).  Without a `context` a registration is accepted
+    and a redemption rejected; with one a registration counts only at
+    position 0 of the peer chain and a redemption must pass
+    `validate_redemption`."""
+    txid = tx.txid()
+    accepted, fee, reason = False, 0, ""
+    if txid in ledger.accepted_ids:
+        reason = "duplicate"
+    elif tx.kind is TxKind.NORMAL:
+        accepted, fee, reason = _verify_normal(tx, ledger, scheme)
+        if accepted:
+            for inp in tx.inputs:
+                del ledger.utxo[Outpoint(inp.txid, inp.index)]
+            for j, out in enumerate(tx.outputs):
+                ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
+    elif tx.kind is TxKind.REGISTRATION:
+        accepted = context is None or context.view.position.get(ob.block_id) == 0
+        reason = "" if accepted else "not the canonical registration"
+    elif tx.kind is TxKind.REDEMPTION:
+        if context is None:
+            reason = "no redemption context"
+        else:
+            try:
+                payout = validate_redemption(
+                    context.sdag, context.view, ob.block_id, context.rewards, scheme
+                )
+                ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
+                accepted = True
+            except RedemptionError as exc:
+                reason = str(exc)
+    if accepted:
+        ledger.accepted_ids.add(txid)
+    ledger.entries.append(
+        LedgerEntry(txid, ob.block_id, ob.level_index, len(ledger.entries), accepted, reason)
+    )
+    return accepted, fee
+
+
 def build_ledger(
     ordered: Iterable[tuple[Transaction, OrderedBlock]],
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
@@ -354,37 +406,9 @@ def build_ledger(
     rejected with reason "no redemption context".  Pass `into` to extend an
     existing ledger incrementally.
     """
-    if into is None:
-        ledger = Ledger()
-        for i, (value, address) in enumerate(genesis_outputs):
-            ledger.utxo[genesis_outpoint(i)] = (value, address)
-    else:
-        ledger = into
-    for position, (tx, ob) in enumerate(ordered, start=len(ledger.entries)):
-        txid = tx.txid()
-        if txid in ledger.accepted_ids:
-            ledger.entries.append(
-                LedgerEntry(txid, ob.block_id, ob.level_index, position, False, "duplicate")
-            )
-            continue
-        accepted = False
-        reason = ""
-        if tx.kind is TxKind.NORMAL:
-            accepted, _fee, reason = _verify_normal(tx, ledger, scheme)
-            if accepted:
-                for inp in tx.inputs:
-                    del ledger.utxo[Outpoint(inp.txid, inp.index)]
-                for j, out in enumerate(tx.outputs):
-                    ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
-        elif tx.kind is TxKind.REGISTRATION:
-            accepted = True
-        elif tx.kind is TxKind.REDEMPTION:
-            reason = "no redemption context"
-        if accepted:
-            ledger.accepted_ids.add(txid)
-        ledger.entries.append(
-            LedgerEntry(txid, ob.block_id, ob.level_index, position, accepted, reason)
-        )
+    ledger = Ledger(utxo=genesis_utxo(genesis_outputs)) if into is None else into
+    for tx, ob in ordered:
+        _fold_tx(ledger, tx, ob, scheme)
     return ledger
 
 
@@ -404,49 +428,16 @@ def build_from_dag(
     miners = {sdag.blocks[ob.block_id].peer for ob in ordered_blocks}
     views = {m: resolve_peer_chain(sdag, m, scheme) for m in miners}
     rewards: dict[bytes, RewardRecord] = {}
-    ledger = Ledger()
-    for i, (value, address) in enumerate(genesis_outputs):
-        ledger.utxo[genesis_outpoint(i)] = (value, address)
-
-    position = 0
+    ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
     for ob in ordered_blocks:
         block = sdag.blocks[ob.block_id]
         view = views[block.peer]
-        tx = block.mes
         validity = TxValidity.NONE
         fee = 0
-        if tx.kind is not TxKind.EMPTY:
-            txid = tx.txid()
-            accepted = False
-            reason = ""
-            if txid in ledger.accepted_ids:
-                reason = "duplicate"
-            elif tx.kind is TxKind.NORMAL:
-                accepted, fee, reason = _verify_normal(tx, ledger, scheme)
-                if accepted:
-                    for inp in tx.inputs:
-                        del ledger.utxo[Outpoint(inp.txid, inp.index)]
-                    for j, out in enumerate(tx.outputs):
-                        ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
-            elif tx.kind is TxKind.REGISTRATION:
-                accepted = view.position.get(ob.block_id) == 0
-                reason = "" if accepted else "not the canonical registration"
-            elif tx.kind is TxKind.REDEMPTION:
-                try:
-                    payout = validate_redemption(sdag, view, ob.block_id, rewards, scheme)
-                    ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
-                    accepted = True
-                except RedemptionError as exc:
-                    reason = str(exc)
-            if accepted:
-                ledger.accepted_ids.add(txid)
-            ledger.entries.append(
-                LedgerEntry(txid, ob.block_id, ob.level_index, position, accepted, reason)
-            )
-            position += 1
+        if block.mes.kind is not TxKind.EMPTY:
+            context = _PeerChainContext(sdag, view, rewards)
+            accepted, fee = _fold_tx(ledger, block.mes, ob, scheme, context)
             validity = TxValidity.VALID if accepted else TxValidity.INVALID
-            if not accepted:
-                fee = 0
         if ob.level_index < final_levels:
             kind = (
                 BlockKind.MAIN_MILESTONE

@@ -29,7 +29,7 @@ from .core import (
     mine,
 )
 from .dag import DagFacts, SDag, topological_order
-from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_outpoint
+from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo
 from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
@@ -97,9 +97,7 @@ class SharedFacts:
         self.dag = DagFacts(params)
         self.genesis_outputs = tuple(genesis_outputs)
         self.scheme = scheme
-        self.genesis_utxo = {
-            genesis_outpoint(i): out for i, out in enumerate(self.genesis_outputs)
-        }
+        self.genesis_utxo = genesis_utxo(self.genesis_outputs)
         self.level_deltas: dict[bytes, LevelDelta] = {}
         self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
 
@@ -188,7 +186,7 @@ class NodeState:
             if delta is None:
                 delta = self.level_deltas[chain[k]] = self._fold_level(k)
             delta.apply(self._cache)
-        self._cache_chain = chain[:]
+        self._cache_chain = chain  # a chain switch assigns a new list
 
     @property
     def ledger_cache(self) -> Ledger:
@@ -214,7 +212,7 @@ class NodeState:
 
     # -- receive path ----------------------------------------------------
 
-    def on_receive_block(self, block: Block, now: float = 0.0) -> list[Action]:
+    def on_receive_block(self, block: Block) -> list[Action]:
         actions: list[Action] = []
         self._receive_one(block, actions)
         return actions
@@ -284,7 +282,7 @@ class NodeState:
     def on_tx(self, tx: Transaction, now: float = 0.0, fee: int = 0) -> None:
         self.mempool.add_tx(tx, now, fee)
 
-    def on_level_set_batch(self, blocks: Sequence[Block], now: float = 0.0) -> list[Action]:
+    def on_level_set_batch(self, blocks: Sequence[Block]) -> list[Action]:
         actions: list[Action] = []
         for block in topological_order(blocks, self.sdag):
             self._receive_one(block, actions)
@@ -321,7 +319,7 @@ class NodeState:
                 return tx
         return Transaction(TxKind.EMPTY)
 
-    def create_block(self, now: float = 0.0, max_attempts: int = DEFAULT_MINE_BUDGET) -> Block:
+    def create_block(self, max_attempts: int = DEFAULT_MINE_BUDGET) -> Block:
         """Build, mine, and locally adopt a new block; caller broadcasts it."""
         for _ in range(8):
             tips = sorted(self.sdag.tip_set(self.identity))

@@ -15,6 +15,7 @@ all structural validation stays honest while mining costs one hash.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +32,13 @@ from .core import (
     TxOutput,
     TxKind,
     block_id,
+    classify_hash,
     mine,
     sha256,
     sighash,
 )
 from .curves import make_curve
-from .ledger import build_from_dag, genesis_outpoint, resolve_peer_chain
+from .ledger import build_from_dag, resolve_peer_chain
 from .node import NodeState, SharedFacts
 from .sigs import DEFAULT_SCHEME
 
@@ -85,6 +87,9 @@ class SimConfig:
     finality_depth: int = 13
 
     def validate(self) -> None:
+        for name in ("mu", "p", "c", "lam", "t0", "adversary_share", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.mu <= 0 or self.horizon <= 0:
@@ -256,16 +261,15 @@ class Simulation:
     # -- handlers --------------------------------------------------------
 
     def _make_tx(self, index: int) -> Transaction:
-        op = genesis_outpoint(index)
         bare = Transaction(
             TxKind.NORMAL,
-            inputs=(TxInput(op.txid, op.index, b""),),
+            inputs=(TxInput(GENESIS_ID, index, b""),),
             outputs=(TxOutput(2 - self.cfg.fee, self.user_address),),
         )
         witness = self.user_public + DEFAULT_SCHEME.sign(self.user_secret, sighash(bare))
         return Transaction(
             TxKind.NORMAL,
-            inputs=(TxInput(op.txid, op.index, witness),),
+            inputs=(TxInput(GENESIS_ID, index, witness),),
             outputs=bare.outputs,
         )
 
@@ -285,7 +289,7 @@ class Simulation:
     def _record_block(self, block: Block, t: float) -> bytes:
         bid = block_id(block)
         self.created_at[bid] = t
-        if int.from_bytes(bid, "big") < self.params.ms_threshold:
+        if classify_hash(bid, self.params) is BlockClass.MILESTONE:
             self.milestone_count += 1
         tx = block.mes
         if tx.kind is TxKind.NORMAL:
@@ -293,7 +297,7 @@ class Simulation:
         return bid
 
     def _handle_mine(self, i: int, t: float) -> None:
-        block = self.nodes[i].create_block(now=t)
+        block = self.nodes[i].create_block()
         self._record_block(block, t)
         self._broadcast(block, t, skip=i)
         nxt = t + self.master.expovariate(self.honest_rate)
@@ -303,17 +307,15 @@ class Simulation:
     def _handle_deliver(self, j: int, block: Block, t: float) -> None:
         if j == self.cfg.n:
             assert self.adv_node is not None
-            self.adv_node.on_receive_block(block, now=t)
+            self.adv_node.on_receive_block(block)
             if isinstance(self.cfg.adversary_strategy, PrivateMilestoneFork):
                 self._maybe_release(t)
             return
         node = self.nodes[j]
-        bid = block_id(block)
-        is_ms = int.from_bytes(bid, "big") < self.params.ms_threshold
-        old = node.sdag.main_chain[:] if is_ms else None
-        node.on_receive_block(block, now=t)
-        if old is not None:
-            new = node.sdag.main_chain
+        old = node.sdag.main_chain  # never changed in place (see SDag)
+        node.on_receive_block(block)
+        new = node.sdag.main_chain
+        if new is not old and classify_hash(block_id(block), self.params) is BlockClass.MILESTONE:
             fork = 0
             limit = min(len(old), len(new))
             while fork < limit and old[fork] == new[fork]:
@@ -346,7 +348,7 @@ class Simulation:
         assert self.adv_node is not None
         strategy = self.cfg.adversary_strategy
         if isinstance(strategy, PrivateMilestoneFork):
-            block = self.adv_node.create_block(now=t)
+            block = self.adv_node.create_block()
             self.adversary_block_ids.add(self._record_block(block, t))
             self.adversary_blocks += 1
             self.private_pending.append(block)
@@ -399,7 +401,7 @@ class Simulation:
         while self.heap:
             t, rank, actor, _seq, payload = heapq.heappop(self.heap)
             if self.chains_at_horizon is None and t > cfg.horizon:
-                self.chains_at_horizon = [n.sdag.main_chain[:] for n in self.nodes]
+                self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
             if rank == _RANK_TX:
                 self._handle_tx(t)
             elif rank == _RANK_DELIVER:
@@ -416,7 +418,7 @@ class Simulation:
                 if t >= cfg.horizon * 0.75:
                     self.mempool_samples.append(float(len(self.nodes[0].mempool)))
         if self.chains_at_horizon is None:
-            self.chains_at_horizon = [n.sdag.main_chain[:] for n in self.nodes]
+            self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
         return self._metrics()
 
     # -- metrics ---------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared helpers for structural tests: random DAG generation and a
-brute-force reference for the confirm relation."""
+"""Shared helpers for structural tests: random DAG generation with random
+payloads and a brute-force reference for the confirm relation."""
 
 import random
 from fractions import Fraction
@@ -10,10 +10,16 @@ from sdag.core import (
     Block,
     BlockClass,
     Params,
+    Transaction,
+    TxInput,
+    TxKind,
+    TxOutput,
     block_id,
     sha256,
+    sighash,
 )
 from sdag.dag import SDag
+from sdag.sigs import DEFAULT_SCHEME
 
 # d = 1 makes every nonce valid, so random DAGs cost one hash per block
 RANDOM_PARAMS = Params(d=Fraction(1), p=Fraction(1, 3), c=Fraction(1, 10), r_n=1, r_m=2)
@@ -58,6 +64,39 @@ def random_dag(
         else:
             regular_by_miner[miner].append(bid)
     return sdag
+
+
+class RandomPayloads:
+    """Transactions for random DAGs: spends of genesis outputs and of earlier
+    transactions' outputs, double spends, duplicates, overspends, bad
+    signatures, registrations and empty payloads.  Every output, genesis
+    included, is assumed to belong to the key `secret`."""
+
+    def __init__(self, n_genesis, secret):
+        self.outpoints = [(GENESIS_ID, i) for i in range(n_genesis)]
+        self.made = []
+        self.secret = secret
+        self.address = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(secret))
+
+    def __call__(self, rng):
+        r = rng.random()
+        if r < 0.15:
+            return EMPTY_TX
+        if r < 0.25 and self.made:
+            return rng.choice(self.made)
+        if r < 0.35:
+            tx = Transaction(TxKind.REGISTRATION, next_address=sha256(b"reg%d" % rng.getrandbits(32)))
+            self.made.append(tx)
+            return tx
+        spent = rng.sample(self.outpoints, k=min(len(self.outpoints), rng.choice((1, 1, 2))))
+        outputs = (TxOutput(rng.choice((1, 2, 3, 4)), self.address),)
+        bare = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, b"") for t, i in spent), outputs)
+        secret = self.secret if rng.random() < 0.9 else sha256(b"thief")
+        witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
+        tx = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, witness) for t, i in spent), outputs)
+        self.outpoints.append((tx.txid(), 0))
+        self.made.append(tx)
+        return tx
 
 
 def brute_force_confirm(sdag: SDag, root: bytes) -> set[bytes]:

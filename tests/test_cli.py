@@ -48,6 +48,30 @@ def test_load_sim_config_strategy(tmp_path):
     assert load_sim_config(str(path)).adversary_strategy == PeerChainFork(2)
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    ["peer-chain-fork:depth=3", "private-milestone-fork:victim=2", "peer-chain-fork:victim"],
+)
+def test_strategy_argument_needs_its_own_key(tmp_path, strategy):
+    path = tmp_path / "adv.ini"
+    path.write_text(SMALL_INI + f"adversary_share = 0.3\nadversary_strategy = {strategy}\n")
+    with pytest.raises(ValueError):
+        load_sim_config(str(path))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("key", ["mu", "p", "c", "lambda", "t0", "adversary_share", "horizon"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_non_finite_floats(tmp_path, key, value):
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith(f"{key} =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not (out / "metrics.csv").exists()
+
+
 def test_load_sim_config_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(SMALL_INI + "bogus = 1\n")
@@ -171,6 +195,14 @@ def test_analyze_secure_csv(tmp_path):
 
 def test_analyze_secure_bad_grid():
     rc = main(["analyze", "secure", "--share", "0.1", "--grid", "oops", "--paths", "10"])
+    assert rc == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "flags", [["--paths", "0"], ["--pnmu", "0"], ["--pnmu", "-0.1"], ["--pnmu", "inf"]]
+)
+def test_analyze_secure_rejects_empty_runs_and_bad_rates(flags):
+    rc = main(["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "10"] + flags)
     assert rc == EXIT_BAD_INPUT
 
 

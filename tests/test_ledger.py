@@ -32,6 +32,7 @@ from sdag.ledger import (
     build_from_dag,
     build_ledger,
     dfs_order,
+    iter_ordered_blocks,
     ledger_csv,
     resolve_peer_chain,
     validate_redemption,
@@ -39,6 +40,8 @@ from sdag.ledger import (
     WrongAmount,
 )
 from sdag.sigs import DEFAULT_SCHEME
+
+from dagtools import RANDOM_PARAMS, RandomPayloads, random_dag
 
 PARAMS = Params(
     d=Fraction(1), p=Fraction(1, 4), c=Fraction(1, 10), r_n=1, r_m=3, delta=Fraction(1, 2)
@@ -314,6 +317,38 @@ def test_unsigned_longer_branch_loses_to_redeemed_chain(chain):
     assert all(build.rewards[f].amount == 0 for f in forged if f in build.rewards)
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert entry.accepted
+
+
+def test_build_from_dag_judges_normal_txs_like_build_ledger():
+    """Over the same order the two folds agree on every normal transaction
+    and its duplicates and, without redemptions, on the UTXO set; only a
+    registration's verdict may differ, as build_from_dag alone knows the
+    peer chains."""
+    genesis = tuple((2, U_ADDR) for _ in range(12))
+    reasons = set()
+    late_registrations = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        payloads = RandomPayloads(len(genesis), U_SECRET)
+        sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=payloads)
+        build = build_from_dag(sdag, RANDOM_PARAMS, genesis)
+        ordered = [(sdag.blocks[ob.block_id].mes, ob) for ob in iter_ordered_blocks(sdag)]
+        plain = build_ledger([(tx, ob) for tx, ob in ordered if tx.kind is not TxKind.EMPTY], genesis)
+        assert len(build.ledger.entries) == len(plain.entries)
+        for got, want in zip(build.ledger.entries, plain.entries):
+            slot = (got.txid, got.block_id, got.level_index, got.position)
+            assert slot == (want.txid, want.block_id, want.level_index, want.position)
+            block = sdag.blocks[got.block_id]
+            if block.mes.kind is TxKind.NORMAL:
+                assert (got.accepted, got.reason) == (want.accepted, want.reason)
+                reasons.add(got.reason)
+            elif block.mes.kind is TxKind.REGISTRATION:
+                at_start = build.peer_views[block.peer].position.get(got.block_id) == 0
+                assert not got.accepted or at_start
+                late_registrations += not at_start
+        assert build.ledger.utxo == plain.utxo
+    assert {"", "duplicate", "input not in utxo", "bad signature", "outputs exceed inputs"} <= reasons
+    assert late_registrations
 
 
 def test_csv_shape(chain):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from sdag.core import (
-    EMPTY_TX,
     GENESIS_ID,
     Block,
     BlockClass,
@@ -24,7 +23,7 @@ from sdag.mempool import estimate_power, power_share
 from sdag.node import NodeState, Relay, RequestLevels, RequestMissing, SharedFacts
 from sdag.sigs import DEFAULT_SCHEME
 
-from dagtools import RANDOM_PARAMS, random_dag
+from dagtools import RANDOM_PARAMS, RandomPayloads, random_dag
 
 PARAMS = Params(d=Fraction(1), p=Fraction(1, 4), c=Fraction(1), r_n=1, r_m=2)
 
@@ -174,36 +173,6 @@ def test_tip_reference_prefers_other_miner():
 # -- shared per-milestone ledger deltas ------------------------------------
 
 
-class RandomPayloads:
-    """Transactions for random DAGs: spends of genesis outputs and of earlier
-    transactions' outputs, double spends, duplicates, overspends, bad
-    signatures, registrations and empty payloads."""
-
-    def __init__(self, n_genesis):
-        self.outpoints = [(GENESIS_ID, i) for i in range(n_genesis)]
-        self.made = []
-
-    def __call__(self, rng):
-        r = rng.random()
-        if r < 0.15:
-            return EMPTY_TX
-        if r < 0.25 and self.made:
-            return rng.choice(self.made)
-        if r < 0.35:
-            tx = Transaction(TxKind.REGISTRATION, next_address=sha256(b"reg%d" % rng.getrandbits(32)))
-            self.made.append(tx)
-            return tx
-        spent = rng.sample(self.outpoints, k=min(len(self.outpoints), rng.choice((1, 1, 2))))
-        outputs = (TxOutput(rng.choice((1, 2, 3, 4)), U_ADDR),)
-        bare = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, b"") for t, i in spent), outputs)
-        secret = U_SECRET if rng.random() < 0.9 else sha256(b"thief")
-        witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
-        tx = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, witness) for t, i in spent), outputs)
-        self.outpoints.append((tx.txid(), 0))
-        self.made.append(tx)
-        return tx
-
-
 def scratch_fold(sdag, genesis_outputs):
     """The node ledger by its definition, build_ledger over the whole main
     chain from genesis, and each level's net change as seen in that fold."""
@@ -231,7 +200,7 @@ def test_shared_level_deltas_match_scratch_fold():
     reasons = set()
     for seed in range(8):
         rng = random.Random(seed)
-        sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=RandomPayloads(len(genesis)))
+        sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=RandomPayloads(len(genesis), U_SECRET))
         in_order = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
         shuffled = in_order[:]
         rng.shuffle(shuffled)
