@@ -24,7 +24,7 @@ from .core import (
     sighash,
     tx_distance,
 )
-from .dag import CycleError, SDag, Violation, ViolationKind, topological_order
+from .dag import SDag, Violation, ViolationKind
 from .ledger import (
     BadSignature,
     Ledger,
@@ -65,11 +65,9 @@ __all__ = [
     "mine",
     "sighash",
     "tx_distance",
-    "CycleError",
     "SDag",
     "Violation",
     "ViolationKind",
-    "topological_order",
     "BadSignature",
     "Ledger",
     "LedgerBuild",

@@ -1,7 +1,8 @@
 """Command-line entry point: simulations, analysis calculators, demo DAG.
 
 Every artifact directory gets a manifest.json recording the command line,
-config digest, seed, and output paths; re-running with the same inputs
+config digest, seed, and output paths (`analyze secure --out PATH` writes
+PATH.manifest.json instead); re-running with the same inputs
 reproduces the outputs byte for byte.  Values print with 12 significant
 digits.  Exit codes: 0 success, 2 invalid input, 3 unstable queue.
 """
@@ -45,7 +46,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_manifest(
-    out_dir: Path, seed: Optional[int], config_digest: str, artifacts: list[str]
+    path: Path, seed: Optional[int], config_digest: str, artifacts: list[str]
 ) -> None:
     manifest = {
         "command": sys.argv,
@@ -54,7 +55,7 @@ def _write_manifest(
         "artifacts": artifacts,
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 # -- config parsing --------------------------------------------------------
@@ -111,7 +112,10 @@ def _seed_override(args_seed: Optional[int]) -> Optional[int]:
     if args_seed is not None:
         return args_seed
     env = os.environ.get("SDAG_SEED")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"SDAG_SEED must be an integer, got {env!r}") from None
 
 
 # -- subcommands -----------------------------------------------------------
@@ -120,10 +124,10 @@ def _seed_override(args_seed: Optional[int]) -> Optional[int]:
 def cmd_simulate(args) -> int:
     try:
         config = load_sim_config(args.config)
+        seed = _seed_override(args.seed)
     except (ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    seed = _seed_override(args.seed)
     if seed is not None:
         config.seed = seed
     out_dir = Path(args.out)
@@ -147,7 +151,7 @@ def cmd_simulate(args) -> int:
                 fp.write(f"{s:.9f}\n")
         artifacts.append(name)
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    _write_manifest(out_dir, config.seed, digest, artifacts)
+    _write_manifest(out_dir / "manifest.json", config.seed, digest, artifacts)
     print(f"wrote {metrics_path}")
     return 0
 
@@ -205,20 +209,23 @@ def _cmd_secure(args) -> int:
     points = secure_latency_mc(
         honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=seed
     )
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w", newline="")
-        close = True
-    try:
-        out.write("T,failures,paths,frequency,stderr\n")
-        for p in points:
-            out.write(
-                f"{p.horizon:g},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
-            )
-    finally:
-        if close:
-            out.close()
+    text = "T,failures,paths,frequency,stderr\n" + "".join(
+        f"{p.horizon:g},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
+        for p in points
+    )
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    csv_path = Path(args.out)
+    with csv_path.open("w", newline="") as fp:
+        fp.write(text)
+    # next to the CSV, so a simulate manifest.json in the same directory
+    # is left alone
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+    digest = hashlib.sha256(json.dumps(options).encode()).hexdigest()
+    _write_manifest(
+        csv_path.with_name(csv_path.name + ".manifest.json"), seed, digest, [csv_path.name]
+    )
     return 0
 
 
@@ -244,7 +251,7 @@ def cmd_demo_dag(args) -> int:
     build = build_from_dag(sdag, demo.params)
     (out_dir / "ledger.csv").write_text(ledger_csv(build))
     _write_manifest(
-        out_dir,
+        out_dir / "manifest.json",
         None,
         hashlib.sha256(sdag.dumps().encode()).hexdigest(),
         ["dag.txt", "levels.txt", "order.txt", "ledger.csv"],

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 HASH_BYTES = 32
 SCALE_BITS = 256

@@ -12,11 +12,10 @@ its parents are stored), and a milestone's level set only on its ancestry.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .core import (
     GENESIS,
@@ -32,7 +31,6 @@ from .core import (
 
 
 class ViolationKind(Enum):
-    BAD_ID = "bad-id"
     BAD_POW = "bad-pow"
     MISSING_PARENT = "missing-parent"
     PEER_RULE = "peer-rule"
@@ -45,10 +43,6 @@ class ViolationKind(Enum):
 class Violation:
     kind: ViolationKind
     detail: str = ""
-
-
-class CycleError(ValueError):
-    pass
 
 
 class DagFacts:
@@ -321,30 +315,3 @@ class SDag:
             if v is not None:
                 raise ValueError(f"line {lineno}: {v.kind.value}: {v.detail}")
         return sdag
-
-
-def topological_order(blocks: Sequence[Block], sdag: Optional[SDag] = None) -> list[Block]:
-    """Order blocks so every block follows everything it references within
-    the set; independents break ties by block id.  References that resolve
-    in `sdag` (or nowhere) are treated as satisfied."""
-    by_id = {block_id(b): b for b in blocks}
-    indeg: dict[bytes, int] = {bid: 0 for bid in by_id}
-    dependents: dict[bytes, list[bytes]] = {bid: [] for bid in by_id}
-    for bid, b in by_id.items():
-        for ref in {b.idp, b.idm, b.idt}:
-            if ref in by_id and ref != bid:
-                indeg[bid] += 1
-                dependents[ref].append(bid)
-    ready = [bid for bid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    out: list[Block] = []
-    while ready:
-        bid = heapq.heappop(ready)
-        out.append(by_id[bid])
-        for dep in dependents[bid]:
-            indeg[dep] -= 1
-            if indeg[dep] == 0:
-                heapq.heappush(ready, dep)
-    if len(out) != len(by_id):
-        raise CycleError("reference cycle among blocks")
-    return out

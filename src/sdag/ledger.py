@@ -26,7 +26,6 @@ from .core import (
     Transaction,
     TxKind,
     sighash,
-    sha256,
 )
 from .dag import SDag
 from .sigs import DEFAULT_SCHEME, SignatureScheme

@@ -9,9 +9,9 @@ rarely two miners can work the same transaction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx, sha256
 from .dag import SDag

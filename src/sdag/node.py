@@ -1,10 +1,11 @@
 """Per-peer protocol state machine: receiving and creating blocks.
 
-Receiving: solidify (buffer blocks with unknown ancestors and ask for
-them), validate, insert, relay once, drop the contained transaction from
-the mempool, and switch the main chain when a higher milestone shows up.
-Transaction semantics are deliberately NOT checked on receive; conflicts
-are resolved when the DAG is folded into a ledger.
+Receiving: buffer blocks whose parents are not stored yet, validate,
+insert, drop the contained transaction from the mempool, insert the
+buffered blocks that were waiting on it, and switch the main chain when a
+higher milestone shows up.  Transaction semantics are deliberately NOT
+checked on receive; conflicts are resolved when the DAG is folded into a
+ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
 of another peer; pick the best workable transaction that is compatible
@@ -14,9 +15,8 @@ with the ledger at the current tip; mine; publish.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     GENESIS_ID,
@@ -28,33 +28,13 @@ from .core import (
     block_id,
     mine,
 )
-from .dag import DagFacts, SDag, topological_order
+from .dag import DagFacts, SDag
 from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo
 from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
 DEFAULT_ORPHAN_CAP = 10_000
-DEFAULT_CATCHUP_THRESHOLD = 5
 DEFAULT_MINE_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class Relay:
-    block: Block
-
-
-@dataclass(frozen=True)
-class RequestMissing:
-    ids: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class RequestLevels:
-    start_height: int
-    end_height: int
-
-
-Action = Union[Relay, RequestMissing, RequestLevels]
 
 
 class LevelDelta(NamedTuple):
@@ -119,7 +99,6 @@ class NodeState:
     ):
         self.params = params
         self.scheme = scheme
-        self.secret = secret
         self.public = scheme.derive_public(secret)
         self.identity = scheme.address(self.public)
         self.genesis_outputs = tuple(genesis_outputs)
@@ -135,8 +114,6 @@ class NodeState:
         self.orphan_blocks: dict[bytes, Block] = {}
         self.orphans_by_missing: dict[bytes, set[bytes]] = {}
         self.orphan_cap = orphan_cap
-        self._requested: set[bytes] = set()
-        self._relayed: set[bytes] = set()
         self.mining_attempts = 0
         self.rejected_blocks = 0
         # ledger at the main-chain tip (utxo and accepted ids, no entries),
@@ -212,56 +189,38 @@ class NodeState:
 
     # -- receive path ----------------------------------------------------
 
-    def on_receive_block(self, block: Block) -> list[Action]:
-        actions: list[Action] = []
-        self._receive_one(block, actions)
-        return actions
-
-    def _receive_one(self, block: Block, actions: list[Action]) -> None:
+    def on_receive_block(self, block: Block) -> None:
         bid = block_id(block)
         if bid in self.sdag or bid in self.orphan_blocks:
             return
         stored = self.sdag.blocks
-        if block.idp not in stored or block.idm not in stored or block.idt not in stored:
-            missing = sorted({r for r in (block.idp, block.idm, block.idt) if r not in stored})
-            self._buffer_orphan(bid, block, missing, actions)
+        if block.idp in stored and block.idm in stored and block.idt in stored:
+            if self._try_insert(block):
+                self._drain_orphans(bid)
             return
-        if self._try_insert(bid, block, actions):
-            self._drain_orphans(bid, actions)
-
-    def _buffer_orphan(
-        self, bid: bytes, block: Block, missing: list[bytes], actions: list[Action]
-    ) -> None:
         if len(self.orphan_blocks) >= self.orphan_cap:
             # FIFO eviction bounds memory under junk floods
             victim = next(iter(self.orphan_blocks))
-            self._forget_orphan(victim)
+            del self.orphan_blocks[victim]
+            for waiting in self.orphans_by_missing.values():
+                waiting.discard(victim)
         self.orphan_blocks[bid] = block
-        for mid in missing:
-            self.orphans_by_missing.setdefault(mid, set()).add(bid)
-        want = tuple(m for m in missing if m not in self._requested and m not in self.orphan_blocks)
-        if want:
-            self._requested.update(want)
-            actions.append(RequestMissing(want))
+        for ref in (block.idp, block.idm, block.idt):
+            if ref not in stored:
+                self.orphans_by_missing.setdefault(ref, set()).add(bid)
 
-    def _forget_orphan(self, bid: bytes) -> None:
-        self.orphan_blocks.pop(bid, None)
-        for waiting in self.orphans_by_missing.values():
-            waiting.discard(bid)
-
-    def _try_insert(self, bid: bytes, block: Block, actions: list[Action]) -> bool:
+    def _try_insert(self, block: Block) -> bool:
         violation = self.sdag.insert(block)
         if violation is not None:
             self.rejected_blocks += 1
             return False
-        if bid not in self._relayed:
-            self._relayed.add(bid)
-            actions.append(Relay(block))
         if block.mes.kind is not TxKind.EMPTY:
             self.mempool.remove_tx(block.mes.txid())
         return True
 
-    def _drain_orphans(self, arrived: bytes, actions: list[Action]) -> None:
+    def _drain_orphans(self, arrived: bytes) -> None:
+        # depth first, siblings in sorted-id order: this fixes the order of
+        # insertion, and with it every artifact of a simulation
         queue = [arrived]
         while queue:
             ready_parent = queue.pop()
@@ -276,25 +235,11 @@ class NodeState:
                 if any(r not in self.sdag.blocks for r in refs):
                     continue
                 del self.orphan_blocks[bid]
-                if self._try_insert(bid, block, actions):
+                if self._try_insert(block):
                     queue.append(bid)
 
     def on_tx(self, tx: Transaction, now: float = 0.0, fee: int = 0) -> None:
         self.mempool.add_tx(tx, now, fee)
-
-    def on_level_set_batch(self, blocks: Sequence[Block]) -> list[Action]:
-        actions: list[Action] = []
-        for block in topological_order(blocks, self.sdag):
-            self._receive_one(block, actions)
-        return actions
-
-    def sync_catchup(
-        self, remote_height: int, threshold: int = DEFAULT_CATCHUP_THRESHOLD
-    ) -> list[Action]:
-        local = self.sdag.height()
-        if remote_height - local > threshold:
-            return [RequestLevels(local + 1, remote_height)]
-        return []
 
     # -- create path -----------------------------------------------------
 
@@ -319,7 +264,7 @@ class NodeState:
                 return tx
         return Transaction(TxKind.EMPTY)
 
-    def create_block(self, max_attempts: int = DEFAULT_MINE_BUDGET) -> Block:
+    def create_block(self) -> Block:
         """Build, mine, and locally adopt a new block; caller broadcasts it."""
         for _ in range(8):
             tips = sorted(self.sdag.tip_set(self.identity))
@@ -336,7 +281,7 @@ class NodeState:
                 result = mine(
                     template,
                     self.params,
-                    max_attempts,
+                    DEFAULT_MINE_BUDGET,
                     start_nonce=self.rng.getrandbits(64),
                 )
             except MiningExhausted as exc:
@@ -344,12 +289,10 @@ class NodeState:
                 continue
             self.mining_attempts += result.attempts
             block = result.block
-            bid = block_id(block)
             violation = self.sdag.insert(block)
             assert violation is None, f"self-created block invalid: {violation}"
-            self._relayed.add(bid)
-            self.my_head = bid
+            self.my_head = block_id(block)
             if block.mes.kind is not TxKind.EMPTY:
                 self.mempool.remove_tx(block.mes.txid())
             return block
-        raise MiningExhausted(max_attempts * 8)
+        raise MiningExhausted(DEFAULT_MINE_BUDGET * 8)

@@ -39,7 +39,7 @@ from .core import (
 )
 from .curves import make_curve
 from .ledger import build_from_dag, resolve_peer_chain
-from .node import NodeState, SharedFacts
+from .node import DEFAULT_MINE_BUDGET, NodeState, SharedFacts
 from .sigs import DEFAULT_SCHEME
 
 # event ranks for deterministic tie-breaking: (time, rank, actor, seq)
@@ -98,12 +98,17 @@ class SimConfig:
             raise ValueError("p must be in (0, 1]")
         if self.c < 0 or self.lam < 0:
             raise ValueError("c and lam must be >= 0")
+        if self.finality_depth < 0:
+            raise ValueError("finality_depth must be >= 0")
         if not 0 <= self.fee <= 2:
             raise ValueError("fee must be in [0, 2] (outputs are funded with 2)")
         if not 0 <= self.adversary_share < 1:
             raise ValueError("adversary_share must be in [0, 1)")
         if self.adversary_share > 0 and self.adversary_strategy is None:
             raise ValueError("adversary_share > 0 needs a strategy")
+        if isinstance(self.adversary_strategy, PrivateMilestoneFork):
+            if self.adversary_strategy.depth < 0:
+                raise ValueError("private-milestone-fork depth must be >= 0")
         if isinstance(self.adversary_strategy, PeerChainFork):
             if not 0 <= self.adversary_strategy.victim < self.n:
                 raise ValueError("victim index out of range")
@@ -370,7 +375,7 @@ class Simulation:
                 result = mine(
                     template,
                     self.params,
-                    1 << 20,
+                    DEFAULT_MINE_BUDGET,
                     start_nonce=self.adv_node.rng.getrandbits(64),
                     want=BlockClass.REGULAR,
                 )

@@ -115,6 +115,30 @@ def test_simulate_seed_flag_and_env(config_file, tmp_path, monkeypatch):
     assert json.loads((out2 / "manifest.json").read_text())["seed"] == 11
 
 
+def test_simulate_bad_seed_env_exit_code(config_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SDAG_SEED", "abc")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "SDAG_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "finality_depth = -4\n",
+        "adversary_share = 0.3\nadversary_strategy = private-milestone-fork:depth=-1\n",
+    ],
+)
+def test_simulate_rejects_negative_depths(tmp_path, extra):
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith("finality_depth =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines) + "\n" + extra)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not (out / "metrics.csv").exists()
+
+
 def test_simulate_bad_config_exit_code(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[simulation]\nn = 0\n")
@@ -191,6 +215,10 @@ def test_analyze_secure_csv(tmp_path):
     t, failures, paths, freq, _ = lines[1].split(",")
     assert float(t) == 20.0 and int(paths) == 2000
     assert math.isclose(float(freq), int(failures) / 2000)
+    manifest = json.loads((tmp_path / "secure.csv.manifest.json").read_text())
+    assert manifest["artifacts"] == ["secure.csv"]
+    assert manifest["seed"] == 1
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_analyze_secure_bad_grid():

@@ -17,7 +17,7 @@ from sdag.core import (
     mine,
     sha256,
 )
-from sdag.dag import CycleError, DagFacts, SDag, ViolationKind, topological_order
+from sdag.dag import DagFacts, SDag, ViolationKind
 
 from dagtools import (
     RANDOM_PARAMS,
@@ -218,29 +218,6 @@ def test_load_rejects_garbage(demo):
     lines = demo.sdag.dumps().splitlines()
     with pytest.raises(ValueError):
         SDag.load(io.StringIO(lines[-1] + "\n"), demo.params)
-
-
-def test_topological_order_properties(demo):
-    blocks = [b for bid, b in demo.sdag.blocks.items() if bid != GENESIS_ID]
-    rng = random.Random(3)
-    rng.shuffle(blocks)
-    ordered = topological_order(blocks)
-    pos = {block_id(b): i for i, b in enumerate(ordered)}
-    for b in ordered:
-        for ref in (b.idp, b.idm, b.idt):
-            if ref in pos:
-                assert pos[ref] < pos[block_id(b)]
-    # deterministic regardless of input order
-    rng.shuffle(blocks)
-    assert topological_order(blocks) == ordered
-
-
-def test_topological_order_linear_chain():
-    a = Block(sha256(b"x"), GENESIS_ID, GENESIS_ID, sha256(b"p"), 1, EMPTY_TX)
-    b = Block(block_id(a), GENESIS_ID, GENESIS_ID, sha256(b"p"), 2, EMPTY_TX)
-    c = Block(block_id(b), block_id(a), GENESIS_ID, sha256(b"p"), 3, EMPTY_TX)
-    ordered = topological_order([c, a, b])
-    assert [block_id(x) for x in ordered] == [block_id(a), block_id(b), block_id(c)]
 
 
 def test_confirm_set_unknown_raises(demo):

@@ -1,0 +1,57 @@
+"""Every module of the package uses what it imports, and the package's
+public names resolve.  No linter is assumed; these checks read the source
+with `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sdag
+
+MODULES = sorted(Path(sdag.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Local name bound by each import -> its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, plus the entries of `__all__` (a re-export
+    counts as a use).  Names inside quoted annotations are not seen."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+def test_modules_found():
+    assert {"core.py", "dag.py", "node.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = imported_names(tree)
+    unused = sorted(f"{name} (line {names[name]})" for name in set(names) - used_names(tree))
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_public_names_resolve():
+    assert len(set(sdag.__all__)) == len(sdag.__all__)
+    missing = [name for name in sdag.__all__ if not hasattr(sdag, name)]
+    assert not missing

@@ -1,4 +1,4 @@
-"""Node state machine: solidification, relay, block creation, convergence."""
+"""Node state machine: solidification, block creation, convergence."""
 
 import random
 from fractions import Fraction
@@ -20,7 +20,7 @@ from sdag.core import (
 )
 from sdag.ledger import OrderedBlock, build_from_dag, build_ledger, dfs_order
 from sdag.mempool import estimate_power, power_share
-from sdag.node import NodeState, Relay, RequestLevels, RequestMissing, SharedFacts
+from sdag.node import NodeState, SharedFacts
 from sdag.sigs import DEFAULT_SCHEME
 
 from dagtools import RANDOM_PARAMS, RandomPayloads, random_dag
@@ -86,25 +86,50 @@ def test_spent_tx_not_repicked():
     assert nxt.mes.kind in (TxKind.NORMAL, TxKind.EMPTY)
 
 
+def node_view(node):
+    return (
+        list(node.sdag.blocks),
+        list(node.sdag.main_chain),
+        dict(node.orphan_blocks),
+        {k: set(v) for k, v in node.orphans_by_missing.items()},
+        node.rejected_blocks,
+    )
+
+
 def test_orphan_solidification_and_relay_once():
+    """A block that arrives before its parent waits in the orphan buffer
+    until the parent is stored; a block delivered again, stored or
+    buffered, changes nothing."""
     miner = make_node(b"m", seed=1)
     b1 = miner.create_block()
     b2 = miner.create_block()
+    b3 = miner.create_block()
 
     node = make_node(b"n4")
-    # deliver out of order: the child is buffered and its parent requested
-    actions = node.on_receive_block(b2)
-    assert any(isinstance(a, RequestMissing) for a in actions)
-    assert not any(isinstance(a, Relay) for a in actions)
+    # deliver out of order: the child is buffered, not stored
+    node.on_receive_block(b2)
     assert block_id(b2) not in node.sdag.blocks
+    assert node.orphan_blocks == {block_id(b2): b2}
+    assert node.orphans_by_missing == {block_id(b1): {block_id(b2)}}
 
-    actions = node.on_receive_block(b1)
-    relayed = [a.block for a in actions if isinstance(a, Relay)]
+    # re-delivering the buffered orphan changes nothing
+    before = node_view(node)
+    node.on_receive_block(b2)
+    assert node_view(node) == before
+
+    # the parent arrives: both are stored and nothing stays buffered
+    node.on_receive_block(b1)
     assert block_id(b1) in node.sdag.blocks and block_id(b2) in node.sdag.blocks
-    assert {block_id(b) for b in relayed} == {block_id(b1), block_id(b2)}
+    assert node.orphan_blocks == {}
+    assert node.orphans_by_missing == {}
 
-    # re-delivery relays nothing
-    assert node.on_receive_block(b1) == []
+    # re-delivering a stored block changes nothing
+    node.on_receive_block(b3)
+    before = node_view(node)
+    for b in (b1, b2, b3):
+        node.on_receive_block(b)
+    assert node_view(node) == before
+    assert node.rejected_blocks == 0
 
 
 def test_orphan_cap_eviction():
@@ -113,19 +138,21 @@ def test_orphan_cap_eviction():
     node = NodeState(PARAMS, secret=sha256(b"n5"), orphan_cap=2, genesis_outputs=GENESIS_OUTPUTS)
     for b in blocks[1:]:
         node.on_receive_block(b)
-    assert len(node.orphan_blocks) == 2  # FIFO eviction kept the last two
-
-
-def test_level_set_batch_and_catchup():
-    miner = make_node(b"m3", seed=3)
-    blocks = [miner.create_block() for _ in range(6)]
-    node = make_node(b"n6")
-    node.on_level_set_batch(list(reversed(blocks)))
-    assert all(block_id(b) in node.sdag.blocks for b in blocks)
-    assert node.sync_catchup(node.sdag.height() + 10) == [
-        RequestLevels(node.sdag.height() + 1, node.sdag.height() + 10)
-    ]
-    assert node.sync_catchup(node.sdag.height()) == []
+    ids = [block_id(b) for b in blocks]
+    # FIFO eviction kept the last two
+    assert list(node.orphan_blocks) == ids[2:]
+    # the evicted block left every bucket, including the one it waited in
+    assert all(ids[1] not in waiting for waiting in node.orphans_by_missing.values())
+    # its missing parent arrives: the evicted block is not inserted, and the
+    # buffered blocks that needed it stay buffered
+    node.on_receive_block(blocks[0])
+    assert ids[0] in node.sdag.blocks
+    assert ids[1] not in node.sdag.blocks
+    assert list(node.orphan_blocks) == ids[2:]
+    # redelivered, it solidifies everything that waited on it
+    node.on_receive_block(blocks[1])
+    assert all(bid in node.sdag.blocks for bid in ids)
+    assert node.orphan_blocks == {}
 
 
 def test_mempool_drained_by_received_blocks():
