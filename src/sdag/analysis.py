@@ -9,7 +9,8 @@ confirmation depth.
 
 All Monte Carlo uses numpy's counter-based Philox generator so million-path
 runs are replayable bit for bit; independent chunks use Philox jumps and
-aggregate by integer counts, so results do not depend on chunk order.
+aggregate by integer counts, so results do not depend on chunk order (they
+do depend on the chunk size, which is fixed).
 """
 
 from __future__ import annotations
@@ -177,16 +178,22 @@ def _tags(u: np.ndarray, w: np.ndarray, t0: float, curve: DelayCurve) -> np.ndar
     """Vectorized tag chain: Y_i = B_i or (A_i and Y_{i-1}) with the
     coupling A = {creator saw everything} and B = {inter-arrival exceeded
     t0}; B implies A.  The chain starts in the 0 state (the anchor
-    milestone at time 0 carries tag 0), so Y_i = 1 iff some B_j = 1 with no
-    A = 0 at any later index up to i, which is lastB1 > lastA0 under
-    running maxima of event indices.
+    milestone at time 0 carries tag 0).
+
+    One running maximum over event codes gives every tag: index i sets the
+    tag (code 2i+1) when B_i, resets it (code 2i) when not A_i, and keeps
+    it (code -2) otherwise.  B implies A, so no index both sets and resets;
+    the running maximum is the code of the latest set or reset, and the
+    tag is its low bit.  The codes use the narrowest integer dtype that
+    holds 2n+1 for n columns.
     """
-    a = (u > t0) | (w < curve.cdf(u))
     b = u > t0
-    idx = np.arange(u.shape[-1])
-    last_a0 = np.maximum.accumulate(np.where(~a, idx, -1), axis=-1)
-    last_b1 = np.maximum.accumulate(np.where(b, idx, -1), axis=-1)
-    return last_b1 > last_a0
+    keep = (w < curve.cdf(u)) & ~b
+    n = u.shape[-1]
+    dtype = np.min_scalar_type(-2 * n - 1)
+    code = 2 * np.arange(n, dtype=dtype) + b
+    code[keep] = -2
+    return (np.maximum.accumulate(code, axis=-1) & 1).astype(bool)
 
 
 def tag_sequence_mc(
@@ -237,6 +244,12 @@ def rates_for_share(
 _CHUNK = 1 << 15
 
 
+def _prefix_cols(mean_arrivals: float) -> int:
+    """Columns summed first: enough that every row of a chunk passes T
+    unless the Poisson count lands beyond mean + 7 sigma."""
+    return int(mean_arrivals + 7.0 * math.sqrt(mean_arrivals + 1.0) + 8)
+
+
 def secure_latency_mc(
     pn_mu_honest: float,
     adversary_rate: float,
@@ -253,6 +266,16 @@ def secure_latency_mc(
     confirmation fails when the count of 1-tags inside [t0, T - t0] does
     not exceed the total count of 0-tags on [0, T] plus an independent
     Poisson(adversary_rate*T) adversary milestone count.
+
+    Each chunk draws mean + 10 sigma + 30 inter-arrivals and as many
+    uniforms per path (doubling the width and moving to the next stream if
+    some path does not reach T), but only the arrivals inside [0, T] are
+    worked on: arrival times are summed over a prefix of mean + 7 sigma + 8
+    columns (the full width when some path has not passed T by then), and
+    the tags and counts run over the columns up to the largest count of
+    arrivals at or before T in any path.  A tag depends only on earlier
+    columns, and later columns fall outside both counts, so the result is
+    that of working on every drawn column.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -266,6 +289,7 @@ def secure_latency_mc(
     for point_i, t_len in enumerate(t_grid):
         mean_arrivals = pn_mu_honest * t_len
         cols = int(mean_arrivals + 10.0 * math.sqrt(mean_arrivals + 1.0) + 30)
+        prefix = _prefix_cols(mean_arrivals)
         failures = 0
         done = 0
         chunk_i = 0
@@ -274,14 +298,22 @@ def secure_latency_mc(
             rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
             chunk_i += 1
             u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))
-            times = np.cumsum(u, axis=1)
+            # a cumsum of non-negative floats never decreases, so a prefix
+            # past T in every row settles the full-width check as well
+            times = np.cumsum(u[:, :prefix], axis=1)
+            if not (times[:, -1] > t_len).all():
+                times = np.cumsum(u, axis=1)
             # enough columns that every path overruns T; Poisson tails make
             # a shortfall at cols = mean + 10 sigma astronomically unlikely
             if not (times[:, -1] > t_len).all():
                 cols *= 2
                 continue
             w = rng.random((rows, cols))
-            y = _tags(u, w, t0, curve)
+            # the most arrivals at or before T in any row; every row passes
+            # T, so argmax finds its first arrival after T
+            k = int((times > t_len).argmax(axis=1).max())
+            times = times[:, :k]
+            y = _tags(u[:, :k], w[:, :k], t0, curve)
             window = (times >= t0) & (times <= t_len - t0)
             full = times <= t_len
             ones = (y & window).sum(axis=1)

@@ -108,6 +108,15 @@ def load_sim_config(path: str) -> SimConfig:
     return config
 
 
+def _make_out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return out_dir
+
+
 def _seed_override(args_seed: Optional[int]) -> Optional[int]:
     if args_seed is not None:
         return args_seed
@@ -125,13 +134,12 @@ def cmd_simulate(args) -> int:
     try:
         config = load_sim_config(args.config)
         seed = _seed_override(args.seed)
+        out_dir = _make_out_dir(args.out)
     except (ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if seed is not None:
         config.seed = seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics = run(config)
     row = metrics.row()
 
@@ -180,7 +188,7 @@ def cmd_analyze(args) -> int:
     except UnstableQueue as exc:
         print(f"unstable queue: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return 0
@@ -205,6 +213,12 @@ def _cmd_secure(args) -> int:
     curve = make_curve(args.curve, args.t0)
     grid = _parse_grid(args.grid)
     seed = _seed_override(args.seed) or 0
+    csv_path = Path(args.out) if args.out else None
+    # checked before the Monte Carlo, which can run for minutes
+    if csv_path is not None and not csv_path.parent.is_dir():
+        raise ValueError(f"output directory {csv_path.parent} does not exist")
+    if csv_path is not None and csv_path.is_dir():
+        raise ValueError(f"output {csv_path} is a directory")
     honest, adv_rate = rates_for_share(args.share, args.pnmu, honest_fixed=args.honest_fixed)
     points = secure_latency_mc(
         honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=seed
@@ -213,10 +227,9 @@ def _cmd_secure(args) -> int:
         f"{p.horizon:g},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
         for p in points
     )
-    if not args.out:
+    if csv_path is None:
         sys.stdout.write(text)
         return 0
-    csv_path = Path(args.out)
     with csv_path.open("w", newline="") as fp:
         fp.write(text)
     # next to the CSV, so a simulate manifest.json in the same directory
@@ -230,8 +243,11 @@ def _cmd_secure(args) -> int:
 
 
 def cmd_demo_dag(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir = _make_out_dir(args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     demo = build_demo()
     sdag = demo.sdag
 

@@ -201,9 +201,14 @@ class NodeState:
         if len(self.orphan_blocks) >= self.orphan_cap:
             # FIFO eviction bounds memory under junk floods
             victim = next(iter(self.orphan_blocks))
-            del self.orphan_blocks[victim]
-            for waiting in self.orphans_by_missing.values():
-                waiting.discard(victim)
+            evicted = self.orphan_blocks.pop(victim)
+            # it waits only in the buckets of its own missing refs
+            for ref in (evicted.idp, evicted.idm, evicted.idt):
+                waiting = self.orphans_by_missing.get(ref)
+                if waiting is not None:
+                    waiting.discard(victim)
+                    if not waiting:
+                        del self.orphans_by_missing[ref]
         self.orphan_blocks[bid] = block
         for ref in (block.idp, block.idm, block.idt):
             if ref not in stored:

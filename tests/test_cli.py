@@ -139,6 +139,14 @@ def test_simulate_rejects_negative_depths(tmp_path, extra):
     assert not (out / "metrics.csv").exists()
 
 
+def test_simulate_out_is_a_file_exit_code(config_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+    assert out.read_text() == "keep me\n"
+
+
 def test_simulate_bad_config_exit_code(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[simulation]\nn = 0\n")
@@ -221,6 +229,16 @@ def test_analyze_secure_csv(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("target", ["missing/secure.csv", "isdir"])
+def test_analyze_secure_unwritable_out_exit_code(tmp_path, capsys, target):
+    (tmp_path / "isdir").mkdir()
+    out = tmp_path / target
+    argv = ["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "100"]
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_analyze_secure_bad_grid():
     rc = main(["analyze", "secure", "--share", "0.1", "--grid", "oops", "--paths", "10"])
     assert rc == EXIT_BAD_INPUT
@@ -242,3 +260,11 @@ def test_demo_dag_artifacts(tmp_path, capsys):
     levels = (out / "levels.txt").read_text()
     assert "pending: b1, c1, c2, d2" in levels
     assert (out / "dag.txt").read_text().count("\n") == 19
+
+
+def test_demo_dag_out_is_a_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["demo-dag", "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+    assert out.read_text() == "keep me\n"

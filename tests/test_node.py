@@ -155,6 +155,45 @@ def test_orphan_cap_eviction():
     assert node.orphan_blocks == {}
 
 
+def test_orphan_flood_evicts_from_its_own_buckets():
+    """5,000 parentless blocks at orphan_cap=1000: the buckets hold exactly
+    the buffered blocks' missing refs, none is left empty, and an evicted
+    block is not even tried when its missing parent arrives."""
+    miner = make_node(b"m6", seed=6)
+    parent = miner.create_block()
+    pid = block_id(parent)
+    node = NodeState(PARAMS, secret=sha256(b"n6"), orphan_cap=1000, genesis_outputs=GENESIS_OUTPUTS)
+    flood = []
+    for i in range(5000):
+        if i % 5 == 0:  # waits for the real parent only
+            refs = (pid, GENESIS_ID, GENESIS_ID)
+        else:  # waits for a junk ref shared with other blocks and its own
+            refs = (sha256(b"p%d" % (i % 37)), sha256(b"m%d" % i), GENESIS_ID)
+        flood.append(Block(*refs, parent.peer, i, parent.mes))
+    for b in flood:
+        node.on_receive_block(b)
+    ids = [block_id(b) for b in flood]
+    assert list(node.orphan_blocks) == ids[-1000:]
+    expected = {}
+    for bid, b in node.orphan_blocks.items():
+        for ref in (b.idp, b.idm, b.idt):
+            if ref not in node.sdag.blocks:
+                expected.setdefault(ref, set()).add(bid)
+    assert node.orphans_by_missing == expected
+    assert all(node.orphans_by_missing.values())
+
+    waiting = node.orphans_by_missing[pid]
+    node.on_receive_block(parent)
+    assert pid in node.sdag.blocks
+    assert not any(bid in node.sdag.blocks for bid in ids[:-1000])
+    # every buffered child was tried once, and nothing else was
+    inserted = sum(bid in node.sdag.blocks for bid in waiting)
+    assert inserted + node.rejected_blocks == len(waiting) == 200
+    assert not waiting & set(node.orphan_blocks)
+    assert pid not in node.orphans_by_missing
+    assert all(node.orphans_by_missing.values())
+
+
 def test_mempool_drained_by_received_blocks():
     miner = make_node(b"m4", seed=4)
     blocks = [miner.create_block()]  # registration
