@@ -35,13 +35,19 @@ class AdversaryMajority(ValueError):
     """Discounted honest power does not exceed adversary power."""
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 # -- capacity and queueing -------------------------------------------------
 
 
 def theta(c: float, mu: float, t_bar: float) -> float:
     """Fraction of block-carrying capacity wasted on duplicate transactions."""
-    if c < 0 or mu < 0 or t_bar < 0:
-        raise ValueError("c, mu, t_bar must be >= 0")
+    if not all(math.isfinite(x) and x >= 0 for x in (c, mu, t_bar)):
+        raise ValueError("c, mu, t_bar must be finite and >= 0")
     a = (1.0 - math.exp(-mu * t_bar)) * mu * c * t_bar
     return a / (1.0 + a)
 
@@ -55,6 +61,7 @@ def _check_stable(rho: float, theta_val: float) -> float:
 
 def queue_length(lam: float, n: int, mu: float, c: float, theta_val: float) -> float:
     """Steady-state mempool size Q = (n/c) ln(n mu / (n mu - lambda/(1-theta)))."""
+    _require_positive(lam=lam, n=n, mu=mu, c=c)
     rho = lam / (n * mu)
     x = _check_stable(rho, theta_val)
     return (n / c) * math.log(1.0 / (1.0 - x))
@@ -62,6 +69,7 @@ def queue_length(lam: float, n: int, mu: float, c: float, theta_val: float) -> f
 
 def w1(lam: float, n: int, mu: float, c: float, theta_val: float) -> float:
     """Mean queueing latency by Little's law: Q / lambda."""
+    _require_positive(lam=lam, n=n, mu=mu, c=c)
     rho = lam / (n * mu)
     x = _check_stable(rho, theta_val)
     return (1.0 / c) * (1.0 / (rho * mu)) * math.log(1.0 / (1.0 - x))
@@ -91,9 +99,9 @@ def infection_q1(n: int, p: Fraction) -> Q1Result:
     rational arithmetic, plus the 2n(1+ln n) + 1/p bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
+    p = Fraction(p)
     q = Fraction(1, 1) / p  # q_n
     for x in range(n - 1, 0, -1):
         keep = Fraction(1) - Fraction(p * x, n)
@@ -111,6 +119,7 @@ class W2Result(NamedTuple):
 
 def w2_bound(n: int, p: Fraction, mu: float) -> W2Result:
     """Infection latency W2 = q1/(n mu) and its closed-form upper bound."""
+    _require_positive(mu=mu)
     q1 = infection_q1(n, p)
     p = float(Fraction(p))
     exact = float(q1.exact) / (n * mu)
@@ -164,6 +173,7 @@ def z_success_prob(pn_mu: float, t0: float, curve: DelayCurve) -> float:
 def type1_fraction(pn_mu: float, t0: float, curve: DelayCurve) -> float:
     """Long-run fraction of honest milestones tagged 1 under the
     regenerative-cycle model."""
+    _require_positive(pn_mu=pn_mu)
     head = math.exp(-pn_mu * t0)
     wasted, _ = quad(
         lambda t: pn_mu * (1.0 - curve.cdf(t)) * math.exp(-pn_mu * t),
@@ -279,8 +289,7 @@ def secure_latency_mc(
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    if not (math.isfinite(pn_mu_honest) and pn_mu_honest > 0):
-        raise ValueError("the honest milestone rate must be positive and finite")
+    _require_positive(honest_rate=pn_mu_honest)
     for t_len in t_grid:
         if t_len <= 2 * t0:
             raise ValueError("every T must exceed 2*t0")
@@ -318,10 +327,7 @@ def secure_latency_mc(
             full = times <= t_len
             ones = (y & window).sum(axis=1)
             zeros = (~y & full).sum(axis=1)
-            if adversary_rate > 0:
-                adv = rng.poisson(adversary_rate * t_len, rows)
-            else:
-                adv = np.zeros(rows, dtype=np.int64)
+            adv = rng.poisson(adversary_rate * t_len, rows)
             failures += int((ones <= zeros + adv).sum())
             done += rows
         freq = failures / paths
@@ -359,6 +365,8 @@ def nakamoto_discounted_depth(
 ) -> int:
     """Smallest confirmation depth with catch-up probability below
     target_risk, with honest power discounted by the type-1 fraction."""
+    if not 0 <= adversary_share < 1:
+        raise ValueError("adversary_share must be in [0, 1)")
     if not 0 < target_risk < 1:
         raise ValueError("target_risk must be in (0, 1)")
     if not 0 < type1_frac <= 1:

@@ -77,7 +77,6 @@ class SDag:
         self.facts = facts
         self.genesis_id = GENESIS_ID
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
-        self._class: dict[bytes, BlockClass] = {}
         self._unreferenced: set[bytes] = set()
         # milestone tree
         self.ms_parent: dict[bytes, Optional[bytes]] = {GENESIS_ID: None}
@@ -98,7 +97,7 @@ class SDag:
 
     def block_class(self, bid: bytes) -> Optional[BlockClass]:
         """Hash-band class of a stored block; None for the genesis."""
-        return self._class.get(bid)
+        return self.facts.verdicts[bid][0] if bid in self.blocks and bid != GENESIS_ID else None
 
     def height(self) -> int:
         return self.ms_height[self.main_chain[-1]]
@@ -138,13 +137,14 @@ class SDag:
             target = self.blocks[block.idp]
             if target.peer != block.peer:
                 return Violation(ViolationKind.PEER_RULE, "idp targets another miner's block")
+        # a stored block other than the genesis has a verdict in the table
         if block.idt != self.genesis_id:
-            if self._class.get(block.idt) is not BlockClass.REGULAR:
+            if self.facts.verdicts[block.idt][0] is not BlockClass.REGULAR:
                 return Violation(ViolationKind.TIP_RULE, "idt target is not regular-class")
             if self.blocks[block.idt].peer == block.peer:
                 return Violation(ViolationKind.TIP_RULE, "idt targets the same miner")
         if block.idm != self.genesis_id:
-            if self._class.get(block.idm) is not BlockClass.MILESTONE:
+            if self.facts.verdicts[block.idm][0] is not BlockClass.MILESTONE:
                 return Violation(ViolationKind.MS_RULE, "idm target is not milestone-class")
         if bid in self._refs(block):
             return Violation(ViolationKind.CYCLE, "block references itself")
@@ -176,7 +176,6 @@ class SDag:
         if v is not None:
             return v
         self.blocks[bid] = block
-        self._class[bid] = cls
         self._unreferenced.add(bid)
         self._unreferenced.difference_update(self._refs(block))
         if cls is BlockClass.MILESTONE:
@@ -281,7 +280,7 @@ class SDag:
         return {
             bid
             for bid in self._unreferenced
-            if self._class.get(bid) is BlockClass.REGULAR and self.blocks[bid].peer != miner
+            if self.facts.verdicts[bid][0] is BlockClass.REGULAR and self.blocks[bid].peer != miner
         }
 
     # -- serialization ---------------------------------------------------

@@ -64,10 +64,12 @@ class RewardRecord:
 class Claim(NamedTuple):
     """What the chain looked like just before one claim: the previous
     claim's position (None for the first) and the payout address in force
-    (None before the registration)."""
+    (None before the registration); and whether the claim is a redemption
+    signed with that address's key."""
 
     prev: Optional[int]
     address: Optional[bytes]
+    signed: bool
 
 
 @dataclass
@@ -185,8 +187,8 @@ def _witness_parts(witness: bytes) -> Optional[tuple[bytes, bytes]]:
     return witness[:WITNESS_PUB_BYTES], witness[WITNESS_PUB_BYTES:]
 
 
-def _redemption_sig_ok(tx: Transaction, address: Optional[bytes], scheme: SignatureScheme) -> bool:
-    if address is None or not tx.inputs:
+def _redemption_sig_ok(tx: Transaction, address: bytes, scheme: SignatureScheme) -> bool:
+    if not tx.inputs:
         return False
     parts = _witness_parts(tx.inputs[0].witness)
     if parts is None:
@@ -212,7 +214,8 @@ def resolve_peer_chain(
     higher than its parent, so the best-scoring block is a leaf, and leaf
     ids are unique, so the winner does not depend on enumeration order.
     The view records each chain block's position and, for each claim, the
-    previous claim position and the payout address in force before it."""
+    previous claim position, the payout address in force before it and
+    whether the walk found the claim validly signed."""
     # walk state after a block: (registered, valid claims, coverage, length,
     # payout address); the first four are the score, then the block id
     walks: dict[bytes, tuple[bool, int, int, int, Optional[bytes]]] = {}
@@ -252,14 +255,16 @@ def resolve_peer_chain(
     position: dict[bytes, int] = {}
     claims_at: dict[int, Claim] = {}
     prev_claim: Optional[int] = None
-    address_before: Optional[bytes] = None
+    before: tuple[bool, int, int, int, Optional[bytes]] = (False, 0, 0, 0, None)
     for pos, bid in enumerate(blocks):
         position[bid] = pos
+        walk = walks[bid]
         kind = sdag.blocks[bid].mes.kind
         if kind is TxKind.REDEMPTION or (pos == 0 and kind is TxKind.REGISTRATION):
-            claims_at[pos] = Claim(prev_claim, address_before)
+            # the walk counts a claim only when it is validly signed
+            claims_at[pos] = Claim(prev_claim, before[4], walk[1] > before[1])
             prev_claim = pos
-        address_before = walks[bid][4]
+        before = walk
     registered, _, _, _, address = walks[best]
     forked = set(walks).difference(position)
     return PeerChainView(miner, blocks, registered, address, forked, position, claims_at)
@@ -316,19 +321,24 @@ def genesis_utxo(outputs: Sequence[tuple[int, bytes]]) -> dict[Outpoint, tuple[i
     return {Outpoint(GENESIS_ID, i): out for i, out in enumerate(outputs)}
 
 
-def _verify_normal(tx: Transaction, ledger: Ledger, scheme: SignatureScheme) -> tuple[bool, int, str]:
+def verify_normal(
+    tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]], scheme: SignatureScheme
+) -> tuple[bool, int, str]:
+    """Judge a normal transaction against a UTXO set: distinct unspent
+    inputs, each signed by its owner's key, that cover the outputs.
+    Returns (valid, fee, reason for a rejection)."""
     spent: set[Outpoint] = set()
     total_in = 0
     digest = sighash(tx)
     for inp in tx.inputs:
         op = Outpoint(inp.txid, inp.index)
-        if op in spent or op not in ledger.utxo:
+        if op in spent or op not in utxo:
             return False, 0, "input not in utxo"
         parts = _witness_parts(inp.witness)
         if parts is None:
             return False, 0, "malformed witness"
         public, sig = parts
-        value, address = ledger.utxo[op]
+        value, address = utxo[op]
         if scheme.address(public) != address or not scheme.verify(public, digest, sig):
             return False, 0, "bad signature"
         spent.add(op)
@@ -350,39 +360,34 @@ def _fold_tx(
     tx: Transaction,
     ob: OrderedBlock,
     scheme: SignatureScheme,
-    context: Optional[_PeerChainContext] = None,
+    context: Optional[_PeerChainContext],
 ) -> tuple[bool, int]:
     """Judge one transaction, apply it if accepted and append its entry;
-    return (accepted, fee).  Without a `context` a registration is accepted
-    and a redemption rejected; with one a registration counts only at
-    position 0 of the peer chain and a redemption must pass
-    `validate_redemption`."""
+    return (accepted, fee).  A normal transaction must pass `verify_normal`;
+    a registration counts only at position 0 of its miner's peer chain and
+    a redemption must pass `validate_redemption`, so those two need the
+    `context` that only `build_from_dag` has."""
     txid = tx.txid()
     accepted, fee, reason = False, 0, ""
     if txid in ledger.accepted_ids:
         reason = "duplicate"
     elif tx.kind is TxKind.NORMAL:
-        accepted, fee, reason = _verify_normal(tx, ledger, scheme)
+        accepted, fee, reason = verify_normal(tx, ledger.utxo, scheme)
         if accepted:
             for inp in tx.inputs:
                 del ledger.utxo[Outpoint(inp.txid, inp.index)]
             for j, out in enumerate(tx.outputs):
                 ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
     elif tx.kind is TxKind.REGISTRATION:
-        accepted = context is None or context.view.position.get(ob.block_id) == 0
+        accepted = context.view.position.get(ob.block_id) == 0
         reason = "" if accepted else "not the canonical registration"
     elif tx.kind is TxKind.REDEMPTION:
-        if context is None:
-            reason = "no redemption context"
-        else:
-            try:
-                payout = validate_redemption(
-                    context.sdag, context.view, ob.block_id, context.rewards, scheme
-                )
-                ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
-                accepted = True
-            except RedemptionError as exc:
-                reason = str(exc)
+        try:
+            payout = validate_redemption(context.sdag, context.view, ob.block_id, context.rewards)
+            ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
+            accepted = True
+        except RedemptionError as exc:
+            reason = str(exc)
     if accepted:
         ledger.accepted_ids.add(txid)
     ledger.entries.append(
@@ -397,17 +402,20 @@ def build_ledger(
     scheme: SignatureScheme = DEFAULT_SCHEME,
     into: Optional[Ledger] = None,
 ) -> Ledger:
-    """Fold an ordered transaction sequence through the UTXO recurrence.
+    """Fold an ordered sequence of normal transactions through the UTXO
+    recurrence.
 
     First-seen wins among conflicting spends; rejected transactions leave
-    the state untouched.  A redemption needs the resolved peer chains and
-    settled rewards that only `build_from_dag` has, so here it is always
-    rejected with reason "no redemption context".  Pass `into` to extend an
-    existing ledger incrementally.
+    the state untouched.  Any other kind raises ValueError: a registration
+    or redemption is judged on its miner's peer chain, which only
+    `build_from_dag` resolves.  Pass `into` to extend an existing ledger
+    incrementally.
     """
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs)) if into is None else into
     for tx, ob in ordered:
-        _fold_tx(ledger, tx, ob, scheme)
+        if tx.kind is not TxKind.NORMAL:
+            raise ValueError(f"a {tx.kind.name} is judged by build_from_dag, not build_ledger")
+        _fold_tx(ledger, tx, ob, scheme, None)
     return ledger
 
 
@@ -484,25 +492,25 @@ def validate_redemption(
     view: PeerChainView,
     block_id: bytes,
     rewards: dict[bytes, RewardRecord],
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> bytes:
     """Check one redemption block on a resolved chain against the rewards
     settled so far and return its payout address: the address declared
-    before it, whose key must have signed it.  Raises RedemptionError
-    (BadSignature or WrongAmount for a signed claim that fails)."""
+    before it, whose key must have signed it (`resolve_peer_chain` checked
+    the signature and recorded the verdict in the claim).  Raises
+    RedemptionError (BadSignature or WrongAmount for a claim that fails)."""
     pos = view.position.get(block_id)
     if pos is None:
         raise RedemptionError("block not on the canonical peer chain")
     tx = sdag.blocks[block_id].mes
     if tx.kind is not TxKind.REDEMPTION:
         raise RedemptionError("not a redemption block")
-    address = view.claims[pos].address
-    if address is None or not _redemption_sig_ok(tx, address, scheme):
+    claim = view.claims[pos]
+    if not claim.signed:
         raise BadSignature("signature does not match declared address")
     expected = _accrued_span(view, pos, rewards)
     if expected is None or tx.reward_claim != expected:
         raise WrongAmount(expected if expected is not None else -1, tx.reward_claim or 0)
-    return address
+    return claim.address
 
 
 def ledger_csv(build: LedgerBuild) -> str:

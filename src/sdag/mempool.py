@@ -36,8 +36,7 @@ class HashPowerEstimate:
 
 
 class Mempool:
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity
+    def __init__(self):
         self.entries: dict[bytes, PoolEntry] = {}
 
     def __len__(self) -> int:
@@ -51,8 +50,6 @@ class Mempool:
         the pool changed."""
         txid = tx.txid()
         if txid in self.entries:
-            return False
-        if self.capacity is not None and len(self.entries) >= self.capacity:
             return False
         self.entries[txid] = PoolEntry(tx, now, fee)
         return True

@@ -8,8 +8,8 @@ checked on receive; conflicts are resolved when the DAG is folded into a
 ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
-of another peer; pick the best workable transaction that is compatible
-with the ledger at the current tip; mine; publish.
+of another peer; pick the best workable transaction that the fold would
+accept against the UTXO set at the current tip; mine; publish.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     mine,
 )
 from .dag import DagFacts, SDag
-from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo
+from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo, verify_normal
 from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
@@ -38,25 +38,22 @@ DEFAULT_MINE_BUDGET = 1 << 20
 
 
 class LevelDelta(NamedTuple):
-    """The net change one main-chain level set makes to the node ledger at
-    its parent milestone: the outputs it spends (with their values, so the
-    change can be undone), the outputs it creates, the txids it accepts."""
+    """The net change the normal transactions of one main-chain level set
+    make to the UTXO set at its parent milestone: the outputs spent (with
+    their values, so the change can be undone) and the outputs created."""
 
     spent: dict[Outpoint, tuple[int, bytes]]
     created: dict[Outpoint, tuple[int, bytes]]
-    accepted: frozenset[bytes]
 
-    def apply(self, ledger: Ledger) -> None:
+    def apply(self, utxo: dict[Outpoint, tuple[int, bytes]]) -> None:
         for op in self.spent:
-            del ledger.utxo[op]
-        ledger.utxo.update(self.created)
-        ledger.accepted_ids.update(self.accepted)
+            del utxo[op]
+        utxo.update(self.created)
 
-    def undo(self, ledger: Ledger) -> None:
+    def undo(self, utxo: dict[Outpoint, tuple[int, bytes]]) -> None:
         for op in self.created:
-            del ledger.utxo[op]
-        ledger.utxo.update(self.spent)
-        ledger.accepted_ids.difference_update(self.accepted)
+            del utxo[op]
+        utxo.update(self.spent)
 
 
 class SharedFacts:
@@ -116,37 +113,35 @@ class NodeState:
         self.orphan_cap = orphan_cap
         self.mining_attempts = 0
         self.rejected_blocks = 0
-        # ledger at the main-chain tip (utxo and accepted ids, no entries),
-        # moved between chains by applying and undoing shared level deltas
+        # UTXO set at the main-chain tip, moved between chains by applying
+        # and undoing shared level deltas
         self.level_deltas = shared.level_deltas
         self._cache_chain: list[bytes] = [GENESIS_ID]
-        self._cache = Ledger(utxo=dict(shared.genesis_utxo))
+        self._utxo = dict(shared.genesis_utxo)
 
-    # -- ledger cache ----------------------------------------------------
+    # -- UTXO set at the tip ---------------------------------------------
 
     def _fold_level(self, k: int) -> LevelDelta:
-        """Fold main-chain level k with build_ledger's rules onto the cache
-        (at level k-1) and return the net change, leaving the cache as it
-        is.  The fold reads only the level's own inputs and txids, so it
-        runs on a scratch ledger holding just those."""
+        """Fold the normal transactions of main-chain level k with
+        build_ledger onto the UTXO set at level k-1 and return the net
+        change, leaving the set as it is.  The fold reads only the level's
+        own inputs (a transaction accepted before has spent its inputs), so
+        it runs on a scratch ledger holding just those."""
         items = []
         for bid in dfs_order(self.sdag, self.sdag.main_chain[k]):
             tx = self.sdag.blocks[bid].mes
-            if tx.kind is not TxKind.EMPTY:
+            if tx.kind is TxKind.NORMAL:
                 items.append((tx, OrderedBlock(bid, k)))
-        utxo = self._cache.utxo
+        utxo = self._utxo
         inputs = dict.fromkeys(Outpoint(i.txid, i.index) for tx, _ob in items for i in tx.inputs)
         before = {op: utxo[op] for op in inputs if op in utxo}
-        known = {tx.txid() for tx, _ob in items} & self._cache.accepted_ids
-        scratch = Ledger(utxo=dict(before), accepted_ids=set(known))
-        build_ledger(items, scheme=self.scheme, into=scratch)
+        scratch = build_ledger(items, scheme=self.scheme, into=Ledger(utxo=dict(before)))
         return LevelDelta(
             spent={op: v for op, v in before.items() if op not in scratch.utxo},
             created={op: v for op, v in scratch.utxo.items() if op not in before},
-            accepted=frozenset(scratch.accepted_ids - known),
         )
 
-    def _refresh_ledger_cache(self) -> None:
+    def _refresh_utxo(self) -> None:
         chain = self.sdag.main_chain
         old = self._cache_chain
         # both are root paths of the milestone tree: equal at a height means
@@ -157,35 +152,27 @@ class NodeState:
         fork += 1
         # chain switch: undo the abandoned levels back to the fork point
         for ms in reversed(old[fork:]):
-            self.level_deltas[ms].undo(self._cache)
+            self.level_deltas[ms].undo(self._utxo)
         for k in range(fork, len(chain)):
             delta = self.level_deltas.get(chain[k])
             if delta is None:
                 delta = self.level_deltas[chain[k]] = self._fold_level(k)
-            delta.apply(self._cache)
+            delta.apply(self._utxo)
         self._cache_chain = chain  # a chain switch assigns a new list
 
     @property
-    def ledger_cache(self) -> Ledger:
-        """The ledger at the main-chain tip; `entries` is not kept."""
+    def tip_utxo(self) -> dict[Outpoint, tuple[int, bytes]]:
+        """The UTXO set of the ledger at the main-chain tip."""
         if self._cache_chain[-1] != self.sdag.chain_tip():
-            self._refresh_ledger_cache()
-        return self._cache
+            self._refresh_utxo()
+        return self._utxo
 
     def tx_compatible(self, tx: Transaction) -> bool:
-        """Inputs unspent in the ledger at the current tip, and not a
-        transaction that ledger already contains."""
-        cache = self.ledger_cache
-        if tx.txid() in cache.accepted_ids:
-            return False
-        if tx.kind is TxKind.NORMAL:
-            seen = set()
-            for inp in tx.inputs:
-                op = (inp.txid, inp.index)
-                if op in seen or op not in cache.utxo:
-                    return False
-                seen.add(op)
-        return True
+        """Whether the fold would accept `tx` appended to the ledger at the
+        tip: a normal transaction `verify_normal` accepts against the tip's
+        UTXO set.  A registration or redemption counts only on its own
+        miner's peer chain, so it is never compatible."""
+        return tx.kind is TxKind.NORMAL and verify_normal(tx, self.tip_utxo, self.scheme)[0]
 
     # -- receive path ----------------------------------------------------
 

@@ -198,6 +198,54 @@ def test_analyze_depth(capsys):
     )
 
 
+THETA = {"--c": "0.01", "--mu": "1.2", "--tbar": "1.6666666667"}
+W1 = {"--lam": "1000", "--n": "1000", "--mu": "1.2", "--c": "0.01", "--tbar": "1.6666666667"}
+W2 = {"--n": "1000", "--p": str(1 / 12000), "--mu": "1.2"}
+FRACTION = {"--pnmu": "0.1", "--t0": "2"}
+DEPTH = {"--share": "0.1", "--fraction": "0.928", "--risk": "0.001"}
+
+
+def analyze_with(capsys, command, flags, flag, value):
+    """Exit code of `analyze command` with one flag changed; an input error
+    prints only its message."""
+    argv = ["analyze", command]
+    for key, default in flags.items():
+        argv += [key, value if key == flag else default]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == EXIT_BAD_INPUT:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    return code
+
+
+@pytest.mark.parametrize("flag, value", [("--c", "inf"), ("--c", "nan"), ("--tbar", "inf")])
+def test_analyze_theta_rejects_unusable_input(capsys, flag, value):
+    assert analyze_with(capsys, "theta", THETA, flag, value) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--c", "0"), ("--n", "0"), ("--n", "-3"), ("--lam", "0"), ("--lam", "nan"), ("--mu", "0")],
+)
+def test_analyze_w1_rejects_unusable_input(capsys, flag, value):
+    assert analyze_with(capsys, "w1", W1, flag, value) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("flag, value", [("--mu", "0"), ("--mu", "nan"), ("--p", "inf")])
+def test_analyze_w2_rejects_unusable_input(capsys, flag, value):
+    assert analyze_with(capsys, "w2", W2, flag, value) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_analyze_fraction_rejects_unusable_input(capsys, value):
+    assert analyze_with(capsys, "fraction", FRACTION, "--pnmu", value) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5"])
+def test_analyze_depth_rejects_unusable_input(capsys, value):
+    assert analyze_with(capsys, "depth", DEPTH, "--share", value) == EXIT_BAD_INPUT
+
+
 def test_analyze_secure_csv(tmp_path):
     out = tmp_path / "secure.csv"
     rc = main(

@@ -246,9 +246,9 @@ def test_redemption_happy_path(chain):
     assert build.ledger.utxo[(red.txid(), 0)] == (accrued, A_ADDR)
     view = build.peer_views[A_ADDR]
     assert validate_redemption(chain.sdag, view, red_block, build.rewards) == A_ADDR
-    # without resolved peer chains the plain fold rejects every redemption
-    plain = build_ledger([(red, OrderedBlock(red_block, 1))])
-    assert [(e.accepted, e.reason) for e in plain.entries] == [(False, "no redemption context")]
+    # the plain fold has no peer chains to judge a redemption on
+    with pytest.raises(ValueError, match="build_from_dag"):
+        build_ledger([(red, OrderedBlock(red_block, 1))])
 
 
 def test_redemption_wrong_amount_rejected(chain):
@@ -320,10 +320,10 @@ def test_unsigned_longer_branch_loses_to_redeemed_chain(chain):
 
 
 def test_build_from_dag_judges_normal_txs_like_build_ledger():
-    """Over the same order the two folds agree on every normal transaction
-    and its duplicates and, without redemptions, on the UTXO set; only a
-    registration's verdict may differ, as build_from_dag alone knows the
-    peer chains."""
+    """build_ledger over the normal transactions in ledger order gives each
+    the verdict build_from_dag gives it and, without redemptions, the same
+    UTXO set; a registration is accepted only at the start of its miner's
+    peer chain, which build_from_dag alone knows."""
     genesis = tuple((2, U_ADDR) for _ in range(12))
     reasons = set()
     late_registrations = 0
@@ -333,16 +333,16 @@ def test_build_from_dag_judges_normal_txs_like_build_ledger():
         sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=payloads)
         build = build_from_dag(sdag, RANDOM_PARAMS, genesis)
         ordered = [(sdag.blocks[ob.block_id].mes, ob) for ob in iter_ordered_blocks(sdag)]
-        plain = build_ledger([(tx, ob) for tx, ob in ordered if tx.kind is not TxKind.EMPTY], genesis)
-        assert len(build.ledger.entries) == len(plain.entries)
-        for got, want in zip(build.ledger.entries, plain.entries):
-            slot = (got.txid, got.block_id, got.level_index, got.position)
-            assert slot == (want.txid, want.block_id, want.level_index, want.position)
+        plain = build_ledger([(tx, ob) for tx, ob in ordered if tx.kind is TxKind.NORMAL], genesis)
+        normal = [e for e in build.ledger.entries if sdag.blocks[e.block_id].mes.kind is TxKind.NORMAL]
+        assert len(normal) == len(plain.entries)
+        for got, want in zip(normal, plain.entries):
+            slot = (got.txid, got.block_id, got.level_index, got.accepted, got.reason)
+            assert slot == (want.txid, want.block_id, want.level_index, want.accepted, want.reason)
+            reasons.add(got.reason)
+        for got in build.ledger.entries:
             block = sdag.blocks[got.block_id]
-            if block.mes.kind is TxKind.NORMAL:
-                assert (got.accepted, got.reason) == (want.accepted, want.reason)
-                reasons.add(got.reason)
-            elif block.mes.kind is TxKind.REGISTRATION:
+            if block.mes.kind is TxKind.REGISTRATION:
                 at_start = build.peer_views[block.peer].position.get(got.block_id) == 0
                 assert not got.accepted or at_start
                 late_registrations += not at_start
@@ -427,7 +427,9 @@ def oracle_view(sdag, miner):
     claims = {}
     for i, pos in enumerate(positions):
         _, _, before, reg_before = oracle_walk(sdag, best[:pos])
-        claims[pos] = (positions[i - 1] if i else None, before if reg_before else None)
+        tx = sdag.blocks[best[pos]].mes
+        signed = tx.kind is TxKind.REDEMPTION and reg_before and oracle_sig_ok(tx, before)
+        claims[pos] = (positions[i - 1] if i else None, before if reg_before else None, signed)
     return best, registered, address, mine - set(best), claims, paths
 
 
@@ -474,7 +476,11 @@ def random_forest(rng):
 def test_resolve_peer_chain_matches_path_enumeration():
     rng = random.Random(2024)
     seen = dict.fromkeys(
-        ("two roots", "late registration", "valid claim", "wrong key", "moved address", "tie"), 0
+        (
+            "two roots", "late registration", "valid claim", "wrong key", "moved address", "tie",
+            "signed on chain", "unsigned on chain",
+        ),
+        0,
     )
     for _ in range(300):
         sdag = random_forest(rng)
@@ -490,6 +496,9 @@ def test_resolve_peer_chain_matches_path_enumeration():
             assert view.forked == forked
             assert view.position == {bid: i for i, bid in enumerate(blocks)}
             assert view.claims == claims
+            for pos, claim in view.claims.items():
+                if sdag.blocks[blocks[pos]].mes.kind is TxKind.REDEMPTION:
+                    seen["signed on chain" if claim.signed else "unsigned on chain"] += 1
             # what this forest exercised
             keys = sorted((oracle_key(sdag, p) for p in paths), reverse=True)
             seen["tie"] += len(keys) > 1 and keys[0] == keys[1]

@@ -40,13 +40,6 @@ def test_add_remove_contains():
     assert pool.remove_tx(tx.txid()) is None
 
 
-def test_capacity_cap():
-    pool = Mempool(capacity=2)
-    assert pool.add_tx(normal_tx(0), 0.0)
-    assert pool.add_tx(normal_tx(1), 0.0)
-    assert not pool.add_tx(normal_tx(2), 0.0)
-
-
 def test_workable_threshold_and_order():
     pool = Mempool()
     txs = [normal_tx(i) for i in range(40)]

@@ -18,7 +18,7 @@ from sdag.core import (
     sha256,
     sighash,
 )
-from sdag.ledger import OrderedBlock, build_from_dag, build_ledger, dfs_order
+from sdag.ledger import Ledger, OrderedBlock, Outpoint, build_from_dag, build_ledger, dfs_order
 from sdag.mempool import estimate_power, power_share
 from sdag.node import NodeState, SharedFacts
 from sdag.sigs import DEFAULT_SCHEME
@@ -37,14 +37,17 @@ def make_node(tag, seed=0):
     return NodeState(PARAMS, secret=sha256(tag), seed=seed, genesis_outputs=GENESIS_OUTPUTS)
 
 
+def signed_tx(indices, value, secret=U_SECRET):
+    """A normal tx paying `value` to the user from the genesis outputs at
+    `indices`, every input signed with `secret`'s key."""
+    outputs = (TxOutput(value, U_ADDR),)
+    bare = Transaction(TxKind.NORMAL, tuple(TxInput(GENESIS_ID, i, b"") for i in indices), outputs)
+    witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
+    return Transaction(TxKind.NORMAL, tuple(TxInput(GENESIS_ID, i, witness) for i in indices), outputs)
+
+
 def user_tx(i, fee=1):
-    bare = Transaction(
-        TxKind.NORMAL,
-        inputs=(TxInput(GENESIS_ID, i, b""),),
-        outputs=(TxOutput(2 - fee, U_ADDR),),
-    )
-    witness = U_PUB + DEFAULT_SCHEME.sign(U_SECRET, sighash(bare))
-    return Transaction(TxKind.NORMAL, inputs=(TxInput(GENESIS_ID, i, witness),), outputs=bare.outputs)
+    return signed_tx((i,), 2 - fee)
 
 
 def test_first_block_is_registration():
@@ -84,6 +87,54 @@ def test_spent_tx_not_repicked():
     # it), so compatibility is judged against the confirmed ledger only
     nxt = node.create_block()
     assert nxt.mes.kind in (TxKind.NORMAL, TxKind.EMPTY)
+
+
+COMPAT_SECRET = sha256(b"compat")
+
+
+@pytest.fixture(scope="module")
+def spent_node():
+    """A node whose ledger at the tip has accepted user_tx(0)."""
+    node = NodeState(PARAMS, secret=COMPAT_SECRET, seed=5, genesis_outputs=GENESIS_OUTPUTS)
+    node.create_block()  # registration
+    node.on_tx(user_tx(0), fee=1)
+    for _ in range(200):  # until a milestone confirms the spend
+        if Outpoint(GENESIS_ID, 0) not in node.tip_utxo:
+            break
+        node.create_block()
+    assert Outpoint(GENESIS_ID, 0) not in node.tip_utxo
+    return node
+
+
+def test_tx_compatible_checks_inputs(spent_node):
+    assert spent_node.tx_compatible(user_tx(1))
+    assert spent_node.tx_compatible(signed_tx((2, 3), 4))
+    assert not spent_node.tx_compatible(user_tx(0))  # already in the ledger
+    assert not spent_node.tx_compatible(user_tx(0, fee=0))  # another spend of its input
+    assert not spent_node.tx_compatible(signed_tx((2, 2), 1))  # one input named twice
+
+
+def redemption_by(secret):
+    public = DEFAULT_SCHEME.derive_public(secret)
+    address = DEFAULT_SCHEME.address(public)
+    bare = Transaction(TxKind.REDEMPTION, (TxInput(bytes(32), 0, b""),), reward_claim=1, next_address=address)
+    witness = public + DEFAULT_SCHEME.sign(secret, sighash(bare))
+    return Transaction(TxKind.REDEMPTION, (TxInput(bytes(32), 0, witness),), reward_claim=1, next_address=address)
+
+
+@pytest.mark.parametrize(
+    "tx",
+    [
+        signed_tx((2,), 1, secret=sha256(b"thief")),
+        signed_tx((2,), 3),  # outputs exceed inputs
+        # these two count only on their own miner's peer chain
+        Transaction(TxKind.REGISTRATION, next_address=U_ADDR),
+        redemption_by(COMPAT_SECRET),
+    ],
+    ids=["bad-signature", "overspend", "registration", "redemption"],
+)
+def test_tx_compatible_rejects_what_the_fold_rejects(spent_node, tx):
+    assert not spent_node.tx_compatible(tx)
 
 
 def node_view(node):
@@ -240,33 +291,47 @@ def test_tip_reference_prefers_other_miner():
 
 
 def scratch_fold(sdag, genesis_outputs):
-    """The node ledger by its definition, build_ledger over the whole main
-    chain from genesis, and each level's net change as seen in that fold."""
+    """The node's UTXO set by its definition, build_ledger over the normal
+    transactions of the whole main chain from genesis, and each level's net
+    change as seen in that fold."""
     ledger = build_ledger([], genesis_outputs)
     deltas = {}
     for k, ms in enumerate(sdag.main_chain[1:], start=1):
-        utxo, ids = dict(ledger.utxo), set(ledger.accepted_ids)
+        utxo = dict(ledger.utxo)
         items = []
         for bid in dfs_order(sdag, ms):
             tx = sdag.blocks[bid].mes
-            if tx.kind is not TxKind.EMPTY:
+            if tx.kind is TxKind.NORMAL:
                 items.append((tx, OrderedBlock(bid, k)))
         build_ledger(items, scheme=DEFAULT_SCHEME, into=ledger)
         deltas[ms] = (
             {op: v for op, v in utxo.items() if op not in ledger.utxo},
             {op: v for op, v in ledger.utxo.items() if op not in utxo},
-            ledger.accepted_ids - ids,
         )
     return ledger, deltas
 
 
+def appended_verdict(ledger, tx):
+    """build_ledger's verdict on `tx` appended to `ledger`, which stays as
+    it is."""
+    copy = Ledger(utxo=dict(ledger.utxo), accepted_ids=set(ledger.accepted_ids))
+    entry = build_ledger([(tx, OrderedBlock(GENESIS_ID, 0))], into=copy).entries[-1]
+    return entry.accepted, entry.reason
+
+
 def test_shared_level_deltas_match_scratch_fold():
+    """At every state of two nodes receiving a random DAG in different
+    orders: the UTXO set at the tip and every shared level delta equal a
+    fold from genesis, and tx_compatible gives each normal transaction of
+    the DAG the verdict that fold gives it appended after the main chain."""
     genesis = tuple((2, U_ADDR) for _ in range(12))
     switches = 0
     reasons = set()
+    compat_reasons = set()
     for seed in range(8):
         rng = random.Random(seed)
         sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=RandomPayloads(len(genesis), U_SECRET))
+        normal = {b.mes.txid(): b.mes for b in sdag.blocks.values() if b.mes.kind is TxKind.NORMAL}
         in_order = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
         shuffled = in_order[:]
         rng.shuffle(shuffled)
@@ -283,11 +348,13 @@ def test_shared_level_deltas_match_scratch_fold():
                 if node.sdag.main_chain[: len(before)] != before:
                     switches += 1
                 expect, deltas = scratch_fold(node.sdag, genesis)
-                got = node.ledger_cache
-                assert got.utxo == expect.utxo
-                assert got.accepted_ids == expect.accepted_ids
+                assert node.tip_utxo == expect.utxo
                 for ms, delta in deltas.items():
                     assert table[ms] == delta
+                for tx in normal.values():
+                    accepted, reason = appended_verdict(expect, tx)
+                    assert node.tx_compatible(tx) == accepted
+                    compat_reasons.add(reason)
                 # the peer count shared per tip gives estimate_power's share
                 assert node._estimated_q() == estimate_power(node.sdag, node.identity).q
                 counts = shared.power[node.sdag.chain_tip()]
@@ -297,9 +364,12 @@ def test_shared_level_deltas_match_scratch_fold():
         assert nodes[0].sdag.height() == nodes[1].sdag.height() == sdag.height()
         assert set(table) <= {bid for bid in sdag.blocks if sdag.block_class(bid) is BlockClass.MILESTONE}
         reasons |= {e.reason for e in expect.entries}
-    # the DAGs exercise chain switches and every rejection the fold makes
+    # the DAGs exercise chain switches and every rejection the fold makes,
+    # and tx_compatible meets each verdict
     assert switches >= 8
-    assert {"", "duplicate", "input not in utxo", "bad signature", "outputs exceed inputs"} <= reasons
+    every = {"", "duplicate", "input not in utxo", "bad signature", "outputs exceed inputs"}
+    assert every <= reasons
+    assert every <= compat_reasons
 
 
 def test_lone_node_keeps_a_private_delta_table():
