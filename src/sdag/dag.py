@@ -156,7 +156,8 @@ class SDag:
         """Add a checked block; duplicate insert is a no-op.  Returns the
         violation if the block is invalid, else None."""
         bid = block_id(block)
-        if bid in self.blocks:
+        blocks = self.blocks
+        if bid in blocks:
             return None
         fact = self.facts.verdicts.get(bid)
         if fact is None:
@@ -169,22 +170,26 @@ class SDag:
             # the stored verdict holds once the parents are here; bad pow
             # is reported before missing parents, as _check does
             cls, v = fact
-            if cls is not BlockClass.INVALID:
-                missing = self._missing(block)
-                if missing is not None:
-                    return missing
+            if cls is not BlockClass.INVALID and not (
+                block.idp in blocks and block.idm in blocks and block.idt in blocks
+            ):
+                return self._missing(block)
         if v is not None:
             return v
-        self.blocks[bid] = block
-        self._unreferenced.add(bid)
-        self._unreferenced.difference_update(self._refs(block))
+        blocks[bid] = block
+        unreferenced = self._unreferenced
+        unreferenced.add(bid)
+        unreferenced.discard(block.idp)
+        unreferenced.discard(block.idm)
+        unreferenced.discard(block.idt)
         if cls is BlockClass.MILESTONE:
             parent = block.idm
+            height = self.ms_height[parent] + 1
             self.ms_parent[bid] = parent
-            self.ms_height[bid] = self.ms_height[parent] + 1
+            self.ms_height[bid] = height
             self.ms_children[bid] = []
             self.ms_children[parent].append(bid)
-            if self.ms_height[bid] > self.height():
+            if height > self.height():
                 self._switch_to(bid)
         return None
 

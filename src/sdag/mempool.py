@@ -8,12 +8,13 @@ rarely two miners can work the same transaction.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx, sha256
+from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
 
 # wide enough that per-miner counts are ~20 at desk scale; narrower windows
@@ -21,11 +22,18 @@ from .dag import SDag
 DEFAULT_POWER_WINDOW = 100
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PoolEntry:
+    """A pending transaction, its arrival time and its fee.  Immutable, so
+    one entry can sit in many pools at once."""
+
     tx: Transaction
     arrived: float
     fee: int
+
+
+# the largest 32-byte digest: every digest is at or below it
+_TOP_DIGEST = b"\xff" * HASH_BYTES
 
 
 @dataclass
@@ -45,13 +53,13 @@ class Mempool:
     def __contains__(self, txid: bytes) -> bool:
         return txid in self.entries
 
-    def add_tx(self, tx: Transaction, now: float, fee: int = 0) -> bool:
-        """Add a transaction; duplicate adds are no-ops.  Returns True if
-        the pool changed."""
-        txid = tx.txid()
+    def add(self, entry: PoolEntry) -> bool:
+        """Add an entry, which may be shared with other pools; duplicate
+        adds are no-ops.  Returns True if the pool changed."""
+        txid = entry.tx.txid()
         if txid in self.entries:
             return False
-        self.entries[txid] = PoolEntry(tx, now, fee)
+        self.entries[txid] = entry
         return True
 
     def remove_tx(self, txid: bytes) -> Optional[PoolEntry]:
@@ -68,15 +76,20 @@ class Mempool:
             return []
         if len(head_id) != HASH_BYTES:
             raise ValueError("head id must be 32 bytes")
-        # tx_distance(head, tx) = N / 2**256 for the integer digest N, so
-        # distance <= cq  <=>  N <= floor(cq * 2**256), and N orders as the
-        # distance does
-        limit = (cq.numerator << SCALE_BITS) // cq.denominator
+        # tx_distance(head, tx) = N / 2**256 for the digest N read as a
+        # big-endian integer, so distance <= cq  <=>  N <= floor(cq * 2**256);
+        # 32-byte big-endian digests compare and sort as their integers do,
+        # and from cq = 1 on the bound is above every digest
+        if cq >= 1:
+            limit = _TOP_DIGEST
+        else:
+            limit = ((cq.numerator << SCALE_BITS) // cq.denominator).to_bytes(HASH_BYTES, "big")
+        sha = hashlib.sha256
         hits = []
         for txid, entry in self.entries.items():
-            n = int.from_bytes(sha256(head_id + encode_tx(entry.tx)), "big")
-            if n <= limit:
-                hits.append((-entry.fee, n, txid))
+            digest = sha(head_id + encode_tx(entry.tx)).digest()
+            if digest <= limit:
+                hits.append((-entry.fee, digest, txid))
         hits.sort()
         return [txid for _, _, txid in hits]
 

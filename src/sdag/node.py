@@ -30,7 +30,7 @@ from .core import (
 )
 from .dag import DagFacts, SDag
 from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo, verify_normal
-from .mempool import Mempool, power_counts, power_share
+from .mempool import Mempool, PoolEntry, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
 DEFAULT_ORPHAN_CAP = 10_000
@@ -178,11 +178,11 @@ class NodeState:
 
     def on_receive_block(self, block: Block) -> None:
         bid = block_id(block)
-        if bid in self.sdag or bid in self.orphan_blocks:
-            return
         stored = self.sdag.blocks
+        if bid in stored or bid in self.orphan_blocks:
+            return
         if block.idp in stored and block.idm in stored and block.idt in stored:
-            if self._try_insert(block):
+            if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
             return
         if len(self.orphan_blocks) >= self.orphan_cap:
@@ -230,8 +230,10 @@ class NodeState:
                 if self._try_insert(block):
                     queue.append(bid)
 
-    def on_tx(self, tx: Transaction, now: float = 0.0, fee: int = 0) -> None:
-        self.mempool.add_tx(tx, now, fee)
+    def on_tx(self, entry: PoolEntry) -> None:
+        """Add a pending transaction; the entry may be shared with other
+        nodes."""
+        self.mempool.add(entry)
 
     # -- create path -----------------------------------------------------
 

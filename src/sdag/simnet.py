@@ -39,6 +39,7 @@ from .core import (
 )
 from .curves import make_curve
 from .ledger import build_from_dag, resolve_peer_chain
+from .mempool import PoolEntry
 from .node import DEFAULT_MINE_BUDGET, NodeState, SharedFacts
 from .sigs import DEFAULT_SCHEME
 
@@ -253,15 +254,15 @@ class Simulation:
         self.seq += 1
         heapq.heappush(self.heap, (time, rank, actor, self.seq, payload))
 
-    def _sample_delay(self) -> float:
-        return self.curve.inverse(self.master.random())
-
     def _broadcast(self, block: Block, t: float, skip: int = -1) -> None:
-        for j in range(self.cfg.n):
+        draw = self.master.random
+        inverse = self.curve.inverse
+        n = self.cfg.n
+        for j in range(n):
             if j != skip:
-                self._push(t + self._sample_delay(), _RANK_DELIVER, j, block)
-        if self.adv_node is not None and skip != self.cfg.n:
-            self._push(t + self._sample_delay(), _RANK_DELIVER, self.cfg.n, block)
+                self._push(t + inverse(draw()), _RANK_DELIVER, j, block)
+        if self.adv_node is not None and skip != n:
+            self._push(t + inverse(draw()), _RANK_DELIVER, n, block)
 
     # -- handlers --------------------------------------------------------
 
@@ -283,10 +284,12 @@ class Simulation:
             tx = self._make_tx(self.tx_index)
             self.tx_index += 1
             self.tx_arrival[tx.txid()] = t
+            # one immutable entry, shared by every pool
+            entry = PoolEntry(tx, t, self.cfg.fee)
             for node in self.nodes:
-                node.on_tx(tx, t, fee=self.cfg.fee)
+                node.on_tx(entry)
             if self.adv_node is not None:
-                self.adv_node.on_tx(tx, t, fee=self.cfg.fee)
+                self.adv_node.on_tx(entry)
         nxt = t + self.master.expovariate(self.cfg.lam)
         if nxt <= self.cfg.horizon:
             self._push(nxt, _RANK_TX, 0)
@@ -403,15 +406,17 @@ class Simulation:
         for k in range(1, MEMPOOL_SAMPLES + 1):
             self._push(k * sample_step, _RANK_SAMPLE, 0)
 
-        while self.heap:
-            t, rank, actor, _seq, payload = heapq.heappop(self.heap)
+        heap = self.heap
+        pop = heapq.heappop
+        while heap:
+            t, rank, actor, _seq, payload = pop(heap)
             if self.chains_at_horizon is None and t > cfg.horizon:
                 self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
-            if rank == _RANK_TX:
-                self._handle_tx(t)
-            elif rank == _RANK_DELIVER:
+            if rank == _RANK_DELIVER:
                 assert isinstance(payload, Block)
                 self._handle_deliver(actor, payload, t)
+            elif rank == _RANK_TX:
+                self._handle_tx(t)
             elif rank == _RANK_MINE:
                 if actor == cfg.n:
                     self._handle_adv_mine(t)

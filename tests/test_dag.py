@@ -17,7 +17,7 @@ from sdag.core import (
     mine,
     sha256,
 )
-from sdag.dag import DagFacts, SDag, ViolationKind
+from sdag.dag import DagFacts, SDag, Violation, ViolationKind
 
 from dagtools import (
     RANDOM_PARAMS,
@@ -267,9 +267,16 @@ def arrivals(blocks, valid, rng):
     return seq
 
 
+def brute_force_unreferenced(sdag):
+    """Stored blocks, the genesis aside, that no stored block references."""
+    referenced = {r for b in sdag.blocks.values() for r in (b.idp, b.idm, b.idt)}
+    return {bid for bid in sdag.blocks if bid != GENESIS_ID and bid not in referenced}
+
+
 def test_shared_facts_match_private_tables():
     rng = random.Random(13)
     kinds = set()
+    known_missing = 0
     for _ in range(6):
         source = random_dag(rng, n_blocks=60)
         valid = set(source.blocks)
@@ -283,10 +290,18 @@ def test_shared_facts_match_private_tables():
         for step in itertools.zip_longest(*feeds):
             for block, a, b in zip(step, shared, private):
                 if block is not None:
+                    stored = len(a.blocks)
+                    missing = [r for r in (block.idp, block.idm, block.idt) if r not in a.blocks]
+                    known = block_id(block) in facts.verdicts
                     got = a.insert(block)
                     assert got == b.insert(block)
                     if got is not None:
                         kinds.add(got.kind)
+                    if missing:
+                        assert got == Violation(ViolationKind.MISSING_PARENT, missing[0].hex())
+                        assert len(a.blocks) == stored
+                        known_missing += known
+                    assert a._unreferenced == brute_force_unreferenced(a)
         miners = {b.peer for b in blocks}
         for a, b in zip(shared, private):
             assert a.blocks == b.blocks == source.blocks
@@ -303,6 +318,8 @@ def test_shared_facts_match_private_tables():
         ViolationKind.TIP_RULE,
         ViolationKind.MS_RULE,
     }
+    # the verdict table answered for a block whose parents had not arrived
+    assert known_missing > 0
 
 
 def test_shared_facts_report_bad_pow_before_missing_parents():
@@ -316,6 +333,7 @@ def test_shared_facts_report_bad_pow_before_missing_parents():
     facts = DagFacts(EASY)
     for sdag in (SDag(EASY, facts), SDag(EASY, facts), SDag(EASY)):
         assert sdag.insert(block).kind is ViolationKind.BAD_POW
+        assert len(sdag.blocks) == 1 and not sdag._unreferenced
 
 
 def test_shared_facts_must_match_params():

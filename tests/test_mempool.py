@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sdag.core import Transaction, TxKind, TxOutput, TxInput, encode_tx, sha256, tx_distance
 from sdag.mempool import (
     Mempool,
+    PoolEntry,
     collision_prob,
     collision_prob_exact,
     estimate_power,
@@ -32,8 +33,8 @@ def normal_tx(i):
 def test_add_remove_contains():
     pool = Mempool()
     tx = normal_tx(0)
-    assert pool.add_tx(tx, now=1.0, fee=2)
-    assert not pool.add_tx(tx, now=2.0, fee=2)  # duplicate is a no-op
+    assert pool.add(PoolEntry(tx, 1.0, 2))
+    assert not pool.add(PoolEntry(tx, 2.0, 2))  # duplicate is a no-op
     assert tx.txid() in pool and len(pool) == 1
     entry = pool.remove_tx(tx.txid())
     assert entry is not None and entry.fee == 2 and entry.arrived == 1.0
@@ -44,7 +45,7 @@ def test_workable_threshold_and_order():
     pool = Mempool()
     txs = [normal_tx(i) for i in range(40)]
     for i, tx in enumerate(txs):
-        pool.add_tx(tx, 0.0, fee=i % 3)
+        pool.add(PoolEntry(tx, 0.0, i % 3))
     cq = Fraction(1, 2)
     got = pool.workable(HEAD, cq)
     expect = {tx.txid() for tx in txs if tx_distance(HEAD, tx) <= cq}
@@ -63,7 +64,7 @@ def test_workable_threshold_and_order():
 def test_workable_monotone_in_cq(seed):
     pool = Mempool()
     for i in range(10):
-        pool.add_tx(normal_tx(seed % 7 * 10 + i), 0.0)
+        pool.add(PoolEntry(normal_tx(seed % 7 * 10 + i), 0.0, 0))
     small = set(pool.workable(HEAD, Fraction(1, 8)))
     large = set(pool.workable(HEAD, Fraction(1, 2)))
     assert small <= large
@@ -83,7 +84,7 @@ def test_workable_integer_boundary():
     pool = Mempool()
     txs = [normal_tx(i) for i in range(20)]
     for i, tx in enumerate(txs):
-        pool.add_tx(tx, 0.0, fee=i % 2)
+        pool.add(PoolEntry(tx, 0.0, i % 2))
     target = txs[7]
     digest = int.from_bytes(sha256(HEAD + encode_tx(target)), "big")
     at = Fraction(digest, 2**256)  # exactly the target's distance
@@ -99,8 +100,35 @@ def test_workable_matches_fraction_oracle(cq):
     # denominators other than powers of two make floor(cq * 2**256) round
     pool = Mempool()
     for i in range(12):
-        pool.add_tx(normal_tx(i), 0.0, fee=i % 3)
+        pool.add(PoolEntry(normal_tx(i), 0.0, i % 3))
     assert pool.workable(HEAD, cq) == oracle_workable(pool, HEAD, cq)
+
+
+@given(st.fractions(min_value=1, max_value=4, max_denominator=2**64))
+@example(Fraction(1))
+@example(1 - Fraction(1, 2**256))  # the largest bound below 1: all-ones bytes
+def test_workable_matches_fraction_oracle_when_saturated(cq):
+    # c is unbounded and q can be 1, so c*q >= 1 happens: every tx is workable
+    pool = Mempool()
+    for i in range(12):
+        pool.add(PoolEntry(normal_tx(i), 0.0, i % 3))
+    got = pool.workable(HEAD, cq)
+    assert got == oracle_workable(pool, HEAD, cq)
+    assert len(got) == len(pool)
+
+
+def test_shared_entry_is_immutable_and_dropped_per_pool():
+    tx = normal_tx(0)
+    entry = PoolEntry(tx, 1.0, 2)
+    with pytest.raises(AttributeError):
+        entry.fee = 3
+    a, b = Mempool(), Mempool()
+    assert a.add(entry) and b.add(entry)
+    assert a.entries[tx.txid()] is b.entries[tx.txid()] is entry
+    assert not a.add(PoolEntry(tx, 5.0, 0))  # duplicate add is a no-op
+    assert a.entries[tx.txid()] is entry
+    assert a.remove_tx(tx.txid()) is entry
+    assert tx.txid() not in a and tx.txid() in b
 
 
 def test_estimate_power_counts_recent_levels(demo):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sdag.core import (
+    EMPTY_TX,
     GENESIS_ID,
     Block,
     BlockClass,
@@ -19,7 +20,7 @@ from sdag.core import (
     sighash,
 )
 from sdag.ledger import Ledger, OrderedBlock, Outpoint, build_from_dag, build_ledger, dfs_order
-from sdag.mempool import estimate_power, power_share
+from sdag.mempool import PoolEntry, estimate_power, power_share
 from sdag.node import NodeState, SharedFacts
 from sdag.sigs import DEFAULT_SCHEME
 
@@ -50,6 +51,11 @@ def user_tx(i, fee=1):
     return signed_tx((i,), 2 - fee)
 
 
+def pending(tx, fee=1):
+    """A pool entry for `tx` that arrived at time 0."""
+    return PoolEntry(tx, 0.0, fee)
+
+
 def test_first_block_is_registration():
     node = make_node(b"n0")
     block = node.create_block()
@@ -63,7 +69,7 @@ def test_create_block_picks_workable_tx():
     node = make_node(b"n1")
     node.create_block()  # registration first
     for i in range(16):
-        node.on_tx(user_tx(i), fee=1)
+        node.on_tx(pending(user_tx(i)))
     # c = 1 and q = 1 with no other miners: everything is workable
     block = node.create_block()
     assert block.mes.kind is TxKind.NORMAL
@@ -74,19 +80,46 @@ def test_create_block_picks_workable_tx():
     assert empty_pool_node.create_block().mes.kind is TxKind.EMPTY
 
 
+def next_payload(node):
+    """What `create_block` must carry next: the first workable tx that
+    `tx_compatible` accepts, or the empty tx."""
+    cq = node.params.c * node._estimated_q()
+    for txid in node.mempool.workable(node.my_head, cq):
+        tx = node.mempool.entries[txid].tx
+        if node.tx_compatible(tx):
+            return tx
+    return EMPTY_TX
+
+
 def test_spent_tx_not_repicked():
     node = make_node(b"n3")
     node.create_block()
     tx = user_tx(0)
     conflict = user_tx(0, fee=0)  # same outpoint, different txid
-    node.on_tx(tx, fee=1)
+    node.on_tx(pending(tx))
     block = node.create_block()
     assert block.mes == tx
-    node.on_tx(conflict, fee=1)
+    assert tx.txid() not in node.mempool
+    node.on_tx(pending(conflict))
     # ledger at tip does not include the spend yet (no milestone confirmed
     # it), so compatibility is judged against the confirmed ledger only
+    expect = next_payload(node)
     nxt = node.create_block()
-    assert nxt.mes.kind in (TxKind.NORMAL, TxKind.EMPTY)
+    assert nxt.mes == expect
+    # once a milestone confirms the spend, a conflicting spend offered at the
+    # best fee is passed over for the next compatible tx
+    for _ in range(200):
+        if Outpoint(GENESIS_ID, 0) not in node.tip_utxo:
+            break
+        node.create_block()
+    assert Outpoint(GENESIS_ID, 0) not in node.tip_utxo
+    double = signed_tx((0, 5), 3)
+    node.on_tx(pending(double, fee=2))
+    node.on_tx(pending(user_tx(6)))
+    assert node.mempool.workable(node.my_head, Fraction(1))[0] == double.txid()
+    expect = next_payload(node)
+    assert expect == user_tx(6)
+    assert node.create_block().mes == expect
 
 
 COMPAT_SECRET = sha256(b"compat")
@@ -97,7 +130,7 @@ def spent_node():
     """A node whose ledger at the tip has accepted user_tx(0)."""
     node = NodeState(PARAMS, secret=COMPAT_SECRET, seed=5, genesis_outputs=GENESIS_OUTPUTS)
     node.create_block()  # registration
-    node.on_tx(user_tx(0), fee=1)
+    node.on_tx(pending(user_tx(0)))
     for _ in range(200):  # until a milestone confirms the spend
         if Outpoint(GENESIS_ID, 0) not in node.tip_utxo:
             break
@@ -249,9 +282,9 @@ def test_mempool_drained_by_received_blocks():
     miner = make_node(b"m4", seed=4)
     blocks = [miner.create_block()]  # registration
     tx = user_tx(3)
-    miner.on_tx(tx, fee=1)
+    miner.on_tx(pending(tx))
     node = make_node(b"n7")
-    node.on_tx(tx, fee=1)
+    node.on_tx(pending(tx))
     while blocks[-1].mes != tx:
         blocks.append(miner.create_block())
     for b in blocks:
@@ -259,12 +292,33 @@ def test_mempool_drained_by_received_blocks():
     assert tx.txid() not in node.mempool
 
 
+def test_shared_pool_entry_dropped_per_node():
+    miner = make_node(b"m5", seed=5)
+    node = make_node(b"n8")
+    registration = miner.create_block()
+    tx = user_tx(4)
+    entry = pending(tx)
+    miner.on_tx(entry)
+    node.on_tx(entry)
+    assert miner.mempool.entries[tx.txid()] is node.mempool.entries[tx.txid()] is entry
+    node.on_tx(pending(tx, fee=2))  # a duplicate add changes nothing
+    assert node.mempool.entries[tx.txid()] is entry
+    carrier = miner.create_block()
+    assert carrier.mes == tx
+    # the miner stored the carrying block; the node has not seen it yet
+    assert tx.txid() not in miner.mempool and tx.txid() in node.mempool
+    node.on_receive_block(carrier)  # buffered: its parent is missing
+    assert tx.txid() in node.mempool
+    node.on_receive_block(registration)
+    assert tx.txid() not in node.mempool
+
+
 def test_two_nodes_converge():
     a = make_node(b"a", seed=10)
     b = make_node(b"b", seed=11)
     for i in range(8):
-        a.on_tx(user_tx(i), fee=1)
-        b.on_tx(user_tx(i), fee=1)
+        a.on_tx(pending(user_tx(i)))
+        b.on_tx(pending(user_tx(i)))
     for _ in range(30):
         for src, dst in ((a, b), (b, a)):
             block = src.create_block()
