@@ -14,6 +14,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -39,6 +40,8 @@ from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, run
 
 EXIT_BAD_INPUT = 2
 EXIT_UNSTABLE = 3
+# bounds the memory and time of one analyze secure run; the default has 99
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(value: float) -> str:
@@ -199,11 +202,16 @@ def _parse_grid(spec: str) -> list[float]:
         start, step, stop = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ValueError("grid start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
     grid = []
     t = start
     while t <= stop + 1e-9:
+        # also ends a grid whose step is too small to move t
+        if len(grid) == MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
         grid.append(round(t, 9))
         t += step
     return grid

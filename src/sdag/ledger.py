@@ -400,7 +400,6 @@ def build_ledger(
     ordered: Iterable[tuple[Transaction, OrderedBlock]],
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
     scheme: SignatureScheme = DEFAULT_SCHEME,
-    into: Optional[Ledger] = None,
 ) -> Ledger:
     """Fold an ordered sequence of normal transactions through the UTXO
     recurrence.
@@ -408,10 +407,9 @@ def build_ledger(
     First-seen wins among conflicting spends; rejected transactions leave
     the state untouched.  Any other kind raises ValueError: a registration
     or redemption is judged on its miner's peer chain, which only
-    `build_from_dag` resolves.  Pass `into` to extend an existing ledger
-    incrementally.
+    `build_from_dag` resolves.
     """
-    ledger = Ledger(utxo=genesis_utxo(genesis_outputs)) if into is None else into
+    ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
     for tx, ob in ordered:
         if tx.kind is not TxKind.NORMAL:
             raise ValueError(f"a {tx.kind.name} is judged by build_from_dag, not build_ledger")

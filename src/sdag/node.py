@@ -8,15 +8,16 @@ checked on receive; conflicts are resolved when the DAG is folded into a
 ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
-of another peer; pick the best workable transaction that the fold would
-accept against the UTXO set at the current tip; mine; publish.
+of another peer; pick the best workable normal transaction from the
+mempool; mine; publish.  Whether that transaction is valid is again left to
+the fold, which pays a block with an invalid one without its fee.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 from .core import (
     GENESIS_ID,
@@ -29,7 +30,6 @@ from .core import (
     mine,
 )
 from .dag import DagFacts, SDag
-from .ledger import Ledger, OrderedBlock, Outpoint, build_ledger, dfs_order, genesis_utxo, verify_normal
 from .mempool import Mempool, PoolEntry, power_counts, power_share
 from .sigs import DEFAULT_SCHEME, SignatureScheme
 
@@ -37,45 +37,14 @@ DEFAULT_ORPHAN_CAP = 10_000
 DEFAULT_MINE_BUDGET = 1 << 20
 
 
-class LevelDelta(NamedTuple):
-    """The net change the normal transactions of one main-chain level set
-    make to the UTXO set at its parent milestone: the outputs spent (with
-    their values, so the change can be undone) and the outputs created."""
-
-    spent: dict[Outpoint, tuple[int, bytes]]
-    created: dict[Outpoint, tuple[int, bytes]]
-
-    def apply(self, utxo: dict[Outpoint, tuple[int, bytes]]) -> None:
-        for op in self.spent:
-            del utxo[op]
-        utxo.update(self.created)
-
-    def undo(self, utxo: dict[Outpoint, tuple[int, bytes]]) -> None:
-        for op in self.created:
-            del utxo[op]
-        utxo.update(self.spent)
-
-
 class SharedFacts:
-    """What nodes with the same params, genesis outputs and scheme derive
-    identically, computed by the first node that needs it:
+    """What nodes with the same params derive identically, computed by the
+    first node that needs it:
     - `dag`: block verdicts and level sets (see `DagFacts`);
-    - `level_deltas`: milestone id -> LevelDelta, which depends only on the
-      milestone's ancestry;
-    - `power`: chain tip -> `power_counts` of the chain ending there;
-    - `genesis_utxo`: the genesis outputs as a UTXO map, copied per node."""
+    - `power`: chain tip -> `power_counts` of the chain ending there."""
 
-    def __init__(
-        self,
-        params: Params,
-        genesis_outputs: Sequence[tuple[int, bytes]] = (),
-        scheme: SignatureScheme = DEFAULT_SCHEME,
-    ):
+    def __init__(self, params: Params):
         self.dag = DagFacts(params)
-        self.genesis_outputs = tuple(genesis_outputs)
-        self.scheme = scheme
-        self.genesis_utxo = genesis_utxo(self.genesis_outputs)
-        self.level_deltas: dict[bytes, LevelDelta] = {}
         self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
 
 
@@ -89,7 +58,6 @@ class NodeState:
         params: Params,
         secret: bytes,
         seed: int = 0,
-        genesis_outputs: Sequence[tuple[int, bytes]] = (),
         scheme: SignatureScheme = DEFAULT_SCHEME,
         orphan_cap: int = DEFAULT_ORPHAN_CAP,
         shared: Optional[SharedFacts] = None,
@@ -98,13 +66,8 @@ class NodeState:
         self.scheme = scheme
         self.public = scheme.derive_public(secret)
         self.identity = scheme.address(self.public)
-        self.genesis_outputs = tuple(genesis_outputs)
-        if shared is None:
-            shared = SharedFacts(params, self.genesis_outputs, scheme)
-        elif shared.genesis_outputs != self.genesis_outputs or shared.scheme is not scheme:
-            raise ValueError("shared facts were made for other genesis outputs or scheme")
-        self.shared = shared
-        self.sdag = SDag(params, shared.dag)
+        self.shared = shared if shared is not None else SharedFacts(params)
+        self.sdag = SDag(params, self.shared.dag)
         self.mempool = Mempool()
         self.my_head = GENESIS_ID
         self.rng = random.Random(seed)
@@ -113,66 +76,6 @@ class NodeState:
         self.orphan_cap = orphan_cap
         self.mining_attempts = 0
         self.rejected_blocks = 0
-        # UTXO set at the main-chain tip, moved between chains by applying
-        # and undoing shared level deltas
-        self.level_deltas = shared.level_deltas
-        self._cache_chain: list[bytes] = [GENESIS_ID]
-        self._utxo = dict(shared.genesis_utxo)
-
-    # -- UTXO set at the tip ---------------------------------------------
-
-    def _fold_level(self, k: int) -> LevelDelta:
-        """Fold the normal transactions of main-chain level k with
-        build_ledger onto the UTXO set at level k-1 and return the net
-        change, leaving the set as it is.  The fold reads only the level's
-        own inputs (a transaction accepted before has spent its inputs), so
-        it runs on a scratch ledger holding just those."""
-        items = []
-        for bid in dfs_order(self.sdag, self.sdag.main_chain[k]):
-            tx = self.sdag.blocks[bid].mes
-            if tx.kind is TxKind.NORMAL:
-                items.append((tx, OrderedBlock(bid, k)))
-        utxo = self._utxo
-        inputs = dict.fromkeys(Outpoint(i.txid, i.index) for tx, _ob in items for i in tx.inputs)
-        before = {op: utxo[op] for op in inputs if op in utxo}
-        scratch = build_ledger(items, scheme=self.scheme, into=Ledger(utxo=dict(before)))
-        return LevelDelta(
-            spent={op: v for op, v in before.items() if op not in scratch.utxo},
-            created={op: v for op, v in scratch.utxo.items() if op not in before},
-        )
-
-    def _refresh_utxo(self) -> None:
-        chain = self.sdag.main_chain
-        old = self._cache_chain
-        # both are root paths of the milestone tree: equal at a height means
-        # equal below it
-        fork = min(len(chain), len(old)) - 1
-        while chain[fork] != old[fork]:
-            fork -= 1
-        fork += 1
-        # chain switch: undo the abandoned levels back to the fork point
-        for ms in reversed(old[fork:]):
-            self.level_deltas[ms].undo(self._utxo)
-        for k in range(fork, len(chain)):
-            delta = self.level_deltas.get(chain[k])
-            if delta is None:
-                delta = self.level_deltas[chain[k]] = self._fold_level(k)
-            delta.apply(self._utxo)
-        self._cache_chain = chain  # a chain switch assigns a new list
-
-    @property
-    def tip_utxo(self) -> dict[Outpoint, tuple[int, bytes]]:
-        """The UTXO set of the ledger at the main-chain tip."""
-        if self._cache_chain[-1] != self.sdag.chain_tip():
-            self._refresh_utxo()
-        return self._utxo
-
-    def tx_compatible(self, tx: Transaction) -> bool:
-        """Whether the fold would accept `tx` appended to the ledger at the
-        tip: a normal transaction `verify_normal` accepts against the tip's
-        UTXO set.  A registration or redemption counts only on its own
-        miner's peer chain, so it is never compatible."""
-        return tx.kind is TxKind.NORMAL and verify_normal(tx, self.tip_utxo, self.scheme)[0]
 
     # -- receive path ----------------------------------------------------
 
@@ -244,6 +147,12 @@ class NodeState:
         if counts is None:
             counts = self.shared.power[tip] = power_counts(self.sdag)
         return power_share(*counts, self.identity)
+
+    def tx_compatible(self, tx: Transaction) -> bool:
+        """Whether a miner may carry `tx`: only a normal transaction.  A
+        registration or redemption counts only on its own miner's peer
+        chain, and whether a normal one is valid is the fold's call."""
+        return tx.kind is TxKind.NORMAL
 
     def _pick_tx(self) -> Transaction:
         if self.my_head == GENESIS_ID:

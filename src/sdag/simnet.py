@@ -107,6 +107,8 @@ class SimConfig:
             raise ValueError("adversary_share must be in [0, 1)")
         if self.adversary_share > 0 and self.adversary_strategy is None:
             raise ValueError("adversary_share > 0 needs a strategy")
+        if self.adversary_share == 0 and self.adversary_strategy is not None:
+            raise ValueError("an adversary_strategy needs adversary_share > 0")
         if isinstance(self.adversary_strategy, PrivateMilestoneFork):
             if self.adversary_strategy.depth < 0:
                 raise ValueError("private-milestone-fork depth must be >= 0")
@@ -208,27 +210,25 @@ class Simulation:
         n_outputs = int(config.lam * config.horizon * 1.5) + 64
         self.genesis_outputs = [(2, self.user_address)] * n_outputs
 
-        # every node validates the same blocks, walks and folds the same
-        # milestone levels and counts the same tips: the first to need a fact
-        # derives it and the rest read it
-        shared = SharedFacts(self.params, self.genesis_outputs)
+        # every node validates the same blocks, walks the same milestone
+        # levels and counts the same tips: the first to need a fact derives
+        # it and the rest read it
+        shared = SharedFacts(self.params)
         self.nodes = [
             NodeState(
                 self.params,
                 secret=sha256(b"sim-peer-" + i.to_bytes(4, "big")),
                 seed=self.master.getrandbits(64),
-                genesis_outputs=self.genesis_outputs,
                 shared=shared,
             )
             for i in range(config.n)
         ]
         self.adv_node: Optional[NodeState] = None
-        if config.adversary_strategy is not None and config.adversary_share > 0:
+        if config.adversary_strategy is not None:
             self.adv_node = NodeState(
                 self.params,
                 secret=sha256(b"sim-adversary"),
                 seed=self.master.getrandbits(64),
-                genesis_outputs=self.genesis_outputs,
                 shared=shared,
             )
         self.private_pending: list[Block] = []

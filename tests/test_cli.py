@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, load_sim_config, main
+from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, _parse_grid, load_sim_config, main
 from sdag.simnet import PeerChainFork, PrivateMilestoneFork
 
 SMALL_INI = """\
@@ -121,6 +121,18 @@ def test_simulate_bad_seed_env_exit_code(config_file, tmp_path, monkeypatch, cap
     assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
     assert "SDAG_SEED" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["private-milestone-fork", "peer-chain-fork:victim=1"])
+def test_simulate_rejects_strategy_without_share(tmp_path, capsys, strategy):
+    """With no adversary share the run would have no adversary, so the
+    strategy would be silently ignored."""
+    path = tmp_path / "sim.ini"
+    path.write_text(SMALL_INI + f"adversary_share = 0\nadversary_strategy = {strategy}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "adversary_share" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -290,6 +302,27 @@ def test_analyze_secure_unwritable_out_exit_code(tmp_path, capsys, target):
 def test_analyze_secure_bad_grid():
     rc = main(["analyze", "secure", "--share", "0.1", "--grid", "oops", "--paths", "10"])
     assert rc == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "grid", ["10:10:inf", "10:1e-20:20", "nan:1:5", "10:nan:20", "1:1:10001", "1e20:1:2e20"]
+)
+def test_analyze_secure_rejects_unbounded_grids(capsys, grid):
+    """Non-finite bounds and grids of more than 10,000 points, including a
+    step too small to move T, exit 2 instead of looping or printing an
+    empty curve."""
+    rc = main(["analyze", "secure", "--share", "0.1", "--grid", grid, "--paths", "10"])
+    assert rc == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: grid")
+
+
+def test_grid_points_unchanged():
+    assert _parse_grid("10:10:990") == [10.0 * k for k in range(1, 100)]
+    assert _parse_grid("20:20:40") == [20.0, 40.0]
+    assert _parse_grid("0.1:0.1:0.5") == [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert _parse_grid("5:1:5") == [5.0]
+    assert _parse_grid("1:1:10000") == [float(k) for k in range(1, 10001)]
 
 
 @pytest.mark.parametrize(

@@ -55,3 +55,23 @@ def test_public_names_resolve():
     assert len(set(sdag.__all__)) == len(sdag.__all__)
     missing = [name for name in sdag.__all__ if not hasattr(sdag, name)]
     assert not missing
+
+
+def test_private_definitions_are_read():
+    """Every private function, method or class defined in the package is
+    read somewhere in it, as a name or an attribute, so deleting its last
+    caller deletes it too.  Names are matched across modules, not bound to
+    their scope."""
+    defined = {}
+    read = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    orphans = sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+    assert not orphans, f"private definitions never read: {', '.join(orphans)}"

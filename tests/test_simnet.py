@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from sdag import cli
-from sdag.ledger import build_from_dag
+from sdag.core import TxKind
+from sdag.ledger import build_from_dag, verify_normal
+from sdag.node import NodeState
 from sdag.simnet import (
     PeerChainFork,
     PrivateMilestoneFork,
@@ -42,6 +44,8 @@ def test_config_validation():
         small(fee=3).validate()
     with pytest.raises(ValueError):
         small(adversary_share=0.2).validate()  # needs a strategy
+    with pytest.raises(ValueError):
+        small(adversary_strategy=PrivateMilestoneFork()).validate()  # needs a share
     with pytest.raises(ValueError):
         small(delay_curve="nope").validate()
     with pytest.raises(ValueError):
@@ -215,3 +219,28 @@ def test_small_config_outputs_are_pinned(name, tmp_path):
         for f in ("metrics.csv", "queueing_latency.csv", "infection_latency.csv")
     ]
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_picked_transactions_are_unspent_at_the_pickers_tip(name, tmp_path, monkeypatch):
+    """What lets a miner carry any normal transaction from its pool
+    unjudged: on the simulator's traffic, each one it picks is valid and
+    not yet accepted in the ledger of its own DAG."""
+    config = tmp_path / "sim.ini"
+    config.write_text(PINNED_OUTPUTS[name][0])
+    sim = Simulation(cli.load_sim_config(str(config)))
+    pick = NodeState._pick_tx
+    checked = []
+
+    def checked_pick(node):
+        tx = pick(node)
+        if tx.kind is TxKind.NORMAL:
+            ledger = build_from_dag(node.sdag, sim.params, sim.genesis_outputs).ledger
+            assert tx.txid() not in ledger.accepted_ids
+            assert verify_normal(tx, ledger.utxo, node.scheme)[0]
+            checked.append(tx)
+        return tx
+
+    monkeypatch.setattr(NodeState, "_pick_tx", checked_pick)
+    sim.run()
+    assert len(checked) > 50
