@@ -16,7 +16,6 @@ from .core import (
     TxOutput,
     block_id,
     canonical_encode,
-    classify,
     decode_block,
     decode_tx,
     encode_tx,
@@ -58,7 +57,6 @@ __all__ = [
     "TxOutput",
     "block_id",
     "canonical_encode",
-    "classify",
     "decode_block",
     "decode_tx",
     "encode_tx",

@@ -161,6 +161,8 @@ def cmd_simulate(args) -> int:
             for s in samples:
                 fp.write(f"{s:.9f}\n")
         artifacts.append(name)
+    (out_dir / "counters.json").write_text(json.dumps(metrics.counters, indent=2) + "\n")
+    artifacts.append("counters.json")
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     _write_manifest(out_dir / "manifest.json", config.seed, digest, artifacts)
     print(f"wrote {metrics_path}")

@@ -337,10 +337,6 @@ def classify_hash(h: bytes, params: Params) -> BlockClass:
     return BlockClass.INVALID
 
 
-def classify(block: Block, params: Params) -> BlockClass:
-    return classify_hash(block_id(block), params)
-
-
 class MineResult(NamedTuple):
     block: Block
     attempts: int

@@ -6,8 +6,10 @@ a tree over the idm references; the longest root-to-leaf path is the main
 chain, with ties resolved by retaining the incumbent tip.
 
 A block's class and validity verdict depend only on its bytes (given that
-its parents are stored), and a milestone's level set only on its ancestry.
-`DagFacts` keeps both, so SDags that share one table derive each once.
+its parents are stored), and a milestone's parent, height and level set
+only on its ancestry.  `DagFacts` keeps them with the blocks themselves,
+so SDags that share one table store and derive each once and keep only a
+bitmap of the blocks they hold.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, TextIO
+from itertools import compress
+from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
     GENESIS,
@@ -45,25 +48,79 @@ class Violation:
     detail: str = ""
 
 
+# one verdict tuple per class for every valid block, not one per block
+_VALID = {cls: (cls, None) for cls in BlockClass}
+
+
 class DagFacts:
-    """Facts that are pure functions of the blocks, for SDags with the same
-    params to share: block id -> (class, verdict with all parents stored),
-    and milestone id -> level set (its confirm set minus its parent's, in
-    discovery order).  A missing-parent verdict depends on arrival order
-    and is never stored."""
+    """Facts that are pure functions of the blocks, and the one block store
+    of the SDags that share the table:
+    - `verdicts`: block id -> (class, verdict with all parents stored); a
+      missing-parent verdict depends on arrival order and is never stored;
+    - `levels`: milestone id -> level set (its confirm set minus its
+      parent's, in discovery order);
+    - `level_of`: block id -> the milestone whose level set holds it, or a
+      tuple of them when forks put it in several;
+    - the store: every block that some sharing SDag holds, in first-insert
+      order (`blocks`), its serial number (its position there), each
+      milestone's parent and height, and each peer's block ids in store
+      order (`by_peer`, the genesis aside).
+
+    Each SDag marks the serials it holds in a bytearray bitmap, which the
+    table keeps for as long as it lives.  The store keeps every bitmap
+    longer than the largest serial, doubling them all when it fills, so
+    `held[serial.get(bid, -1)]` is a membership test with no length check:
+    the last slot is never a serial."""
 
     def __init__(self, params: Params):
         self.params = params
         self.verdicts: dict[bytes, tuple[BlockClass, Optional[Violation]]] = {}
         self.levels: dict[bytes, tuple[bytes, ...]] = {}
+        self.level_of: dict[bytes, Union[bytes, tuple[bytes, ...]]] = {GENESIS_ID: GENESIS_ID}
+        self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
+        self.serial: dict[bytes, int] = {GENESIS_ID: 0}
+        self.ms_parent: dict[bytes, Optional[bytes]] = {GENESIS_ID: None}
+        self.ms_height: dict[bytes, int] = {GENESIS_ID: 0}
+        self.by_peer: dict[bytes, list[bytes]] = {}
+        self._bitmaps: list[bytearray] = []
+        self._capacity = 64
+
+    def new_bitmap(self) -> bytearray:
+        """A member bitmap holding the genesis only, grown with the store."""
+        bitmap = bytearray(self._capacity)
+        bitmap[0] = 1
+        self._bitmaps.append(bitmap)
+        return bitmap
+
+    def add(self, bid: bytes, block: Block, cls: BlockClass) -> int:
+        """Store a valid block that no sharing SDag holds yet; its serial."""
+        serial = len(self.serial)
+        if serial + 1 >= self._capacity:
+            grow = bytes(self._capacity)
+            for bitmap in self._bitmaps:
+                bitmap.extend(grow)
+            self._capacity *= 2
+        self.blocks[bid] = block
+        self.serial[bid] = serial
+        self.by_peer.setdefault(block.peer, []).append(bid)
+        if cls is BlockClass.MILESTONE:
+            self.ms_parent[bid] = block.idm
+            self.ms_height[bid] = self.ms_height[block.idm] + 1
+        return serial
 
 
 class SDag:
     """A peer's local structured DAG.
 
     Single-writer, multiple-reader: call insert from one context only.
-    SDags given the same `facts` table validate each block and walk each
-    level once between them; without one an SDag keeps a private table.
+    SDags given the same `facts` table share one block store: they validate
+    each block, store it and walk each level once between them, and each
+    keeps only a bitmap of the blocks it holds (`held`), its unreferenced
+    blocks, its main chain and that chain's level sets.  Without a table an
+    SDag owns its store, so `blocks` is exactly its own blocks in insertion
+    order.  On an SDag that shares a store, `blocks` is the store: use it to
+    look up a held block only, test membership with `bid in sdag` and
+    iterate with `block_ids` or `peer_block_ids`.
     `main_chain` is never changed in place: a chain switch assigns a new
     list, so a reference taken before an insert keeps the chain as it was.
     """
@@ -76,31 +133,37 @@ class SDag:
         self.params = params
         self.facts = facts
         self.genesis_id = GENESIS_ID
-        self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
+        self.blocks = facts.blocks
+        self.held = facts.new_bitmap()
         self._unreferenced: set[bytes] = set()
-        # milestone tree
-        self.ms_parent: dict[bytes, Optional[bytes]] = {GENESIS_ID: None}
-        self.ms_height: dict[bytes, int] = {GENESIS_ID: 0}
-        self.ms_children: dict[bytes, list[bytes]] = {GENESIS_ID: []}
         # main chain and its level-set partition
         self.main_chain: list[bytes] = [GENESIS_ID]
-        self._level_of: dict[bytes, int] = {GENESIS_ID: 0}
         self._level_sets: list[tuple[bytes, ...]] = [(GENESIS_ID,)]
 
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, bid: bytes) -> bool:
-        return bid in self.blocks
+        return self.held[self.facts.serial.get(bid, -1)] == 1
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self.held.count(1)
+
+    def block_ids(self) -> list[bytes]:
+        """Held block ids in storage order, the genesis first; parents
+        always precede their children."""
+        return list(compress(self.facts.serial, self.held))
+
+    def peer_block_ids(self, peer: bytes) -> list[bytes]:
+        """The held blocks `peer` mined, in storage order."""
+        held, serial = self.held, self.facts.serial
+        return [bid for bid in self.facts.by_peer.get(peer, ()) if held[serial[bid]]]
 
     def block_class(self, bid: bytes) -> Optional[BlockClass]:
         """Hash-band class of a stored block; None for the genesis."""
-        return self.facts.verdicts[bid][0] if bid in self.blocks and bid != GENESIS_ID else None
+        return self.facts.verdicts[bid][0] if bid != GENESIS_ID and bid in self else None
 
     def height(self) -> int:
-        return self.ms_height[self.main_chain[-1]]
+        return len(self.main_chain) - 1
 
     def chain_tip(self) -> bytes:
         return self.main_chain[-1]
@@ -123,7 +186,7 @@ class SDag:
 
     def _missing(self, block: Block) -> Optional[Violation]:
         for ref in self._refs(block):
-            if ref not in self.blocks:
+            if ref not in self:
                 return Violation(ViolationKind.MISSING_PARENT, ref.hex())
         return None
 
@@ -156,95 +219,115 @@ class SDag:
         """Add a checked block; duplicate insert is a no-op.  Returns the
         violation if the block is invalid, else None."""
         bid = block_id(block)
-        blocks = self.blocks
-        if bid in blocks:
+        facts = self.facts
+        held = self.held
+        serial = facts.serial.get
+        s = serial(bid, -1)
+        if held[s]:
             return None
-        fact = self.facts.verdicts.get(bid)
+        fact = facts.verdicts.get(bid)
         if fact is None:
             cls = classify_hash(bid, self.params)
             v = self._check(block, bid, cls)
             if v is not None and v.kind is ViolationKind.MISSING_PARENT:
                 return v
-            self.facts.verdicts[bid] = (cls, v)
+            facts.verdicts[bid] = (cls, v) if v is not None else _VALID[cls]
         else:
             # the stored verdict holds once the parents are here; bad pow
             # is reported before missing parents, as _check does
             cls, v = fact
             if cls is not BlockClass.INVALID and not (
-                block.idp in blocks and block.idm in blocks and block.idt in blocks
+                held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]
             ):
                 return self._missing(block)
         if v is not None:
             return v
-        blocks[bid] = block
+        if s < 0:
+            s = facts.add(bid, block, cls)
+        held[s] = 1
         unreferenced = self._unreferenced
         unreferenced.add(bid)
         unreferenced.discard(block.idp)
         unreferenced.discard(block.idm)
         unreferenced.discard(block.idt)
-        if cls is BlockClass.MILESTONE:
-            parent = block.idm
-            height = self.ms_height[parent] + 1
-            self.ms_parent[bid] = parent
-            self.ms_height[bid] = height
-            self.ms_children[bid] = []
-            self.ms_children[parent].append(bid)
-            if height > self.height():
-                self._switch_to(bid)
+        if cls is BlockClass.MILESTONE and facts.ms_height[bid] >= len(self.main_chain):
+            self._switch_to(bid)
         return None
 
     def _switch_to(self, tip: bytes) -> None:
         # walk back from the new tip to the first milestone already on the
         # main chain (the genesis at worst) and splice the branch on there
         chain = self.main_chain
+        ms_parent, ms_height = self.facts.ms_parent, self.facts.ms_height
         branch = []
         cur = tip
-        while self.ms_height[cur] >= len(chain) or chain[self.ms_height[cur]] != cur:
+        while ms_height[cur] >= len(chain) or chain[ms_height[cur]] != cur:
             branch.append(cur)
-            cur = self.ms_parent[cur]
-        fork = self.ms_height[cur] + 1
-        for lev in self._level_sets[fork:]:
-            for bid in lev:
-                del self._level_of[bid]
+            cur = ms_parent[cur]
+        fork = ms_height[cur] + 1
         del self._level_sets[fork:]
         branch.reverse()
         self.main_chain = chain[:fork] + branch
-        for k, ms in enumerate(branch, start=fork):
-            self._append_level(ms, k)
+        levels = self.facts.levels
+        for ms in branch:
+            lev = levels.get(ms)
+            if lev is None:
+                lev = levels[ms] = self._walk_level(ms)
+            self._level_sets.append(lev)
 
-    def _append_level(self, ms: bytes, index: int) -> None:
-        lev = self.facts.levels.get(ms)
-        if lev is None:
-            lev = self.facts.levels[ms] = self._walk_level(ms, index)
-        else:
-            self._level_of.update(dict.fromkeys(lev, index))
-        self._level_sets.append(lev)
+    def _confirmed(self, bid: bytes) -> bool:
+        """Whether a level set of the main chain holds `bid`."""
+        holders = self.facts.level_of.get(bid)
+        if holders is None:
+            return False
+        if type(holders) is bytes:
+            holders = (holders,)
+        chain, ms_height = self.main_chain, self.facts.ms_height
+        for ms in holders:
+            k = ms_height[ms]
+            if k < len(chain) and chain[k] == ms:
+                return True
+        return False
 
-    def _walk_level(self, ms: bytes, index: int) -> tuple[bytes, ...]:
+    def _walk_level(self, ms: bytes) -> tuple[bytes, ...]:
         # BFS over the references of ms, stopping at already-confirmed blocks
-        # (the confirm set of its parent milestone); expansion order (idp,
-        # idm, idt) keeps discovery deterministic.
+        # (the confirm set of its parent milestone, whose levels are all on
+        # the main chain by now); expansion order (idp, idm, idt) keeps
+        # discovery deterministic.  No level of a later milestone is known
+        # yet, so a confirmed block is held by an earlier level.
         lev: list[bytes] = []
+        seen = {ms}
         queue = deque([ms])
-        self._level_of[ms] = index
         while queue:
             bid = queue.popleft()
             lev.append(bid)
             for ref in self._refs(self.blocks[bid]):
-                if ref not in self._level_of:
-                    self._level_of[ref] = index
-                    queue.append(ref)
+                if ref not in seen:
+                    seen.add(ref)
+                    if not self._confirmed(ref):
+                        queue.append(ref)
+        level_of = self.facts.level_of
+        for bid in lev:
+            had = level_of.get(bid)
+            if had is None:
+                level_of[bid] = ms
+            elif type(had) is bytes:
+                level_of[bid] = (had, ms)
+            else:
+                level_of[bid] = had + (ms,)
         return tuple(lev)
 
     # -- derived sets ----------------------------------------------------
 
     def milestone_leaf_set(self) -> set[bytes]:
-        """Milestone-tree nodes (incl. genesis) without a milestone child."""
-        return {bid for bid, kids in self.ms_children.items() if not kids}
+        """Held milestones (incl. genesis) without a held milestone child."""
+        ms_parent = self.facts.ms_parent
+        held = {ms for ms in ms_parent if ms in self}
+        return held.difference(ms_parent[ms] for ms in held)
 
     def confirm_set(self, ms: bytes) -> set[bytes]:
         """All blocks reachable from ms along references, plus ms itself."""
-        if ms not in self.blocks:
+        if ms not in self:
             raise KeyError(ms.hex())
         seen = {ms}
         queue = deque([ms])
@@ -252,13 +335,13 @@ class SDag:
             bid = queue.popleft()
             for ref in self._refs(self.blocks[bid]):
                 # the genesis references the zero hash, which is not a block
-                if ref in self.blocks and ref not in seen:
+                if ref in self and ref not in seen:
                     seen.add(ref)
                     queue.append(ref)
         return seen
 
     def level_index(self, ms: bytes) -> int:
-        k = self.ms_height.get(ms)
+        k = self.facts.ms_height.get(ms)
         if k is None or k >= len(self.main_chain) or self.main_chain[k] != ms:
             raise KeyError(f"{ms.hex()} is not on the main chain")
         return k
@@ -277,7 +360,8 @@ class SDag:
         return self._level_sets[max(1, len(self._level_sets) - count) :]
 
     def pending_set(self) -> set[bytes]:
-        return {bid for bid in self.blocks if bid not in self._level_of}
+        """Held blocks that no level set of the main chain holds."""
+        return {bid for bid in self.block_ids() if not self._confirmed(bid)}
 
     def tip_set(self, miner: bytes) -> set[bytes]:
         """Unreferenced regular-class blocks of other miners; empty means the
@@ -292,10 +376,9 @@ class SDag:
 
     def dump(self, fp: TextIO) -> None:
         """One hex-encoded canonical block per line, topological order."""
-        for bid, block in self.blocks.items():
-            if bid == GENESIS_ID:
-                continue
-            fp.write(canonical_encode(block).hex() + "\n")
+        for bid in self.block_ids():
+            if bid != GENESIS_ID:
+                fp.write(canonical_encode(self.blocks[bid]).hex() + "\n")
 
     def dumps(self) -> str:
         import io

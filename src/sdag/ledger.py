@@ -208,11 +208,12 @@ def resolve_peer_chain(
     the last valid claim, then length, then smallest leaf id); everything
     else is forked and earns nothing.
 
-    One pass over the miner's blocks in storage order, which puts every
-    parent before its children, derives each block's walk state from its
-    parent's, so each redemption signature is checked once.  A block scores
-    higher than its parent, so the best-scoring block is a leaf, and leaf
-    ids are unique, so the winner does not depend on enumeration order.
+    One pass over the miner's held blocks in storage order
+    (`SDag.peer_block_ids`), which puts every parent before its children,
+    derives each block's walk state from its parent's, so each redemption
+    signature is checked once.  A block scores higher than its parent, so
+    the best-scoring block is a leaf, and leaf ids are unique, so the
+    winner does not depend on enumeration order.
     The view records each chain block's position and, for each claim, the
     previous claim position, the payout address in force before it and
     whether the walk found the claim validly signed."""
@@ -221,9 +222,8 @@ def resolve_peer_chain(
     walks: dict[bytes, tuple[bool, int, int, int, Optional[bytes]]] = {}
     best: Optional[bytes] = None
     best_key: tuple = ()
-    for bid, block in sdag.blocks.items():
-        if block.peer != miner or bid == GENESIS_ID:
-            continue
+    for bid in sdag.peer_block_ids(miner):
+        block = sdag.blocks[bid]
         tx = block.mes
         parent = walks.get(block.idp)
         if parent is None:  # a root: only here does a registration count

@@ -74,6 +74,10 @@ class NodeState:
         self.orphan_blocks: dict[bytes, Block] = {}
         self.orphans_by_missing: dict[bytes, set[bytes]] = {}
         self.orphan_cap = orphan_cap
+        # counters of what happened, for a simulation's counters.json
+        self.orphans_buffered = 0
+        self.orphans_evicted = 0
+        self.orphan_peak = 0
         self.mining_attempts = 0
         self.rejected_blocks = 0
 
@@ -81,10 +85,12 @@ class NodeState:
 
     def on_receive_block(self, block: Block) -> None:
         bid = block_id(block)
-        stored = self.sdag.blocks
-        if bid in stored or bid in self.orphan_blocks:
+        # `ref in self.sdag`, inlined: the receive path runs per delivery
+        held = self.sdag.held
+        serial = self.sdag.facts.serial.get
+        if held[serial(bid, -1)] or bid in self.orphan_blocks:
             return
-        if block.idp in stored and block.idm in stored and block.idt in stored:
+        if held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]:
             if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
             return
@@ -92,6 +98,7 @@ class NodeState:
             # FIFO eviction bounds memory under junk floods
             victim = next(iter(self.orphan_blocks))
             evicted = self.orphan_blocks.pop(victim)
+            self.orphans_evicted += 1
             # it waits only in the buckets of its own missing refs
             for ref in (evicted.idp, evicted.idm, evicted.idt):
                 waiting = self.orphans_by_missing.get(ref)
@@ -100,8 +107,10 @@ class NodeState:
                     if not waiting:
                         del self.orphans_by_missing[ref]
         self.orphan_blocks[bid] = block
+        self.orphans_buffered += 1
+        self.orphan_peak = max(self.orphan_peak, len(self.orphan_blocks))
         for ref in (block.idp, block.idm, block.idt):
-            if ref not in stored:
+            if not held[serial(ref, -1)]:
                 self.orphans_by_missing.setdefault(ref, set()).add(bid)
 
     def _try_insert(self, block: Block) -> bool:
@@ -127,7 +136,7 @@ class NodeState:
                 if block is None:
                     continue
                 refs = (block.idp, block.idm, block.idt)
-                if any(r not in self.sdag.blocks for r in refs):
+                if any(r not in self.sdag for r in refs):
                     continue
                 del self.orphan_blocks[bid]
                 if self._try_insert(block):

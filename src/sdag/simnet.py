@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -48,6 +49,7 @@ _RANK_TX = 0
 _RANK_DELIVER = 1
 _RANK_MINE = 2
 _RANK_SAMPLE = 3
+_RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
 
@@ -141,6 +143,7 @@ class SimMetrics:
     utxo_digests: Optional[list[bytes]]
     adversary_blocks: int
     adversary_releases: int
+    counters: dict[str, object]
 
     def row(self) -> dict[str, object]:
         """Flat summary for one CSV row."""
@@ -186,6 +189,22 @@ def measure_infection(sdag, created_at: dict[bytes, float], cutoff: float, horiz
         if bid not in confirmed and born <= cutoff:
             samples.append(horizon - born)
     return samples
+
+
+def common_prefix_violations(chains: list[list[bytes]], depth: int) -> int:
+    """Pairs of chains whose prefixes, each cut `depth` milestones short
+    (keeping the genesis), disagree: neither is a prefix of the other.
+    Equal cut chains never disagree, so each distinct pair of cut chains is
+    compared once and counts the product of how many chains cut to each."""
+    groups = Counter(tuple(chain[: max(len(chain) - depth, 1)]) for chain in chains)
+    distinct = list(groups.items())
+    bad = 0
+    for i, (a, count_a) in enumerate(distinct):
+        for b, count_b in distinct[i + 1 :]:
+            short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+            if long_[: len(short)] != short:
+                bad += count_a * count_b
+    return bad
 
 
 class Simulation:
@@ -247,6 +266,7 @@ class Simulation:
         self.max_reorg_depth = 0
         self.mempool_samples: list[float] = []
         self.chains_at_horizon: Optional[list[list[bytes]]] = None
+        self.events = [0] * len(_RANK_NAMES)  # events handled, by rank
 
     # -- plumbing --------------------------------------------------------
 
@@ -408,8 +428,10 @@ class Simulation:
 
         heap = self.heap
         pop = heapq.heappop
+        events = self.events
         while heap:
             t, rank, actor, _seq, payload = pop(heap)
+            events[rank] += 1
             if self.chains_at_horizon is None and t > cfg.horizon:
                 self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
             if rank == _RANK_DELIVER:
@@ -433,17 +455,23 @@ class Simulation:
 
     # -- metrics ---------------------------------------------------------
 
-    def _common_prefix_violations(self, depth: int) -> int:
-        chains = self.chains_at_horizon or []
-        bad = 0
-        for i in range(len(chains)):
-            a = chains[i][: max(len(chains[i]) - depth, 1)]
-            for j in range(i + 1, len(chains)):
-                b = chains[j][: max(len(chains[j]) - depth, 1)]
-                short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-                if long_[: len(short)] != short:
-                    bad += 1
-        return bad
+    def counters(self) -> dict[str, object]:
+        """Deterministic counts of what the run did, summed over every node
+        (the adversary's included): events handled by type, deliveries,
+        blocks stored, orphans buffered and evicted (and the most one node
+        held at once), rejected blocks, mining attempts and reorgs."""
+        nodes = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
+        return {
+            "events": dict(zip(_RANK_NAMES, self.events)),
+            "deliveries": self.events[_RANK_DELIVER],
+            "inserts": sum(len(node.sdag) - 1 for node in nodes),
+            "orphans_buffered": sum(node.orphans_buffered for node in nodes),
+            "orphans_evicted": sum(node.orphans_evicted for node in nodes),
+            "orphan_peak_per_node": max(node.orphan_peak for node in nodes),
+            "rejected_blocks": sum(node.rejected_blocks for node in nodes),
+            "mining_attempts": sum(node.mining_attempts for node in nodes),
+            "reorgs": self.reorg_count,
+        }
 
     def _metrics(self) -> SimMetrics:
         cfg = self.cfg
@@ -513,7 +541,9 @@ class Simulation:
             queueing_latency=queueing,
             infection_latency=infection,
             milestone_fork_rate=fork_rate,
-            common_prefix_violations=self._common_prefix_violations(cfg.finality_depth),
+            common_prefix_violations=common_prefix_violations(
+                self.chains_at_horizon or [], cfg.finality_depth
+            ),
             reorg_count=self.reorg_count,
             max_reorg_depth=self.max_reorg_depth,
             mempool_occupancy=occupancy,
@@ -523,6 +553,7 @@ class Simulation:
             utxo_digests=digests,
             adversary_blocks=self.adversary_blocks,
             adversary_releases=self.adversary_releases,
+            counters=self.counters(),
         )
 
 

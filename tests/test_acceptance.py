@@ -254,7 +254,7 @@ def test_criterion_8a_insertion_order_independence():
     permutations = 0
     while permutations < 1000:
         sdag = random_dag(rng, n_blocks=30)
-        heights = [sdag.ms_height[m] for m in sdag.milestone_leaf_set()]
+        heights = [sdag.facts.ms_height[m] for m in sdag.milestone_leaf_set()]
         if heights.count(max(heights)) != 1:
             continue  # tied tips are resolved by arrival order, skip
         ref = dag_signature(sdag)

@@ -89,6 +89,7 @@ def test_simulate_writes_artifacts(config_file, tmp_path):
         "metrics.csv",
         "queueing_latency.csv",
         "infection_latency.csv",
+        "counters.json",
     }
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("seed,n,horizon,")
@@ -103,6 +104,7 @@ def test_simulate_reproducible(config_file, tmp_path):
     assert (out1 / "queueing_latency.csv").read_text() == (
         out2 / "queueing_latency.csv"
     ).read_text()
+    assert (out1 / "counters.json").read_bytes() == (out2 / "counters.json").read_bytes()
 
 
 def test_simulate_seed_flag_and_env(config_file, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from sdag.core import (
     sha256,
 )
 from sdag.dag import DagFacts, SDag, Violation, ViolationKind
+from sdag.ledger import resolve_peer_chain
 
 from dagtools import (
     RANDOM_PARAMS,
@@ -159,9 +160,9 @@ def test_level_lookups_match_brute_force():
             cur = replay.chain_tip()
             while cur is not None:
                 walk.append(cur)
-                cur = replay.ms_parent[cur]
+                cur = replay.facts.ms_parent[cur]
             assert replay.main_chain == walk[::-1]
-            assert replay.height() == max(replay.ms_height.values())
+            assert replay.height() == max(replay.facts.ms_height.values())
             confirmed = list(itertools.chain.from_iterable(replay.level_sets()))
             assert len(confirmed) == len(set(confirmed))
             assert set(confirmed) == brute_force_confirm(replay, replay.chain_tip())
@@ -183,7 +184,7 @@ def test_insertion_order_independence_small():
     done = 0
     while done < 10:
         sdag = random_dag(rng, n_blocks=40)
-        heights = [sdag.ms_height[m] for m in sdag.milestone_leaf_set()]
+        heights = [sdag.facts.ms_height[m] for m in sdag.milestone_leaf_set()]
         if heights.count(max(heights)) != 1:
             continue  # tied tips are resolved by arrival, skip
         ref = dag_signature(sdag)
@@ -268,9 +269,15 @@ def arrivals(blocks, valid, rng):
 
 
 def brute_force_unreferenced(sdag):
-    """Stored blocks, the genesis aside, that no stored block references."""
-    referenced = {r for b in sdag.blocks.values() for r in (b.idp, b.idm, b.idt)}
-    return {bid for bid in sdag.blocks if bid != GENESIS_ID and bid not in referenced}
+    """Held blocks, the genesis aside, that no held block references."""
+    held = sdag.block_ids()
+    referenced = {r for bid in held for r in sdag._refs(sdag.blocks[bid])}
+    return {bid for bid in held if bid != GENESIS_ID and bid not in referenced}
+
+
+def peer_blocks_by_filter(sdag, peer):
+    """The held blocks of `peer`, filtered from the whole storage order."""
+    return [bid for bid in sdag.block_ids() if bid != GENESIS_ID and sdag.blocks[bid].peer == peer]
 
 
 def test_shared_facts_match_private_tables():
@@ -290,8 +297,8 @@ def test_shared_facts_match_private_tables():
         for step in itertools.zip_longest(*feeds):
             for block, a, b in zip(step, shared, private):
                 if block is not None:
-                    stored = len(a.blocks)
-                    missing = [r for r in (block.idp, block.idm, block.idt) if r not in a.blocks]
+                    stored = len(a)
+                    missing = [r for r in (block.idp, block.idm, block.idt) if r not in a]
                     known = block_id(block) in facts.verdicts
                     got = a.insert(block)
                     assert got == b.insert(block)
@@ -299,17 +306,34 @@ def test_shared_facts_match_private_tables():
                         kinds.add(got.kind)
                     if missing:
                         assert got == Violation(ViolationKind.MISSING_PARENT, missing[0].hex())
-                        assert len(a.blocks) == stored
+                        assert len(a) == stored
                         known_missing += known
                     assert a._unreferenced == brute_force_unreferenced(a)
+                    assert (block_id(block) in a) == (block_id(block) in b.blocks)
+                    assert len(a) == len(b) == len(b.blocks)
+                    # the private SDag's storage order is its own insert order
+                    assert b.block_ids() == list(b.blocks)
+                    assert set(a.block_ids()) == set(b.blocks)
+                    for x in (a, b):
+                        assert x.peer_block_ids(block.peer) == peer_blocks_by_filter(x, block.peer)
         miners = {b.peer for b in blocks}
+        # the store holds exactly the valid blocks, each once
+        assert facts.blocks == source.blocks
+        assert list(facts.serial) == list(facts.blocks)
         for a, b in zip(shared, private):
-            assert a.blocks == b.blocks == source.blocks
+            assert b.blocks == source.blocks
+            assert set(a.block_ids()) == set(b.block_ids()) == set(source.blocks)
             assert a.main_chain == b.main_chain
             assert a.level_sets() == b.level_sets()
             assert a.pending_set() == b.pending_set()
+            assert a.milestone_leaf_set() == b.milestone_leaf_set()
             for m in miners:
                 assert a.tip_set(m) == b.tip_set(m)
+                assert b.peer_block_ids(m) == [
+                    bid for bid, blk in b.blocks.items() if blk.peer == m and bid != GENESIS_ID
+                ]
+                assert set(a.peer_block_ids(m)) == set(b.peer_block_ids(m))
+                assert resolve_peer_chain(a, m) == resolve_peer_chain(b, m)
         assert len(facts.verdicts) == len(blocks)
         assert all(v is None or v.kind is not ViolationKind.MISSING_PARENT for _c, v in facts.verdicts.values())
     assert kinds == {
@@ -320,6 +344,76 @@ def test_shared_facts_match_private_tables():
     }
     # the verdict table answered for a block whose parents had not arrived
     assert known_missing > 0
+
+
+def test_shared_level_facts_match_confirm_set_differences():
+    """On forked DAGs received in different orders, every level set in the
+    shared table is its milestone's confirm set minus its parent's, and
+    each block names exactly the milestones whose level sets hold it."""
+    rng = random.Random(29)
+    off_chain = forked_blocks = 0
+    for _ in range(8):
+        source = random_dag(rng, n_blocks=60)
+        blocks = [b for bid, b in source.blocks.items() if bid != GENESIS_ID]
+        facts = DagFacts(RANDOM_PARAMS)
+        nodes = [SDag(RANDOM_PARAMS, facts) for _ in range(4)]
+        feeds = [arrivals(blocks, set(source.blocks), rng) for _ in nodes]
+        for step in itertools.zip_longest(*feeds):
+            for block, node in zip(step, nodes):
+                if block is not None:
+                    node.insert(block)
+        for node in nodes:
+            assert node.main_chain == source.main_chain or node.height() == source.height()
+        levels, ms_parent = facts.levels, facts.ms_parent
+        for ms, lev in levels.items():
+            assert set(lev) == source.confirm_set(ms) - source.confirm_set(ms_parent[ms])
+            off_chain += ms not in source.main_chain
+        for bid in source.blocks:
+            holders = [ms for ms, lev in levels.items() if bid in lev]
+            got = facts.level_of.get(bid)
+            if bid == GENESIS_ID:
+                assert got == GENESIS_ID
+            elif not holders:
+                assert got is None
+            elif len(holders) == 1:
+                assert got == holders[0]
+            else:
+                assert isinstance(got, tuple) and sorted(got) == sorted(holders)
+                forked_blocks += 1
+        # each node's pending set is what no level of its own chain holds
+        for node in nodes:
+            confirmed = set(itertools.chain.from_iterable(node.level_sets()))
+            assert node.pending_set() == set(node.block_ids()) - confirmed
+    # some walked levels lie on forks, and some blocks sit in two of them
+    assert off_chain > 0 and forked_blocks > 0
+
+
+def test_store_grows_every_bitmap():
+    """Bitmaps double with the store, also for an SDag that holds nothing
+    but the genesis, and the last slot of every bitmap stays empty."""
+    rng = random.Random(31)
+    source = random_dag(rng, n_blocks=300)
+    facts = DagFacts(RANDOM_PARAMS)
+    idle, a, b = (SDag(RANDOM_PARAMS, facts) for _ in range(3))
+    start = len(idle.held)
+    stored = [blk for bid, blk in source.blocks.items() if bid != GENESIS_ID]
+    for k, block in enumerate(stored):
+        assert a.insert(block) is None
+        if k % 2 == 0 or k > len(stored) - 20:
+            # b misses half the blocks, so it holds only what it can
+            b.insert(block)
+    assert len(facts.blocks) == len(source.blocks) > 4 * start
+    assert len(idle.held) == len(a.held) == len(b.held) > len(facts.blocks)
+    for sdag in (idle, a, b):
+        assert sdag.held[-1] == 0
+    assert len(idle) == 1 and idle.block_ids() == [GENESIS_ID]
+    assert not any(bid in idle for bid in source.blocks if bid != GENESIS_ID)
+    assert sha256(b"not a block") not in a
+    assert a.block_ids() == list(source.blocks)
+    assert b.block_ids() == [bid for bid in source.blocks if bid in b]
+    assert len(b) == sum(b.held)
+    # the idle SDag still takes blocks after the growth
+    assert idle.insert(stored[0]) is None and block_id(stored[0]) in idle and len(idle) == 2
 
 
 def test_shared_facts_report_bad_pow_before_missing_parents():
@@ -333,7 +427,7 @@ def test_shared_facts_report_bad_pow_before_missing_parents():
     facts = DagFacts(EASY)
     for sdag in (SDag(EASY, facts), SDag(EASY, facts), SDag(EASY)):
         assert sdag.insert(block).kind is ViolationKind.BAD_POW
-        assert len(sdag.blocks) == 1 and not sdag._unreferenced
+        assert len(sdag) == 1 and not sdag._unreferenced
 
 
 def test_shared_facts_must_match_params():

@@ -75,3 +75,54 @@ def test_private_definitions_are_read():
                 read.add(node.attr)
     orphans = sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
     assert not orphans, f"private definitions never read: {', '.join(orphans)}"
+
+
+def is_blocks(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "blocks"
+
+
+# builtins that iterate over their first argument
+ITERATING = {
+    "all", "any", "dict", "enumerate", "frozenset", "iter", "len", "list",
+    "max", "min", "set", "sorted", "sum", "tuple", "zip",
+}
+
+
+def whole_store_reads(tree: ast.Module) -> list[str]:
+    """Membership tests in, and iterations over, an `.blocks` attribute.
+    On an SDag that shares a block store, `blocks` holds every block of the
+    store, so it answers neither what the SDag holds nor in which order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and is_blocks(right):
+                    found.append(ast.unparse(node))
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and is_blocks(node.iter):
+            found.append(f"for ... in {ast.unparse(node.iter)}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("items", "keys", "values") and is_blocks(node.value):
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ITERATING
+            and any(is_blocks(arg) for arg in node.args)
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_whole_store_reads_flagged():
+    tree = ast.parse(
+        "a in s.blocks\nb not in s.blocks\nfor x in s.blocks: pass\n[x for x in s.blocks]\n"
+        "s.blocks.items()\nlen(s.blocks)\ns.blocks[x]\nx in s\nfor y in view.blocks[1:]: pass\n"
+    )
+    assert len(whole_store_reads(tree)) == 6
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_whole_store_reads(path):
+    """No module tests membership in `.blocks` or iterates over it: it goes
+    through `bid in sdag`, `SDag.block_ids` and `SDag.peer_block_ids`."""
+    found = whole_store_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} reads the whole block store: {'; '.join(found)}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 import sys
 
 import pytest
@@ -11,10 +12,12 @@ from sdag.core import TxKind
 from sdag.ledger import build_from_dag, verify_normal
 from sdag.node import NodeState
 from sdag.simnet import (
+    MEMPOOL_SAMPLES,
     PeerChainFork,
     PrivateMilestoneFork,
     SimConfig,
     Simulation,
+    common_prefix_violations,
     run,
 )
 
@@ -91,6 +94,59 @@ def test_queueing_and_infection_samples_plausible():
     assert m.infection_latency and all(s >= 0 for s in m.infection_latency)
     horizon = SMALL.horizon
     assert all(s <= horizon for s in m.infection_latency)
+
+
+def pairwise_prefix_violations(chains, depth):
+    """Every pair of chains, each cut `depth` short, compared directly."""
+    bad = 0
+    for i in range(len(chains)):
+        a = chains[i][: max(len(chains[i]) - depth, 1)]
+        for j in range(i + 1, len(chains)):
+            b = chains[j][: max(len(chains[j]) - depth, 1)]
+            short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+            if long_[: len(short)] != short:
+                bad += 1
+    return bad
+
+
+def test_common_prefix_violations_match_pairwise_oracle():
+    rng = random.Random(17)
+    violated = repeated = 0
+    for _ in range(300):
+        # branches off one trunk; each node holds one branch cut at a random
+        # height, so the set has equal chains, prefixes and forks
+        trunk = [b"genesis"] + [b"t%d" % k for k in range(rng.randrange(6))]
+        branches = [
+            trunk + [b"b%d-%d" % (i, k) for k in range(rng.randrange(8))]
+            for i in range(rng.randrange(1, 4))
+        ]
+        chains = []
+        for _ in range(rng.randrange(25)):
+            branch = rng.choice(branches)
+            chains.append(branch[: rng.randrange(1, len(branch) + 1)])
+        depth = rng.randrange(5)
+        want = pairwise_prefix_violations(chains, depth)
+        assert common_prefix_violations(chains, depth) == want
+        violated += want > 0
+        repeated += len({tuple(c) for c in chains}) < len(chains)
+    assert violated > 50 and repeated > 50
+
+
+def test_counters_account_for_an_honest_run():
+    cfg = small()
+    m = run(cfg)
+    c = m.counters
+    assert c["orphans_evicted"] == 0 and c["rejected_blocks"] == 0
+    # without an adversary every mine event makes one block, and the
+    # drained queue delivers it to, and has it stored by, every node
+    assert c["events"]["mine"] == m.blocks_created
+    assert c["deliveries"] == c["events"]["deliver"] == (cfg.n - 1) * m.blocks_created
+    assert c["inserts"] == cfg.n * m.blocks_created
+    assert c["events"]["sample"] == MEMPOOL_SAMPLES
+    assert c["reorgs"] == m.reorg_count
+    assert c["mining_attempts"] >= m.blocks_created
+    assert 0 < c["orphan_peak_per_node"] <= c["orphans_buffered"]
+    assert run(cfg).counters == c
 
 
 def test_private_milestone_fork_runs_and_reorgs():
