@@ -18,7 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .core import (
     GENESIS,
@@ -50,6 +52,9 @@ class Violation:
 
 # one verdict tuple per class for every valid block, not one per block
 _VALID = {cls: (cls, None) for cls in BlockClass}
+
+# `SDag.hold` sets more bits than this through one numpy index
+_BULK_HOLD = 8
 
 
 class DagFacts:
@@ -244,15 +249,39 @@ class SDag:
             return v
         if s < 0:
             s = facts.add(bid, block, cls)
-        held[s] = 1
-        unreferenced = self._unreferenced
-        unreferenced.add(bid)
-        unreferenced.discard(block.idp)
-        unreferenced.discard(block.idm)
-        unreferenced.discard(block.idt)
-        if cls is BlockClass.MILESTONE and facts.ms_height[bid] >= len(self.main_chain):
-            self._switch_to(bid)
+        self.hold((bid,), ((block.idp, block.idm, block.idt),), (s,))
+        if cls is BlockClass.MILESTONE:
+            self.adopt(bid)
         return None
+
+    def hold(self, bids: Sequence[bytes], parents: Sequence[Iterable[bytes]], serials) -> None:
+        """Mark stored blocks held, in bulk: `bids` and their store
+        `serials` (a sequence or an integer array) name valid blocks whose
+        parents are held or among them, and `parents` holds one or more
+        lists of their references.  The main chain is not touched: `adopt`
+        each milestone among them afterwards, in store order."""
+        held = self.held
+        if len(serials) > _BULK_HOLD:
+            view = np.frombuffer(held, dtype=np.uint8)
+            view[np.asarray(serials)] = 1
+            # a live view pins the bitmap, which the store must be able to grow
+            del view
+        else:
+            for s in serials:
+                held[s] = 1
+        # (old | new) - parents, without growing the set's table by every
+        # new block first: a set never shrinks its table
+        fresh = set(bids)
+        fresh.difference_update(*parents)
+        unreferenced = self._unreferenced
+        unreferenced.difference_update(*parents)
+        unreferenced.update(fresh)
+
+    def adopt(self, ms: bytes) -> None:
+        """Switch the main chain to a held milestone if it is higher than
+        the tip; on a tie the incumbent stays."""
+        if self.facts.ms_height[ms] >= len(self.main_chain):
+            self._switch_to(ms)
 
     def _switch_to(self, tip: bytes) -> None:
         # walk back from the new tip to the first milestone already on the

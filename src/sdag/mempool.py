@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
@@ -62,9 +62,20 @@ class Mempool:
         self.entries[txid] = entry
         return True
 
+    def add_all(self, pairs: Iterable[tuple[bytes, PoolEntry]]) -> None:
+        """Add (txid, entry) pairs of transactions new to the pool, in one
+        update; entries may be shared with other pools."""
+        self.entries.update(pairs)
+
     def remove_tx(self, txid: bytes) -> Optional[PoolEntry]:
         """Remove by id; idempotent."""
         return self.entries.pop(txid, None)
+
+    def remove_all(self, txids: Iterable[bytes]) -> None:
+        """Remove each id that is in the pool."""
+        pop = self.entries.pop
+        for txid in txids:
+            pop(txid, None)
 
     def workable(self, head_id: bytes, cq: Fraction) -> list[bytes]:
         """Transaction ids with distance <= c*q to the given head, ordered

@@ -3,9 +3,10 @@
 Receiving: buffer blocks whose parents are not stored yet, validate,
 insert, drop the contained transaction from the mempool, insert the
 buffered blocks that were waiting on it, and switch the main chain when a
-higher milestone shows up.  Transaction semantics are deliberately NOT
-checked on receive; conflicts are resolved when the DAG is folded into a
-ledger.
+higher milestone shows up.  A node whose store times are computed for it
+(see `simnet`) takes the same steps in bulk through `catch_up`.
+Transaction semantics are deliberately NOT checked on receive; conflicts
+are resolved when the DAG is folded into a ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
 of another peer; pick the best workable normal transaction from the
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     GENESIS_ID,
     Block,
+    BlockClass,
     MiningExhausted,
     Params,
     Transaction,
@@ -35,6 +37,22 @@ from .sigs import DEFAULT_SCHEME, SignatureScheme
 
 DEFAULT_ORPHAN_CAP = 10_000
 DEFAULT_MINE_BUDGET = 1 << 20
+
+
+def drain(arrived: bytes, waiting_on: dict[bytes, set[bytes]], take: Callable[[bytes], bool]) -> None:
+    """Walk the orphans that the insertion of `arrived` may complete, in
+    the order that fixes every artifact of a simulation: depth first from
+    the last block taken, the blocks waiting on one parent in sorted-id
+    order.  `waiting_on` maps a block to the orphans buffered while it was
+    missing, and loses each entry walked; `take(bid)` inserts a waiting
+    orphan if all its parents are held, and says whether it did."""
+    queue = [arrived]
+    while queue:
+        waiting = waiting_on.pop(queue.pop(), None)
+        if waiting:
+            for bid in sorted(waiting):
+                if take(bid):
+                    queue.append(bid)
 
 
 class SharedFacts:
@@ -80,10 +98,16 @@ class NodeState:
         self.orphan_peak = 0
         self.mining_attempts = 0
         self.rejected_blocks = 0
+        self.reorgs = 0
+        self.max_reorg_depth = 0
 
     # -- receive path ----------------------------------------------------
 
     def on_receive_block(self, block: Block) -> None:
+        """Store a delivered block, or buffer it until its parents are
+        stored.  A delivered milestone that, with the orphans it releases,
+        switches the chain away from one of its milestones counts a reorg;
+        a switch made by a released orphan milestone alone does not."""
         bid = block_id(block)
         # `ref in self.sdag`, inlined: the receive path runs per delivery
         held = self.sdag.held
@@ -91,8 +115,11 @@ class NodeState:
         if held[serial(bid, -1)] or bid in self.orphan_blocks:
             return
         if held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]:
+            old = self.sdag.main_chain
             if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
+            if self.sdag.main_chain is not old and self.sdag.block_class(bid) is BlockClass.MILESTONE:
+                self._count_reorg(old)
             return
         if len(self.orphan_blocks) >= self.orphan_cap:
             # FIFO eviction bounds memory under junk floods
@@ -123,24 +150,64 @@ class NodeState:
         return True
 
     def _drain_orphans(self, arrived: bytes) -> None:
-        # depth first, siblings in sorted-id order: this fixes the order of
-        # insertion, and with it every artifact of a simulation
-        queue = [arrived]
-        while queue:
-            ready_parent = queue.pop()
-            waiting = self.orphans_by_missing.pop(ready_parent, None)
-            if not waiting:
-                continue
-            for bid in sorted(waiting):
-                block = self.orphan_blocks.get(bid)
-                if block is None:
-                    continue
-                refs = (block.idp, block.idm, block.idt)
-                if any(r not in self.sdag for r in refs):
-                    continue
-                del self.orphan_blocks[bid]
-                if self._try_insert(block):
-                    queue.append(bid)
+        sdag = self.sdag
+
+        def take(bid: bytes) -> bool:
+            block = self.orphan_blocks.get(bid)
+            if block is None or not (block.idp in sdag and block.idm in sdag and block.idt in sdag):
+                return False
+            del self.orphan_blocks[bid]
+            return self._try_insert(block)
+
+        drain(arrived, self.orphans_by_missing, take)
+
+    def _count_reorg(self, old: list[bytes]) -> None:
+        """Count a switch away from `old` as a reorg if it drops one of
+        old's milestones, and keep the deepest drop."""
+        new = self.sdag.main_chain
+        if new is old:
+            return
+        # both chains are paths from the genesis in one milestone tree, so
+        # where they agree at a height they agree below it too
+        fork = min(len(old), len(new))
+        while old[fork - 1] != new[fork - 1]:
+            fork -= 1
+        if fork < len(old):
+            self.reorgs += 1
+            self.max_reorg_depth = max(self.max_reorg_depth, len(old) - fork)
+
+    def catch_up(
+        self,
+        entries: Iterable[tuple[bytes, PoolEntry]],
+        bids: Sequence[bytes],
+        parents: Sequence[Iterable[bytes]],
+        serials,
+        txids: Iterable[bytes],
+        cascades: Iterable[tuple[bool, Sequence[bytes]]],
+    ) -> None:
+        """Take in bulk what `on_tx` and `on_receive_block` would have taken
+        one at a time since the node last acted.  The pool ends as if it
+        took the arrived (txid, entry) pairs and then lost the transactions
+        of the stored blocks (`txids`).  The stored blocks are held (`bids`,
+        their store `serials` and their `parents`, as `SDag.hold` takes
+        them), then the milestones among them switch the main chain in
+        store order.  `cascades` lists those milestones by the instant they
+        were stored at, each list with whether the block delivered at that
+        instant was a milestone: the reorg rule of `on_receive_block` counts
+        only such a cascade, comparing the chains before and after it."""
+        # (pool | arrived) - carried, without growing the pool's table by
+        # every arrival first: a dict never shrinks its table
+        carried = set(txids)
+        self.mempool.remove_all(carried)
+        self.mempool.add_all([pair for pair in entries if pair[0] not in carried])
+        sdag = self.sdag
+        sdag.hold(bids, parents, serials)
+        for delivered_milestone, milestones in cascades:
+            old = sdag.main_chain
+            for ms in milestones:
+                sdag.adopt(ms)
+            if delivered_milestone:
+                self._count_reorg(old)
 
     def on_tx(self, entry: PoolEntry) -> None:
         """Add a pending transaction; the entry may be shared with other

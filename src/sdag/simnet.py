@@ -7,6 +7,21 @@ peers run the full node state machine; the adversary follows one of two
 strategies.  A (config, seed) pair fully determines the event trace and the
 metrics.
 
+A broadcast to the honest nodes is one vector, not one event per peer: the
+block's arrival time a_j at each node j, and from it its store time
+s_j = max(a_j, s_j of its three parents), since a node stores an orphan
+when it stores its last parent.  An honest node is brought up to date
+(`NodeState.catch_up`) only when it acts or is read: before it mines,
+before a mempool sample of node 0, at the horizon and at the end.  It then
+stores the blocks with store times since it last caught up, in the order
+the per-delivery path would have: by store time, and the blocks stored at
+one instant (one orphan cascade) in `node.drain` order.  Per-node store
+times are kept only while some node has not stored the block yet; after
+that only a milestone's, whose order and cascade still matter, are kept
+until every node has caught up past it.  Orphan counts come from the
+vectors too.  The adversary still takes one event per delivery, since it
+may act at each arrival.
+
 Difficulty is pinned at d = 1 so every mined hash is valid and the
 milestone/regular split emerges from the real block hash with probability p;
 all structural validation stays honest while mining costs one hash.
@@ -18,9 +33,12 @@ import heapq
 import math
 import random
 from collections import Counter
+from itertools import groupby
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from .core import (
     EMPTY_TX,
@@ -41,7 +59,7 @@ from .core import (
 from .curves import make_curve
 from .ledger import build_from_dag, resolve_peer_chain
 from .mempool import PoolEntry
-from .node import DEFAULT_MINE_BUDGET, NodeState, SharedFacts
+from .node import DEFAULT_MINE_BUDGET, NodeState, SharedFacts, drain
 from .sigs import DEFAULT_SCHEME
 
 # event ranks for deterministic tie-breaking: (time, rank, actor, seq)
@@ -52,6 +70,10 @@ _RANK_SAMPLE = 3
 _RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
+
+# orphan arrivals and stores buffered before they are folded into the
+# per-node counts
+ORPHAN_EVENT_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,6 +156,10 @@ class SimMetrics:
     infection_latency: list[float]
     milestone_fork_rate: float
     common_prefix_violations: int
+    # reorgs over the honest nodes, and the most milestones one dropped: a
+    # delivered milestone, with the orphans it releases, switches a node's
+    # chain away from a milestone of it.  A switch made by an orphan
+    # milestone that a regular block releases is not counted.
     reorg_count: int
     max_reorg_depth: int
     mempool_occupancy: float
@@ -207,6 +233,46 @@ def common_prefix_violations(chains: list[list[bytes]], depth: int) -> int:
     return bad
 
 
+class Rows:
+    """Named numpy columns of numbered rows, appended at the end and dropped
+    from the front: rows `base` to `end` are kept, row r at index r - base.
+    `columns` maps each name to the shape of one row's value and a dtype."""
+
+    def __init__(self, **columns: tuple[tuple[int, ...], object]):
+        self.base = 0
+        self.end = 0
+        self.size = 16
+        self.columns = columns
+        for name, (shape, dtype) in columns.items():
+            setattr(self, name, np.empty((self.size, *shape), dtype=dtype))
+
+    def full(self) -> bool:
+        return self.end - self.base == self.size
+
+    def append(self, **values: object) -> None:
+        if self.full():
+            self.drop_before(self.base)
+        k = self.end - self.base
+        for name, value in values.items():
+            getattr(self, name)[k] = value
+        self.end += 1
+
+    def drop_before(self, first: int) -> None:
+        """Drop the rows before `first`, and double the columns if that
+        leaves fewer than half of them free."""
+        kept = self.end - first
+        cut = slice(first - self.base, self.end - self.base)
+        grow = kept > self.size // 2
+        for name in self.columns:
+            old = getattr(self, name)
+            new = np.empty((2 * self.size, *old.shape[1:]), dtype=old.dtype) if grow else old
+            new[:kept] = old[cut]
+            setattr(self, name, new)
+        if grow:
+            self.size *= 2
+        self.base = first
+
+
 class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
@@ -262,11 +328,55 @@ class Simulation:
         self.tx_included: dict[bytes, float] = {}
         self.created_at: dict[bytes, float] = {}
         self.milestone_count = 0
-        self.reorg_count = 0
-        self.max_reorg_depth = 0
         self.mempool_samples: list[float] = []
         self.chains_at_horizon: Optional[list[list[bytes]]] = None
-        self.events = [0] * len(_RANK_NAMES)  # events handled, by rank
+        # events handled, by rank; deliveries to honest nodes are counted
+        # as their store-time vectors are made
+        self.events = [0] * len(_RANK_NAMES)
+
+        # the honest nodes' view of the network: every transaction in
+        # arrival order; one row per broadcast block, numbered in broadcast
+        # order, from the oldest that some node may not hold (`log`: its
+        # serial in the shared store, whether it is a milestone, its id and
+        # references, and the id of its transaction, None for an empty
+        # one); and per node how far it has taken both in
+        self.facts = shared.dag
+        self.tx_log: list[tuple[bytes, PoolEntry]] = []
+        self.tx_seen = [0] * config.n
+        self.log = Rows(
+            serial=((), np.int64),
+            milestone=((), bool),
+            bid=((), object),
+            idp=((), object),
+            idm=((), object),
+            idt=((), object),
+            txid=((), object),
+        )
+        self.first_row = [0] * config.n  # oldest row each node may not hold
+        # per node, for the rows of blocks that some node may not have
+        # stored yet (`hot`, the few seconds of blocks in flight): the store
+        # time, whether the block arrived before it, as an orphan, and the
+        # latest over the nodes; `hot_row` maps their ids to their rows
+        self.hot = Rows(s=((config.n,), float), orphan=((config.n,), bool), latest=((), float))
+        self.hot_row: dict[bytes, int] = {}
+        # what a node catching up later still needs of a row that every node
+        # has stored: a milestone's store times and orphan flags, and, per
+        # node, its place in a cascade that stored it with other milestones
+        # (whether a milestone set the cascade off, and its drain position,
+        # -1 for none)
+        self.settled: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.drained: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # orphans, per honest node: buffered, held now and at most; the
+        # arrivals and stores not yet folded into the counts
+        self.orphans_buffered = np.zeros(config.n, dtype=np.int64)
+        self.orphan_count = np.zeros(config.n, dtype=np.int64)
+        self.orphan_peak = np.zeros(config.n, dtype=np.int64)
+        self.orphan_events: list[tuple[np.ndarray, np.ndarray, Union[int, np.ndarray]]] = []
+        self.orphan_events_size = 0
+        # (first honest store time, height) of each milestone not yet seen
+        # by `_public_height`, and the highest seen
+        self.first_stores: list[tuple[float, int]] = []
+        self.public_height = 0
 
     # -- plumbing --------------------------------------------------------
 
@@ -274,15 +384,254 @@ class Simulation:
         self.seq += 1
         heapq.heappush(self.heap, (time, rank, actor, self.seq, payload))
 
-    def _broadcast(self, block: Block, t: float, skip: int = -1) -> None:
-        draw = self.master.random
-        inverse = self.curve.inverse
+    def _broadcast(self, block: Block, t: float, skip: int) -> None:
+        """Send `block`, made at `t` by node `skip` (`n` for the adversary),
+        to every other node: one delay draw per receiver, in node order,
+        the adversary last.  The honest receivers take it as one row of
+        store times; the adversary as a delivery event."""
+        bid = block_id(block)
+        facts = self.facts
+        serial = facts.serial.get(bid)
+        if serial is None:
+            # only a valid block enters the store, so every honest node
+            # stores each broadcast block and rejects none
+            raise ValueError(f"broadcast block {bid.hex()} has no valid verdict")
         n = self.cfg.n
-        for j in range(n):
-            if j != skip:
-                self._push(t + inverse(draw()), _RANK_DELIVER, j, block)
-        if self.adv_node is not None and skip != n:
-            self._push(t + inverse(draw()), _RANK_DELIVER, n, block)
+        honest = n - 1 if skip < n else n
+        to_adversary = self.adv_node is not None and skip != n
+        draw = self.master.random
+        delays = self.curve.inverse(np.array([draw() for _ in range(honest + to_adversary)]))
+        if to_adversary:
+            self._push(t + float(delays[-1]), _RANK_DELIVER, n, block)
+        self.events[_RANK_DELIVER] += honest
+
+        arrive = np.empty(n)
+        if skip < n:
+            # the miner holds its block from the start
+            arrive[:skip] = delays[:skip]
+            arrive[skip] = 0.0
+            arrive[skip + 1 :] = delays[skip:honest]
+        else:
+            arrive[:] = delays[:n]
+        arrive += t
+        store = arrive.copy()
+        hot = self.hot
+        for ref in (block.idp, block.idm, block.idt):
+            # a parent out of the hot rows was stored everywhere before now
+            row = self.hot_row.get(ref)
+            if row is not None:
+                np.maximum(store, hot.s[row - hot.base], out=store)
+        orphan = store > arrive
+        late = np.flatnonzero(orphan)
+        if len(late):
+            self.orphans_buffered[late] += 1
+            self.orphan_events.append((late, arrive[late], 1))
+            self.orphan_events.append((late, store[late], -1))
+            self.orphan_events_size += 2 * len(late)
+            if self.orphan_events_size >= ORPHAN_EVENT_BATCH:
+                self._fold_orphans(t)
+        milestone = facts.verdicts[bid][0] is BlockClass.MILESTONE
+        if milestone:
+            heapq.heappush(self.first_stores, (float(store.min()), facts.ms_height[bid]))
+
+        self._settle(t)
+        log = self.log
+        if log.full():
+            self._drop_held_rows()
+        tx = block.mes
+        log.append(
+            serial=serial,
+            milestone=milestone,
+            bid=bid,
+            idp=block.idp,
+            idm=block.idm,
+            idt=block.idt,
+            txid=None if tx.kind is TxKind.EMPTY else tx.txid(),
+        )
+        self.hot_row[bid] = hot.end
+        hot.append(s=store, orphan=orphan, latest=store.max())
+
+    def _settle(self, now: float) -> None:
+        """Take out of the hot rows, in row order, those that every node
+        stored before `now`, keeping what a node catching up later needs:
+        each milestone's store times and orphan flags, and the drain order
+        of each cascade that stored several milestones at once, worked out
+        from the row that set it off, while all rows of the cascade, which
+        come after that one, are still hot."""
+        hot, log = self.hot, self.log
+        if hot.end == hot.base or hot.latest[0] >= now:
+            return
+        late = np.flatnonzero(hot.latest[: hot.end - hot.base] >= now)
+        stop = hot.base + (int(late[0]) if len(late) else hot.end - hot.base)
+        milestones = (np.flatnonzero(log.milestone[hot.base - log.base : hot.end - log.base]) + hot.base).tolist()
+        n = self.cfg.n
+        for row in range(hot.base, stop):
+            i = row - hot.base
+            later = [m - hot.base for m in milestones if m >= row]
+            if len(later) >= 2:
+                # the nodes that stored `row` as it arrived, together with
+                # at least two milestones; many share one cascade
+                together = np.count_nonzero(hot.s[later] == hot.s[i], axis=0)
+                delivered = bool(log.milestone[row - log.base])
+                orders: dict[tuple[int, ...], list[int]] = {}
+                for j in np.flatnonzero((together >= 2) & ~hot.orphan[i]).tolist():
+                    members = tuple((np.flatnonzero(hot.s[i : hot.end - hot.base, j] == hot.s[i, j]) + row).tolist())
+                    if members not in orders:
+                        orders[members] = self._drained_milestones(list(members))
+                    for position, m in enumerate(orders[members]):
+                        if m not in self.drained:
+                            self.drained[m] = (np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int32))
+                        self.drained[m][0][j] = delivered
+                        self.drained[m][1][j] = position
+            if log.milestone[row - log.base]:
+                self.settled[row] = (hot.s[i].copy(), hot.orphan[i].copy())
+            del self.hot_row[log.bid[row - log.base]]
+        hot.drop_before(stop)
+        if milestones and milestones[0] < stop:
+            self._drop_held_rows()
+
+    def _drop_held_rows(self) -> None:
+        """Drop the rows that every node holds."""
+        first = min(self.first_row)
+        for row in [r for r in self.settled if r < first]:
+            del self.settled[row]
+            self.drained.pop(row, None)
+        self.log.drop_before(first)
+
+    def _fold_orphans(self, before: float) -> None:
+        """Fold the buffered orphan arrivals (+1) and stores (-1) timed
+        before `before` into each node's orphan count and peak; later ones
+        stay buffered.  A node that would hold more orphans than its
+        `orphan_cap` is an error: the per-delivery path would evict one,
+        which store times cannot express."""
+        if not self.orphan_events:
+            return
+        events = self.orphan_events
+        node = np.concatenate([nodes for nodes, _time, _step in events])
+        time = np.concatenate([time for _nodes, time, _step in events])
+        # a step is +1 or -1 for a whole batch, or one per event when carried
+        step = np.concatenate([np.broadcast_to(np.int64(s), len(n)) for n, _time, s in events])
+        done = time < before
+        self.orphan_events = [] if done.all() else [(node[~done], time[~done], step[~done])]
+        self.orphan_events_size = len(node) - int(np.count_nonzero(done))
+        node, time, step = node[done], time[done], step[done]
+        if not len(node):
+            return
+        order = np.lexsort((step, time, node))
+        node, step = node[order], step[order]
+        starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        ids = node[starts]
+        held = np.cumsum(step)
+        # each node's running count: its own steps on top of its carried count
+        held += np.repeat(self.orphan_count[ids] - (held[starts] - step[starts]), np.diff(np.r_[starts, len(node)]))
+        self.orphan_peak[ids] = np.maximum(self.orphan_peak[ids], np.maximum.reduceat(held, starts))
+        self.orphan_count[ids] = held[np.r_[starts[1:], len(node)] - 1]
+        caps = np.array([node.orphan_cap for node in self.nodes])
+        over = np.flatnonzero(self.orphan_peak > caps)
+        if len(over):
+            j = int(over[0])
+            raise RuntimeError(
+                f"node {j} would hold {int(self.orphan_peak[j])} orphans at once, over its "
+                f"orphan_cap of {int(caps[j])}: the per-delivery path would evict, and "
+                "the simulation would no longer be exact"
+            )
+
+    def _catch_up(self, j: int, until: float) -> None:
+        """Bring honest node j up to date at time `until`: the transactions
+        arrived since it last caught up, then the blocks it stored by then
+        in store order (see `NodeState.catch_up`).  `until` is never before
+        a row left the hot rows, so every such row is due."""
+        node = self.nodes[j]
+        entries = self.tx_log[self.tx_seen[j] :]
+        self.tx_seen[j] = len(self.tx_log)
+        log, hot = self.log, self.hot
+        lo = self.first_row[j]
+        serials = log.serial[lo - log.base : log.end - log.base]
+        held = np.frombuffer(node.sdag.held, dtype=np.uint8)
+        due = held[serials] == 0
+        del held  # a live view would pin the bitmap, which the store grows
+        first_hot = max(lo, hot.base)
+        store = hot.s[first_hot - hot.base : hot.end - hot.base, j]
+        due[first_hot - lo :] &= store <= until
+        later = np.flatnonzero(store > until)
+        self.first_row[j] = hot.end if not len(later) else first_hot + int(later[0])
+        due = np.flatnonzero(due)
+        if not len(due) and not entries:
+            return
+        rows = due + (lo - log.base)  # log indices
+        milestones = rows[log.milestone[rows]] + log.base
+        node.catch_up(
+            entries,
+            log.bid[rows].tolist(),
+            (log.idp[rows].tolist(), log.idm[rows].tolist(), log.idt[rows].tolist()),
+            serials[due],
+            [txid for txid in log.txid[rows].tolist() if txid is not None],
+            self._cascades(j, milestones.tolist()) if len(milestones) else (),
+        )
+
+    def _cascades(self, j: int, milestones: list[int]) -> list:
+        """The milestones of the given rows, which node j stores now, by
+        store instant, each instant with whether the block delivered then
+        (the one stored as it arrived) was a milestone."""
+        hot, bid = self.hot, self.log.bid
+        stored = []
+        for row in milestones:
+            if row >= hot.base:
+                at, orphan = hot.s[row - hot.base, j], hot.orphan[row - hot.base, j]
+            else:
+                at, orphan = self.settled[row][0][j], self.settled[row][1][j]
+            stored.append((at, row, orphan))
+        if len(stored) == 1:
+            _at, row, orphan = stored[0]
+            return [(not orphan, [bid[row - self.log.base]])]
+        stored.sort()
+        cascades = []
+        base = self.log.base
+        for instant, group in groupby(stored, key=lambda entry: entry[0]):
+            group = list(group)
+            if len(group) == 1:
+                _at, row, orphan = group[0]
+                cascades.append((not orphan, [bid[row - base]]))
+            elif group[0][1] in self.drained and self.drained[group[0][1]][1][j] >= 0:
+                # set off by a row that has left the hot rows
+                order = sorted(group, key=lambda entry: self.drained[entry[1]][1][j])
+                cascades.append((bool(self.drained[group[0][1]][0][j]), [bid[row - base] for _at, row, _o in order]))
+            else:
+                # each block stored then but the delivered one waited on a
+                # parent stored then, so the delivered block is an ancestor
+                # of all of them: the first row, still hot
+                members = (np.flatnonzero(hot.s[: hot.end - hot.base, j] == instant) + hot.base).tolist()
+                order = self._drained_milestones(members)
+                cascades.append((bool(self.log.milestone[members[0] - base]), [bid[row - base] for row in order]))
+        return cascades
+
+    def _drained_milestones(self, members: list[int]) -> list[int]:
+        """The milestone rows among `members`, the rows stored at one
+        instant after the first of them was delivered, in the order its
+        delivery drained them (`node.drain`)."""
+        log = self.log
+        row_of = {log.bid[k - log.base]: k for k in members}
+        parents = {k: (log.idp[k - log.base], log.idm[k - log.base], log.idt[k - log.base]) for k in members}
+        waiting: dict[bytes, set[bytes]] = {}
+        for k in members[1:]:
+            for ref in parents[k]:
+                if ref in row_of:
+                    waiting.setdefault(ref, set()).add(log.bid[k - log.base])
+        first = log.bid[members[0] - log.base]
+        taken = [first]
+        stored = {first}
+
+        def take(bid: bytes) -> bool:
+            if bid in stored or any(ref in row_of and ref not in stored for ref in parents[row_of[bid]]):
+                return False
+            stored.add(bid)
+            taken.append(bid)
+            return True
+
+        drain(first, waiting, take)
+        # two deliveries at one instant would leave blocks undrained
+        taken += [log.bid[k - log.base] for k in members if log.bid[k - log.base] not in stored]
+        return [row_of[b] for b in taken if log.milestone[row_of[b] - log.base]]
 
     # -- handlers --------------------------------------------------------
 
@@ -304,10 +653,10 @@ class Simulation:
             tx = self._make_tx(self.tx_index)
             self.tx_index += 1
             self.tx_arrival[tx.txid()] = t
-            # one immutable entry, shared by every pool
+            # one immutable entry, shared by every pool; the honest nodes
+            # take it in when they catch up
             entry = PoolEntry(tx, t, self.cfg.fee)
-            for node in self.nodes:
-                node.on_tx(entry)
+            self.tx_log.append((tx.txid(), entry))
             if self.adv_node is not None:
                 self.adv_node.on_tx(entry)
         nxt = t + self.master.expovariate(self.cfg.lam)
@@ -325,6 +674,7 @@ class Simulation:
         return bid
 
     def _handle_mine(self, i: int, t: float) -> None:
+        self._catch_up(i, t)
         block = self.nodes[i].create_block()
         self._record_block(block, t)
         self._broadcast(block, t, skip=i)
@@ -332,30 +682,22 @@ class Simulation:
         if nxt <= self.cfg.horizon:
             self._push(nxt, _RANK_MINE, i)
 
-    def _handle_deliver(self, j: int, block: Block, t: float) -> None:
-        if j == self.cfg.n:
-            assert self.adv_node is not None
-            self.adv_node.on_receive_block(block)
-            if isinstance(self.cfg.adversary_strategy, PrivateMilestoneFork):
-                self._maybe_release(t)
-            return
-        node = self.nodes[j]
-        old = node.sdag.main_chain  # never changed in place (see SDag)
-        node.on_receive_block(block)
-        new = node.sdag.main_chain
-        if new is not old and classify_hash(block_id(block), self.params) is BlockClass.MILESTONE:
-            fork = 0
-            limit = min(len(old), len(new))
-            while fork < limit and old[fork] == new[fork]:
-                fork += 1
-            if fork < len(old):
-                self.reorg_count += 1
-                self.max_reorg_depth = max(self.max_reorg_depth, len(old) - fork)
+    def _handle_deliver(self, block: Block, t: float) -> None:
+        """A delivery to the adversary, the one node that takes each."""
+        assert self.adv_node is not None
+        self.adv_node.on_receive_block(block)
+        if isinstance(self.cfg.adversary_strategy, PrivateMilestoneFork):
+            self._maybe_release(t)
 
     # -- adversary -------------------------------------------------------
 
-    def _public_height(self) -> int:
-        return max(node.sdag.height() for node in self.nodes)
+    def _public_height(self, t: float) -> int:
+        """The height of the best chain any honest node holds at `t`: the
+        running maximum over each milestone's first honest store time."""
+        first_stores = self.first_stores
+        while first_stores and first_stores[0][0] <= t:
+            self.public_height = max(self.public_height, heapq.heappop(first_stores)[1])
+        return self.public_height
 
     def _maybe_release(self, t: float) -> None:
         """Release trigger uses the global best public height; the simulated
@@ -364,7 +706,7 @@ class Simulation:
         assert self.adv_node is not None
         if not self.private_pending:
             return
-        if self.adv_node.sdag.height() > self._public_height():
+        if self.adv_node.sdag.height() > self._public_height(t):
             tip = self.adv_node.sdag.chain_tip()
             if self.adv_node.sdag.blocks[tip].peer == self.adv_node.identity:
                 for block in self.private_pending:
@@ -433,10 +775,10 @@ class Simulation:
             t, rank, actor, _seq, payload = pop(heap)
             events[rank] += 1
             if self.chains_at_horizon is None and t > cfg.horizon:
-                self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
+                self._snapshot_horizon()
             if rank == _RANK_DELIVER:
                 assert isinstance(payload, Block)
-                self._handle_deliver(actor, payload, t)
+                self._handle_deliver(payload, t)
             elif rank == _RANK_TX:
                 self._handle_tx(t)
             elif rank == _RANK_MINE:
@@ -448,30 +790,48 @@ class Simulation:
                 # the mempool fill time constant is long; sample only the
                 # final quarter so transients do not drag the mean down
                 if t >= cfg.horizon * 0.75:
+                    self._catch_up(0, t)
                     self.mempool_samples.append(float(len(self.nodes[0].mempool)))
         if self.chains_at_horizon is None:
-            self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
+            self._snapshot_horizon()
+        for j in range(cfg.n):
+            self._catch_up(j, math.inf)
+        self._fold_orphans(math.inf)
         return self._metrics()
+
+    def _snapshot_horizon(self) -> None:
+        """Every honest chain with exactly the stores at or before the
+        horizon, whether or not an event follows it."""
+        for j in range(self.cfg.n):
+            self._catch_up(j, self.cfg.horizon)
+        self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
 
     # -- metrics ---------------------------------------------------------
 
     def counters(self) -> dict[str, object]:
         """Deterministic counts of what the run did, summed over every node
-        (the adversary's included): events handled by type, deliveries,
-        blocks stored, orphans buffered and evicted (and the most one node
-        held at once), rejected blocks, mining attempts and reorgs."""
-        nodes = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
+        (the adversary's included): events handled by type (each delivery
+        to an honest node counted as one, as when it was an event),
+        deliveries, blocks stored, orphans buffered and evicted (and the
+        most one node held at once), rejected blocks, mining attempts and
+        reorgs (honest nodes only, see `SimMetrics.reorg_count`)."""
+        adv = [self.adv_node] if self.adv_node is not None else []
+        nodes = self.nodes + adv
         return {
             "events": dict(zip(_RANK_NAMES, self.events)),
             "deliveries": self.events[_RANK_DELIVER],
             "inserts": sum(len(node.sdag) - 1 for node in nodes),
-            "orphans_buffered": sum(node.orphans_buffered for node in nodes),
+            "orphans_buffered": int(self.orphans_buffered.sum()) + sum(a.orphans_buffered for a in adv),
             "orphans_evicted": sum(node.orphans_evicted for node in nodes),
-            "orphan_peak_per_node": max(node.orphan_peak for node in nodes),
+            "orphan_peak_per_node": max([int(self.orphan_peak.max())] + [a.orphan_peak for a in adv]),
             "rejected_blocks": sum(node.rejected_blocks for node in nodes),
             "mining_attempts": sum(node.mining_attempts for node in nodes),
-            "reorgs": self.reorg_count,
+            "reorgs": self.reorg_count(),
         }
+
+    def reorg_count(self) -> int:
+        """Reorgs over the honest nodes (see `SimMetrics.reorg_count`)."""
+        return sum(node.reorgs for node in self.nodes)
 
     def _metrics(self) -> SimMetrics:
         cfg = self.cfg
@@ -544,8 +904,8 @@ class Simulation:
             common_prefix_violations=common_prefix_violations(
                 self.chains_at_horizon or [], cfg.finality_depth
             ),
-            reorg_count=self.reorg_count,
-            max_reorg_depth=self.max_reorg_depth,
+            reorg_count=self.reorg_count(),
+            max_reorg_depth=max(node.max_reorg_depth for node in self.nodes),
             mempool_occupancy=occupancy,
             mempool_samples=self.mempool_samples,
             reward_by_miner=reward_by_miner,

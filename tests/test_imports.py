@@ -126,3 +126,65 @@ def test_no_whole_store_reads(path):
     through `bid in sdag`, `SDag.block_ids` and `SDag.peer_block_ids`."""
     found = whole_store_reads(ast.parse(path.read_text(), filename=str(path)))
     assert not found, f"{path.name} reads the whole block store: {'; '.join(found)}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_members(path: Path, cls: str) -> set[str]:
+    """The private methods a class defines and the private attributes it
+    assigns on `self`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(sub.name):
+                    names.add(sub.name)
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and is_private(sub.attr)
+                ):
+                    names.add(sub.attr)
+            return names
+    raise LookupError(f"no class {cls} in {path.name}")
+
+
+def foreign_private_reads(tree: ast.Module, names: set[str]) -> list[str]:
+    """Reads of `names` on anything but the reading method's own `self`."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in names
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def sdag_and_node_privates() -> set[str]:
+    package = Path(sdag.__file__).parent
+    return private_members(package / "dag.py", "SDag") | private_members(package / "node.py", "NodeState")
+
+
+def test_foreign_private_reads_flagged():
+    names = sdag_and_node_privates()
+    assert {"_unreferenced", "_switch_to", "_drain_orphans", "_level_sets"} <= names
+    tree = ast.parse(
+        "node.sdag._unreferenced\nsim.nodes[0].sdag._switch_to(ms)\nnode._drain_orphans(b)\n"
+        "self._push(t)\nnode.sdag.main_chain\n"
+    )
+    assert len(foreign_private_reads(tree, names)) == 3
+
+
+def test_simnet_reads_no_private_state_of_sdag_or_node():
+    """The simulator drives nodes through their public methods only
+    (`catch_up`, `on_receive_block`, `create_block`, ...), so the bulk path
+    and the per-delivery path share one copy of the held, unreferenced and
+    chain-switch logic."""
+    path = Path(sdag.__file__).parent / "simnet.py"
+    found = foreign_private_reads(ast.parse(path.read_text(), filename=str(path)), sdag_and_node_privates())
+    assert not found, f"simnet.py reads private state: {'; '.join(found)}"
+

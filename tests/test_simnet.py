@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from sdag import cli
-from sdag.core import TxKind
+from sdag import cli, simnet
+from sdag.core import BlockClass, TxKind, block_id, classify_hash
 from sdag.ledger import build_from_dag, verify_normal
-from sdag.node import NodeState
+from sdag.node import NodeState, SharedFacts
 from sdag.simnet import (
     MEMPOOL_SAMPLES,
     PeerChainFork,
@@ -149,6 +149,148 @@ def test_counters_account_for_an_honest_run():
     assert run(cfg).counters == c
 
 
+# many orphans, cascades and reorgs: long delays against a fast block rate
+ORPHAN_HEAVY = dict(n=20, mu=0.5, p=0.2, t0=6.0, horizon=100.0)
+
+
+def replay_deliveries(cfg):
+    """Run `cfg`, recording every broadcast, then replay the run's own
+    blocks through fresh nodes, one `on_receive_block` per delivery in heap
+    order, as the simulator did before broadcasts became store-time
+    vectors.  Each delay is drawn again from the master generator's state
+    before the broadcast, through the scalar inverse.  Returns the
+    simulation, its metrics and the replay's nodes, horizon chains, reorg
+    count and depth, and the most blocks and milestones one delivery
+    stored."""
+    sim = Simulation(cfg)
+    broadcast = sim._broadcast
+    events = []
+
+    def recording_broadcast(block, t, skip):
+        state = sim.master.getstate()
+        broadcast(block, t, skip)
+        rng = random.Random()
+        rng.setstate(state)
+        if skip < cfg.n:
+            events.append((t, 2, skip, len(events), block))  # the miner's own
+        for j in range(cfg.n):
+            if j != skip:
+                events.append((t + sim.curve.inverse(rng.random()), 1, j, len(events), block))
+
+    sim._broadcast = recording_broadcast
+    m = sim.run()
+    for _txid, entry in sim.tx_log:
+        for j in range(cfg.n):
+            events.append((entry.arrived, 0, j, len(events), entry))
+    events.sort(key=lambda e: e[:4])
+
+    shared = SharedFacts(sim.params)
+    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(cfg.n)]
+    horizon_chains = None
+    reorgs = depth = widest = most_milestones = 0
+    for t, rank, j, _seq, payload in events:
+        if horizon_chains is None and t > cfg.horizon:
+            horizon_chains = [node.sdag.main_chain for node in nodes]
+        node = nodes[j]
+        if rank == 0:
+            node.on_tx(payload)
+        elif rank == 2:
+            assert node.sdag.insert(payload) is None
+            node.mempool.remove_tx(payload.mes.txid())
+        else:
+            old, size, buffered = node.sdag.main_chain, len(node.sdag), set(node.orphan_blocks)
+            node.on_receive_block(payload)
+            new = node.sdag.main_chain
+            widest = max(widest, len(node.sdag) - size)
+            stored = (buffered - set(node.orphan_blocks)) | {block_id(payload)}
+            milestones = sum(node.sdag.block_class(bid) is BlockClass.MILESTONE for bid in stored)
+            most_milestones = max(most_milestones, milestones)
+            if new is not old and classify_hash(block_id(payload), sim.params) is BlockClass.MILESTONE:
+                fork = 0
+                while fork < min(len(old), len(new)) and old[fork] == new[fork]:
+                    fork += 1
+                if fork < len(old):
+                    reorgs += 1
+                    depth = max(depth, len(old) - fork)
+    if horizon_chains is None:
+        horizon_chains = [node.sdag.main_chain for node in nodes]
+    return sim, m, nodes, horizon_chains, reorgs, depth, (widest, most_milestones)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        ORPHAN_HEAVY,
+        # events follow the horizon (the adversary's deliveries); at this
+        # seed a chain moves between the horizon and the next event
+        dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=2),
+    ],
+    ids=["small", "orphan-heavy", "private-milestone-fork"],
+)
+def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
+    """Brute-force oracle of the store-time vectors and bulk catch-up."""
+    # fold orphan arrivals and stores into the counts many times a run
+    monkeypatch.setattr(simnet, "ORPHAN_EVENT_BATCH", 64)
+    cfg = small(**overrides)
+    sim, m, nodes, horizon_chains, reorgs, depth, (widest, milestones) = replay_deliveries(cfg)
+    assert [node.sdag.main_chain for node in sim.nodes] == [node.sdag.main_chain for node in nodes]
+    assert sim.chains_at_horizon == horizon_chains
+    for ours, replayed in zip(sim.nodes, nodes):
+        assert set(ours.sdag.block_ids()) == set(replayed.sdag.block_ids())
+        assert ours.sdag.tip_set(b"") == replayed.sdag.tip_set(b"")
+        assert set(ours.mempool.entries) == set(replayed.mempool.entries)
+    assert (m.reorg_count, m.max_reorg_depth) == (reorgs, depth)
+    assert list(sim.orphans_buffered) == [node.orphans_buffered for node in nodes]
+    assert list(sim.orphan_peak) == [node.orphan_peak for node in nodes]
+    assert sum(node.orphans_evicted for node in nodes) == 0
+    # not vacuous: some delivery released a cascade, and chains reorganised
+    # (or the adversary released its branch); with many orphans, some
+    # cascade stored several milestones, whose order the drain replay fixes
+    assert widest >= 2
+    assert m.adversary_releases >= 1 if cfg.adversary_strategy else reorgs >= 1
+    if overrides is ORPHAN_HEAVY:
+        assert widest >= 4 and milestones >= 2 and reorgs > 100
+
+
+def test_only_blocks_in_flight_keep_per_node_store_times():
+    """A row of per-node store times leaves the hot rows once every node
+    has stored its block; only the settled milestones keep theirs."""
+    sim = Simulation(small())
+    m = sim.run()
+    assert sim.hot.end == m.blocks_created
+    assert sim.hot.end - sim.hot.base <= 2
+    assert len(sim.settled) <= m.milestones_created
+
+
+def run_with_orphan_cap(cap):
+    sim = Simulation(small(**ORPHAN_HEAVY))
+    for node in sim.nodes:
+        node.orphan_cap = cap
+    return sim.run()
+
+
+def test_orphan_cap_is_checked():
+    """A node that would buffer more orphans than its cap, where the
+    per-delivery path would evict one, stops the run; holding exactly the
+    cap is fine."""
+    with pytest.raises(RuntimeError, match="orphan_cap"):
+        run_with_orphan_cap(2)
+    peak = run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"]
+    assert peak > 2
+    assert run_with_orphan_cap(peak).counters["orphan_peak_per_node"] == peak
+    with pytest.raises(RuntimeError, match="orphan_cap"):
+        run_with_orphan_cap(peak - 1)
+
+
+def test_broadcast_of_an_unstored_block_is_an_error():
+    sim = Simulation(small())
+    block = sim.nodes[0].create_block()
+    other = Simulation(small())
+    with pytest.raises(ValueError, match="no valid verdict"):
+        other._broadcast(block, 1.0, 0)
+
+
 def test_private_milestone_fork_runs_and_reorgs():
     cfg = small(
         adversary_share=0.4,
@@ -238,13 +380,15 @@ finality_depth = 3
 """
 
 # sha256 of metrics.csv, queueing_latency.csv and infection_latency.csv,
-# recorded before peers shared block verdicts, level sets and peer counts
+# recorded before peers shared block verdicts, level sets and peer counts,
+# and of counters.json, recorded while every delivery was still an event
 PINNED_OUTPUTS = {
     "n8": (
         PINNED_INI.format(n=8),
         "dd68612267161077734302fca7f508fd018105c34771f82ab0f821bf0a115051",
         "c7c287e0149a85bd55829538765f1dca1e0e5b109924437f01d0fd8d1a44bba5",
         "79c7e753713d5ff34e2a8275e929ff5e5d7ec50224b215117ab2c872d064090f",
+        "5b81e7fde1b69f02fe396714daaa36142e92dc00a1acdfcd8ebac5345f34a926",
     ),
     "private-milestone-fork": (
         PINNED_INI.format(n=5)
@@ -252,6 +396,7 @@ PINNED_OUTPUTS = {
         "45b3800609c277f6e72f02feb2a927703c6d273a38a3577eef1de8e28a8d2c79",
         "914433a95245dbd32907e48734e793026b914f0db5c434f373793301c8ef70d2",
         "4b89d0852d806f477326362000adc6b15a9e176f76b3604d4bb650124ff4ec3c",
+        "8767e8f0ec93cff81fe94983c1714bf1ad1699f4beed8425f58e5bdf58b60f8e",
     ),
     "peer-chain-fork": (
         PINNED_INI.format(n=5)
@@ -259,6 +404,7 @@ PINNED_OUTPUTS = {
         "41862921c985a793f8cecdd852122c549528d1c580b6ee1113a275c5a1452104",
         "9acd4f93ca92438b58176650e9ef6fb6a41f0c5e24c7727e82716030050da3fc",
         "f305ca8e56492aee7d472aac08ffe88a0ea67ecdafb95fa57717b59c886e64d0",
+        "5bc60b83b0fddcabf196e5dd93bb260464633622e501871e27b6a44a3329cfd9",
     ),
 }
 
@@ -272,7 +418,7 @@ def test_small_config_outputs_are_pinned(name, tmp_path):
     assert cli.main(["simulate", "--config", str(config), "--seed", "42", "--out", str(out)]) == 0
     got = [
         hashlib.sha256((out / f).read_bytes()).hexdigest()
-        for f in ("metrics.csv", "queueing_latency.csv", "infection_latency.csv")
+        for f in ("metrics.csv", "queueing_latency.csv", "infection_latency.csv", "counters.json")
     ]
     assert got == expected
 
