@@ -20,8 +20,6 @@ from enum import Enum
 from itertools import compress
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-import numpy as np
-
 from .core import (
     GENESIS,
     GENESIS_ID,
@@ -52,9 +50,6 @@ class Violation:
 
 # one verdict tuple per class for every valid block, not one per block
 _VALID = {cls: (cls, None) for cls in BlockClass}
-
-# `SDag.hold` sets more bits than this through one numpy index
-_BULK_HOLD = 8
 
 
 class DagFacts:
@@ -254,21 +249,15 @@ class SDag:
             self.adopt(bid)
         return None
 
-    def hold(self, bids: Sequence[bytes], parents: Sequence[Iterable[bytes]], serials) -> None:
+    def hold(self, bids: Sequence[bytes], parents: Sequence[Iterable[bytes]], serials: Iterable[int]) -> None:
         """Mark stored blocks held, in bulk: `bids` and their store
-        `serials` (a sequence or an integer array) name valid blocks whose
-        parents are held or among them, and `parents` holds one or more
-        lists of their references.  The main chain is not touched: `adopt`
-        each milestone among them afterwards, in store order."""
+        `serials` name valid blocks whose parents are held or among them,
+        and `parents` holds one or more lists of their references.  The
+        main chain is not touched: `adopt` each milestone among them
+        afterwards, in store order."""
         held = self.held
-        if len(serials) > _BULK_HOLD:
-            view = np.frombuffer(held, dtype=np.uint8)
-            view[np.asarray(serials)] = 1
-            # a live view pins the bitmap, which the store must be able to grow
-            del view
-        else:
-            for s in serials:
-                held[s] = 1
+        for s in serials:
+            held[s] = 1
         # (old | new) - parents, without growing the set's table by every
         # new block first: a set never shrinks its table
         fresh = set(bids)

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     GENESIS_ID,
     Block,
-    BlockClass,
     MiningExhausted,
     Params,
     Transaction,
@@ -105,9 +104,7 @@ class NodeState:
 
     def on_receive_block(self, block: Block) -> None:
         """Store a delivered block, or buffer it until its parents are
-        stored.  A delivered milestone that, with the orphans it releases,
-        switches the chain away from one of its milestones counts a reorg;
-        a switch made by a released orphan milestone alone does not."""
+        stored."""
         bid = block_id(block)
         # `ref in self.sdag`, inlined: the receive path runs per delivery
         held = self.sdag.held
@@ -115,11 +112,8 @@ class NodeState:
         if held[serial(bid, -1)] or bid in self.orphan_blocks:
             return
         if held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]:
-            old = self.sdag.main_chain
             if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
-            if self.sdag.main_chain is not old and self.sdag.block_class(bid) is BlockClass.MILESTONE:
-                self._count_reorg(old)
             return
         if len(self.orphan_blocks) >= self.orphan_cap:
             # FIFO eviction bounds memory under junk floods
@@ -181,7 +175,7 @@ class NodeState:
         entries: Iterable[tuple[bytes, PoolEntry]],
         bids: Sequence[bytes],
         parents: Sequence[Iterable[bytes]],
-        serials,
+        serials: Iterable[int],
         txids: Iterable[bytes],
         cascades: Iterable[tuple[bool, Sequence[bytes]]],
     ) -> None:
@@ -191,10 +185,11 @@ class NodeState:
         of the stored blocks (`txids`).  The stored blocks are held (`bids`,
         their store `serials` and their `parents`, as `SDag.hold` takes
         them), then the milestones among them switch the main chain in
-        store order.  `cascades` lists those milestones by the instant they
-        were stored at, each list with whether the block delivered at that
-        instant was a milestone: the reorg rule of `on_receive_block` counts
-        only such a cascade, comparing the chains before and after it."""
+        store order.  `cascades` lists those milestones by the delivery
+        that stored them, with the orphans it completed, each list with
+        whether the delivered block was a milestone: only such a delivery
+        counts a reorg, when it switched the chain away from one of its
+        milestones (`SimMetrics.reorg_count`)."""
         # (pool | arrived) - carried, without growing the pool's table by
         # every arrival first: a dict never shrinks its table
         carried = set(txids)

@@ -14,13 +14,11 @@ when it stores its last parent.  An honest node is brought up to date
 (`NodeState.catch_up`) only when it acts or is read: before it mines,
 before a mempool sample of node 0, at the horizon and at the end.  It then
 stores the blocks with store times since it last caught up, in the order
-the per-delivery path would have: by store time, and the blocks stored at
-one instant (one orphan cascade) in `node.drain` order.  Per-node store
-times are kept only while some node has not stored the block yet; after
-that only a milestone's, whose order and cascade still matter, are kept
-until every node has caught up past it.  Orphan counts come from the
-vectors too.  The adversary still takes one event per delivery, since it
-may act at each arrival.
+the per-delivery path would have: by store time, and at one instant each
+block that arrived then, in broadcast order, followed by the orphans it
+completes, in `node.drain` order.  Orphan counts come from the vectors
+too.  The adversary still takes one event per delivery, since it may act
+at each arrival.
 
 Difficulty is pinned at d = 1 so every mined hash is valid and the
 milestone/regular split emerges from the real block hash with probability p;
@@ -71,6 +69,12 @@ _RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
 
+# the most store-time rows kept before the nodes that hold back the oldest
+# ones are caught up early, so the rows can go: four rows per honest node
+# (n blocks go out per mean gap between one node's blocks, so four such
+# gaps) or, with many nodes, 2**21 cells (about 19 MB)
+STORE_WINDOW_ROWS_PER_NODE = 4
+STORE_WINDOW_CELLS = 1 << 21
 # orphan arrivals and stores buffered before they are folded into the
 # per-node counts
 ORPHAN_EVENT_BATCH = 1 << 14
@@ -233,43 +237,70 @@ def common_prefix_violations(chains: list[list[bytes]], depth: int) -> int:
     return bad
 
 
-class Rows:
-    """Named numpy columns of numbered rows, appended at the end and dropped
-    from the front: rows `base` to `end` are kept, row r at index r - base.
-    `columns` maps each name to the shape of one row's value and a dtype."""
+class StoreTimes:
+    """The store-time vectors of the broadcast blocks that some honest node
+    may not hold yet, one row per block.  Rows are numbered in broadcast
+    order from 0, and rows `base` to `end` are kept, at index row - base of
+    each column: per node, the block's store time (`s`) and whether it
+    arrived before then, as an orphan (`orphan`); per block, its serial in
+    the shared store, whether it is a milestone, its id, its references
+    and the id of the transaction it carries (None for an empty one)."""
 
-    def __init__(self, **columns: tuple[tuple[int, ...], object]):
+    _COLUMNS = ("s", "orphan", "serial", "milestone", "bid", "idp", "idm", "idt", "txid")
+
+    def __init__(self, n: int):
         self.base = 0
         self.end = 0
-        self.size = 16
-        self.columns = columns
-        for name, (shape, dtype) in columns.items():
-            setattr(self, name, np.empty((self.size, *shape), dtype=dtype))
+        self.limit = max(64, min(STORE_WINDOW_ROWS_PER_NODE * n, STORE_WINDOW_CELLS // n))
+        self.row_of: dict[bytes, int] = {}
+        self.s = np.empty((64, n))
+        self.orphan = np.empty((64, n), dtype=bool)
+        self.serial = np.empty(64, dtype=np.int64)
+        self.milestone = np.empty(64, dtype=bool)
+        for name in ("bid", "idp", "idm", "idt", "txid"):
+            setattr(self, name, np.empty(64, dtype=object))
 
     def full(self) -> bool:
-        return self.end - self.base == self.size
+        return self.end - self.base == len(self.s)
 
-    def append(self, **values: object) -> None:
-        if self.full():
-            self.drop_before(self.base)
+    def times_of(self, bid: bytes) -> Optional[np.ndarray]:
+        """The store times of a kept block, by node."""
+        row = self.row_of.get(bid)
+        return None if row is None else self.s[row - self.base]
+
+    def append(self, block: Block, bid: bytes, serial: int, milestone: bool, s: np.ndarray, orphan: np.ndarray) -> None:
+        """Keep a row for a broadcast block; the caller makes room first."""
         k = self.end - self.base
-        for name, value in values.items():
-            getattr(self, name)[k] = value
+        self.s[k] = s
+        self.orphan[k] = orphan
+        self.serial[k] = serial
+        self.milestone[k] = milestone
+        self.bid[k] = bid
+        self.idp[k] = block.idp
+        self.idm[k] = block.idm
+        self.idt[k] = block.idt
+        tx = block.mes
+        self.txid[k] = None if tx.kind is TxKind.EMPTY else tx.txid()
+        self.row_of[bid] = self.end
         self.end += 1
 
     def drop_before(self, first: int) -> None:
-        """Drop the rows before `first`, and double the columns if that
-        leaves fewer than half of them free."""
+        """Drop the rows before `first`, and if that leaves fewer than half
+        of them free, double the columns (up to the limit, unless they are
+        there already)."""
+        for bid in self.bid[: first - self.base]:
+            del self.row_of[bid]
         kept = self.end - first
+        cap = len(self.s)
+        size = cap
+        if kept > cap // 2:
+            size = 2 * cap if cap >= self.limit else min(2 * cap, self.limit)
         cut = slice(first - self.base, self.end - self.base)
-        grow = kept > self.size // 2
-        for name in self.columns:
+        for name in self._COLUMNS:
             old = getattr(self, name)
-            new = np.empty((2 * self.size, *old.shape[1:]), dtype=old.dtype) if grow else old
+            new = np.empty((size,) + old.shape[1:], dtype=old.dtype) if size != cap else old
             new[:kept] = old[cut]
             setattr(self, name, new)
-        if grow:
-            self.size *= 2
         self.base = first
 
 
@@ -335,37 +366,13 @@ class Simulation:
         self.events = [0] * len(_RANK_NAMES)
 
         # the honest nodes' view of the network: every transaction in
-        # arrival order; one row per broadcast block, numbered in broadcast
-        # order, from the oldest that some node may not hold (`log`: its
-        # serial in the shared store, whether it is a milestone, its id and
-        # references, and the id of its transaction, None for an empty
-        # one); and per node how far it has taken both in
+        # arrival order, the store times of recent broadcasts, and per node
+        # how far it has taken both in
         self.facts = shared.dag
         self.tx_log: list[tuple[bytes, PoolEntry]] = []
         self.tx_seen = [0] * config.n
-        self.log = Rows(
-            serial=((), np.int64),
-            milestone=((), bool),
-            bid=((), object),
-            idp=((), object),
-            idm=((), object),
-            idt=((), object),
-            txid=((), object),
-        )
+        self.times = StoreTimes(config.n)
         self.first_row = [0] * config.n  # oldest row each node may not hold
-        # per node, for the rows of blocks that some node may not have
-        # stored yet (`hot`, the few seconds of blocks in flight): the store
-        # time, whether the block arrived before it, as an orphan, and the
-        # latest over the nodes; `hot_row` maps their ids to their rows
-        self.hot = Rows(s=((config.n,), float), orphan=((config.n,), bool), latest=((), float))
-        self.hot_row: dict[bytes, int] = {}
-        # what a node catching up later still needs of a row that every node
-        # has stored: a milestone's store times and orphan flags, and, per
-        # node, its place in a cascade that stored it with other milestones
-        # (whether a milestone set the cascade off, and its drain position,
-        # -1 for none)
-        self.settled: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.drained: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # orphans, per honest node: buffered, held now and at most; the
         # arrivals and stores not yet folded into the counts
         self.orphans_buffered = np.zeros(config.n, dtype=np.int64)
@@ -415,12 +422,12 @@ class Simulation:
             arrive[:] = delays[:n]
         arrive += t
         store = arrive.copy()
-        hot = self.hot
+        times = self.times
         for ref in (block.idp, block.idm, block.idt):
-            # a parent out of the hot rows was stored everywhere before now
-            row = self.hot_row.get(ref)
-            if row is not None:
-                np.maximum(store, hot.s[row - hot.base], out=store)
+            # a dropped parent is held everywhere by now, before any arrival
+            parent = times.times_of(ref)
+            if parent is not None:
+                np.maximum(store, parent, out=store)
         orphan = store > arrive
         late = np.flatnonzero(orphan)
         if len(late):
@@ -434,69 +441,20 @@ class Simulation:
         if milestone:
             heapq.heappush(self.first_stores, (float(store.min()), facts.ms_height[bid]))
 
-        self._settle(t)
-        log = self.log
-        if log.full():
-            self._drop_held_rows()
-        tx = block.mes
-        log.append(
-            serial=serial,
-            milestone=milestone,
-            bid=bid,
-            idp=block.idp,
-            idm=block.idm,
-            idt=block.idt,
-            txid=None if tx.kind is TxKind.EMPTY else tx.txid(),
-        )
-        self.hot_row[bid] = hot.end
-        hot.append(s=store, orphan=orphan, latest=store.max())
+        if times.full():
+            self._make_room(t)
+        times.append(block, bid, serial, milestone, store, orphan)
 
-    def _settle(self, now: float) -> None:
-        """Take out of the hot rows, in row order, those that every node
-        stored before `now`, keeping what a node catching up later needs:
-        each milestone's store times and orphan flags, and the drain order
-        of each cascade that stored several milestones at once, worked out
-        from the row that set it off, while all rows of the cascade, which
-        come after that one, are still hot."""
-        hot, log = self.hot, self.log
-        if hot.end == hot.base or hot.latest[0] >= now:
-            return
-        late = np.flatnonzero(hot.latest[: hot.end - hot.base] >= now)
-        stop = hot.base + (int(late[0]) if len(late) else hot.end - hot.base)
-        milestones = (np.flatnonzero(log.milestone[hot.base - log.base : hot.end - log.base]) + hot.base).tolist()
-        n = self.cfg.n
-        for row in range(hot.base, stop):
-            i = row - hot.base
-            later = [m - hot.base for m in milestones if m >= row]
-            if len(later) >= 2:
-                # the nodes that stored `row` as it arrived, together with
-                # at least two milestones; many share one cascade
-                together = np.count_nonzero(hot.s[later] == hot.s[i], axis=0)
-                delivered = bool(log.milestone[row - log.base])
-                orders: dict[tuple[int, ...], list[int]] = {}
-                for j in np.flatnonzero((together >= 2) & ~hot.orphan[i]).tolist():
-                    members = tuple((np.flatnonzero(hot.s[i : hot.end - hot.base, j] == hot.s[i, j]) + row).tolist())
-                    if members not in orders:
-                        orders[members] = self._drained_milestones(list(members))
-                    for position, m in enumerate(orders[members]):
-                        if m not in self.drained:
-                            self.drained[m] = (np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int32))
-                        self.drained[m][0][j] = delivered
-                        self.drained[m][1][j] = position
-            if log.milestone[row - log.base]:
-                self.settled[row] = (hot.s[i].copy(), hot.orphan[i].copy())
-            del self.hot_row[log.bid[row - log.base]]
-        hot.drop_before(stop)
-        if milestones and milestones[0] < stop:
-            self._drop_held_rows()
-
-    def _drop_held_rows(self) -> None:
-        """Drop the rows that every node holds."""
-        first = min(self.first_row)
-        for row in [r for r in self.settled if r < first]:
-            del self.settled[row]
-            self.drained.pop(row, None)
-        self.log.drop_before(first)
+    def _make_room(self, now: float) -> None:
+        """Drop the rows every node holds; at the size limit, first catch
+        up to `now` the nodes that hold back the older half of the rows."""
+        times = self.times
+        if len(times.s) >= times.limit:
+            keep = times.end - len(times.s) // 2
+            for j, first in enumerate(self.first_row):
+                if first < keep:
+                    self._catch_up(j, now)
+        times.drop_before(min(self.first_row))
 
     def _fold_orphans(self, before: float) -> None:
         """Fold the buffered orphan arrivals (+1) and stores (-1) timed
@@ -539,87 +497,73 @@ class Simulation:
     def _catch_up(self, j: int, until: float) -> None:
         """Bring honest node j up to date at time `until`: the transactions
         arrived since it last caught up, then the blocks it stored by then
-        in store order (see `NodeState.catch_up`).  `until` is never before
-        a row left the hot rows, so every such row is due."""
+        in store order (see `NodeState.catch_up`)."""
         node = self.nodes[j]
         entries = self.tx_log[self.tx_seen[j] :]
         self.tx_seen[j] = len(self.tx_log)
-        log, hot = self.log, self.hot
-        lo = self.first_row[j]
-        serials = log.serial[lo - log.base : log.end - log.base]
-        held = np.frombuffer(node.sdag.held, dtype=np.uint8)
-        due = held[serials] == 0
-        del held  # a live view would pin the bitmap, which the store grows
-        first_hot = max(lo, hot.base)
-        store = hot.s[first_hot - hot.base : hot.end - hot.base, j]
-        due[first_hot - lo :] &= store <= until
+        times = self.times
+        lo = self.first_row[j] - times.base
+        store = times.s[lo : times.end - times.base, j]
+        serials = times.serial[lo : times.end - times.base]
+        # blocks taken in at an earlier catch-up to the same instant, and
+        # the node's own, are held already; the view of the bitmap is gone
+        # once indexed (a live one would pin it, and the store grows it)
+        unheld = np.frombuffer(node.sdag.held, dtype=np.uint8)[serials] == 0
+        due = np.flatnonzero((store <= until) & unheld)
         later = np.flatnonzero(store > until)
-        self.first_row[j] = hot.end if not len(later) else first_hot + int(later[0])
-        due = np.flatnonzero(due)
+        self.first_row[j] = times.end if not len(later) else times.base + lo + int(later[0])
         if not len(due) and not entries:
             return
-        rows = due + (lo - log.base)  # log indices
-        milestones = rows[log.milestone[rows]] + log.base
+        rows = due + lo  # kept-row indices
+        milestones = rows[times.milestone[rows]]
         node.catch_up(
             entries,
-            log.bid[rows].tolist(),
-            (log.idp[rows].tolist(), log.idm[rows].tolist(), log.idt[rows].tolist()),
-            serials[due],
-            [txid for txid in log.txid[rows].tolist() if txid is not None],
-            self._cascades(j, milestones.tolist()) if len(milestones) else (),
+            times.bid[rows].tolist(),
+            (times.idp[rows].tolist(), times.idm[rows].tolist(), times.idt[rows].tolist()),
+            serials[due].tolist(),
+            [txid for txid in times.txid[rows].tolist() if txid is not None],
+            self._cascades(j, rows, milestones) if len(milestones) else (),
         )
 
-    def _cascades(self, j: int, milestones: list[int]) -> list:
-        """The milestones of the given rows, which node j stores now, by
-        store instant, each instant with whether the block delivered then
-        (the one stored as it arrived) was a milestone."""
-        hot, bid = self.hot, self.log.bid
-        stored = []
-        for row in milestones:
-            if row >= hot.base:
-                at, orphan = hot.s[row - hot.base, j], hot.orphan[row - hot.base, j]
-            else:
-                at, orphan = self.settled[row][0][j], self.settled[row][1][j]
-            stored.append((at, row, orphan))
-        if len(stored) == 1:
-            _at, row, orphan = stored[0]
-            return [(not orphan, [bid[row - self.log.base]])]
-        stored.sort()
+    def _cascades(self, j: int, rows: np.ndarray, milestones: np.ndarray) -> list:
+        """The milestones among the kept `rows` that node j stores now, in
+        store order, one list per delivery that stored any, each with
+        whether the delivered block was a milestone."""
+        times = self.times
+        store, orphan = times.s[:, j], times.orphan[:, j]
+        if len(milestones) == 1:
+            k = int(milestones[0])
+            return [(not orphan[k], [times.bid[k]])]
         cascades = []
-        base = self.log.base
-        for instant, group in groupby(stored, key=lambda entry: entry[0]):
+        by_time = milestones[np.argsort(store[milestones], kind="stable")].tolist()
+        for instant, group in groupby(by_time, key=store.__getitem__):
             group = list(group)
             if len(group) == 1:
-                _at, row, orphan = group[0]
-                cascades.append((not orphan, [bid[row - base]]))
-            elif group[0][1] in self.drained and self.drained[group[0][1]][1][j] >= 0:
-                # set off by a row that has left the hot rows
-                order = sorted(group, key=lambda entry: self.drained[entry[1]][1][j])
-                cascades.append((bool(self.drained[group[0][1]][0][j]), [bid[row - base] for _at, row, _o in order]))
+                # stored as delivered, or as an orphan that a regular block
+                # released: no other milestone was stored then
+                cascades.append((not orphan[group[0]], [times.bid[group[0]]]))
             else:
-                # each block stored then but the delivered one waited on a
-                # parent stored then, so the delivered block is an ancestor
-                # of all of them: the first row, still hot
-                members = (np.flatnonzero(hot.s[: hot.end - hot.base, j] == instant) + hot.base).tolist()
-                order = self._drained_milestones(members)
-                cascades.append((bool(self.log.milestone[members[0] - base]), [bid[row - base] for row in order]))
+                cascades += self._deliveries(rows[store[rows] == instant].tolist(), orphan)
         return cascades
 
-    def _drained_milestones(self, members: list[int]) -> list[int]:
-        """The milestone rows among `members`, the rows stored at one
-        instant after the first of them was delivered, in the order its
-        delivery drained them (`node.drain`)."""
-        log = self.log
-        row_of = {log.bid[k - log.base]: k for k in members}
-        parents = {k: (log.idp[k - log.base], log.idm[k - log.base], log.idt[k - log.base]) for k in members}
+    def _deliveries(self, members: list[int], orphan: np.ndarray) -> list:
+        """Replay the kept rows `members`, which a node stores at one
+        instant, as deliveries: the rows that arrived then, not as orphans,
+        in broadcast order (a parent is always broadcast before its
+        children), each storing the orphans it completes in `node.drain`
+        order.  Returns, for each delivery that stored a milestone, whether
+        the delivered block was one, and the milestones in store order."""
+        times = self.times
+        row_of = {times.bid[k]: k for k in members}
+        parents = {k: (times.idp[k], times.idm[k], times.idt[k]) for k in members}
         waiting: dict[bytes, set[bytes]] = {}
-        for k in members[1:]:
-            for ref in parents[k]:
-                if ref in row_of:
-                    waiting.setdefault(ref, set()).add(log.bid[k - log.base])
-        first = log.bid[members[0] - log.base]
-        taken = [first]
-        stored = {first}
+        for k in members:
+            if orphan[k]:
+                for ref in parents[k]:
+                    if ref in row_of:
+                        waiting.setdefault(ref, set()).add(times.bid[k])
+        stored: set[bytes] = set()
+        taken: list[bytes] = []
 
         def take(bid: bytes) -> bool:
             if bid in stored or any(ref in row_of and ref not in stored for ref in parents[row_of[bid]]):
@@ -628,10 +572,18 @@ class Simulation:
             taken.append(bid)
             return True
 
-        drain(first, waiting, take)
-        # two deliveries at one instant would leave blocks undrained
-        taken += [log.bid[k - log.base] for k in members if log.bid[k - log.base] not in stored]
-        return [row_of[b] for b in taken if log.milestone[row_of[b] - log.base]]
+        cascades = []
+        for k in members:
+            if orphan[k]:
+                continue
+            taken.clear()
+            take(times.bid[k])
+            drain(times.bid[k], waiting, take)
+            milestones = [bid for bid in taken if times.milestone[row_of[bid]]]
+            if milestones:
+                cascades.append((bool(times.milestone[k]), milestones))
+        assert len(stored) == len(members), "an orphan stored with no delivery to release it"
+        return cascades
 
     # -- handlers --------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import heapq
+import itertools
 import random
 import sys
 
@@ -154,67 +156,121 @@ ORPHAN_HEAVY = dict(n=20, mu=0.5, p=0.2, t0=6.0, horizon=100.0)
 
 
 def replay_deliveries(cfg):
-    """Run `cfg`, recording every broadcast, then replay the run's own
-    blocks through fresh nodes, one `on_receive_block` per delivery in heap
-    order, as the simulator did before broadcasts became store-time
-    vectors.  Each delay is drawn again from the master generator's state
-    before the broadcast, through the scalar inverse.  Returns the
-    simulation, its metrics and the replay's nodes, horizon chains, reorg
-    count and depth, and the most blocks and milestones one delivery
-    stored."""
+    """Run `cfg`, recording each event the simulator handles and every
+    broadcast, then replay the run's own blocks through fresh nodes as the
+    simulator did before broadcasts became store-time vectors: one heap
+    event and one `on_receive_block` per delivery to an honest node, popped
+    in heap order among the recorded events (a delivery due at the time of
+    the event that made it, as with the `instant` curve, goes next).  Each
+    delay is drawn again from the master generator's state before the
+    broadcast, through the scalar inverse.  Returns the simulation, its
+    metrics and the replay's nodes, horizon chains, reorg count and depth,
+    the most blocks and milestones one delivery stored, and the most blocks
+    delivered to one node at one instant and milestones among them after a
+    regular block delivered first."""
     sim = Simulation(cfg)
+    n = cfg.n
+    steps = []  # per handled event: its heap key and what it did to honest nodes
+
+    def record(name, key):
+        handler = getattr(sim, name)
+
+        def recorded(*args):
+            steps.append((key(*args), []))
+            before = len(sim.tx_log)
+            handler(*args)
+            steps[-1][1].extend(("tx", entry) for _txid, entry in sim.tx_log[before:])
+
+        setattr(sim, name, recorded)
+
+    record("_handle_tx", lambda t: (t, 0, 0))
+    record("_handle_mine", lambda i, t: (t, 2, i))
+    record("_handle_deliver", lambda block, t: (t, 1, n))
+    record("_handle_adv_mine", lambda t: (t, 2, n))
     broadcast = sim._broadcast
-    events = []
 
     def recording_broadcast(block, t, skip):
         state = sim.master.getstate()
         broadcast(block, t, skip)
         rng = random.Random()
         rng.setstate(state)
-        if skip < cfg.n:
-            events.append((t, 2, skip, len(events), block))  # the miner's own
-        for j in range(cfg.n):
+        effects = steps[-1][1]
+        if skip < n:
+            effects.append(("own", skip, block))
+        for j in range(n):
             if j != skip:
-                events.append((t + sim.curve.inverse(rng.random()), 1, j, len(events), block))
+                effects.append(("deliver", t + sim.curve.inverse(rng.random()), j, block))
 
     sim._broadcast = recording_broadcast
     m = sim.run()
-    for _txid, entry in sim.tx_log:
-        for j in range(cfg.n):
-            events.append((entry.arrived, 0, j, len(events), entry))
-    events.sort(key=lambda e: e[:4])
 
     shared = SharedFacts(sim.params)
-    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(cfg.n)]
+    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(n)]
     horizon_chains = None
     reorgs = depth = widest = most_milestones = 0
-    for t, rank, j, _seq, payload in events:
+    at_instant = {}  # (time, node) -> classes of the blocks delivered then
+
+    def deliver(t, j, block):
+        nonlocal reorgs, depth, widest, most_milestones
+        node = nodes[j]
+        old, size, buffered = node.sdag.main_chain, len(node.sdag), set(node.orphan_blocks)
+        node.on_receive_block(block)
+        new = node.sdag.main_chain
+        widest = max(widest, len(node.sdag) - size)
+        stored = (buffered - set(node.orphan_blocks)) | {block_id(block)}
+        milestones = sum(node.sdag.block_class(bid) is BlockClass.MILESTONE for bid in stored)
+        most_milestones = max(most_milestones, milestones)
+        cls = classify_hash(block_id(block), sim.params)
+        at_instant.setdefault((t, j), []).append(cls)
+        if new is not old and cls is BlockClass.MILESTONE:
+            fork = 0
+            while fork < min(len(old), len(new)) and old[fork] == new[fork]:
+                fork += 1
+            if fork < len(old):
+                reorgs += 1
+                depth = max(depth, len(old) - fork)
+
+    def snapshot_at(t):
+        nonlocal horizon_chains
         if horizon_chains is None and t > cfg.horizon:
             horizon_chains = [node.sdag.main_chain for node in nodes]
-        node = nodes[j]
-        if rank == 0:
-            node.on_tx(payload)
-        elif rank == 2:
-            assert node.sdag.insert(payload) is None
-            node.mempool.remove_tx(payload.mes.txid())
-        else:
-            old, size, buffered = node.sdag.main_chain, len(node.sdag), set(node.orphan_blocks)
-            node.on_receive_block(payload)
-            new = node.sdag.main_chain
-            widest = max(widest, len(node.sdag) - size)
-            stored = (buffered - set(node.orphan_blocks)) | {block_id(payload)}
-            milestones = sum(node.sdag.block_class(bid) is BlockClass.MILESTONE for bid in stored)
-            most_milestones = max(most_milestones, milestones)
-            if new is not old and classify_hash(block_id(payload), sim.params) is BlockClass.MILESTONE:
-                fork = 0
-                while fork < min(len(old), len(new)) and old[fork] == new[fork]:
-                    fork += 1
-                if fork < len(old):
-                    reorgs += 1
-                    depth = max(depth, len(old) - fork)
+
+    heap = []
+    pushed = itertools.count()  # the push order breaks ties, as `seq` did
+    for key, effects in steps:
+        while heap and heap[0][:3] < key:
+            t, _rank, j, _seq, block = heapq.heappop(heap)
+            snapshot_at(t)
+            deliver(t, j, block)
+        snapshot_at(key[0])
+        for effect in effects:
+            if effect[0] == "tx":
+                for node in nodes:
+                    node.on_tx(effect[1])
+            elif effect[0] == "own":
+                _kind, i, block = effect
+                assert nodes[i].sdag.insert(block) is None
+                nodes[i].mempool.remove_tx(block.mes.txid())
+            else:
+                _kind, t, j, block = effect
+                heapq.heappush(heap, (t, 1, j, next(pushed), block))
+    while heap:
+        t, _rank, j, _seq, block = heapq.heappop(heap)
+        snapshot_at(t)
+        deliver(t, j, block)
     if horizon_chains is None:
         horizon_chains = [node.sdag.main_chain for node in nodes]
-    return sim, m, nodes, horizon_chains, reorgs, depth, (widest, most_milestones)
+    batch = max(len(classes) for classes in at_instant.values())
+    crowded = max(
+        (classes.count(BlockClass.MILESTONE) for classes in at_instant.values() if classes[0] is BlockClass.REGULAR),
+        default=0,
+    )
+    return sim, m, nodes, horizon_chains, reorgs, depth, (widest, most_milestones), (batch, crowded)
+
+
+# the adversary's released branch reaches every honest node at one instant:
+# each block of it is a delivery of its own, none an orphan
+DEGENERATE = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(depth=2), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -225,15 +281,17 @@ def replay_deliveries(cfg):
         # events follow the horizon (the adversary's deliveries); at this
         # seed a chain moves between the horizon and the next event
         dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=2),
+        dict(DEGENERATE, delay_curve="step"),
+        dict(DEGENERATE, delay_curve="instant"),
     ],
-    ids=["small", "orphan-heavy", "private-milestone-fork"],
+    ids=["small", "orphan-heavy", "private-milestone-fork", "step", "instant"],
 )
 def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
     """Brute-force oracle of the store-time vectors and bulk catch-up."""
     # fold orphan arrivals and stores into the counts many times a run
     monkeypatch.setattr(simnet, "ORPHAN_EVENT_BATCH", 64)
     cfg = small(**overrides)
-    sim, m, nodes, horizon_chains, reorgs, depth, (widest, milestones) = replay_deliveries(cfg)
+    sim, m, nodes, horizon_chains, reorgs, depth, (widest, milestones), (batch, crowded) = replay_deliveries(cfg)
     assert [node.sdag.main_chain for node in sim.nodes] == [node.sdag.main_chain for node in nodes]
     assert sim.chains_at_horizon == horizon_chains
     for ours, replayed in zip(sim.nodes, nodes):
@@ -244,23 +302,43 @@ def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
     assert list(sim.orphans_buffered) == [node.orphans_buffered for node in nodes]
     assert list(sim.orphan_peak) == [node.orphan_peak for node in nodes]
     assert sum(node.orphans_evicted for node in nodes) == 0
-    # not vacuous: some delivery released a cascade, and chains reorganised
-    # (or the adversary released its branch); with many orphans, some
-    # cascade stored several milestones, whose order the drain replay fixes
-    assert widest >= 2
+    # not vacuous: some delivery released a cascade, or several blocks were
+    # delivered to one node at one instant, and chains reorganised (or the
+    # adversary released its branch); with many orphans, some cascade
+    # stored several milestones, whose order the drain replay fixes
+    if cfg.delay_curve in ("step", "instant"):
+        assert widest == 1 and batch >= 2
+    else:
+        assert widest >= 2
     assert m.adversary_releases >= 1 if cfg.adversary_strategy else reorgs >= 1
     if overrides is ORPHAN_HEAVY:
         assert widest >= 4 and milestones >= 2 and reorgs > 100
+    if cfg.delay_curve == "step":
+        # a released branch of several milestones, led by a regular block
+        assert crowded >= 2 and reorgs > 100
 
 
-def test_only_blocks_in_flight_keep_per_node_store_times():
-    """A row of per-node store times leaves the hot rows once every node
-    has stored its block; only the settled milestones keep theirs."""
-    sim = Simulation(small())
-    m = sim.run()
-    assert sim.hot.end == m.blocks_created
-    assert sim.hot.end - sim.hot.base <= 2
-    assert len(sim.settled) <= m.milestones_created
+def test_store_window_catches_laggards_up_early(monkeypatch):
+    """At the window's size limit, the nodes that hold back the oldest rows
+    are caught up early so the rows can go; no output changes."""
+    cfg = small(**ORPHAN_HEAVY)
+    calls = []
+
+    def counted_run():
+        sim = Simulation(cfg)
+        catch_up = sim._catch_up
+        sim._catch_up = lambda j, until: calls.append(j) or catch_up(j, until)
+        m = sim.run()
+        return m, len(calls), sim.times
+
+    m, early, times = counted_run()
+    assert len(times.s) <= 2 * times.limit < m.blocks_created
+    monkeypatch.setattr(simnet, "STORE_WINDOW_ROWS_PER_NODE", m.blocks_created)
+    calls.clear()
+    wide, late, wide_times = counted_run()
+    assert wide_times.limit > m.blocks_created
+    assert early > late
+    assert m == wide
 
 
 def run_with_orphan_cap(cap):
