@@ -20,9 +20,8 @@ class DelayCurve:
         raise NotImplementedError
 
     def inverse(self, y):
-        """Quantile function for inverse-CDF sampling; accepts arrays.  A
-        Python float takes a scalar path without numpy that returns the
-        same bits as the array path."""
+        """Quantile function for inverse-CDF sampling, element by element
+        on an array; a float, or any 0-d input, gives a float."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -40,9 +39,6 @@ class QuadraticCurve(DelayCurve):
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def inverse(self, y):
-        if isinstance(y, float):
-            # math.sqrt is correctly rounded, as np.sqrt is
-            return self.t0 * (1.0 - math.sqrt(1.0 - y))
         y = np.asarray(y, dtype=float)
         out = self.t0 * (1.0 - np.sqrt(1.0 - y))
         return float(out) if np.ndim(out) == 0 else out
@@ -58,8 +54,6 @@ class UniformCurve(DelayCurve):
         return float(u) if np.ndim(u) == 0 else u
 
     def inverse(self, y):
-        if isinstance(y, float):
-            return self.t0 * y
         y = np.asarray(y, dtype=float)
         out = self.t0 * y
         return float(out) if np.ndim(out) == 0 else out
@@ -78,8 +72,6 @@ class InstantCurve(DelayCurve):
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):
-        if isinstance(y, float):
-            return 0.0
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         return float(out) if np.ndim(out) == 0 else out
@@ -98,8 +90,6 @@ class StepCurve(DelayCurve):
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):
-        if isinstance(y, float):
-            return float(self.t0)
         y = np.asarray(y, dtype=float)
         out = np.full_like(y, self.t0)
         return float(out) if np.ndim(out) == 0 else out

@@ -36,6 +36,7 @@ from .sigs import DEFAULT_SCHEME, SignatureScheme
 
 DEFAULT_ORPHAN_CAP = 10_000
 DEFAULT_MINE_BUDGET = 1 << 20
+POWER_KEEP_DEPTH = 4  # a miner's chain tip lags the highest by one or two
 
 
 def drain(arrived: bytes, waiting_on: dict[bytes, set[bytes]], take: Callable[[bytes], bool]) -> None:
@@ -58,11 +59,24 @@ class SharedFacts:
     """What nodes with the same params derive identically, computed by the
     first node that needs it:
     - `dag`: block verdicts and level sets (see `DagFacts`);
-    - `power`: chain tip -> `power_counts` of the chain ending there."""
+    - `power`: chain tip -> `power_counts` of the chain ending there, kept
+      for tips at most `POWER_KEEP_DEPTH` milestones below the highest
+      counted (a dropped tip is counted again if a node reaches it)."""
 
     def __init__(self, params: Params):
         self.dag = DagFacts(params)
         self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
+
+    def power_at(self, sdag: SDag) -> tuple[dict[bytes, int], int]:
+        """`power_counts` of `sdag`, a function of its chain tip alone."""
+        tip = sdag.chain_tip()
+        counts = self.power.get(tip)
+        if counts is None:
+            height = self.dag.ms_height
+            floor = height[tip] - POWER_KEEP_DEPTH
+            self.power = {t: c for t, c in self.power.items() if height[t] >= floor}
+            counts = self.power[tip] = power_counts(sdag)
+        return counts
 
 
 class NodeState:
@@ -213,11 +227,7 @@ class NodeState:
 
     def _estimated_q(self) -> Fraction:
         """estimate_power's share, from the peer count shared per chain tip."""
-        tip = self.sdag.chain_tip()
-        counts = self.shared.power.get(tip)
-        if counts is None:
-            counts = self.shared.power[tip] = power_counts(self.sdag)
-        return power_share(*counts, self.identity)
+        return power_share(*self.shared.power_at(self.sdag), self.identity)
 
     def tx_compatible(self, tx: Transaction) -> bool:
         """Whether a miner may carry `tx`: only a normal transaction.  A

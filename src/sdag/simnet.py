@@ -7,18 +7,20 @@ peers run the full node state machine; the adversary follows one of two
 strategies.  A (config, seed) pair fully determines the event trace and the
 metrics.
 
-A broadcast to the honest nodes is one vector, not one event per peer: the
-block's arrival time a_j at each node j, and from it its store time
-s_j = max(a_j, s_j of its three parents), since a node stores an orphan
-when it stores its last parent.  An honest node is brought up to date
-(`NodeState.catch_up`) only when it acts or is read: before it mines,
-before a mempool sample of node 0, at the horizon and at the end.  It then
-stores the blocks with store times since it last caught up, in the order
-the per-delivery path would have: by store time, and at one instant each
-block that arrived then, in broadcast order, followed by the orphans it
-completes, in `node.drain` order.  Orphan counts come from the vectors
-too.  The adversary still takes one event per delivery, since it may act
-at each arrival.
+A broadcast is one vector, not one event per peer: the block's arrival
+time a_j at each receiver j (the honest nodes, then the adversary), and
+from it its store time s_j = max(a_j, s_j of its three parents), since a
+node stores an orphan when it stores its last parent.  A receiver is
+brought up to date (`NodeState.catch_up`) only when it acts or is read:
+before it mines, before a mempool sample of node 0, at the horizon and at
+the end.  It then stores the blocks with store times since it last caught
+up, in the order `NodeState.on_receive_block` would have: by store time,
+and at one instant each block that arrived then, in broadcast order,
+followed by the orphans it completes, in `node.drain` order.  Orphan
+counts come from the vectors too.  The adversary holds its own blocks
+from creation, so a delivery can move its tip only to an honest
+milestone; as a release needs its own block at the tip above the public
+height, which only grows, it can release only right after it mines.
 
 Difficulty is pinned at d = 1 so every mined hash is valid and the
 milestone/regular split emerges from the real block hash with probability p;
@@ -69,15 +71,18 @@ _RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
 
-# the most store-time rows kept before the nodes that hold back the oldest
-# ones are caught up early, so the rows can go: four rows per honest node
-# (n blocks go out per mean gap between one node's blocks, so four such
-# gaps) or, with many nodes, 2**21 cells (about 19 MB)
+# the most store-time rows kept before the receivers that hold back the
+# oldest ones are caught up early, so the rows can go: four rows per
+# receiver (n blocks go out per mean gap between one node's blocks, so four
+# such gaps) or, with many nodes, 2**21 cells (about 19 MB)
 STORE_WINDOW_ROWS_PER_NODE = 4
 STORE_WINDOW_CELLS = 1 << 21
 # orphan arrivals and stores buffered before they are folded into the
 # per-node counts
 ORPHAN_EVENT_BATCH = 1 << 14
+# bounds lambda * horizon: the genesis funds 1.5 outputs per expected
+# transaction, each about 170 bytes in every ledger fold (260 MB at most)
+MAX_EXPECTED_TXS = 10**6
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,8 @@ class SimConfig:
             raise ValueError("p must be in (0, 1]")
         if self.c < 0 or self.lam < 0:
             raise ValueError("c and lam must be >= 0")
+        if self.lam * self.horizon > MAX_EXPECTED_TXS:
+            raise ValueError(f"lambda * horizon (expected transactions) must be at most {MAX_EXPECTED_TXS}")
         if self.finality_depth < 0:
             raise ValueError("finality_depth must be >= 0")
         if not 0 <= self.fee <= 2:
@@ -238,10 +245,10 @@ def common_prefix_violations(chains: list[list[bytes]], depth: int) -> int:
 
 
 class StoreTimes:
-    """The store-time vectors of the broadcast blocks that some honest node
+    """The store-time vectors of the broadcast blocks that some receiver
     may not hold yet, one row per block.  Rows are numbered in broadcast
     order from 0, and rows `base` to `end` are kept, at index row - base of
-    each column: per node, the block's store time (`s`) and whether it
+    each column: per receiver, the block's store time (`s`) and whether it
     arrived before then, as an orphan (`orphan`); per block, its serial in
     the shared store, whether it is a milestone, its id, its references
     and the id of the transaction it carries (None for an empty one)."""
@@ -352,7 +359,7 @@ class Simulation:
         self.adversary_block_ids: set[bytes] = set()
         self.adversary_releases = 0
 
-        self.heap: list[tuple[float, int, int, int, object]] = []
+        self.heap: list[tuple[float, int, int, int]] = []
         self.seq = 0
         self.tx_index = 0
         self.tx_arrival: dict[bytes, float] = {}
@@ -361,23 +368,25 @@ class Simulation:
         self.milestone_count = 0
         self.mempool_samples: list[float] = []
         self.chains_at_horizon: Optional[list[list[bytes]]] = None
-        # events handled, by rank; deliveries to honest nodes are counted
-        # as their store-time vectors are made
+        # events handled, by rank; deliveries are counted as their
+        # store-time vectors are made
         self.events = [0] * len(_RANK_NAMES)
 
-        # the honest nodes' view of the network: every transaction in
-        # arrival order, the store times of recent broadcasts, and per node
-        # how far it has taken both in
+        # the receivers, the adversary last, and their view of the network:
+        # every transaction in arrival order, the store times of recent
+        # broadcasts, and per receiver how far it has taken both in
+        self.receivers = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
+        width = len(self.receivers)
         self.facts = shared.dag
         self.tx_log: list[tuple[bytes, PoolEntry]] = []
-        self.tx_seen = [0] * config.n
-        self.times = StoreTimes(config.n)
-        self.first_row = [0] * config.n  # oldest row each node may not hold
-        # orphans, per honest node: buffered, held now and at most; the
+        self.tx_seen = [0] * width
+        self.times = StoreTimes(width)
+        self.first_row = [0] * width  # oldest row each receiver may not hold
+        # orphans, per receiver: buffered, held now and at most; the
         # arrivals and stores not yet folded into the counts
-        self.orphans_buffered = np.zeros(config.n, dtype=np.int64)
-        self.orphan_count = np.zeros(config.n, dtype=np.int64)
-        self.orphan_peak = np.zeros(config.n, dtype=np.int64)
+        self.orphans_buffered = np.zeros(width, dtype=np.int64)
+        self.orphan_count = np.zeros(width, dtype=np.int64)
+        self.orphan_peak = np.zeros(width, dtype=np.int64)
         self.orphan_events: list[tuple[np.ndarray, np.ndarray, Union[int, np.ndarray]]] = []
         self.orphan_events_size = 0
         # (first honest store time, height) of each milestone not yet seen
@@ -387,39 +396,31 @@ class Simulation:
 
     # -- plumbing --------------------------------------------------------
 
-    def _push(self, time: float, rank: int, actor: int, payload: object = None) -> None:
+    def _push(self, time: float, rank: int, actor: int) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (time, rank, actor, self.seq, payload))
+        heapq.heappush(self.heap, (time, rank, actor, self.seq))
 
     def _broadcast(self, block: Block, t: float, skip: int) -> None:
-        """Send `block`, made at `t` by node `skip` (`n` for the adversary),
-        to every other node: one delay draw per receiver, in node order,
-        the adversary last.  The honest receivers take it as one row of
-        store times; the adversary as a delivery event."""
+        """Send `block`, made at `t` by receiver `skip` (`n` for the
+        adversary), to every other receiver as one row of store times: one
+        delay draw per receiver, in receiver order.  The sender's own
+        column holds `t`; it holds the block already."""
         bid = block_id(block)
         facts = self.facts
         serial = facts.serial.get(bid)
         if serial is None:
-            # only a valid block enters the store, so every honest node
+            # only a valid block enters the store, so every receiver
             # stores each broadcast block and rejects none
             raise ValueError(f"broadcast block {bid.hex()} has no valid verdict")
-        n = self.cfg.n
-        honest = n - 1 if skip < n else n
-        to_adversary = self.adv_node is not None and skip != n
+        others = len(self.receivers) - 1
         draw = self.master.random
-        delays = self.curve.inverse(np.array([draw() for _ in range(honest + to_adversary)]))
-        if to_adversary:
-            self._push(t + float(delays[-1]), _RANK_DELIVER, n, block)
-        self.events[_RANK_DELIVER] += honest
+        delays = self.curve.inverse(np.array([draw() for _ in range(others)]))
+        self.events[_RANK_DELIVER] += others
 
-        arrive = np.empty(n)
-        if skip < n:
-            # the miner holds its block from the start
-            arrive[:skip] = delays[:skip]
-            arrive[skip] = 0.0
-            arrive[skip + 1 :] = delays[skip:honest]
-        else:
-            arrive[:] = delays[:n]
+        arrive = np.empty(others + 1)
+        arrive[:skip] = delays[:skip]
+        arrive[skip] = 0.0
+        arrive[skip + 1 :] = delays[skip:]
         arrive += t
         store = arrive.copy()
         times = self.times
@@ -439,15 +440,15 @@ class Simulation:
                 self._fold_orphans(t)
         milestone = facts.verdicts[bid][0] is BlockClass.MILESTONE
         if milestone:
-            heapq.heappush(self.first_stores, (float(store.min()), facts.ms_height[bid]))
+            heapq.heappush(self.first_stores, (float(store[: self.cfg.n].min()), facts.ms_height[bid]))
 
         if times.full():
             self._make_room(t)
         times.append(block, bid, serial, milestone, store, orphan)
 
     def _make_room(self, now: float) -> None:
-        """Drop the rows every node holds; at the size limit, first catch
-        up to `now` the nodes that hold back the older half of the rows."""
+        """Drop the rows every receiver holds; at the size limit, first catch
+        up to `now` those that hold back the older half of the rows."""
         times = self.times
         if len(times.s) >= times.limit:
             keep = times.end - len(times.s) // 2
@@ -458,10 +459,10 @@ class Simulation:
 
     def _fold_orphans(self, before: float) -> None:
         """Fold the buffered orphan arrivals (+1) and stores (-1) timed
-        before `before` into each node's orphan count and peak; later ones
-        stay buffered.  A node that would hold more orphans than its
-        `orphan_cap` is an error: the per-delivery path would evict one,
-        which store times cannot express."""
+        before `before` into each receiver's orphan count and peak; later
+        ones stay buffered.  A receiver that would hold more orphans than
+        its `orphan_cap` is an error: the per-delivery path would evict
+        one, which store times cannot express."""
         if not self.orphan_events:
             return
         events = self.orphan_events
@@ -484,7 +485,7 @@ class Simulation:
         held += np.repeat(self.orphan_count[ids] - (held[starts] - step[starts]), np.diff(np.r_[starts, len(node)]))
         self.orphan_peak[ids] = np.maximum(self.orphan_peak[ids], np.maximum.reduceat(held, starts))
         self.orphan_count[ids] = held[np.r_[starts[1:], len(node)] - 1]
-        caps = np.array([node.orphan_cap for node in self.nodes])
+        caps = np.array([node.orphan_cap for node in self.receivers])
         over = np.flatnonzero(self.orphan_peak > caps)
         if len(over):
             j = int(over[0])
@@ -495,10 +496,10 @@ class Simulation:
             )
 
     def _catch_up(self, j: int, until: float) -> None:
-        """Bring honest node j up to date at time `until`: the transactions
+        """Bring receiver j up to date at time `until`: the transactions
         arrived since it last caught up, then the blocks it stored by then
         in store order (see `NodeState.catch_up`)."""
-        node = self.nodes[j]
+        node = self.receivers[j]
         entries = self.tx_log[self.tx_seen[j] :]
         self.tx_seen[j] = len(self.tx_log)
         times = self.times
@@ -506,7 +507,7 @@ class Simulation:
         store = times.s[lo : times.end - times.base, j]
         serials = times.serial[lo : times.end - times.base]
         # blocks taken in at an earlier catch-up to the same instant, and
-        # the node's own, are held already; the view of the bitmap is gone
+        # the receiver's own, are held already; the view of the bitmap is gone
         # once indexed (a live one would pin it, and the store grows it)
         unheld = np.frombuffer(node.sdag.held, dtype=np.uint8)[serials] == 0
         due = np.flatnonzero((store <= until) & unheld)
@@ -605,12 +606,10 @@ class Simulation:
             tx = self._make_tx(self.tx_index)
             self.tx_index += 1
             self.tx_arrival[tx.txid()] = t
-            # one immutable entry, shared by every pool; the honest nodes
-            # take it in when they catch up
+            # one immutable entry, shared by every pool; the receivers take
+            # it in when they catch up
             entry = PoolEntry(tx, t, self.cfg.fee)
             self.tx_log.append((tx.txid(), entry))
-            if self.adv_node is not None:
-                self.adv_node.on_tx(entry)
         nxt = t + self.master.expovariate(self.cfg.lam)
         if nxt <= self.cfg.horizon:
             self._push(nxt, _RANK_TX, 0)
@@ -633,13 +632,6 @@ class Simulation:
         nxt = t + self.master.expovariate(self.honest_rate)
         if nxt <= self.cfg.horizon:
             self._push(nxt, _RANK_MINE, i)
-
-    def _handle_deliver(self, block: Block, t: float) -> None:
-        """A delivery to the adversary, the one node that takes each."""
-        assert self.adv_node is not None
-        self.adv_node.on_receive_block(block)
-        if isinstance(self.cfg.adversary_strategy, PrivateMilestoneFork):
-            self._maybe_release(t)
 
     # -- adversary -------------------------------------------------------
 
@@ -668,6 +660,7 @@ class Simulation:
 
     def _handle_adv_mine(self, t: float) -> None:
         assert self.adv_node is not None
+        self._catch_up(self.cfg.n, t)
         strategy = self.cfg.adversary_strategy
         if isinstance(strategy, PrivateMilestoneFork):
             block = self.adv_node.create_block()
@@ -724,14 +717,12 @@ class Simulation:
         pop = heapq.heappop
         events = self.events
         while heap:
-            t, rank, actor, _seq, payload = pop(heap)
+            t, rank, actor, _seq = pop(heap)
             events[rank] += 1
             if self.chains_at_horizon is None and t > cfg.horizon:
+                # the last mempool sample may fall just past the horizon
                 self._snapshot_horizon()
-            if rank == _RANK_DELIVER:
-                assert isinstance(payload, Block)
-                self._handle_deliver(payload, t)
-            elif rank == _RANK_TX:
+            if rank == _RANK_TX:
                 self._handle_tx(t)
             elif rank == _RANK_MINE:
                 if actor == cfg.n:
@@ -746,7 +737,7 @@ class Simulation:
                     self.mempool_samples.append(float(len(self.nodes[0].mempool)))
         if self.chains_at_horizon is None:
             self._snapshot_horizon()
-        for j in range(cfg.n):
+        for j in range(len(self.receivers)):
             self._catch_up(j, math.inf)
         self._fold_orphans(math.inf)
         return self._metrics()
@@ -761,23 +752,22 @@ class Simulation:
     # -- metrics ---------------------------------------------------------
 
     def counters(self) -> dict[str, object]:
-        """Deterministic counts of what the run did, summed over every node
-        (the adversary's included): events handled by type (each delivery
-        to an honest node counted as one, as when it was an event),
-        deliveries, blocks stored, orphans buffered and evicted (and the
-        most one node held at once), rejected blocks, mining attempts and
-        reorgs (honest nodes only, see `SimMetrics.reorg_count`)."""
-        adv = [self.adv_node] if self.adv_node is not None else []
-        nodes = self.nodes + adv
+        """Deterministic counts of what the run did, summed over every
+        receiver (the adversary's included): events handled by type (each
+        delivery of a block to a receiver counted as one), deliveries,
+        blocks stored, orphans buffered and evicted (and the most one
+        receiver held at once), rejected blocks, mining attempts and reorgs
+        (honest nodes only, see `SimMetrics.reorg_count`)."""
+        receivers = self.receivers
         return {
             "events": dict(zip(_RANK_NAMES, self.events)),
             "deliveries": self.events[_RANK_DELIVER],
-            "inserts": sum(len(node.sdag) - 1 for node in nodes),
-            "orphans_buffered": int(self.orphans_buffered.sum()) + sum(a.orphans_buffered for a in adv),
-            "orphans_evicted": sum(node.orphans_evicted for node in nodes),
-            "orphan_peak_per_node": max([int(self.orphan_peak.max())] + [a.orphan_peak for a in adv]),
-            "rejected_blocks": sum(node.rejected_blocks for node in nodes),
-            "mining_attempts": sum(node.mining_attempts for node in nodes),
+            "inserts": sum(len(node.sdag) - 1 for node in receivers),
+            "orphans_buffered": int(self.orphans_buffered.sum()),
+            "orphans_evicted": sum(node.orphans_evicted for node in receivers),
+            "orphan_peak_per_node": int(self.orphan_peak.max()),
+            "rejected_blocks": sum(node.rejected_blocks for node in receivers),
+            "mining_attempts": sum(node.mining_attempts for node in receivers),
             "reorgs": self.reorg_count(),
         }
 

@@ -153,6 +153,19 @@ def test_simulate_rejects_negative_depths(tmp_path, extra):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [("horizon", "1e13"), ("lambda", "1e9")])
+def test_simulate_rejects_huge_transaction_counts(tmp_path, capsys, key, value):
+    """The genesis funds 1.5 outputs per expected transaction, so a huge
+    lambda * horizon once ended in a MemoryError traceback."""
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith(f"{key} =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "expected transactions" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_simulate_out_is_a_file_exit_code(config_file, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep me\n")

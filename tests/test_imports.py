@@ -181,10 +181,32 @@ def test_foreign_private_reads_flagged():
 
 def test_simnet_reads_no_private_state_of_sdag_or_node():
     """The simulator drives nodes through their public methods only
-    (`catch_up`, `on_receive_block`, `create_block`, ...), so the bulk path
-    and the per-delivery path share one copy of the held, unreferenced and
+    (`catch_up`, `create_block`, ...), so the bulk path and the
+    per-delivery path share one copy of the held, unreferenced and
     chain-switch logic."""
     path = Path(sdag.__file__).parent / "simnet.py"
     found = foreign_private_reads(ast.parse(path.read_text(), filename=str(path)), sdag_and_node_privates())
     assert not found, f"simnet.py reads private state: {'; '.join(found)}"
 
+
+
+# a node's per-delivery receive path: the library API that the simulator's
+# store-time oracle replays
+PER_DELIVERY = {"on_receive_block", "on_tx"}
+
+
+def per_delivery_uses(tree: ast.Module) -> list[str]:
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in PER_DELIVERY]
+
+
+def test_per_delivery_uses_flagged():
+    tree = ast.parse("node.on_tx(e)\nself.adv_node.on_receive_block(b)\nf = node.on_tx\nnode.catch_up(e)\n")
+    assert len(per_delivery_uses(tree)) == 3
+
+
+def test_simnet_has_one_receive_path():
+    """Every receiver of the simulator, the adversary included, takes
+    broadcasts and transactions in through `NodeState.catch_up` alone."""
+    path = Path(sdag.__file__).parent / "simnet.py"
+    found = per_delivery_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"

@@ -12,8 +12,9 @@ import pytest
 from sdag import cli, simnet
 from sdag.core import BlockClass, TxKind, block_id, classify_hash
 from sdag.ledger import build_from_dag, verify_normal
-from sdag.node import NodeState, SharedFacts
+from sdag.node import POWER_KEEP_DEPTH, NodeState, SharedFacts
 from sdag.simnet import (
+    MAX_EXPECTED_TXS,
     MEMPOOL_SAMPLES,
     PeerChainFork,
     PrivateMilestoneFork,
@@ -53,6 +54,11 @@ def test_config_validation():
         small(adversary_strategy=PrivateMilestoneFork()).validate()  # needs a share
     with pytest.raises(ValueError):
         small(delay_curve="nope").validate()
+    # the genesis would fund 1.5 outputs per expected transaction
+    for huge in (small(horizon=1e13), small(lam=1e9), small(lam=1e300, horizon=1e300)):
+        with pytest.raises(ValueError, match="expected transactions"):
+            huge.validate()
+    small(lam=1.0, horizon=float(MAX_EXPECTED_TXS)).validate()
     with pytest.raises(ValueError):
         small(
             adversary_share=0.2, adversary_strategy=PeerChainFork(victim=99)
@@ -156,21 +162,28 @@ ORPHAN_HEAVY = dict(n=20, mu=0.5, p=0.2, t0=6.0, horizon=100.0)
 
 
 def replay_deliveries(cfg):
-    """Run `cfg`, recording each event the simulator handles and every
-    broadcast, then replay the run's own blocks through fresh nodes as the
-    simulator did before broadcasts became store-time vectors: one heap
-    event and one `on_receive_block` per delivery to an honest node, popped
-    in heap order among the recorded events (a delivery due at the time of
-    the event that made it, as with the `instant` curve, goes next).  Each
-    delay is drawn again from the master generator's state before the
-    broadcast, through the scalar inverse.  Returns the simulation, its
-    metrics and the replay's nodes, horizon chains, reorg count and depth,
-    the most blocks and milestones one delivery stored, and the most blocks
+    """Run `cfg`, recording each event the simulator handles, every block
+    made and every broadcast, then replay the run's own blocks through
+    fresh nodes, one per receiver (the adversary last), as a simulator with
+    one heap event per delivery would: one `on_receive_block` per delivery,
+    popped in heap order among the recorded events (a delivery due at the
+    time of the event that made it, as with the `instant` curve, goes
+    next).  Each delay is drawn again from the master generator's state
+    before the broadcast, one float per receiver.  A maker inserts its
+    block when it makes it, after checking that the block was made on the
+    replayed state: its parents held, its milestone parent the chain tip
+    and its transaction pending.  The public height the adversary reads is
+    the best height of the replayed honest nodes.  At each delivery to the
+    adversary its chain tip stays or moves to an honest block, so it could
+    not release then.  Returns the simulation, its metrics and the
+    replay's nodes, honest horizon chains, honest reorg count and depth,
+    the most blocks and milestones one delivery stored, the most blocks
     delivered to one node at one instant and milestones among them after a
-    regular block delivered first."""
+    regular block delivered first, and the deliveries that moved the
+    adversary's tip."""
     sim = Simulation(cfg)
     n = cfg.n
-    steps = []  # per handled event: its heap key and what it did to honest nodes
+    steps = []  # per handled event: its heap key and what it did to receivers
 
     def record(name, key):
         handler = getattr(sim, name)
@@ -185,33 +198,40 @@ def replay_deliveries(cfg):
 
     record("_handle_tx", lambda t: (t, 0, 0))
     record("_handle_mine", lambda i, t: (t, 2, i))
-    record("_handle_deliver", lambda block, t: (t, 1, n))
     record("_handle_adv_mine", lambda t: (t, 2, n))
-    broadcast = sim._broadcast
+    record_block, broadcast, public_height = sim._record_block, sim._broadcast, sim._public_height
+
+    def recording_record_block(block, t):
+        maker = steps[-1][0][2]
+        steps[-1][1].append(("own", maker, block))
+        return record_block(block, t)
 
     def recording_broadcast(block, t, skip):
         state = sim.master.getstate()
         broadcast(block, t, skip)
         rng = random.Random()
         rng.setstate(state)
-        effects = steps[-1][1]
-        if skip < n:
-            effects.append(("own", skip, block))
-        for j in range(n):
+        for j in range(len(sim.receivers)):
             if j != skip:
-                effects.append(("deliver", t + sim.curve.inverse(rng.random()), j, block))
+                steps[-1][1].append(("deliver", t + sim.curve.inverse(rng.random()), j, block))
 
-    sim._broadcast = recording_broadcast
+    def recording_public_height(t):
+        height = public_height(t)
+        steps[-1][1].append(("public", height))
+        return height
+
+    sim._record_block, sim._broadcast = recording_record_block, recording_broadcast
+    sim._public_height = recording_public_height
     m = sim.run()
 
     shared = SharedFacts(sim.params)
-    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(n)]
+    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(len(sim.receivers))]
     horizon_chains = None
-    reorgs = depth = widest = most_milestones = 0
+    reorgs = depth = widest = most_milestones = adversary_moves = 0
     at_instant = {}  # (time, node) -> classes of the blocks delivered then
 
     def deliver(t, j, block):
-        nonlocal reorgs, depth, widest, most_milestones
+        nonlocal reorgs, depth, widest, most_milestones, adversary_moves
         node = nodes[j]
         old, size, buffered = node.sdag.main_chain, len(node.sdag), set(node.orphan_blocks)
         node.on_receive_block(block)
@@ -222,7 +242,11 @@ def replay_deliveries(cfg):
         most_milestones = max(most_milestones, milestones)
         cls = classify_hash(block_id(block), sim.params)
         at_instant.setdefault((t, j), []).append(cls)
-        if new is not old and cls is BlockClass.MILESTONE:
+        if j == n:
+            if new[-1] != old[-1]:
+                assert new[-1] not in sim.adversary_block_ids
+                adversary_moves += 1
+        elif new is not old and cls is BlockClass.MILESTONE:
             fork = 0
             while fork < min(len(old), len(new)) and old[fork] == new[fork]:
                 fork += 1
@@ -233,7 +257,7 @@ def replay_deliveries(cfg):
     def snapshot_at(t):
         nonlocal horizon_chains
         if horizon_chains is None and t > cfg.horizon:
-            horizon_chains = [node.sdag.main_chain for node in nodes]
+            horizon_chains = [node.sdag.main_chain for node in nodes[:n]]
 
     heap = []
     pushed = itertools.count()  # the push order breaks ties, as `seq` did
@@ -248,9 +272,15 @@ def replay_deliveries(cfg):
                 for node in nodes:
                     node.on_tx(effect[1])
             elif effect[0] == "own":
-                _kind, i, block = effect
-                assert nodes[i].sdag.insert(block) is None
-                nodes[i].mempool.remove_tx(block.mes.txid())
+                _kind, maker, block = effect
+                node = nodes[maker]
+                assert all(ref in node.sdag for ref in (block.idp, block.idm, block.idt))
+                assert block.idm == node.sdag.chain_tip()
+                assert block.mes.kind is not TxKind.NORMAL or block.mes.txid() in node.mempool
+                assert node.sdag.insert(block) is None
+                node.mempool.remove_tx(block.mes.txid())
+            elif effect[0] == "public":
+                assert effect[1] == max(node.sdag.height() for node in nodes[:n])
             else:
                 _kind, t, j, block = effect
                 heapq.heappush(heap, (t, 1, j, next(pushed), block))
@@ -259,18 +289,19 @@ def replay_deliveries(cfg):
         snapshot_at(t)
         deliver(t, j, block)
     if horizon_chains is None:
-        horizon_chains = [node.sdag.main_chain for node in nodes]
+        horizon_chains = [node.sdag.main_chain for node in nodes[:n]]
     batch = max(len(classes) for classes in at_instant.values())
     crowded = max(
         (classes.count(BlockClass.MILESTONE) for classes in at_instant.values() if classes[0] is BlockClass.REGULAR),
         default=0,
     )
-    return sim, m, nodes, horizon_chains, reorgs, depth, (widest, most_milestones), (batch, crowded)
+    return sim, m, nodes, horizon_chains, reorgs, depth, (widest, most_milestones), (batch, crowded), adversary_moves
 
 
 # the adversary's released branch reaches every honest node at one instant:
 # each block of it is a delivery of its own, none an orphan
 DEGENERATE = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(depth=2), seed=0)
+PEER_CHAIN_FORK = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PeerChainFork(victim=0))
 
 
 @pytest.mark.parametrize(
@@ -278,23 +309,26 @@ DEGENERATE = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateM
     [
         {},
         ORPHAN_HEAVY,
-        # events follow the horizon (the adversary's deliveries); at this
-        # seed a chain moves between the horizon and the next event
+        # at this seed 17 of 20 chains move after the horizon
         dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=2),
         dict(DEGENERATE, delay_curve="step"),
         dict(DEGENERATE, delay_curve="instant"),
+        PEER_CHAIN_FORK,
+        dict(PEER_CHAIN_FORK, delay_curve="step"),
     ],
-    ids=["small", "orphan-heavy", "private-milestone-fork", "step", "instant"],
+    ids=["small", "orphan-heavy", "private-milestone-fork", "step", "instant", "peer-chain-fork", "peer-chain-fork-step"],
 )
 def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
-    """Brute-force oracle of the store-time vectors and bulk catch-up."""
+    """Brute-force oracle of the store-time vectors and bulk catch-up, for
+    the honest nodes and the adversary alike."""
     # fold orphan arrivals and stores into the counts many times a run
     monkeypatch.setattr(simnet, "ORPHAN_EVENT_BATCH", 64)
     cfg = small(**overrides)
-    sim, m, nodes, horizon_chains, reorgs, depth, (widest, milestones), (batch, crowded) = replay_deliveries(cfg)
-    assert [node.sdag.main_chain for node in sim.nodes] == [node.sdag.main_chain for node in nodes]
+    sim, m, nodes, horizon_chains, reorgs, depth, (widest, milestones), (batch, crowded), moves = replay_deliveries(cfg)
+    assert len(sim.receivers) == len(nodes) == cfg.n + (cfg.adversary_strategy is not None)
     assert sim.chains_at_horizon == horizon_chains
-    for ours, replayed in zip(sim.nodes, nodes):
+    for ours, replayed in zip(sim.receivers, nodes):
+        assert ours.sdag.main_chain == replayed.sdag.main_chain
         assert set(ours.sdag.block_ids()) == set(replayed.sdag.block_ids())
         assert ours.sdag.tip_set(b"") == replayed.sdag.tip_set(b"")
         assert set(ours.mempool.entries) == set(replayed.mempool.entries)
@@ -304,16 +338,29 @@ def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
     assert sum(node.orphans_evicted for node in nodes) == 0
     # not vacuous: some delivery released a cascade, or several blocks were
     # delivered to one node at one instant, and chains reorganised (or the
-    # adversary released its branch); with many orphans, some cascade
-    # stored several milestones, whose order the drain replay fixes
+    # adversary released its branch, or forged blocks); with many orphans,
+    # some cascade stored several milestones, whose order the drain replay
+    # fixes; deliveries moved the adversary's tip (unless, under `step`, its
+    # private branch, which it holds without delay, stayed ahead of every
+    # honest milestone), and with generic delays it buffered orphans too
+    private = isinstance(cfg.adversary_strategy, PrivateMilestoneFork)
     if cfg.delay_curve in ("step", "instant"):
-        assert widest == 1 and batch >= 2
+        assert widest == 1 and (batch >= 2 or not private)
     else:
         assert widest >= 2
-    assert m.adversary_releases >= 1 if cfg.adversary_strategy else reorgs >= 1
+    if private:
+        assert m.adversary_releases >= 1
+    elif cfg.adversary_strategy is not None:
+        assert m.adversary_blocks >= 1
+    else:
+        assert reorgs >= 1
+    if cfg.adversary_strategy is not None:
+        assert moves >= 1 or (private and cfg.delay_curve == "step")
+        if cfg.delay_curve == "quadratic":
+            assert nodes[-1].orphans_buffered > 0
     if overrides is ORPHAN_HEAVY:
         assert widest >= 4 and milestones >= 2 and reorgs > 100
-    if cfg.delay_curve == "step":
+    if cfg.delay_curve == "step" and private:
         # a released branch of several milestones, led by a regular block
         assert crowded >= 2 and reorgs > 100
 
@@ -367,6 +414,34 @@ def test_broadcast_of_an_unstored_block_is_an_error():
     other = Simulation(small())
     with pytest.raises(ValueError, match="no valid verdict"):
         other._broadcast(block, 1.0, 0)
+
+
+def test_shared_power_counts_stay_bounded():
+    """The power counts shared per chain tip are kept only near the highest
+    tip, so their number does not grow with the run, and no tip is counted
+    twice."""
+    peaks = []
+    for horizon in (150.0, 600.0):
+        sim = Simulation(small(horizon=horizon))
+        shared = sim.nodes[0].shared
+        power_at, counted, peak = shared.power_at, set(), 0
+
+        def tracked(sdag):
+            nonlocal peak
+            tip = sdag.chain_tip()
+            if tip not in shared.power:
+                assert tip not in counted
+                counted.add(tip)
+            counts = power_at(sdag)
+            peak = max(peak, len(shared.power))
+            return counts
+
+        shared.power_at = tracked
+        m = sim.run()
+        peaks.append(peak)
+    assert len(counted) > m.chain_height > 10 * POWER_KEEP_DEPTH
+    assert peaks[1] <= 2 * (POWER_KEEP_DEPTH + 1)
+    assert peaks[1] <= peaks[0] + 1
 
 
 def test_private_milestone_fork_runs_and_reorgs():
