@@ -39,7 +39,7 @@ from .ledger import (
 )
 from .mempool import Mempool, collision_prob, estimate_power
 from .node import NodeState
-from .sigs import DEFAULT_SCHEME, MockScheme, SignatureScheme
+from .sigs import DEFAULT_SCHEME, MockScheme
 from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, SimMetrics, run
 
 __version__ = "0.1.0"
@@ -83,7 +83,6 @@ __all__ = [
     "NodeState",
     "DEFAULT_SCHEME",
     "MockScheme",
-    "SignatureScheme",
     "PeerChainFork",
     "PrivateMilestoneFork",
     "SimConfig",

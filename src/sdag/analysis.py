@@ -338,33 +338,37 @@ def secure_latency_mc(
 
 # -- discounted Nakamoto depth ----------------------------------------------
 
+# bounds the depth search on CLI input: a risk that no depth up to here
+# reaches is reported as an error
+MAX_DEPTH = 10_000
+
 
 def catchup_probability(q_rel: float, depth: int) -> float:
     """Probability an attacker with relative power q_rel ever overtakes a
     chain that is `depth` blocks ahead (Nakamoto's race with the attacker's
-    progress Poisson at the moment of confirmation)."""
+    progress K ~ Poisson(depth * q/p) at the moment of confirmation).
+
+    Evaluated as sum_{k <= depth} Pois(k) (q/p)^(depth-k) + P(K > depth):
+    every term is positive, so it is exact down to float underflow, where
+    `1 - sum` loses everything below about 1e-16."""
+    from scipy.special import gammainc, gammaln, logsumexp
+
     if q_rel <= 0:
         return 0.0
-    if q_rel >= 0.5:
+    if q_rel >= 0.5 or depth <= 0:
         return 1.0
-    p_rel = 1.0 - q_rel
-    lam = depth * q_rel / p_rel
-    prob = 1.0
-    poisson = math.exp(-lam)
-    for k in range(depth + 1):
-        prob -= poisson * (1.0 - (q_rel / p_rel) ** (depth - k))
-        poisson *= lam / (k + 1)
-    return max(prob, 0.0)
+    ratio = q_rel / (1.0 - q_rel)
+    lam = depth * ratio
+    k = np.arange(depth + 1)
+    log_terms = -lam + k * math.log(lam) - gammaln(k + 1) + (depth - k) * math.log(ratio)
+    return min(float(np.exp(logsumexp(log_terms)) + gammainc(depth + 1, lam)), 1.0)
 
 
-def nakamoto_discounted_depth(
-    adversary_share: float,
-    type1_frac: float,
-    target_risk: float,
-    max_depth: int = 10_000,
-) -> int:
+def nakamoto_discounted_depth(adversary_share: float, type1_frac: float, target_risk: float) -> int:
     """Smallest confirmation depth with catch-up probability below
-    target_risk, with honest power discounted by the type-1 fraction."""
+    target_risk, with honest power discounted by the type-1 fraction.
+    The probability falls strictly with depth, so the depth is found by
+    bisection over [1, MAX_DEPTH]."""
     if not 0 <= adversary_share < 1:
         raise ValueError("adversary_share must be in [0, 1)")
     if not 0 < target_risk < 1:
@@ -377,7 +381,13 @@ def nakamoto_discounted_depth(
             f"discounted honest power {honest:.4g} <= adversary {adversary_share:.4g}"
         )
     q_rel = adversary_share / (adversary_share + honest)
-    for depth in range(1, max_depth + 1):
-        if catchup_probability(q_rel, depth) < target_risk:
-            return depth
-    raise ValueError(f"no depth below {max_depth} reaches the target risk")
+    if catchup_probability(q_rel, MAX_DEPTH) >= target_risk:
+        raise ValueError(f"no depth below {MAX_DEPTH} reaches the target risk")
+    lo, hi = 1, MAX_DEPTH  # the answer is in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if catchup_probability(q_rel, mid) < target_risk:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

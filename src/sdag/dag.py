@@ -173,15 +173,14 @@ class SDag:
 
     # -- validity --------------------------------------------------------
 
-    def check_block(self, block: Block, bid: Optional[bytes] = None) -> Optional[Violation]:
+    def check_block(self, block: Block) -> Optional[Violation]:
         """Syntactic validity of `block` against this DAG; None means ok.
 
         Checks run in a fixed order so the reported violation is
         deterministic: pow, missing parents, peer rule, tip rule, ms rule,
         cycle.
         """
-        if bid is None:
-            bid = block_id(block)
+        bid = block_id(block)
         return self._check(block, bid, classify_hash(bid, self.params))
 
     def _missing(self, block: Block) -> Optional[Violation]:

@@ -28,7 +28,7 @@ from .core import (
     sighash,
 )
 from .dag import SDag
-from .sigs import DEFAULT_SCHEME, SignatureScheme
+from .sigs import DEFAULT_SCHEME
 
 WITNESS_PUB_BYTES = 32
 WITNESS_SIG_BYTES = 64
@@ -187,21 +187,19 @@ def _witness_parts(witness: bytes) -> Optional[tuple[bytes, bytes]]:
     return witness[:WITNESS_PUB_BYTES], witness[WITNESS_PUB_BYTES:]
 
 
-def _redemption_sig_ok(tx: Transaction, address: bytes, scheme: SignatureScheme) -> bool:
+def _redemption_sig_ok(tx: Transaction, address: bytes) -> bool:
     if not tx.inputs:
         return False
     parts = _witness_parts(tx.inputs[0].witness)
     if parts is None:
         return False
     public, sig = parts
-    if scheme.address(public) != address:
+    if DEFAULT_SCHEME.address(public) != address:
         return False
-    return scheme.verify(public, sighash(tx), sig)
+    return DEFAULT_SCHEME.verify(public, sighash(tx), sig)
 
 
-def resolve_peer_chain(
-    sdag: SDag, miner: bytes, scheme: SignatureScheme = DEFAULT_SCHEME
-) -> PeerChainView:
+def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
     """Pick the canonical chain among the branches of a miner's own-chain
     tree.  Branches are scored by valid redemption continuity (registered at
     the root, then valid claim count, then coverage, i.e. the position of
@@ -231,11 +229,7 @@ def resolve_peer_chain(
             walk = (registered, 0, 0, 1, tx.next_address if registered else None)
         else:
             registered, claims, covered, length, address = parent
-            if (
-                registered
-                and tx.kind is TxKind.REDEMPTION
-                and _redemption_sig_ok(tx, address, scheme)
-            ):
+            if registered and tx.kind is TxKind.REDEMPTION and _redemption_sig_ok(tx, address):
                 walk = (True, claims + 1, length, length + 1, tx.next_address)
             else:
                 walk = (registered, claims, covered, length + 1, address)
@@ -321,9 +315,7 @@ def genesis_utxo(outputs: Sequence[tuple[int, bytes]]) -> dict[Outpoint, tuple[i
     return {Outpoint(GENESIS_ID, i): out for i, out in enumerate(outputs)}
 
 
-def verify_normal(
-    tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]], scheme: SignatureScheme
-) -> tuple[bool, int, str]:
+def verify_normal(tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]]) -> tuple[bool, int, str]:
     """Judge a normal transaction against a UTXO set: distinct unspent
     inputs, each signed by its owner's key, that cover the outputs.
     Returns (valid, fee, reason for a rejection)."""
@@ -339,7 +331,7 @@ def verify_normal(
             return False, 0, "malformed witness"
         public, sig = parts
         value, address = utxo[op]
-        if scheme.address(public) != address or not scheme.verify(public, digest, sig):
+        if DEFAULT_SCHEME.address(public) != address or not DEFAULT_SCHEME.verify(public, digest, sig):
             return False, 0, "bad signature"
         spent.add(op)
         total_in += value
@@ -359,7 +351,6 @@ def _fold_tx(
     ledger: Ledger,
     tx: Transaction,
     ob: OrderedBlock,
-    scheme: SignatureScheme,
     context: Optional[_PeerChainContext],
 ) -> tuple[bool, int]:
     """Judge one transaction, apply it if accepted and append its entry;
@@ -372,7 +363,7 @@ def _fold_tx(
     if txid in ledger.accepted_ids:
         reason = "duplicate"
     elif tx.kind is TxKind.NORMAL:
-        accepted, fee, reason = verify_normal(tx, ledger.utxo, scheme)
+        accepted, fee, reason = verify_normal(tx, ledger.utxo)
         if accepted:
             for inp in tx.inputs:
                 del ledger.utxo[Outpoint(inp.txid, inp.index)]
@@ -399,7 +390,6 @@ def _fold_tx(
 def build_ledger(
     ordered: Iterable[tuple[Transaction, OrderedBlock]],
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> Ledger:
     """Fold an ordered sequence of normal transactions through the UTXO
     recurrence.
@@ -413,7 +403,7 @@ def build_ledger(
     for tx, ob in ordered:
         if tx.kind is not TxKind.NORMAL:
             raise ValueError(f"a {tx.kind.name} is judged by build_from_dag, not build_ledger")
-        _fold_tx(ledger, tx, ob, scheme, None)
+        _fold_tx(ledger, tx, ob, None)
     return ledger
 
 
@@ -421,7 +411,6 @@ def build_from_dag(
     sdag: SDag,
     params: Params,
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
-    scheme: SignatureScheme = DEFAULT_SCHEME,
     finality_depth: int = 0,
 ) -> LedgerBuild:
     """One deterministic pass: order blocks, fold the ledger, and compute
@@ -431,7 +420,7 @@ def build_from_dag(
     final_levels = max(len(sdag.main_chain) - finality_depth, 1)
     lev_sizes = {k: len(lev) for k, lev in enumerate(sdag.level_sets())}
     miners = {sdag.blocks[ob.block_id].peer for ob in ordered_blocks}
-    views = {m: resolve_peer_chain(sdag, m, scheme) for m in miners}
+    views = {m: resolve_peer_chain(sdag, m) for m in miners}
     rewards: dict[bytes, RewardRecord] = {}
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
     for ob in ordered_blocks:
@@ -441,7 +430,7 @@ def build_from_dag(
         fee = 0
         if block.mes.kind is not TxKind.EMPTY:
             context = _PeerChainContext(sdag, view, rewards)
-            accepted, fee = _fold_tx(ledger, block.mes, ob, scheme, context)
+            accepted, fee = _fold_tx(ledger, block.mes, ob, context)
             validity = TxValidity.VALID if accepted else TxValidity.INVALID
         if ob.level_index < final_levels:
             kind = (

@@ -32,7 +32,7 @@ from .core import (
 )
 from .dag import DagFacts, SDag
 from .mempool import Mempool, PoolEntry, power_counts, power_share
-from .sigs import DEFAULT_SCHEME, SignatureScheme
+from .sigs import DEFAULT_SCHEME
 
 DEFAULT_ORPHAN_CAP = 10_000
 DEFAULT_MINE_BUDGET = 1 << 20
@@ -89,14 +89,12 @@ class NodeState:
         params: Params,
         secret: bytes,
         seed: int = 0,
-        scheme: SignatureScheme = DEFAULT_SCHEME,
         orphan_cap: int = DEFAULT_ORPHAN_CAP,
         shared: Optional[SharedFacts] = None,
     ):
         self.params = params
-        self.scheme = scheme
-        self.public = scheme.derive_public(secret)
-        self.identity = scheme.address(self.public)
+        self.public = DEFAULT_SCHEME.derive_public(secret)
+        self.identity = DEFAULT_SCHEME.address(self.public)
         self.shared = shared if shared is not None else SharedFacts(params)
         self.sdag = SDag(params, self.shared.dag)
         self.mempool = Mempool()
@@ -238,9 +236,7 @@ class NodeState:
     def _pick_tx(self) -> Transaction:
         if self.my_head == GENESIS_ID:
             # a miner's first block opens its reward chain
-            return Transaction(
-                TxKind.REGISTRATION, next_address=self.scheme.address(self.public)
-            )
+            return Transaction(TxKind.REGISTRATION, next_address=self.identity)
         cq = self.params.c * self._estimated_q()
         for txid in self.mempool.workable(self.my_head, cq):
             tx = self.mempool.entries[txid].tx

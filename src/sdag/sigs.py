@@ -1,26 +1,13 @@
-"""Pluggable signature scheme with a deterministic mock default.
+"""The one signature scheme: a deterministic mock, called directly.
 
 The mock derives the signature purely from the public key and the message,
 so anyone holding the public key can "sign" -- it has no security and exists
-only to make signature plumbing cheap and reproducible in simulations.  A
-production ECDSA scheme can be dropped in behind the same interface.
+only to make signature plumbing cheap and reproducible in simulations.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from .core import sha256
-
-
-class SignatureScheme(Protocol):
-    def derive_public(self, secret: bytes) -> bytes: ...
-
-    def address(self, public: bytes) -> bytes: ...
-
-    def sign(self, secret: bytes, message: bytes) -> bytes: ...
-
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool: ...
 
 
 class MockScheme:

@@ -83,6 +83,9 @@ ORPHAN_EVENT_BATCH = 1 << 14
 # bounds lambda * horizon: the genesis funds 1.5 outputs per expected
 # transaction, each about 170 bytes in every ledger fold (260 MB at most)
 MAX_EXPECTED_TXS = 10**6
+# bounds n: each node holds about 4.8 KB before the first event (46 MB at
+# n = 10,000), so 10**5 nodes take about 0.5 GB before the run starts
+MAX_NODES = 10**5
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,8 @@ class SimConfig:
         for name in ("mu", "p", "c", "lam", "t0", "adversary_share", "horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_NODES:
+            raise ValueError(f"n must be in [1, {MAX_NODES}]")
         if self.mu <= 0 or self.horizon <= 0:
             raise ValueError("mu and horizon must be positive")
         if not 0 < self.p <= 1:
@@ -757,7 +760,11 @@ class Simulation:
         delivery of a block to a receiver counted as one), deliveries,
         blocks stored, orphans buffered and evicted (and the most one
         receiver held at once), rejected blocks, mining attempts and reorgs
-        (honest nodes only, see `SimMetrics.reorg_count`)."""
+        (honest nodes only, see `SimMetrics.reorg_count`).  Orphans evicted
+        and rejected blocks are 0 by construction: a receiver over its
+        orphan cap or a broadcast block without a valid verdict stops the
+        run instead (`_fold_orphans`, `_broadcast`); the keys stay so the
+        bytes of `counters.json` do not move."""
         receivers = self.receivers
         return {
             "events": dict(zip(_RANK_NAMES, self.events)),

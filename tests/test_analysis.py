@@ -1,5 +1,6 @@
 """Closed forms and Monte-Carlo cross-checks for the capacity/latency model."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -276,9 +277,57 @@ def test_secure_latency_mc_falls_back_when_the_prefix_is_short(monkeypatch, pref
 def test_catchup_probability_shape():
     assert catchup_probability(0.0, 6) == 0.0
     assert catchup_probability(0.5, 6) == 1.0
-    probs = [catchup_probability(0.2, d) for d in range(1, 8)]
+    # strictly falling far below float epsilon, where `1 - sum` read 0.0
+    probs = [catchup_probability(0.2, d) for d in range(1, 201)]
     assert all(b < a for a, b in zip(probs, probs[1:]))
     assert 0.0 < probs[-1] < probs[0] < 1.0
+
+
+# Nakamoto 2008, section 11: P for attacker share q at depth z, to 7 places
+NAKAMOTO_TABLE = [
+    (0.1, 5, 0.0009137),
+    (0.1, 10, 0.0000012),
+    (0.3, 5, 0.1773523),
+    (0.3, 10, 0.0416605),
+    (0.3, 20, 0.0024804),
+    (0.3, 50, 0.0000006),
+]
+
+
+def catchup_oracle(q_rel: float, depth: int) -> float:
+    """Nakamoto's `1 - sum` in 120-digit decimals, where the cancellation
+    that ruins it in floats leaves enough digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        q = decimal.Decimal(q_rel)
+        ratio = q / (1 - q)
+        lam = depth * ratio
+        poisson = (-lam).exp()
+        prob = decimal.Decimal(1)
+        for k in range(depth + 1):
+            prob -= poisson * (1 - ratio ** (depth - k))
+            poisson *= lam / (k + 1)
+        return float(prob)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.2, 0.4, 0.49])
+@pytest.mark.parametrize("depth", [1, 5, 31, 58, 200])
+def test_catchup_probability_matches_decimal_oracle(q, depth):
+    assert catchup_probability(q, depth) == pytest.approx(catchup_oracle(q, depth), rel=1e-10)
+
+
+@pytest.mark.parametrize("q, depth, table", NAKAMOTO_TABLE)
+def test_catchup_probability_matches_nakamoto_table(q, depth, table):
+    assert round(catchup_probability(q, depth), 7) == table
+
+
+@pytest.mark.parametrize(
+    "risk, depth", [(1e-3, 6), (1e-9, 17), (1e-15, 28), (1e-17, 32), (1e-20, 37), (1e-30, 56)]
+)
+def test_nakamoto_discounted_depth_below_float_epsilon(risk, depth):
+    """Depths for risks below about 1e-16 all read 31 while the probability
+    was computed as `1 - sum`."""
+    assert nakamoto_discounted_depth(0.1, 0.928, risk) == depth
 
 
 def test_nakamoto_discounted_depth():

@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 
 import pytest
 
 from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, _parse_grid, load_sim_config, main
-from sdag.simnet import PeerChainFork, PrivateMilestoneFork
+from sdag.simnet import MAX_NODES, PeerChainFork, PrivateMilestoneFork
 
 SMALL_INI = """\
 [simulation]
@@ -166,6 +167,18 @@ def test_simulate_rejects_huge_transaction_counts(tmp_path, capsys, key, value):
     assert not (out / "metrics.csv").exists()
 
 
+def test_simulate_rejects_too_many_nodes(tmp_path, capsys):
+    """n = 1000000 once ended in a MemoryError traceback from the nodes'
+    construction; `validate` refuses it before any node is built."""
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith("n =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"n = {MAX_NODES + 1}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "n must be in" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_simulate_out_is_a_file_exit_code(config_file, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep me\n")
@@ -223,6 +236,16 @@ def test_analyze_depth(capsys):
         main(["analyze", "depth", "--share", "0.45", "--fraction", "0.5", "--risk", "0.001"])
         == EXIT_BAD_INPUT
     )
+
+
+def test_analyze_depth_unreachable_risk_exits_fast(capsys):
+    """The depth is bisected over [1, MAX_DEPTH]; the linear scan took 16 s
+    to give up on this input."""
+    start = time.perf_counter()
+    code = main(["analyze", "depth", "--share", "0.49", "--fraction", "1.0", "--risk", "1e-300"])
+    assert code == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 2.0
+    assert "no depth below" in capsys.readouterr().err
 
 
 THETA = {"--c": "0.01", "--mu": "1.2", "--tbar": "1.6666666667"}

@@ -210,3 +210,96 @@ def test_simnet_has_one_receive_path():
     path = Path(sdag.__file__).parent / "simnet.py"
     found = per_delivery_uses(ast.parse(path.read_text(), filename=str(path)))
     assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def defaulted_params(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
+    """Callee name -> (name, position or None if keyword-only) of each of its
+    parameters with a default.  A method's callee is its own name, without
+    `self` or `cls`; an `__init__`'s is its class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owner = {
+        id(f): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, functions)
+    }
+    found: dict[str, list[tuple[str, int | None]]] = {}
+    for f in ast.walk(tree):
+        if not isinstance(f, functions):
+            continue
+        cls = owner.get(id(f))
+        positional = f.args.posonlyargs + f.args.args
+        if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list):
+            positional = positional[1:]
+        first_default = len(positional) - len(f.args.defaults)
+        params = [(a.arg, i) for i, a in enumerate(positional) if i >= first_default]
+        params += [(a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+        if params:
+            found.setdefault(cls if f.name == "__init__" else f.name, []).extend(params)
+    return found
+
+
+def passed_params(trees: list[ast.Module]) -> set[tuple[str, str | int]]:
+    """(callee name, keyword or position) of every argument at every call,
+    with "*" for a `*args` from its position on and "**" for a `**kwargs`."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    passed.add((name, "*"))
+                    passed.update((name, j) for j in range(i))
+                    break
+                passed.add((name, i))
+            passed.update((name, kw.arg or "**") for kw in node.keywords)
+    return passed
+
+
+def unset_knobs(definitions: list[ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Parameters with a default that no call passes, by keyword or position."""
+    passed = passed_params(callers)
+    flagged = []
+    for tree in definitions:
+        for callee, params in defaulted_params(tree).items():
+            for name, pos in params:
+                starred = (callee, "*") in passed and pos is not None
+                if not ({(callee, name), (callee, pos), (callee, "**")} & passed or starred):
+                    flagged.append(f"{callee}({name})")
+    return sorted(flagged)
+
+
+def test_unset_knobs_flagged():
+    definitions = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "def g(a=1, b=2): pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0, z=0): pass\n"
+        "    def m(self, u=0, v=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(u=0, v=0): pass\n"
+    )
+    callers = ast.parse("f(0, 5, d=4)\ng(*xs)\nC(1, z=2)\nobj.m(1)\nC.s(1)\n")
+    assert unset_knobs([definitions], [callers]) == ["C(y)", "f(c)", "m(v)", "s(v)"]
+
+
+def test_every_knob_has_a_caller():
+    """Every parameter with a default, of a function or method in the
+    package, is passed at some call in `src/`, `tests/` or `bench/`: one that
+    never is can only ever hold its default.  Callees are matched by name,
+    and a constructor by its class."""
+    def parse(paths):
+        return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+    flagged = unset_knobs(parse(MODULES), parse(CALLER_FILES))
+    assert not flagged, f"parameters no call passes: {', '.join(flagged)}"

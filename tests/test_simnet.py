@@ -15,6 +15,7 @@ from sdag.ledger import build_from_dag, verify_normal
 from sdag.node import POWER_KEEP_DEPTH, NodeState, SharedFacts
 from sdag.simnet import (
     MAX_EXPECTED_TXS,
+    MAX_NODES,
     MEMPOOL_SAMPLES,
     PeerChainFork,
     PrivateMilestoneFork,
@@ -59,6 +60,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="expected transactions"):
             huge.validate()
     small(lam=1.0, horizon=float(MAX_EXPECTED_TXS)).validate()
+    # each node holds about 4.8 KB before the first event
+    with pytest.raises(ValueError, match="n must be in"):
+        small(n=MAX_NODES + 1).validate()
+    small(n=MAX_NODES).validate()
     with pytest.raises(ValueError):
         small(
             adversary_share=0.2, adversary_strategy=PeerChainFork(victim=99)
@@ -592,7 +597,7 @@ def test_picked_transactions_are_unspent_at_the_pickers_tip(name, tmp_path, monk
         if tx.kind is TxKind.NORMAL:
             ledger = build_from_dag(node.sdag, sim.params, sim.genesis_outputs).ledger
             assert tx.txid() not in ledger.accepted_ids
-            assert verify_normal(tx, ledger.utxo, node.scheme)[0]
+            assert verify_normal(tx, ledger.utxo)[0]
             checked.append(tx)
         return tx
 
