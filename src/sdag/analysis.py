@@ -16,7 +16,6 @@ do depend on the chunk size, which is fixed).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,10 +48,13 @@ def theta(c: float, mu: float, t_bar: float) -> float:
     if not all(math.isfinite(x) and x >= 0 for x in (c, mu, t_bar)):
         raise ValueError("c, mu, t_bar must be finite and >= 0")
     a = (1.0 - math.exp(-mu * t_bar)) * mu * c * t_bar
-    return a / (1.0 + a)
+    # a overflows to inf only where theta rounds to 1 anyway
+    return a / (1.0 + a) if a < math.inf else 1.0
 
 
 def _check_stable(rho: float, theta_val: float) -> float:
+    if theta_val >= 1.0:
+        raise UnstableQueue("theta = 1: every block's capacity is wasted")
     x = rho / (1.0 - theta_val)
     if x >= 1.0:
         raise UnstableQueue(f"rho/(1-theta) = {x:.6g} >= 1")
@@ -88,27 +90,34 @@ def w1_of_theta(theta_val: float, rho: float, t_bar: float, mu: float) -> float:
 # -- infection latency -----------------------------------------------------
 
 
+# bounds n in the infection chain: the recursion takes n steps, and n = 10**7
+# takes about 3 s on a 2-core machine
+MAX_CHAIN_NODES = 10**7
+
+
 class Q1Result(NamedTuple):
-    exact: Fraction
+    exact: float
     bound: float
 
 
-def infection_q1(n: int, p: Fraction) -> Q1Result:
+def infection_q1(n: int, p: float) -> Q1Result:
     """Expected jump count for the (X, M) infection chain to confirm,
-    starting from one infected miner; exact by backward recursion in
-    rational arithmetic, plus the 2n(1+ln n) + 1/p bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    starting from one infected miner, by backward recursion in floats
+    (within 1e-14 of the same recursion in rationals up to n = 10**4), plus
+    the 2n(1+ln n) + 1/p bound."""
+    if not 1 <= n <= MAX_CHAIN_NODES:
+        raise ValueError(f"n must be in [1, {MAX_CHAIN_NODES}]")
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    p = Fraction(p)
-    q = Fraction(1, 1) / p  # q_n
+    p = float(p)
+    q = 1.0 / p  # q_n
     for x in range(n - 1, 0, -1):
-        keep = Fraction(1) - Fraction(p * x, n)
-        grow = Fraction(x * (n - x), n * n)
-        # q_x = 1 + keep*(grow*q_{x+1} + (1-grow)*q_x)
-        q = (1 + keep * grow * q) / (1 - keep * (1 - grow))
-    bound = 2.0 * n * (1.0 + math.log(n)) + 1.0 / float(p)
+        absorb = p * x / n
+        keep_grow = (1.0 - absorb) * (x * (n - x) / (n * n))
+        # q_x = 1 + keep*(grow*q_{x+1} + (1-grow)*q_x), solved for q_x; the
+        # divisor 1 - keep*(1-grow), written so that it does not cancel
+        q = (1.0 + keep_grow * q) / (absorb + keep_grow)
+    bound = 2.0 * n * (1.0 + math.log(n)) + 1.0 / p
     return Q1Result(q, bound)
 
 
@@ -117,13 +126,15 @@ class W2Result(NamedTuple):
     bound: float
 
 
-def w2_bound(n: int, p: Fraction, mu: float) -> W2Result:
+def w2_bound(n: int, p: float, mu: float) -> W2Result:
     """Infection latency W2 = q1/(n mu) and its closed-form upper bound."""
     _require_positive(mu=mu)
     q1 = infection_q1(n, p)
-    p = float(Fraction(p))
-    exact = float(q1.exact) / (n * mu)
+    p = float(p)
+    exact = q1.exact / (n * mu)
     bound = (2.0 + 2.0 * math.log(n)) / mu + 1.0 / (n * p * mu)
+    if not (math.isfinite(exact) and math.isfinite(bound)):
+        raise ValueError("W2 overflows for this n, p and mu")
     return W2Result(exact, bound)
 
 
@@ -181,6 +192,8 @@ def type1_fraction(pn_mu: float, t0: float, curve: DelayCurve) -> float:
         t0,
         epsabs=QUAD_TOL,
     )
+    if head + wasted == 0.0:
+        raise ValueError("pn_mu * t0 too large: both terms of the fraction underflow to 0")
     return head / (head + wasted)
 
 

@@ -64,11 +64,10 @@ class UniformCurve(DelayCurve):
 
 @dataclass(frozen=True)
 class InstantCurve(DelayCurve):
-    """Everyone reached immediately: F = 1 on (0, t0]."""
+    """Everyone reached immediately: F = 1 on [0, t0]."""
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > 0.0, 1.0, 1.0)
+        out = np.ones_like(np.asarray(t, dtype=float))
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):

@@ -116,11 +116,11 @@ class SDag:
     SDags given the same `facts` table share one block store: they validate
     each block, store it and walk each level once between them, and each
     keeps only a bitmap of the blocks it holds (`held`), its unreferenced
-    blocks, its main chain and that chain's level sets.  Without a table an
-    SDag owns its store, so `blocks` is exactly its own blocks in insertion
-    order.  On an SDag that shares a store, `blocks` is the store: use it to
-    look up a held block only, test membership with `bid in sdag` and
-    iterate with `block_ids` or `peer_block_ids`.
+    blocks and its main chain, whose level sets it reads from the table.
+    Without a table an SDag owns its store, so `blocks` is exactly its own
+    blocks in insertion order.  On an SDag that shares a store, `blocks` is
+    the store: use it to look up a held block only, test membership with
+    `bid in sdag` and iterate with `block_ids` or `peer_block_ids`.
     `main_chain` is never changed in place: a chain switch assigns a new
     list, so a reference taken before an insert keeps the chain as it was.
     """
@@ -132,13 +132,10 @@ class SDag:
             raise ValueError("DagFacts table was made for other params")
         self.params = params
         self.facts = facts
-        self.genesis_id = GENESIS_ID
         self.blocks = facts.blocks
         self.held = facts.new_bitmap()
         self._unreferenced: set[bytes] = set()
-        # main chain and its level-set partition
         self.main_chain: list[bytes] = [GENESIS_ID]
-        self._level_sets: list[tuple[bytes, ...]] = [(GENESIS_ID,)]
 
     # -- queries ---------------------------------------------------------
 
@@ -195,17 +192,17 @@ class SDag:
         missing = self._missing(block)
         if missing is not None:
             return missing
-        if block.idp != self.genesis_id:
+        if block.idp != GENESIS_ID:
             target = self.blocks[block.idp]
             if target.peer != block.peer:
                 return Violation(ViolationKind.PEER_RULE, "idp targets another miner's block")
         # a stored block other than the genesis has a verdict in the table
-        if block.idt != self.genesis_id:
+        if block.idt != GENESIS_ID:
             if self.facts.verdicts[block.idt][0] is not BlockClass.REGULAR:
                 return Violation(ViolationKind.TIP_RULE, "idt target is not regular-class")
             if self.blocks[block.idt].peer == block.peer:
                 return Violation(ViolationKind.TIP_RULE, "idt targets the same miner")
-        if block.idm != self.genesis_id:
+        if block.idm != GENESIS_ID:
             if self.facts.verdicts[block.idm][0] is not BlockClass.MILESTONE:
                 return Violation(ViolationKind.MS_RULE, "idm target is not milestone-class")
         if bid in self._refs(block):
@@ -282,15 +279,12 @@ class SDag:
             branch.append(cur)
             cur = ms_parent[cur]
         fork = ms_height[cur] + 1
-        del self._level_sets[fork:]
         branch.reverse()
         self.main_chain = chain[:fork] + branch
         levels = self.facts.levels
         for ms in branch:
-            lev = levels.get(ms)
-            if lev is None:
-                lev = levels[ms] = self._walk_level(ms)
-            self._level_sets.append(lev)
+            if ms not in levels:
+                levels[ms] = self._walk_level(ms)
 
     def _confirmed(self, bid: bytes) -> bool:
         """Whether a level set of the main chain holds `bid`."""
@@ -365,16 +359,18 @@ class SDag:
 
     def level_set(self, ms: bytes) -> list[bytes]:
         """Blocks confirmed by main-chain milestone ms but by none before it,
-        in deterministic discovery order."""
-        return list(self._level_sets[self.level_index(ms)])
+        in deterministic discovery order; the genesis confirms itself."""
+        return list(self.facts.levels[ms]) if self.level_index(ms) else [GENESIS_ID]
 
     def level_sets(self) -> list[list[bytes]]:
-        return [list(lev) for lev in self._level_sets]
+        levels = self.facts.levels
+        return [[GENESIS_ID]] + [list(levels[ms]) for ms in self.main_chain[1:]]
 
     def recent_levels(self, count: int) -> list[tuple[bytes, ...]]:
         """The last `count` main-chain level sets (never the genesis
         pseudo-level), oldest first, without copying the levels."""
-        return self._level_sets[max(1, len(self._level_sets) - count) :]
+        chain, levels = self.main_chain, self.facts.levels
+        return [levels[ms] for ms in chain[max(1, len(chain) - count) :]]
 
     def pending_set(self) -> set[bytes]:
         """Held blocks that no level set of the main chain holds."""

@@ -93,8 +93,7 @@ class NodeState:
         shared: Optional[SharedFacts] = None,
     ):
         self.params = params
-        self.public = DEFAULT_SCHEME.derive_public(secret)
-        self.identity = DEFAULT_SCHEME.address(self.public)
+        self.identity = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(secret))
         self.shared = shared if shared is not None else SharedFacts(params)
         self.sdag = SDag(params, self.shared.dag)
         self.mempool = Mempool()
@@ -118,12 +117,11 @@ class NodeState:
         """Store a delivered block, or buffer it until its parents are
         stored."""
         bid = block_id(block)
-        # `ref in self.sdag`, inlined: the receive path runs per delivery
-        held = self.sdag.held
-        serial = self.sdag.facts.serial.get
-        if held[serial(bid, -1)] or bid in self.orphan_blocks:
+        sdag = self.sdag
+        if bid in sdag or bid in self.orphan_blocks:
             return
-        if held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]:
+        missing = [ref for ref in (block.idp, block.idm, block.idt) if ref not in sdag]
+        if not missing:
             if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
             return
@@ -142,9 +140,8 @@ class NodeState:
         self.orphan_blocks[bid] = block
         self.orphans_buffered += 1
         self.orphan_peak = max(self.orphan_peak, len(self.orphan_blocks))
-        for ref in (block.idp, block.idm, block.idt):
-            if not held[serial(ref, -1)]:
-                self.orphans_by_missing.setdefault(ref, set()).add(bid)
+        for ref in missing:
+            self.orphans_by_missing.setdefault(ref, set()).add(bid)
 
     def _try_insert(self, block: Block) -> bool:
         violation = self.sdag.insert(block)

@@ -51,7 +51,6 @@ from .core import (
     TxOutput,
     TxKind,
     block_id,
-    classify_hash,
     mine,
     sha256,
     sighash,
@@ -358,17 +357,12 @@ class Simulation:
                 shared=shared,
             )
         self.private_pending: list[Block] = []
-        self.adversary_blocks = 0
         self.adversary_block_ids: set[bytes] = set()
         self.adversary_releases = 0
 
         self.heap: list[tuple[float, int, int, int]] = []
         self.seq = 0
-        self.tx_index = 0
-        self.tx_arrival: dict[bytes, float] = {}
-        self.tx_included: dict[bytes, float] = {}
         self.created_at: dict[bytes, float] = {}
-        self.milestone_count = 0
         self.mempool_samples: list[float] = []
         self.chains_at_horizon: Optional[list[list[bytes]]] = None
         # events handled, by rank; deliveries are counted as their
@@ -605,10 +599,8 @@ class Simulation:
         )
 
     def _handle_tx(self, t: float) -> None:
-        if self.tx_index < len(self.genesis_outputs):
-            tx = self._make_tx(self.tx_index)
-            self.tx_index += 1
-            self.tx_arrival[tx.txid()] = t
+        if len(self.tx_log) < len(self.genesis_outputs):
+            tx = self._make_tx(len(self.tx_log))
             # one immutable entry, shared by every pool; the receivers take
             # it in when they catch up
             entry = PoolEntry(tx, t, self.cfg.fee)
@@ -620,11 +612,6 @@ class Simulation:
     def _record_block(self, block: Block, t: float) -> bytes:
         bid = block_id(block)
         self.created_at[bid] = t
-        if classify_hash(bid, self.params) is BlockClass.MILESTONE:
-            self.milestone_count += 1
-        tx = block.mes
-        if tx.kind is TxKind.NORMAL:
-            self.tx_included.setdefault(tx.txid(), t)
         return bid
 
     def _handle_mine(self, i: int, t: float) -> None:
@@ -668,7 +655,6 @@ class Simulation:
         if isinstance(strategy, PrivateMilestoneFork):
             block = self.adv_node.create_block()
             self.adversary_block_ids.add(self._record_block(block, t))
-            self.adversary_blocks += 1
             self.private_pending.append(block)
             self._maybe_release(t)
         elif isinstance(strategy, PeerChainFork):
@@ -696,7 +682,6 @@ class Simulation:
                 violation = self.adv_node.sdag.insert(block)
                 assert violation is None, violation
                 self.adversary_block_ids.add(self._record_block(block, t))
-                self.adversary_blocks += 1
                 self._broadcast(block, t, skip=self.cfg.n)
         nxt = t + self.master.expovariate(self.adv_rate)
         if nxt <= self.cfg.horizon:
@@ -811,20 +796,25 @@ class Simulation:
             reward_by_miner[idx] = reward_by_miner.get(idx, 0) + rec.amount
             reward_amounts.append(rec.amount)
 
-        queueing = [
-            self.tx_included[txid] - self.tx_arrival[txid]
-            for txid, _t in sorted(self.tx_included.items())
-            if txid in self.tx_arrival
-        ]
+        # each block made, in creation order: its class, and the first
+        # inclusion time of each transaction
+        blocks, verdicts = self.facts.blocks, self.facts.verdicts
+        milestones = 0
+        included: dict[bytes, float] = {}
+        for bid, t in self.created_at.items():
+            if verdicts[bid][0] is BlockClass.MILESTONE:
+                milestones += 1
+            tx = blocks[bid].mes
+            if tx.kind is TxKind.NORMAL:
+                included.setdefault(tx.txid(), t)
+        # every normal transaction comes from the log
+        entries = dict(self.tx_log)
+        queueing = [t - entries[txid].arrived for txid, t in sorted(included.items())]
         infection = measure_infection(
             ref.sdag, self.created_at, cutoff=cfg.horizon * 0.7, horizon=cfg.horizon
         )
         chain_height = ref.sdag.height()
-        fork_rate = (
-            (self.milestone_count - chain_height) / self.milestone_count
-            if self.milestone_count
-            else 0.0
-        )
+        fork_rate = (milestones - chain_height) / milestones if milestones else 0.0
         digests = None
         if cfg.n <= 16:
             digests = [
@@ -841,7 +831,7 @@ class Simulation:
         return SimMetrics(
             config=cfg,
             blocks_created=len(self.created_at),
-            milestones_created=self.milestone_count,
+            milestones_created=milestones,
             chain_height=chain_height,
             tps_effective=accepted_normal / cfg.horizon,
             duplicate_tx_fraction=duplicates / normal_blocks if normal_blocks else 0.0,
@@ -860,7 +850,7 @@ class Simulation:
             reward_by_miner=reward_by_miner,
             reward_amounts=reward_amounts,
             utxo_digests=digests,
-            adversary_blocks=self.adversary_blocks,
+            adversary_blocks=len(self.adversary_block_ids),
             adversary_releases=self.adversary_releases,
             counters=self.counters(),
         )

@@ -116,7 +116,7 @@ def brute_force_confirm(sdag: SDag, root: bytes) -> set[bytes]:
 def reinsert_random_order(sdag: SDag, rng: random.Random) -> SDag:
     """Rebuild the DAG inserting blocks in a random order, retrying blocks
     whose parents have not landed yet."""
-    blocks = [b for bid, b in sdag.blocks.items() if bid != sdag.genesis_id]
+    blocks = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
     rng.shuffle(blocks)
     rebuilt = SDag(sdag.params)
     pending = blocks

@@ -76,6 +76,23 @@ def test_infection_q1_exact_and_bound():
         infection_q1(10, Fraction(2))
 
 
+def rational_q1(n, p):
+    """The infection-chain recursion of `infection_q1` in exact rationals."""
+    q = 1 / p
+    for x in range(n - 1, 0, -1):
+        keep = 1 - Fraction(p * x, n)
+        grow = Fraction(x * (n - x), n * n)
+        q = (1 + keep * grow * q) / (1 - keep * (1 - grow))
+    return q
+
+
+@pytest.mark.parametrize(
+    "n, p", [(2, Fraction(1)), (200, Fraction(1, 2)), (1000, Fraction(1, 12000)), (3000, Fraction(1, 10**5))]
+)
+def test_infection_q1_matches_rational_recursion(n, p):
+    assert infection_q1(n, p).exact == pytest.approx(float(rational_q1(n, p)), rel=1e-12)
+
+
 def test_w2_scaling():
     r = w2_bound(1000, Fraction(1, 12000), 1.2)
     assert r.exact <= r.bound

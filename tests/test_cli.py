@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from sdag.analysis import MAX_CHAIN_NODES
 from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, _parse_grid, load_sim_config, main
 from sdag.simnet import MAX_NODES, PeerChainFork, PrivateMilestoneFork
 
@@ -273,6 +274,13 @@ def test_analyze_theta_rejects_unusable_input(capsys, flag, value):
     assert analyze_with(capsys, "theta", THETA, flag, value) == EXIT_BAD_INPUT
 
 
+def test_analyze_theta_overflow_prints_the_limit(capsys):
+    """a = (1 - e^(-mu tbar)) mu c tbar overflows to inf, where a/(1+a) is
+    nan; theta tends to 1."""
+    assert main(["analyze", "theta", "--c", "1e200", "--mu", "1e200", "--tbar", "1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--c", "0"), ("--n", "0"), ("--n", "-3"), ("--lam", "0"), ("--lam", "nan"), ("--mu", "0")],
@@ -281,14 +289,36 @@ def test_analyze_w1_rejects_unusable_input(capsys, flag, value):
     assert analyze_with(capsys, "w1", W1, flag, value) == EXIT_BAD_INPUT
 
 
-@pytest.mark.parametrize("flag, value", [("--mu", "0"), ("--mu", "nan"), ("--p", "inf")])
+@pytest.mark.parametrize("flag, value", [("--c", "1e308"), ("--tbar", "1e300")])
+def test_analyze_w1_with_theta_one_is_unstable(capsys, flag, value):
+    """theta rounds to 1: every block's capacity is wasted."""
+    assert analyze_with(capsys, "w1", W1, flag, value) == EXIT_UNSTABLE
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--mu", "0"), ("--mu", "nan"), ("--p", "inf"), ("--p", "1e-310"), ("--mu", "1e-320"), ("--n", str(MAX_CHAIN_NODES + 1))],
+)
 def test_analyze_w2_rejects_unusable_input(capsys, flag, value):
     assert analyze_with(capsys, "w2", W2, flag, value) == EXIT_BAD_INPUT
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_analyze_w2_large_n_is_fast(capsys):
+    """The recursion ran in rationals, whose denominators grow by about 75
+    bits a step: n = 20,000 took 110 s."""
+    start = time.perf_counter()
+    assert analyze_with(capsys, "w2", W2, "--n", "100000") == 0
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e6"])
 def test_analyze_fraction_rejects_unusable_input(capsys, value):
     assert analyze_with(capsys, "fraction", FRACTION, "--pnmu", value) == EXIT_BAD_INPUT
+
+
+def test_analyze_fraction_rejects_a_horizon_where_both_terms_underflow(capsys):
+    flags = {**FRACTION, "--pnmu": "1"}
+    assert analyze_with(capsys, "fraction", flags, "--t0", "1e308") == EXIT_BAD_INPUT
 
 
 @pytest.mark.parametrize("value", ["-1", "-0.5"])

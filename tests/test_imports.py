@@ -171,7 +171,7 @@ def sdag_and_node_privates() -> set[str]:
 
 def test_foreign_private_reads_flagged():
     names = sdag_and_node_privates()
-    assert {"_unreferenced", "_switch_to", "_drain_orphans", "_level_sets"} <= names
+    assert {"_unreferenced", "_switch_to", "_drain_orphans", "_walk_level"} <= names
     tree = ast.parse(
         "node.sdag._unreferenced\nsim.nodes[0].sdag._switch_to(ms)\nnode._drain_orphans(b)\n"
         "self._push(t)\nnode.sdag.main_chain\n"
