@@ -61,20 +61,29 @@ def _check_stable(rho: float, theta_val: float) -> float:
     return x
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows for these inputs")
+    return value
+
+
 def queue_length(lam: float, n: int, mu: float, c: float, theta_val: float) -> float:
     """Steady-state mempool size Q = (n/c) ln(n mu / (n mu - lambda/(1-theta)))."""
     _require_positive(lam=lam, n=n, mu=mu, c=c)
-    rho = lam / (n * mu)
-    x = _check_stable(rho, theta_val)
-    return (n / c) * math.log(1.0 / (1.0 - x))
+    x = _check_stable(lam / (n * mu), theta_val)
+    return _finite("Q", (n / c) * -math.log1p(-x))
 
 
 def w1(lam: float, n: int, mu: float, c: float, theta_val: float) -> float:
-    """Mean queueing latency by Little's law: Q / lambda."""
+    """Mean queueing latency by Little's law, Q / lambda, written as
+    (ln(1/(1-x)) / x) / (c mu (1-theta)) with x = rho/(1-theta), which does
+    not cancel as lambda, and so x, tends to 0: W1 tends to
+    1/(c mu (1-theta))."""
     _require_positive(lam=lam, n=n, mu=mu, c=c)
-    rho = lam / (n * mu)
-    x = _check_stable(rho, theta_val)
-    return (1.0 / c) * (1.0 / (rho * mu)) * math.log(1.0 / (1.0 - x))
+    x = _check_stable(lam / (n * mu), theta_val)
+    growth = -math.log1p(-x) / x if x > 0 else 1.0
+    rate = c * mu * (1.0 - theta_val)  # 0 only where it underflows
+    return _finite("W1", growth / rate if rate > 0 else math.inf)
 
 
 def w1_of_theta(theta_val: float, rho: float, t_bar: float, mu: float) -> float:

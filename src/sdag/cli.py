@@ -71,15 +71,15 @@ def _parse_strategy(value: str):
         return None
     name, _, arg = value.partition(":")
     if name == "private-milestone-fork":
-        key, strategy = "depth", PrivateMilestoneFork
-    elif name == "peer-chain-fork":
-        key, strategy = "victim", PeerChainFork
-    else:
+        if arg:
+            raise ValueError(f"{name} takes no argument, got {arg!r}")
+        return PrivateMilestoneFork()
+    if name != "peer-chain-fork":
         raise ValueError(f"unknown adversary_strategy {value!r}; choose from {_STRATEGIES}")
     got, _, number = arg.partition("=")
-    if arg and got != key:
-        raise ValueError(f"{name} takes {key}=N, got {arg!r}")
-    return strategy(int(number)) if arg else strategy()
+    if arg and got != "victim":
+        raise ValueError(f"{name} takes victim=N, got {arg!r}")
+    return PeerChainFork(int(number)) if arg else PeerChainFork()
 
 
 def load_sim_config(path: str) -> SimConfig:

@@ -190,12 +190,23 @@ class _Reader:
     def done(self) -> bool:
         return self.pos == len(self.data)
 
+    def flag(self) -> bool:
+        flag = self.take(1)[0]
+        if flag > 1:
+            raise EncodingError(f"flag byte must be 0 or 1, got {flag}")
+        return flag == 1
+
 
 def decode_tx(data: bytes) -> Transaction:
+    """The inverse of `encode_tx`: only a canonical encoding decodes, so
+    `encode_tx(decode_tx(b)) == b` whenever it returns."""
     if data == b"":
         return EMPTY_TX
     r = _Reader(data)
-    kind = TxKind(r.take(1)[0])
+    kind = r.take(1)[0]
+    if not TxKind.NORMAL.value <= kind <= TxKind.REDEMPTION.value:
+        raise EncodingError(f"tx kind must be 1, 2 or 3, got {kind} (the empty tx encodes to no bytes)")
+    kind = TxKind(kind)
     inputs = []
     for _ in range(r.u32()):
         txid = r.take(HASH_BYTES)
@@ -207,8 +218,8 @@ def decode_tx(data: bytes) -> Transaction:
         value = r.u64()
         address = r.take(HASH_BYTES)
         outputs.append(TxOutput(value, address))
-    reward_claim = r.u64() if r.take(1) == b"\x01" else None
-    next_address = r.take(HASH_BYTES) if r.take(1) == b"\x01" else None
+    reward_claim = r.u64() if r.flag() else None
+    next_address = r.take(HASH_BYTES) if r.flag() else None
     if not r.done():
         raise EncodingError("trailing bytes in tx encoding")
     return Transaction(kind, tuple(inputs), tuple(outputs), reward_claim, next_address)

@@ -5,11 +5,10 @@ to stored blocks) and the graph stays acyclic.  Milestone-class blocks form
 a tree over the idm references; the longest root-to-leaf path is the main
 chain, with ties resolved by retaining the incumbent tip.
 
-A block's class and validity verdict depend only on its bytes (given that
-its parents are stored), and a milestone's parent, height and level set
-only on its ancestry.  `DagFacts` keeps them with the blocks themselves,
-so SDags that share one table store and derive each once and keep only a
-bitmap of the blocks they hold.
+A stored block's class depends only on its hash, and a milestone's
+parent, height and level set only on its ancestry.  `DagFacts` keeps them
+with the blocks themselves, so SDags that share one table store and derive
+each once and keep only a bitmap of the blocks they hold.
 """
 
 from __future__ import annotations
@@ -48,23 +47,21 @@ class Violation:
     detail: str = ""
 
 
-# one verdict tuple per class for every valid block, not one per block
-_VALID = {cls: (cls, None) for cls in BlockClass}
-
-
 class DagFacts:
     """Facts that are pure functions of the blocks, and the one block store
     of the SDags that share the table:
-    - `verdicts`: block id -> (class, verdict with all parents stored); a
-      missing-parent verdict depends on arrival order and is never stored;
     - `levels`: milestone id -> level set (its confirm set minus its
       parent's, in discovery order);
     - `level_of`: block id -> the milestone whose level set holds it, or a
       tuple of them when forks put it in several;
     - the store: every block that some sharing SDag holds, in first-insert
       order (`blocks`), its serial number (its position there), each
-      milestone's parent and height, and each peer's block ids in store
-      order (`by_peer`, the genesis aside).
+      milestone's parent and height (so a stored block other than the
+      genesis is a milestone exactly when `ms_height` holds it, and regular
+      otherwise), and each peer's block ids in store order (`by_peer`, the
+      genesis aside);
+    - `power`: chain tip -> `mempool.power_counts` of the chain ending
+      there, for the tips a node has counted lately (`NodeState`).
 
     Each SDag marks the serials it holds in a bytearray bitmap, which the
     table keeps for as long as it lives.  The store keeps every bitmap
@@ -74,7 +71,6 @@ class DagFacts:
 
     def __init__(self, params: Params):
         self.params = params
-        self.verdicts: dict[bytes, tuple[BlockClass, Optional[Violation]]] = {}
         self.levels: dict[bytes, tuple[bytes, ...]] = {}
         self.level_of: dict[bytes, Union[bytes, tuple[bytes, ...]]] = {GENESIS_ID: GENESIS_ID}
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
@@ -82,6 +78,7 @@ class DagFacts:
         self.ms_parent: dict[bytes, Optional[bytes]] = {GENESIS_ID: None}
         self.ms_height: dict[bytes, int] = {GENESIS_ID: 0}
         self.by_peer: dict[bytes, list[bytes]] = {}
+        self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
         self._bitmaps: list[bytearray] = []
         self._capacity = 64
 
@@ -113,8 +110,8 @@ class SDag:
     """A peer's local structured DAG.
 
     Single-writer, multiple-reader: call insert from one context only.
-    SDags given the same `facts` table share one block store: they validate
-    each block, store it and walk each level once between them, and each
+    SDags given the same `facts` table share one block store: they store
+    each block and walk each level once between them, and each
     keeps only a bitmap of the blocks it holds (`held`), its unreferenced
     blocks and its main chain, whose level sets it reads from the table.
     Without a table an SDag owns its store, so `blocks` is exactly its own
@@ -157,7 +154,9 @@ class SDag:
 
     def block_class(self, bid: bytes) -> Optional[BlockClass]:
         """Hash-band class of a stored block; None for the genesis."""
-        return self.facts.verdicts[bid][0] if bid != GENESIS_ID and bid in self else None
+        if bid == GENESIS_ID or bid not in self:
+            return None
+        return BlockClass.MILESTONE if bid in self.facts.ms_height else BlockClass.REGULAR
 
     def height(self) -> int:
         return len(self.main_chain) - 1
@@ -180,31 +179,26 @@ class SDag:
         bid = block_id(block)
         return self._check(block, bid, classify_hash(bid, self.params))
 
-    def _missing(self, block: Block) -> Optional[Violation]:
-        for ref in self._refs(block):
-            if ref not in self:
-                return Violation(ViolationKind.MISSING_PARENT, ref.hex())
-        return None
-
     def _check(self, block: Block, bid: bytes, cls: BlockClass) -> Optional[Violation]:
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
-        missing = self._missing(block)
-        if missing is not None:
-            return missing
+        for ref in self._refs(block):
+            if ref not in self:
+                return Violation(ViolationKind.MISSING_PARENT, ref.hex())
         if block.idp != GENESIS_ID:
             target = self.blocks[block.idp]
             if target.peer != block.peer:
                 return Violation(ViolationKind.PEER_RULE, "idp targets another miner's block")
-        # a stored block other than the genesis has a verdict in the table
+        # the parents are stored, and `ms_height` holds exactly the stored
+        # milestones and the genesis
+        ms_height = self.facts.ms_height
         if block.idt != GENESIS_ID:
-            if self.facts.verdicts[block.idt][0] is not BlockClass.REGULAR:
+            if block.idt in ms_height:
                 return Violation(ViolationKind.TIP_RULE, "idt target is not regular-class")
             if self.blocks[block.idt].peer == block.peer:
                 return Violation(ViolationKind.TIP_RULE, "idt targets the same miner")
-        if block.idm != GENESIS_ID:
-            if self.facts.verdicts[block.idm][0] is not BlockClass.MILESTONE:
-                return Violation(ViolationKind.MS_RULE, "idm target is not milestone-class")
+        if block.idm not in ms_height:
+            return Violation(ViolationKind.MS_RULE, "idm target is not milestone-class")
         if bid in self._refs(block):
             return Violation(ViolationKind.CYCLE, "block references itself")
         return None
@@ -215,31 +209,15 @@ class SDag:
         """Add a checked block; duplicate insert is a no-op.  Returns the
         violation if the block is invalid, else None."""
         bid = block_id(block)
-        facts = self.facts
-        held = self.held
-        serial = facts.serial.get
-        s = serial(bid, -1)
-        if held[s]:
+        s = self.facts.serial.get(bid, -1)
+        if self.held[s]:
             return None
-        fact = facts.verdicts.get(bid)
-        if fact is None:
-            cls = classify_hash(bid, self.params)
-            v = self._check(block, bid, cls)
-            if v is not None and v.kind is ViolationKind.MISSING_PARENT:
-                return v
-            facts.verdicts[bid] = (cls, v) if v is not None else _VALID[cls]
-        else:
-            # the stored verdict holds once the parents are here; bad pow
-            # is reported before missing parents, as _check does
-            cls, v = fact
-            if cls is not BlockClass.INVALID and not (
-                held[serial(block.idp, -1)] and held[serial(block.idm, -1)] and held[serial(block.idt, -1)]
-            ):
-                return self._missing(block)
+        cls = classify_hash(bid, self.params)
+        v = self._check(block, bid, cls)
         if v is not None:
             return v
         if s < 0:
-            s = facts.add(bid, block, cls)
+            s = self.facts.add(bid, block, cls)
         self.hold((bid,), ((block.idp, block.idm, block.idt),), (s,))
         if cls is BlockClass.MILESTONE:
             self.adopt(bid)
@@ -382,7 +360,7 @@ class SDag:
         return {
             bid
             for bid in self._unreferenced
-            if self.facts.verdicts[bid][0] is BlockClass.REGULAR and self.blocks[bid].peer != miner
+            if bid not in self.facts.ms_height and self.blocks[bid].peer != miner
         }
 
     # -- serialization ---------------------------------------------------

@@ -55,34 +55,11 @@ def drain(arrived: bytes, waiting_on: dict[bytes, set[bytes]], take: Callable[[b
                     queue.append(bid)
 
 
-class SharedFacts:
-    """What nodes with the same params derive identically, computed by the
-    first node that needs it:
-    - `dag`: block verdicts and level sets (see `DagFacts`);
-    - `power`: chain tip -> `power_counts` of the chain ending there, kept
-      for tips at most `POWER_KEEP_DEPTH` milestones below the highest
-      counted (a dropped tip is counted again if a node reaches it)."""
-
-    def __init__(self, params: Params):
-        self.dag = DagFacts(params)
-        self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
-
-    def power_at(self, sdag: SDag) -> tuple[dict[bytes, int], int]:
-        """`power_counts` of `sdag`, a function of its chain tip alone."""
-        tip = sdag.chain_tip()
-        counts = self.power.get(tip)
-        if counts is None:
-            height = self.dag.ms_height
-            floor = height[tip] - POWER_KEEP_DEPTH
-            self.power = {t: c for t, c in self.power.items() if height[t] >= floor}
-            counts = self.power[tip] = power_counts(sdag)
-        return counts
-
-
 class NodeState:
     """One peer's complete local state; confine each instance to a single
-    logical execution context.  Nodes given the same `shared` facts derive
-    each of them once between them; a node without one keeps its own."""
+    logical execution context.  Nodes given the same `facts` table share
+    one block store and derive each fact once between them (see
+    `DagFacts`); a node without one keeps its own."""
 
     def __init__(
         self,
@@ -90,12 +67,11 @@ class NodeState:
         secret: bytes,
         seed: int = 0,
         orphan_cap: int = DEFAULT_ORPHAN_CAP,
-        shared: Optional[SharedFacts] = None,
+        facts: Optional[DagFacts] = None,
     ):
         self.params = params
         self.identity = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(secret))
-        self.shared = shared if shared is not None else SharedFacts(params)
-        self.sdag = SDag(params, self.shared.dag)
+        self.sdag = SDag(params, facts)
         self.mempool = Mempool()
         self.my_head = GENESIS_ID
         self.rng = random.Random(seed)
@@ -221,8 +197,18 @@ class NodeState:
     # -- create path -----------------------------------------------------
 
     def _estimated_q(self) -> Fraction:
-        """estimate_power's share, from the peer count shared per chain tip."""
-        return power_share(*self.shared.power_at(self.sdag), self.identity)
+        """estimate_power's share, from the peer count of the chain ending at
+        this node's tip.  The table keeps that count per tip for the tips at
+        most `POWER_KEEP_DEPTH` milestones below the last one counted (a
+        dropped tip is counted again if a node reaches it)."""
+        facts, tip = self.sdag.facts, self.sdag.chain_tip()
+        counts = facts.power.get(tip)
+        if counts is None:
+            height = facts.ms_height
+            floor = height[tip] - POWER_KEEP_DEPTH
+            facts.power = {t: c for t, c in facts.power.items() if height[t] >= floor}
+            counts = facts.power[tip] = power_counts(self.sdag)
+        return power_share(*counts, self.identity)
 
     def tx_compatible(self, tx: Transaction) -> bool:
         """Whether a miner may carry `tx`: only a normal transaction.  A

@@ -56,9 +56,10 @@ from .core import (
     sighash,
 )
 from .curves import make_curve
+from .dag import DagFacts
 from .ledger import build_from_dag, resolve_peer_chain
 from .mempool import PoolEntry
-from .node import DEFAULT_MINE_BUDGET, NodeState, SharedFacts, drain
+from .node import DEFAULT_MINE_BUDGET, NodeState, drain
 from .sigs import DEFAULT_SCHEME
 
 # event ranks for deterministic tie-breaking: (time, rank, actor, seq)
@@ -77,11 +78,17 @@ MEMPOOL_SAMPLES = 100
 STORE_WINDOW_ROWS_PER_NODE = 4
 STORE_WINDOW_CELLS = 1 << 21
 # orphan arrivals and stores buffered before they are folded into the
-# per-node counts
+# per-node counts, at least; a fold carries the events still in the future,
+# and the next waits until the buffer holds twice as many, so each event is
+# sorted at most about twice, however many lie in the future at once
 ORPHAN_EVENT_BATCH = 1 << 14
 # bounds lambda * horizon: the genesis funds 1.5 outputs per expected
 # transaction, each about 170 bytes in every ledger fold (260 MB at most)
 MAX_EXPECTED_TXS = 10**6
+# bounds n * mu * horizon: a block costs about 3 KB at the desk config (peak
+# tracemalloc growth from horizon 400 to 800 s), so 3 GB at most there, plus
+# a byte or two per node in the membership bitmaps
+MAX_EXPECTED_BLOCKS = 10**6
 # bounds n: each node holds about 4.8 KB before the first event (46 MB at
 # n = 10,000), so 10**5 nodes take about 0.5 GB before the run starts
 MAX_NODES = 10**5
@@ -91,8 +98,6 @@ MAX_NODES = 10**5
 class PrivateMilestoneFork:
     """Withhold own milestones on a private branch; release when it
     overtakes the public chain."""
-
-    depth: int = 13
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,8 @@ class SimConfig:
             raise ValueError("c and lam must be >= 0")
         if self.lam * self.horizon > MAX_EXPECTED_TXS:
             raise ValueError(f"lambda * horizon (expected transactions) must be at most {MAX_EXPECTED_TXS}")
+        if self.n * self.mu * self.horizon > MAX_EXPECTED_BLOCKS:
+            raise ValueError(f"n * mu * horizon (expected blocks) must be at most {MAX_EXPECTED_BLOCKS}")
         if self.finality_depth < 0:
             raise ValueError("finality_depth must be >= 0")
         if not 0 <= self.fee <= 2:
@@ -146,9 +153,6 @@ class SimConfig:
             raise ValueError("adversary_share > 0 needs a strategy")
         if self.adversary_share == 0 and self.adversary_strategy is not None:
             raise ValueError("an adversary_strategy needs adversary_share > 0")
-        if isinstance(self.adversary_strategy, PrivateMilestoneFork):
-            if self.adversary_strategy.depth < 0:
-                raise ValueError("private-milestone-fork depth must be >= 0")
         if isinstance(self.adversary_strategy, PeerChainFork):
             if not 0 <= self.adversary_strategy.victim < self.n:
                 raise ValueError("victim index out of range")
@@ -335,16 +339,16 @@ class Simulation:
         n_outputs = int(config.lam * config.horizon * 1.5) + 64
         self.genesis_outputs = [(2, self.user_address)] * n_outputs
 
-        # every node validates the same blocks, walks the same milestone
-        # levels and counts the same tips: the first to need a fact derives
-        # it and the rest read it
-        shared = SharedFacts(self.params)
+        # every node stores the same blocks, walks the same milestone levels
+        # and counts the same tips: the first to need a fact derives it and
+        # the rest read it
+        self.facts = DagFacts(self.params)
         self.nodes = [
             NodeState(
                 self.params,
                 secret=sha256(b"sim-peer-" + i.to_bytes(4, "big")),
                 seed=self.master.getrandbits(64),
-                shared=shared,
+                facts=self.facts,
             )
             for i in range(config.n)
         ]
@@ -354,7 +358,7 @@ class Simulation:
                 self.params,
                 secret=sha256(b"sim-adversary"),
                 seed=self.master.getrandbits(64),
-                shared=shared,
+                facts=self.facts,
             )
         self.private_pending: list[Block] = []
         self.adversary_block_ids: set[bytes] = set()
@@ -374,7 +378,6 @@ class Simulation:
         # broadcasts, and per receiver how far it has taken both in
         self.receivers = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
         width = len(self.receivers)
-        self.facts = shared.dag
         self.tx_log: list[tuple[bytes, PoolEntry]] = []
         self.tx_seen = [0] * width
         self.times = StoreTimes(width)
@@ -386,6 +389,7 @@ class Simulation:
         self.orphan_peak = np.zeros(width, dtype=np.int64)
         self.orphan_events: list[tuple[np.ndarray, np.ndarray, Union[int, np.ndarray]]] = []
         self.orphan_events_size = 0
+        self.orphan_fold_at = ORPHAN_EVENT_BATCH
         # (first honest store time, height) of each milestone not yet seen
         # by `_public_height`, and the highest seen
         self.first_stores: list[tuple[float, int]] = []
@@ -408,7 +412,7 @@ class Simulation:
         if serial is None:
             # only a valid block enters the store, so every receiver
             # stores each broadcast block and rejects none
-            raise ValueError(f"broadcast block {bid.hex()} has no valid verdict")
+            raise ValueError(f"broadcast block {bid.hex()} is not in the shared store")
         others = len(self.receivers) - 1
         draw = self.master.random
         delays = self.curve.inverse(np.array([draw() for _ in range(others)]))
@@ -433,9 +437,9 @@ class Simulation:
             self.orphan_events.append((late, arrive[late], 1))
             self.orphan_events.append((late, store[late], -1))
             self.orphan_events_size += 2 * len(late)
-            if self.orphan_events_size >= ORPHAN_EVENT_BATCH:
+            if self.orphan_events_size >= self.orphan_fold_at:
                 self._fold_orphans(t)
-        milestone = facts.verdicts[bid][0] is BlockClass.MILESTONE
+        milestone = bid in facts.ms_height
         if milestone:
             heapq.heappush(self.first_stores, (float(store[: self.cfg.n].min()), facts.ms_height[bid]))
 
@@ -470,6 +474,7 @@ class Simulation:
         done = time < before
         self.orphan_events = [] if done.all() else [(node[~done], time[~done], step[~done])]
         self.orphan_events_size = len(node) - int(np.count_nonzero(done))
+        self.orphan_fold_at = max(ORPHAN_EVENT_BATCH, 2 * self.orphan_events_size)
         node, time, step = node[done], time[done], step[done]
         if not len(node):
             return
@@ -747,9 +752,9 @@ class Simulation:
         receiver held at once), rejected blocks, mining attempts and reorgs
         (honest nodes only, see `SimMetrics.reorg_count`).  Orphans evicted
         and rejected blocks are 0 by construction: a receiver over its
-        orphan cap or a broadcast block without a valid verdict stops the
-        run instead (`_fold_orphans`, `_broadcast`); the keys stay so the
-        bytes of `counters.json` do not move."""
+        orphan cap or a broadcast block that is not in the shared store
+        stops the run instead (`_fold_orphans`, `_broadcast`); the keys stay
+        so the bytes of `counters.json` do not move."""
         receivers = self.receivers
         return {
             "events": dict(zip(_RANK_NAMES, self.events)),
@@ -798,11 +803,11 @@ class Simulation:
 
         # each block made, in creation order: its class, and the first
         # inclusion time of each transaction
-        blocks, verdicts = self.facts.blocks, self.facts.verdicts
+        blocks, ms_height = self.facts.blocks, self.facts.ms_height
         milestones = 0
         included: dict[bytes, float] = {}
         for bid, t in self.created_at.items():
-            if verdicts[bid][0] is BlockClass.MILESTONE:
+            if bid in ms_height:
                 milestones += 1
             tx = blocks[bid].mes
             if tx.kind is TxKind.NORMAL:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sdag.analysis import MAX_CHAIN_NODES
+from sdag.analysis import MAX_CHAIN_NODES, theta
 from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, _parse_grid, load_sim_config, main
 from sdag.simnet import MAX_NODES, PeerChainFork, PrivateMilestoneFork
 
@@ -39,11 +39,9 @@ def test_load_sim_config_maps_lambda(config_file):
 def test_load_sim_config_strategy(tmp_path):
     path = tmp_path / "adv.ini"
     path.write_text(
-        SMALL_INI + "adversary_share = 0.3\n"
-        "adversary_strategy = private-milestone-fork:depth=4\n"
+        SMALL_INI + "adversary_share = 0.3\nadversary_strategy = private-milestone-fork\n"
     )
-    cfg = load_sim_config(str(path))
-    assert cfg.adversary_strategy == PrivateMilestoneFork(4)
+    assert load_sim_config(str(path)).adversary_strategy == PrivateMilestoneFork()
     path.write_text(
         SMALL_INI + "adversary_share = 0.3\nadversary_strategy = peer-chain-fork:victim=2\n"
     )
@@ -52,7 +50,13 @@ def test_load_sim_config_strategy(tmp_path):
 
 @pytest.mark.parametrize(
     "strategy",
-    ["peer-chain-fork:depth=3", "private-milestone-fork:victim=2", "peer-chain-fork:victim"],
+    [
+        "peer-chain-fork:depth=3",
+        "private-milestone-fork:victim=2",
+        "peer-chain-fork:victim",
+        # no code reads a depth, so the strategy takes none
+        "private-milestone-fork:depth=4",
+    ],
 )
 def test_strategy_argument_needs_its_own_key(tmp_path, strategy):
     path = tmp_path / "adv.ini"
@@ -143,6 +147,7 @@ def test_simulate_rejects_strategy_without_share(tmp_path, capsys, strategy):
     "extra",
     [
         "finality_depth = -4\n",
+        # refused as any argument of this strategy is
         "adversary_share = 0.3\nadversary_strategy = private-milestone-fork:depth=-1\n",
     ],
 )
@@ -165,6 +170,18 @@ def test_simulate_rejects_huge_transaction_counts(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
     assert "expected transactions" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1e20", "1e300"])
+def test_simulate_rejects_huge_block_counts(tmp_path, capsys, value):
+    """Nothing bounded n * mu * horizon, so mu = 1e20 ran without end."""
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith("mu =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"mu = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "expected blocks" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 
@@ -283,10 +300,35 @@ def test_analyze_theta_overflow_prints_the_limit(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--c", "0"), ("--n", "0"), ("--n", "-3"), ("--lam", "0"), ("--lam", "nan"), ("--mu", "0")],
+    [
+        ("--c", "0"),
+        ("--n", "0"),
+        ("--n", "-3"),
+        ("--lam", "0"),
+        ("--lam", "nan"),
+        ("--mu", "0"),
+        # 1/c overflows: W1 and Q once printed inf
+        ("--c", "5e-324"),
+        ("--c", "1e-310"),
+    ],
 )
 def test_analyze_w1_rejects_unusable_input(capsys, flag, value):
     assert analyze_with(capsys, "w1", W1, flag, value) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("lam", ["5e-324", "1e-310", "1e-17", "1e-13"])
+def test_analyze_w1_at_a_tiny_rate_is_its_limit(capsys, lam):
+    """As lambda tends to 0, W1 tends to 1/(c mu (1 - theta)).  Written as
+    (1/(rho mu)) ln(1/(1-x)), it cancelled instead: lambda = 5e-324 divided
+    by zero, 1e-310 printed nan, 1e-17 printed 0 and 1e-13 printed 222 for
+    84.8."""
+    flags = dict(W1, **{"--lam": lam})
+    assert main(["analyze", "w1"] + [part for pair in flags.items() for part in pair]) == 0
+    th = theta(float(W1["--c"]), float(W1["--mu"]), float(W1["--tbar"]))
+    limit = 1 / (float(W1["--c"]) * float(W1["--mu"]) * (1 - th))
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(printed["w1"]) == pytest.approx(limit, rel=1e-9)
+    assert 0 <= float(printed["queue"]) < 1e-6
 
 
 @pytest.mark.parametrize("flag, value", [("--c", "1e308"), ("--tbar", "1e300")])

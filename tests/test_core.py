@@ -5,10 +5,11 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdag.core import (
     EMPTY_TX,
+    EncodingError,
     GENESIS,
     GENESIS_ID,
     HASH_BYTES,
@@ -142,6 +143,58 @@ def test_decode_rejects_trailing_bytes():
         decode_block(enc + b"\x00")
     with pytest.raises(ValueError):
         decode_tx(encode_tx(make_normal()) + b"\x00")
+
+
+REGISTRATION = encode_tx(Transaction(TxKind.REGISTRATION, next_address=H("addr")))
+# each decoded, before the decoder was strict, to a transaction that encodes
+# to other bytes, or raised a bare ValueError
+NON_CANONICAL = {
+    "claim-flag-2": REGISTRATION[:9] + b"\x02" + REGISTRATION[10:],
+    "address-flag-2": encode_tx(make_normal())[:-1] + b"\x02",
+    "empty-kind": b"\x04" + bytes(10),
+    "unknown-kind": b"\x09" + REGISTRATION[1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_decode_rejects_non_canonical_encodings(name):
+    raw = NON_CANONICAL[name]
+    with pytest.raises(EncodingError):
+        decode_tx(raw)
+    header = canonical_encode(Block(H("p"), H("m"), H("t"), H("peer"), 7, EMPTY_TX))
+    with pytest.raises(EncodingError):
+        decode_block(header[:-4] + len(raw).to_bytes(4, "big") + raw)
+
+
+@st.composite
+def payloads(draw):
+    """A transaction encoding with at most one byte replaced, or any bytes."""
+    raw = bytearray(draw(tx_strategy.map(encode_tx)))
+    if raw and draw(st.booleans()):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return draw(st.one_of(st.just(bytes(raw)), st.binary(max_size=48)))
+
+
+@given(payloads())
+@example(NON_CANONICAL["claim-flag-2"])
+@example(NON_CANONICAL["empty-kind"])
+def test_only_canonical_encodings_decode(raw):
+    """Each accepted byte string re-encodes to itself, so a transaction or
+    block id is the hash of exactly the bytes read."""
+    try:
+        tx = decode_tx(raw)
+    except ValueError:
+        tx = None
+    if tx is not None:
+        assert encode_tx(tx) == raw
+    block_raw = canonical_encode(Block(H("p"), H("m"), H("t"), H("peer"), 7, EMPTY_TX))[:-4]
+    block_raw += len(raw).to_bytes(4, "big") + raw
+    try:
+        block = decode_block(block_raw)
+    except ValueError:
+        return
+    assert canonical_encode(block) == block_raw
+    assert block_id(block) == sha256(block_raw)
 
 
 # -- cached identities -----------------------------------------------------

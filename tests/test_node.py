@@ -18,9 +18,10 @@ from sdag.core import (
     sha256,
     sighash,
 )
+from sdag.dag import DagFacts
 from sdag.ledger import build_from_dag
 from sdag.mempool import PoolEntry, estimate_power, power_share
-from sdag.node import NodeState, SharedFacts
+from sdag.node import NodeState
 from sdag.sigs import DEFAULT_SCHEME
 
 from dagtools import RANDOM_PARAMS, RandomPayloads, random_dag
@@ -302,8 +303,8 @@ def test_shared_power_counts_match_estimate_power():
         in_order = [b for bid, b in sdag.blocks.items() if bid != GENESIS_ID]
         shuffled = in_order[:]
         rng.shuffle(shuffled)
-        shared = SharedFacts(RANDOM_PARAMS)
-        nodes = [NodeState(RANDOM_PARAMS, secret=sha256(tag), shared=shared) for tag in (b"oracle-a", b"oracle-b")]
+        facts = DagFacts(RANDOM_PARAMS)
+        nodes = [NodeState(RANDOM_PARAMS, secret=sha256(tag), facts=facts) for tag in (b"oracle-a", b"oracle-b")]
         for pair in zip(in_order, shuffled):
             for node, block in zip(nodes, pair):
                 before = node.sdag.main_chain[:]
@@ -311,7 +312,7 @@ def test_shared_power_counts_match_estimate_power():
                 if node.sdag.main_chain[: len(before)] != before:
                     switches += 1
                 assert node._estimated_q() == estimate_power(node.sdag, node.identity).q
-                counts = shared.power[node.sdag.chain_tip()]
+                counts = facts.power[node.sdag.chain_tip()]
                 for miner in counts[0]:
                     assert power_share(*counts, miner) == estimate_power(node.sdag, miner).q
         # equal-height tips may differ: the incumbent wins ties
@@ -322,12 +323,11 @@ def test_shared_power_counts_match_estimate_power():
 
 def test_lone_node_keeps_private_facts():
     a, b = make_node(b"lone-a"), make_node(b"lone-b")
-    assert a.shared is not b.shared
     assert a.sdag.facts is not b.sdag.facts
 
 
 def test_shared_facts_must_match_the_node():
-    shared = SharedFacts(PARAMS)
-    NodeState(PARAMS, secret=sha256(b"m0"), shared=shared)
+    facts = DagFacts(PARAMS)
+    NodeState(PARAMS, secret=sha256(b"m0"), facts=facts)
     with pytest.raises(ValueError):
-        NodeState(RANDOM_PARAMS, secret=sha256(b"m2"), shared=shared)
+        NodeState(RANDOM_PARAMS, secret=sha256(b"m2"), facts=facts)

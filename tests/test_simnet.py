@@ -11,9 +11,12 @@ import pytest
 
 from sdag import cli, simnet
 from sdag.core import BlockClass, TxKind, block_id, classify_hash
+from sdag.dag import DagFacts
 from sdag.ledger import build_from_dag, verify_normal
-from sdag.node import POWER_KEEP_DEPTH, NodeState, SharedFacts
+from sdag.mempool import power_counts
+from sdag.node import POWER_KEEP_DEPTH, NodeState
 from sdag.simnet import (
+    MAX_EXPECTED_BLOCKS,
     MAX_EXPECTED_TXS,
     MAX_NODES,
     MEMPOOL_SAMPLES,
@@ -63,7 +66,12 @@ def test_config_validation():
     # each node holds about 4.8 KB before the first event
     with pytest.raises(ValueError, match="n must be in"):
         small(n=MAX_NODES + 1).validate()
-    small(n=MAX_NODES).validate()
+    small(n=MAX_NODES, horizon=1.0).validate()
+    # each expected block costs about 3 KB
+    for huge in (small(mu=1e20), small(mu=1e300), small(n=MAX_NODES)):
+        with pytest.raises(ValueError, match="expected blocks"):
+            huge.validate()
+    small(mu=MAX_EXPECTED_BLOCKS / 1000, horizon=200.0).validate()
     with pytest.raises(ValueError):
         small(
             adversary_share=0.2, adversary_strategy=PeerChainFork(victim=99)
@@ -229,8 +237,8 @@ def replay_deliveries(cfg):
     sim._public_height = recording_public_height
     m = sim.run()
 
-    shared = SharedFacts(sim.params)
-    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, shared=shared) for j in range(len(sim.receivers))]
+    facts = DagFacts(sim.params)
+    nodes = [NodeState(sim.params, secret=b"replay-%d" % j, facts=facts) for j in range(len(sim.receivers))]
     horizon_chains = None
     reorgs = depth = widest = most_milestones = adversary_moves = 0
     at_instant = {}  # (time, node) -> classes of the blocks delivered then
@@ -305,7 +313,7 @@ def replay_deliveries(cfg):
 
 # the adversary's released branch reaches every honest node at one instant:
 # each block of it is a delivery of its own, none an orphan
-DEGENERATE = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(depth=2), seed=0)
+DEGENERATE = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=0)
 PEER_CHAIN_FORK = dict(ORPHAN_HEAVY, adversary_share=0.3, adversary_strategy=PeerChainFork(victim=0))
 
 
@@ -413,35 +421,54 @@ def test_orphan_cap_is_checked():
         run_with_orphan_cap(peak - 1)
 
 
+def test_orphan_folds_sort_each_event_a_bounded_number_of_times(monkeypatch):
+    """With more orphan events in the future than a batch, every broadcast
+    once re-sorted all of them: 2,993 folds sorted 982,596 events for the
+    49,514 events of this run.  A fold waits for twice what the last one
+    carried, so each event is sorted at most twice, or three times counting
+    the final fold."""
+    monkeypatch.setattr(simnet, "ORPHAN_EVENT_BATCH", 64)
+    sim = Simulation(small(**dict(ORPHAN_HEAVY, horizon=300.0, seed=1)))
+    fold, sorted_sizes = sim._fold_orphans, []
+
+    def counted_fold(before):
+        sorted_sizes.append(sim.orphan_events_size)
+        fold(before)
+
+    sim._fold_orphans = counted_fold
+    m = sim.run()
+    events = 2 * m.counters["orphans_buffered"]
+    assert events > 100 * 64
+    assert sum(sorted_sizes) <= 3 * events
+
+
 def test_broadcast_of_an_unstored_block_is_an_error():
     sim = Simulation(small())
     block = sim.nodes[0].create_block()
     other = Simulation(small())
-    with pytest.raises(ValueError, match="no valid verdict"):
+    with pytest.raises(ValueError, match="is not in the shared store"):
         other._broadcast(block, 1.0, 0)
 
 
-def test_shared_power_counts_stay_bounded():
+def test_shared_power_counts_stay_bounded(monkeypatch):
     """The power counts shared per chain tip are kept only near the highest
     tip, so their number does not grow with the run, and no tip is counted
     twice."""
     peaks = []
     for horizon in (150.0, 600.0):
         sim = Simulation(small(horizon=horizon))
-        shared = sim.nodes[0].shared
-        power_at, counted, peak = shared.power_at, set(), 0
+        counted, peak = set(), 0
 
         def tracked(sdag):
             nonlocal peak
             tip = sdag.chain_tip()
-            if tip not in shared.power:
-                assert tip not in counted
-                counted.add(tip)
-            counts = power_at(sdag)
-            peak = max(peak, len(shared.power))
-            return counts
+            assert tip not in counted
+            counted.add(tip)
+            # the table is pruned already, and gains this tip next
+            peak = max(peak, len(sim.facts.power) + 1)
+            return power_counts(sdag)
 
-        shared.power_at = tracked
+        monkeypatch.setattr("sdag.node.power_counts", tracked)
         m = sim.run()
         peaks.append(peak)
     assert len(counted) > m.chain_height > 10 * POWER_KEEP_DEPTH
@@ -452,7 +479,7 @@ def test_shared_power_counts_stay_bounded():
 def test_private_milestone_fork_runs_and_reorgs():
     cfg = small(
         adversary_share=0.4,
-        adversary_strategy=PrivateMilestoneFork(depth=3),
+        adversary_strategy=PrivateMilestoneFork(),
         horizon=300.0,
         seed=7,
     )
@@ -498,7 +525,7 @@ def test_peer_chain_fork_no_reward_no_consensus_damage():
 def test_adversary_strategies_deterministic():
     cfg = small(
         adversary_share=0.3,
-        adversary_strategy=PrivateMilestoneFork(depth=2),
+        adversary_strategy=PrivateMilestoneFork(),
         horizon=200.0,
         seed=5,
     )
