@@ -141,7 +141,8 @@ def w2_bound(n: int, p: float, mu: float) -> W2Result:
     q1 = infection_q1(n, p)
     p = float(p)
     exact = q1.exact / (n * mu)
-    bound = (2.0 + 2.0 * math.log(n)) / mu + 1.0 / (n * p * mu)
+    # n p mu underflows to 0 where 1/(n p) / mu overflows to inf
+    bound = (2.0 + 2.0 * math.log(n)) / mu + 1.0 / (n * p) / mu
     if not (math.isfinite(exact) and math.isfinite(bound)):
         raise ValueError("W2 overflows for this n, p and mu")
     return W2Result(exact, bound)
@@ -274,6 +275,10 @@ def rates_for_share(
 
 
 _CHUNK = 1 << 15
+# bounds the expected honest arrivals per path, mean = rate * T: a chunk
+# draws mean + 10 sigma + 30 columns in float64 arrays of _CHUNK rows, about
+# 350 MB each at this bound, and an infinite mean has no column count
+MAX_PATH_ARRIVALS = 1000
 
 
 def _prefix_cols(mean_arrivals: float) -> int:
@@ -315,6 +320,8 @@ def secure_latency_mc(
     for t_len in t_grid:
         if t_len <= 2 * t0:
             raise ValueError("every T must exceed 2*t0")
+    if pn_mu_honest * max(t_grid, default=0.0) > MAX_PATH_ARRIVALS:
+        raise ValueError(f"honest rate * T (expected arrivals per path) must be at most {MAX_PATH_ARRIVALS}")
     base = np.random.Philox(seed)
     out = []
     for point_i, t_len in enumerate(t_grid):

@@ -4,7 +4,8 @@ Every artifact directory gets a manifest.json recording the command line,
 config digest, seed, and output paths (`analyze secure --out PATH` writes
 PATH.manifest.json instead); re-running with the same inputs
 reproduces the outputs byte for byte.  Values print with 12 significant
-digits.  Exit codes: 0 success, 2 invalid input, 3 unstable queue.
+digits.  `main` alone maps exceptions to exit codes: 0 success, 2 invalid
+input (ValueError, OSError, configparser.Error), 3 unstable queue.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -48,17 +50,20 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_manifest(
-    path: Path, seed: Optional[int], config_digest: str, artifacts: list[str]
+def _write_artifacts(
+    directory: Path, files: dict[str, str], manifest_name: str, seed: Optional[int], config_digest: str
 ) -> None:
+    """Write each named text as its exact bytes, then a manifest listing them."""
+    for name, text in files.items():
+        (directory / name).write_bytes(text.encode())
     manifest = {
         "command": sys.argv,
         "config_digest": config_digest,
         "seed": seed,
-        "artifacts": artifacts,
+        "artifacts": list(files),
         "version": __version__,
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    (directory / manifest_name).write_bytes((json.dumps(manifest, indent=2) + "\n").encode())
 
 
 # -- config parsing --------------------------------------------------------
@@ -134,68 +139,47 @@ def _seed_override(args_seed: Optional[int]) -> Optional[int]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_sim_config(args.config)
-        seed = _seed_override(args.seed)
-        out_dir = _make_out_dir(args.out)
-    except (ValueError, configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = load_sim_config(args.config)
+    seed = _seed_override(args.seed)
+    out_dir = _make_out_dir(args.out)
     if seed is not None:
         config.seed = seed
     metrics = run(config)
     row = metrics.row()
-
-    metrics_path = out_dir / "metrics.csv"
-    with metrics_path.open("w", newline="") as fp:
-        writer = csv.DictWriter(fp, fieldnames=list(row), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(row)
-    artifacts = ["metrics.csv"]
-    for name, samples in (
-        ("queueing_latency.csv", metrics.queueing_latency),
-        ("infection_latency.csv", metrics.infection_latency),
-    ):
-        with (out_dir / name).open("w", newline="") as fp:
-            fp.write("seconds\n")
-            for s in samples:
-                fp.write(f"{s:.9f}\n")
-        artifacts.append(name)
-    (out_dir / "counters.json").write_text(json.dumps(metrics.counters, indent=2) + "\n")
-    artifacts.append("counters.json")
+    metrics_csv = io.StringIO()
+    writer = csv.DictWriter(metrics_csv, fieldnames=list(row), lineterminator="\n")
+    writer.writeheader()
+    writer.writerow(row)
+    files = {"metrics.csv": metrics_csv.getvalue()}
+    for name in ("queueing_latency", "infection_latency"):
+        files[f"{name}.csv"] = "seconds\n" + "".join(f"{s:.9f}\n" for s in getattr(metrics, name))
+    files["counters.json"] = json.dumps(metrics.counters, indent=2) + "\n"
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    _write_manifest(out_dir / "manifest.json", config.seed, digest, artifacts)
-    print(f"wrote {metrics_path}")
+    _write_artifacts(out_dir, files, "manifest.json", config.seed, digest)
+    print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    try:
-        if args.analysis == "theta":
-            print(_fmt(theta(args.c, args.mu, args.tbar)))
-        elif args.analysis == "w1":
-            th = theta(args.c, args.mu, args.tbar)
-            value = w1(args.lam, args.n, args.mu, args.c, th)
-            q = queue_length(args.lam, args.n, args.mu, args.c, th)
-            print(f"w1 {_fmt(value)}")
-            print(f"queue {_fmt(q)}")
-        elif args.analysis == "w2":
-            result = w2_bound(args.n, args.p, args.mu)
-            print(f"exact {_fmt(result.exact)}")
-            print(f"bound {_fmt(result.bound)}")
-        elif args.analysis == "fraction":
-            curve = make_curve(args.curve, args.t0)
-            print(_fmt(type1_fraction(args.pnmu, args.t0, curve)))
-        elif args.analysis == "secure":
-            return _cmd_secure(args)
-        elif args.analysis == "depth":
-            print(nakamoto_discounted_depth(args.share, args.fraction, args.risk))
-    except UnstableQueue as exc:
-        print(f"unstable queue: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.analysis == "theta":
+        print(_fmt(theta(args.c, args.mu, args.tbar)))
+    elif args.analysis == "w1":
+        th = theta(args.c, args.mu, args.tbar)
+        value = w1(args.lam, args.n, args.mu, args.c, th)
+        q = queue_length(args.lam, args.n, args.mu, args.c, th)
+        print(f"w1 {_fmt(value)}")
+        print(f"queue {_fmt(q)}")
+    elif args.analysis == "w2":
+        result = w2_bound(args.n, args.p, args.mu)
+        print(f"exact {_fmt(result.exact)}")
+        print(f"bound {_fmt(result.bound)}")
+    elif args.analysis == "fraction":
+        curve = make_curve(args.curve, args.t0)
+        print(_fmt(type1_fraction(args.pnmu, args.t0, curve)))
+    elif args.analysis == "secure":
+        return _cmd_secure(args)
+    elif args.analysis == "depth":
+        print(nakamoto_discounted_depth(args.share, args.fraction, args.risk))
     return 0
 
 
@@ -240,49 +224,41 @@ def _cmd_secure(args) -> int:
     if csv_path is None:
         sys.stdout.write(text)
         return 0
-    with csv_path.open("w", newline="") as fp:
-        fp.write(text)
-    # next to the CSV, so a simulate manifest.json in the same directory
-    # is left alone
     options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     digest = hashlib.sha256(json.dumps(options).encode()).hexdigest()
-    _write_manifest(
-        csv_path.with_name(csv_path.name + ".manifest.json"), seed, digest, [csv_path.name]
+    # the manifest goes next to the CSV, so a simulate manifest.json in the
+    # same directory is left alone
+    _write_artifacts(
+        csv_path.parent, {csv_path.name: text}, csv_path.name + ".manifest.json", seed, digest
     )
     return 0
 
 
 def cmd_demo_dag(args) -> int:
-    try:
-        out_dir = _make_out_dir(args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    out_dir = _make_out_dir(args.out)
     demo = build_demo()
     sdag = demo.sdag
 
-    (out_dir / "dag.txt").write_text(sdag.dumps())
+    dag_text = sdag.dumps()
     lines = ["main chain and level sets:"]
     for k, ms in enumerate(sdag.main_chain):
         members = ", ".join(demo.name_of(b) for b in sdag.level_set(ms))
         lines.append(f"  level {k} ({demo.name_of(ms)}): {members}")
     pending = ", ".join(sorted(demo.name_of(b) for b in sdag.pending_set()))
     lines.append(f"  pending: {pending}")
-    (out_dir / "levels.txt").write_text("\n".join(lines) + "\n")
     order_lines = []
     for k, ms in enumerate(sdag.main_chain[1:], start=1):
         names = " ".join(demo.name_of(b) for b in dfs_order(sdag, ms))
         order_lines.append(f"level {k}: {names}")
-    (out_dir / "order.txt").write_text("\n".join(order_lines) + "\n")
-    build = build_from_dag(sdag, demo.params)
-    (out_dir / "ledger.csv").write_text(ledger_csv(build))
-    _write_manifest(
-        out_dir / "manifest.json",
-        None,
-        hashlib.sha256(sdag.dumps().encode()).hexdigest(),
-        ["dag.txt", "levels.txt", "order.txt", "ledger.csv"],
-    )
-    print(f"wrote {out_dir}/dag.txt, levels.txt, order.txt, ledger.csv")
+    files = {
+        "dag.txt": dag_text,
+        "levels.txt": "\n".join(lines) + "\n",
+        "order.txt": "\n".join(order_lines) + "\n",
+        "ledger.csv": ledger_csv(build_from_dag(sdag, demo.params)),
+    }
+    digest = hashlib.sha256(dag_text.encode()).hexdigest()
+    _write_artifacts(out_dir, files, "manifest.json", None, digest)
+    print(f"wrote {out_dir}/" + ", ".join(files))
     return 0
 
 
@@ -357,9 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UnstableQueue as exc:
+        print(f"unstable queue: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
+    except (ValueError, OSError, configparser.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

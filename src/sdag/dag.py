@@ -38,7 +38,6 @@ class ViolationKind(Enum):
     PEER_RULE = "peer-rule"
     TIP_RULE = "tip-rule"
     MS_RULE = "ms-rule"
-    CYCLE = "cycle"
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,10 @@ class DagFacts:
       tuple of them when forks put it in several;
     - the store: every block that some sharing SDag holds, in first-insert
       order (`blocks`), its serial number (its position there), each
-      milestone's parent and height (so a stored block other than the
-      genesis is a milestone exactly when `ms_height` holds it, and regular
-      otherwise), and each peer's block ids in store order (`by_peer`, the
-      genesis aside);
+      milestone's height (so a stored block other than the genesis is a
+      milestone exactly when `ms_height` holds it, and regular otherwise;
+      its parent is its `idm`), and each peer's block ids in store order
+      (`by_peer`, the genesis aside);
     - `power`: chain tip -> `mempool.power_counts` of the chain ending
       there, for the tips a node has counted lately (`NodeState`).
 
@@ -75,7 +74,6 @@ class DagFacts:
         self.level_of: dict[bytes, Union[bytes, tuple[bytes, ...]]] = {GENESIS_ID: GENESIS_ID}
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
         self.serial: dict[bytes, int] = {GENESIS_ID: 0}
-        self.ms_parent: dict[bytes, Optional[bytes]] = {GENESIS_ID: None}
         self.ms_height: dict[bytes, int] = {GENESIS_ID: 0}
         self.by_peer: dict[bytes, list[bytes]] = {}
         self.power: dict[bytes, tuple[dict[bytes, int], int]] = {}
@@ -101,7 +99,6 @@ class DagFacts:
         self.serial[bid] = serial
         self.by_peer.setdefault(block.peer, []).append(bid)
         if cls is BlockClass.MILESTONE:
-            self.ms_parent[bid] = block.idm
             self.ms_height[bid] = self.ms_height[block.idm] + 1
         return serial
 
@@ -173,13 +170,13 @@ class SDag:
         """Syntactic validity of `block` against this DAG; None means ok.
 
         Checks run in a fixed order so the reported violation is
-        deterministic: pow, missing parents, peer rule, tip rule, ms rule,
-        cycle.
+        deterministic: pow, missing parents, peer rule, tip rule, ms rule.
+        No rule checks for a self-reference, which would need a SHA-256
+        fixed point.
         """
-        bid = block_id(block)
-        return self._check(block, bid, classify_hash(bid, self.params))
+        return self._check(block, classify_hash(block_id(block), self.params))
 
-    def _check(self, block: Block, bid: bytes, cls: BlockClass) -> Optional[Violation]:
+    def _check(self, block: Block, cls: BlockClass) -> Optional[Violation]:
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
         for ref in self._refs(block):
@@ -199,8 +196,6 @@ class SDag:
                 return Violation(ViolationKind.TIP_RULE, "idt targets the same miner")
         if block.idm not in ms_height:
             return Violation(ViolationKind.MS_RULE, "idm target is not milestone-class")
-        if bid in self._refs(block):
-            return Violation(ViolationKind.CYCLE, "block references itself")
         return None
 
     # -- mutation --------------------------------------------------------
@@ -213,7 +208,7 @@ class SDag:
         if self.held[s]:
             return None
         cls = classify_hash(bid, self.params)
-        v = self._check(block, bid, cls)
+        v = self._check(block, cls)
         if v is not None:
             return v
         if s < 0:
@@ -250,12 +245,12 @@ class SDag:
         # walk back from the new tip to the first milestone already on the
         # main chain (the genesis at worst) and splice the branch on there
         chain = self.main_chain
-        ms_parent, ms_height = self.facts.ms_parent, self.facts.ms_height
+        blocks, ms_height = self.blocks, self.facts.ms_height
         branch = []
         cur = tip
         while ms_height[cur] >= len(chain) or chain[ms_height[cur]] != cur:
             branch.append(cur)
-            cur = ms_parent[cur]
+            cur = blocks[cur].idm
         fork = ms_height[cur] + 1
         branch.reverse()
         self.main_chain = chain[:fork] + branch
@@ -310,9 +305,8 @@ class SDag:
 
     def milestone_leaf_set(self) -> set[bytes]:
         """Held milestones (incl. genesis) without a held milestone child."""
-        ms_parent = self.facts.ms_parent
-        held = {ms for ms in ms_parent if ms in self}
-        return held.difference(ms_parent[ms] for ms in held)
+        held = {ms for ms in self.facts.ms_height if ms in self}
+        return held.difference(self.blocks[ms].idm for ms in held)
 
     def confirm_set(self, ms: bytes) -> set[bytes]:
         """All blocks reachable from ms along references, plus ms itself."""

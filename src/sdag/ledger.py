@@ -133,29 +133,26 @@ def dfs_order(sdag: SDag, ms: bytes) -> list[bytes]:
     Children are visited own-chain reference first, then the tip reference;
     an in-set milestone reference (a confirmed fork) is traversed last so
     the output is always a permutation of the level set.  Peer-chain
-    chronology is preserved: a miner's earlier block precedes his later one.
+    chronology is preserved: a miner's earlier block precedes its later one.
     """
     members = set(sdag.level_set(ms))
-    visited: set[bytes] = set()
+    blocks = sdag.blocks
+    visited = {ms}
     order: list[bytes] = []
 
-    def children(bid: bytes) -> list[bytes]:
-        b = sdag.blocks[bid]
-        out = []
-        for ref in (b.idp, b.idt, b.idm):
-            if ref in members and ref not in visited and ref not in out:
-                out.append(ref)
-        return out
+    def refs(bid: bytes):
+        b = blocks[bid]
+        return iter((b.idp, b.idt, b.idm))
 
-    stack: list[tuple[bytes, list[bytes]]] = [(ms, children(ms))]
-    visited.add(ms)
+    stack = [(ms, refs(ms))]
     while stack:
         bid, kids = stack[-1]
-        pending = [k for k in kids if k not in visited]
-        if pending:
-            child = pending[0]
-            visited.add(child)
-            stack.append((child, children(child)))
+        # resumes after the references this frame has already tried
+        for ref in kids:
+            if ref in members and ref not in visited:
+                visited.add(ref)
+                stack.append((ref, refs(ref)))
+                break
         else:
             order.append(bid)
             stack.pop()

@@ -86,9 +86,13 @@ ORPHAN_EVENT_BATCH = 1 << 14
 # transaction, each about 170 bytes in every ledger fold (260 MB at most)
 MAX_EXPECTED_TXS = 10**6
 # bounds n * mu * horizon: a block costs about 3 KB at the desk config (peak
-# tracemalloc growth from horizon 400 to 800 s), so 3 GB at most there, plus
-# a byte or two per node in the membership bitmaps
+# tracemalloc growth from horizon 400 to 800 s), so 3 GB at most there
 MAX_EXPECTED_BLOCKS = 10**6
+# bounds n * (n * mu * horizon): every node's membership bitmap holds a cell
+# per stored block, 1.3-1.5 bytes each with the doubling slack (sys.getsizeof
+# of the bitmaps after n = 20 to 100 desk-rate runs of about 400 blocks), so
+# about 1.5 GB at most; every n up to 1000 runs at MAX_EXPECTED_BLOCKS
+MAX_BITMAP_CELLS = 10**9
 # bounds n: each node holds about 4.8 KB before the first event (46 MB at
 # n = 10,000), so 10**5 nodes take about 0.5 GB before the run starts
 MAX_NODES = 10**5
@@ -143,6 +147,8 @@ class SimConfig:
             raise ValueError(f"lambda * horizon (expected transactions) must be at most {MAX_EXPECTED_TXS}")
         if self.n * self.mu * self.horizon > MAX_EXPECTED_BLOCKS:
             raise ValueError(f"n * mu * horizon (expected blocks) must be at most {MAX_EXPECTED_BLOCKS}")
+        if self.n * (self.n * self.mu * self.horizon) > MAX_BITMAP_CELLS:
+            raise ValueError(f"n * n * mu * horizon (membership bitmap cells) must be at most {MAX_BITMAP_CELLS}")
         if self.finality_depth < 0:
             raise ValueError("finality_depth must be >= 0")
         if not 0 <= self.fee <= 2:
@@ -462,7 +468,7 @@ class Simulation:
         """Fold the buffered orphan arrivals (+1) and stores (-1) timed
         before `before` into each receiver's orphan count and peak; later
         ones stay buffered.  A receiver that would hold more orphans than
-        its `orphan_cap` is an error: the per-delivery path would evict
+        its `orphan_cap` is a ValueError: the per-delivery path would evict
         one, which store times cannot express."""
         if not self.orphan_events:
             return
@@ -491,7 +497,7 @@ class Simulation:
         over = np.flatnonzero(self.orphan_peak > caps)
         if len(over):
             j = int(over[0])
-            raise RuntimeError(
+            raise ValueError(
                 f"node {j} would hold {int(self.orphan_peak[j])} orphans at once, over its "
                 f"orphan_cap of {int(caps[j])}: the per-delivery path would evict, and "
                 "the simulation would no longer be exact"

@@ -459,3 +459,105 @@ def test_demo_dag_out_is_a_file_exit_code(tmp_path, capsys):
     assert main(["demo-dag", "--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
     assert out.read_text() == "keep me\n"
+
+
+# -- every way out of the CLI ----------------------------------------------
+
+EDGE_VALUES = (
+    "0", "-0.0", "-1", "5e-324", "1e-310", "1e-300", "1e-20",
+    "1e20", "1e300", "1.7e308", "inf", "-inf", "nan",
+)
+SECURE = {"--share": "0.1", "--paths": "50", "--grid": "10:10:30"}
+INT_FLAGS = {"--n", "--paths"}
+SWEEP = (
+    [("theta", THETA, flag) for flag in THETA]
+    + [("w1", W1, flag) for flag in W1]
+    + [("w2", W2, flag) for flag in W2]
+    + [
+        ("fraction", dict(FRACTION, **{"--curve": curve}), flag)
+        for curve in ("quadratic", "uniform", "instant", "step")
+        for flag in FRACTION
+    ]
+    + [("secure", SECURE, flag) for flag in ("--share", "--pnmu", "--t0", "--paths")]
+    + [("depth", DEPTH, flag) for flag in DEPTH]
+)
+
+
+@pytest.mark.parametrize(
+    "command, flags, flag", SWEEP, ids=[f"{c}-{fl.get('--curve', '')}{f}" for c, fl, f in SWEEP]
+)
+def test_every_calculator_flag_at_every_edge_value(capsys, command, flags, flag):
+    """Each numeric flag, fed each edge value (the int flags only those that
+    parse as ints), exits 0, 2 or 3 without raising; an exit 0 prints no
+    nan or inf, and an error prints only its message."""
+    values = [v for v in EDGE_VALUES if flag not in INT_FLAGS or v.lstrip("-").isdigit()]
+    bad = []
+    for value in values:
+        argv = ["analyze", command] + [f"{k}={value if k == flag else v}" for k, v in flags.items()]
+        if flag not in flags:
+            argv.append(f"{flag}={value}")
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            ok = "nan" not in out.lower() and "inf" not in out.lower()
+        elif code == EXIT_BAD_INPUT:
+            ok = out == "" and err.startswith("error: ")
+        elif code == EXIT_UNSTABLE:
+            ok = out == "" and err.startswith("unstable queue: ")
+        else:
+            ok = False
+        if not ok:
+            bad.append((value, code, out, err))
+    assert bad == []
+
+
+def test_simulate_artifact_that_is_a_directory_exit_code(config_file, tmp_path, capsys):
+    """The run once finished and then died with an IsADirectoryError traceback."""
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_demo_dag_artifact_that_is_a_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "demo"
+    (out / "ledger.csv").mkdir(parents=True)
+    assert main(["demo-dag", "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_simulate_over_the_orphan_cap_exit_code(tmp_path, capsys):
+    """This config passes `validate`, but a node would buffer more orphans
+    than its cap, which the exact simulator does not model; it once ended in
+    a RuntimeError traceback."""
+    path = tmp_path / "orphans.ini"
+    path.write_text(
+        "[simulation]\nn = 5\nmu = 20\np = 0.05\nlambda = 0\nt0 = 1000\nhorizon = 150\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: node ") and "orphan_cap" in err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "demo-dag", "secure"])
+def test_manifest_lists_exactly_the_files_written(config_file, tmp_path, command):
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--config", str(config_file), "--out", str(out)]
+        manifest = out / "manifest.json"
+    elif command == "demo-dag":
+        argv = ["demo-dag", "--out", str(out)]
+        manifest = out / "manifest.json"
+    else:
+        out.mkdir()
+        argv = ["analyze", "secure", "--share", "0.1", "--paths", "50", "--grid", "10:10:30"]
+        argv += ["--out", str(out / "secure.csv")]
+        manifest = out / "secure.csv.manifest.json"
+    assert main(argv) == 0
+    written = {path.name for path in out.iterdir()} - {manifest.name}
+    artifacts = json.loads(manifest.read_text())["artifacts"]
+    assert sorted(artifacts) == sorted(written)

@@ -159,9 +159,9 @@ def test_level_lookups_match_brute_force():
             assert before == snapshot
             walk = []
             cur = replay.chain_tip()
-            while cur is not None:
+            while cur in replay:
                 walk.append(cur)
-                cur = replay.facts.ms_parent[cur]
+                cur = replay.blocks[cur].idm
             assert replay.main_chain == walk[::-1]
             assert replay.height() == max(replay.facts.ms_height.values())
             confirmed = list(itertools.chain.from_iterable(replay.level_sets()))
@@ -372,9 +372,9 @@ def test_shared_level_facts_match_confirm_set_differences():
                     node.insert(block)
         for node in nodes:
             assert node.main_chain == source.main_chain or node.height() == source.height()
-        levels, ms_parent = facts.levels, facts.ms_parent
+        levels = facts.levels
         for ms, lev in levels.items():
-            assert set(lev) == source.confirm_set(ms) - source.confirm_set(ms_parent[ms])
+            assert set(lev) == source.confirm_set(ms) - source.confirm_set(facts.blocks[ms].idm)
             off_chain += ms not in source.main_chain
         for bid in source.blocks:
             holders = [ms for ms, lev in levels.items() if bid in lev]

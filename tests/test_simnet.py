@@ -78,6 +78,18 @@ def test_config_validation():
         ).validate()
 
 
+def test_membership_bitmap_cells_are_bounded():
+    """Every node keeps a bitmap cell per stored block, so n = 10**5 nodes
+    at 10**6 expected blocks would need 100-200 GB.  Only `validate` runs."""
+    with pytest.raises(ValueError, match="bitmap cells"):
+        small(n=MAX_NODES, mu=0.01, horizon=1000.0).validate()
+    # the n = 1000 desk run for 2000 s (4 * 10**7 cells), and the n = 100
+    # config with the paper's ratios run to steady state
+    SimConfig(n=1000, horizon=2000.0).validate()
+    SimConfig(n=100, mu=1.2, p=1 / 1200, c=0.01, lam=100.0, t0=5.0, horizon=600.0).validate()
+    small(n=1000, mu=MAX_EXPECTED_BLOCKS / 1000, horizon=1.0).validate()
+
+
 def test_same_seed_same_trace():
     m1 = run(small())
     m2 = run(small())
@@ -410,14 +422,15 @@ def run_with_orphan_cap(cap):
 
 def test_orphan_cap_is_checked():
     """A node that would buffer more orphans than its cap, where the
-    per-delivery path would evict one, stops the run; holding exactly the
-    cap is fine."""
-    with pytest.raises(RuntimeError, match="orphan_cap"):
+    per-delivery path would evict one, stops the run with a ValueError: the
+    input is outside what the simulator models.  Holding exactly the cap is
+    fine."""
+    with pytest.raises(ValueError, match="orphan_cap"):
         run_with_orphan_cap(2)
     peak = run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"]
     assert peak > 2
     assert run_with_orphan_cap(peak).counters["orphan_peak_per_node"] == peak
-    with pytest.raises(RuntimeError, match="orphan_cap"):
+    with pytest.raises(ValueError, match="orphan_cap"):
         run_with_orphan_cap(peak - 1)
 
 
