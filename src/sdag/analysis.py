@@ -275,10 +275,24 @@ def rates_for_share(
 
 
 _CHUNK = 1 << 15
-# bounds the expected honest arrivals per path, mean = rate * T: a chunk
-# draws mean + 10 sigma + 30 columns in float64 arrays of _CHUNK rows, about
-# 350 MB each at this bound, and an infinite mean has no column count
+# the most bytes of one float64 array of a chunk: _CHUNK rows up to 256
+# columns, more columns than any grid of the CLI, the benchmark or the tests
+# draws (at most 229), so the cap leaves their paths in the same chunks
+_CHUNK_BYTES = _CHUNK * 256 * 8
+# bounds the expected honest arrivals per path, mean = rate * T: an infinite
+# mean has no column count
 MAX_PATH_ARRIVALS = 1000
+
+
+def _draw_cols(mean_arrivals: float) -> int:
+    """Columns drawn per path: mean + 10 sigma + 30 inter-arrivals."""
+    return int(mean_arrivals + 10.0 * math.sqrt(mean_arrivals + 1.0) + 30)
+
+
+def _chunk_rows(cols: int) -> int:
+    """Paths per chunk: _CHUNK, or fewer so that one float64 array of
+    `cols` columns stays within _CHUNK_BYTES."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (8 * cols)))
 
 
 def _prefix_cols(mean_arrivals: float) -> int:
@@ -326,13 +340,13 @@ def secure_latency_mc(
     out = []
     for point_i, t_len in enumerate(t_grid):
         mean_arrivals = pn_mu_honest * t_len
-        cols = int(mean_arrivals + 10.0 * math.sqrt(mean_arrivals + 1.0) + 30)
+        cols = _draw_cols(mean_arrivals)
         prefix = _prefix_cols(mean_arrivals)
         failures = 0
         done = 0
         chunk_i = 0
         while done < paths:
-            rows = min(_CHUNK, paths - done)
+            rows = min(_chunk_rows(cols), paths - done)
             rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
             chunk_i += 1
             u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))

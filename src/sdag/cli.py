@@ -50,10 +50,23 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+# what `simulate` writes besides its manifest, checked before the run
+SIMULATE_ARTIFACTS = ("metrics.csv", "queueing_latency.csv", "infection_latency.csv", "counters.json")
+
+
+def _refuse_directories(directory: Path, names: Sequence[str]) -> None:
+    """Fail before anything is written if a target is an existing directory,
+    so a command leaves no partial set of artifacts behind."""
+    for name in names:
+        if (directory / name).is_dir():
+            raise ValueError(f"output {directory / name} is a directory")
+
+
 def _write_artifacts(
     directory: Path, files: dict[str, str], manifest_name: str, seed: Optional[int], config_digest: str
 ) -> None:
     """Write each named text as its exact bytes, then a manifest listing them."""
+    _refuse_directories(directory, [*files, manifest_name])
     for name, text in files.items():
         (directory / name).write_bytes(text.encode())
     manifest = {
@@ -142,6 +155,8 @@ def cmd_simulate(args) -> int:
     config = load_sim_config(args.config)
     seed = _seed_override(args.seed)
     out_dir = _make_out_dir(args.out)
+    # checked before the simulation, which can run for minutes
+    _refuse_directories(out_dir, SIMULATE_ARTIFACTS + ("manifest.json",))
     if seed is not None:
         config.seed = seed
     metrics = run(config)
@@ -209,10 +224,10 @@ def _cmd_secure(args) -> int:
     seed = _seed_override(args.seed) or 0
     csv_path = Path(args.out) if args.out else None
     # checked before the Monte Carlo, which can run for minutes
-    if csv_path is not None and not csv_path.parent.is_dir():
-        raise ValueError(f"output directory {csv_path.parent} does not exist")
-    if csv_path is not None and csv_path.is_dir():
-        raise ValueError(f"output {csv_path} is a directory")
+    if csv_path is not None:
+        if not csv_path.parent.is_dir():
+            raise ValueError(f"output directory {csv_path.parent} does not exist")
+        _refuse_directories(csv_path.parent, (csv_path.name, csv_path.name + ".manifest.json"))
     honest, adv_rate = rates_for_share(args.share, args.pnmu, honest_fixed=args.honest_fixed)
     points = secure_latency_mc(
         honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=seed

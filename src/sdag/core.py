@@ -126,24 +126,35 @@ def encode_tx(tx: Transaction) -> bytes:
     return enc
 
 
-def _encode_tx(tx: Transaction) -> bytes:
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_INPUT_HEAD = struct.Struct(">32sII")  # txid | index | len(witness)
+_OUTPUT = struct.Struct(">Q32s")  # value | address
+_NO_WITNESS = _U32.pack(0)
+
+
+def _encode_tx(tx: Transaction, witnesses: bool = True) -> bytes:
+    """The encoding, or with `witnesses` False the one each witness signs:
+    every witness written as length 0."""
     if tx.kind is TxKind.EMPTY:
         return b""
-    parts = [bytes([tx.kind.value])]
-    parts.append(struct.pack(">I", len(tx.inputs)))
+    parts = [bytes([tx.kind.value]), _U32.pack(len(tx.inputs))]
     for txid, index, witness in tx.inputs:
         if len(txid) != HASH_BYTES:
             raise EncodingError("input txid must be 32 bytes")
         parts.append(txid)
-        parts.append(struct.pack(">I", index))
-        parts.append(struct.pack(">I", len(witness)))
-        parts.append(witness)
-    parts.append(struct.pack(">I", len(tx.outputs)))
+        parts.append(_U32.pack(index))
+        if witnesses:
+            parts.append(_U32.pack(len(witness)))
+            parts.append(witness)
+        else:
+            parts.append(_NO_WITNESS)
+    parts.append(_U32.pack(len(tx.outputs)))
     for value, address in tx.outputs:
-        parts.append(struct.pack(">Q", value))
+        parts.append(_U64.pack(value))
         parts.append(address)
     if tx.reward_claim is not None:
-        parts.append(b"\x01" + struct.pack(">Q", tx.reward_claim))
+        parts.append(b"\x01" + _U64.pack(tx.reward_claim))
     else:
         parts.append(b"\x00")
     if tx.next_address is not None:
@@ -157,72 +168,66 @@ def sighash(tx: Transaction) -> bytes:
     """Digest signed by input witnesses: the tx encoding with witnesses blanked."""
     h = tx._sighash
     if h is None:
-        stripped = Transaction(
-            kind=tx.kind,
-            inputs=tuple(TxInput(i.txid, i.index, b"") for i in tx.inputs),
-            outputs=tx.outputs,
-            reward_claim=tx.reward_claim,
-            next_address=tx.next_address,
-        )
-        h = sha256(_encode_tx(stripped))
+        h = sha256(_encode_tx(tx, witnesses=False))
         object.__setattr__(tx, "_sighash", h)
     return h
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise EncodingError("truncated encoding")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-    def flag(self) -> bool:
-        flag = self.take(1)[0]
-        if flag > 1:
-            raise EncodingError(f"flag byte must be 0 or 1, got {flag}")
-        return flag == 1
+def _flag(data: bytes, pos: int) -> bool:
+    flag = data[pos]
+    if flag > 1:
+        raise EncodingError(f"flag byte must be 0 or 1, got {flag}")
+    return flag == 1
 
 
 def decode_tx(data: bytes) -> Transaction:
     """The inverse of `encode_tx`: only a canonical encoding decodes, so
-    `encode_tx(decode_tx(b)) == b` whenever it returns."""
+    `encode_tx(decode_tx(b)) == b` whenever it returns, and the decoded
+    transaction keeps `data` as its encoding."""
     if data == b"":
         return EMPTY_TX
-    r = _Reader(data)
-    kind = r.take(1)[0]
+    kind = data[0]
     if not TxKind.NORMAL.value <= kind <= TxKind.REDEMPTION.value:
         raise EncodingError(f"tx kind must be 1, 2 or 3, got {kind} (the empty tx encodes to no bytes)")
-    kind = TxKind(kind)
-    inputs = []
-    for _ in range(r.u32()):
-        txid = r.take(HASH_BYTES)
-        index = r.u32()
-        witness = r.take(r.u32())
-        inputs.append(TxInput(txid, index, witness))
-    outputs = []
-    for _ in range(r.u32()):
-        value = r.u64()
-        address = r.take(HASH_BYTES)
-        outputs.append(TxOutput(value, address))
-    reward_claim = r.u64() if r.flag() else None
-    next_address = r.take(HASH_BYTES) if r.flag() else None
-    if not r.done():
+    try:
+        (count,) = _U32.unpack_from(data, 1)
+        pos = 5
+        inputs = []
+        for _ in range(count):
+            txid, index, size = _INPUT_HEAD.unpack_from(data, pos)
+            pos += _INPUT_HEAD.size
+            # a short witness leaves pos past the end, which the next read
+            # or the final length check rejects
+            inputs.append(TxInput(txid, index, data[pos : pos + size]))
+            pos += size
+        (count,) = _U32.unpack_from(data, pos)
+        pos += 4
+        outputs = []
+        for _ in range(count):
+            outputs.append(TxOutput._make(_OUTPUT.unpack_from(data, pos)))
+            pos += _OUTPUT.size
+        reward_claim = None
+        if _flag(data, pos):
+            (reward_claim,) = _U64.unpack_from(data, pos + 1)
+            pos += _U64.size
+        pos += 1
+        next_address = None
+        if _flag(data, pos):
+            next_address = data[pos + 1 : pos + 1 + HASH_BYTES]
+            pos += HASH_BYTES
+        pos += 1
+    except (struct.error, IndexError):
+        raise EncodingError("truncated encoding") from None
+    if pos > len(data):
+        raise EncodingError("truncated encoding")
+    if pos < len(data):
         raise EncodingError("trailing bytes in tx encoding")
-    return Transaction(kind, tuple(inputs), tuple(outputs), reward_claim, next_address)
+    try:
+        tx = Transaction(TxKind(kind), tuple(inputs), tuple(outputs), reward_claim, next_address)
+    except ValueError as exc:
+        raise EncodingError(str(exc)) from None
+    object.__setattr__(tx, "_encoding", bytes(data))
+    return tx
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,35 +251,36 @@ class Block:
             raise ValueError("nonce must fit in 64 bits")
 
 
+# idp | idm | idt | peer | pow | len(mes): everything before the payload
+_HEADER = struct.Struct(">32s32s32s32sQI")
+
+
 def canonical_encode(block: Block) -> bytes:
     """idp(32) | idm(32) | idt(32) | peer(32) | pow(8 BE) | len(mes)(4 BE) | mes."""
     mes = encode_tx(block.mes)
     if len(mes) > MAX_PAYLOAD:
         raise EncodingError("payload exceeds 2^32-1 bytes")
     return b"".join(
-        (
-            block.idp,
-            block.idm,
-            block.idt,
-            block.peer,
-            struct.pack(">Q", block.pow),
-            struct.pack(">I", len(mes)),
-            mes,
-        )
+        (block.idp, block.idm, block.idt, block.peer, _U64.pack(block.pow), _U32.pack(len(mes)), mes)
     )
 
 
 def decode_block(data: bytes) -> Block:
-    r = _Reader(data)
-    idp = r.take(HASH_BYTES)
-    idm = r.take(HASH_BYTES)
-    idt = r.take(HASH_BYTES)
-    peer = r.take(HASH_BYTES)
-    pow_ = r.u64()
-    mes = decode_tx(r.take(r.u32()))
-    if not r.done():
+    """The inverse of `canonical_encode`.  Decoding is strict, so `data` is
+    the block's canonical encoding and its hash is the block's id."""
+    try:
+        idp, idm, idt, peer, pow_, size = _HEADER.unpack_from(data)
+    except struct.error:
+        raise EncodingError("truncated encoding") from None
+    end = _HEADER.size + size
+    if end > len(data):
+        raise EncodingError("truncated encoding")
+    mes = decode_tx(data[_HEADER.size : end])
+    if end < len(data):
         raise EncodingError("trailing bytes in block encoding")
-    return Block(idp, idm, idt, peer, pow_, mes)
+    block = Block(idp, idm, idt, peer, pow_, mes)
+    object.__setattr__(block, "_id", sha256(data))
+    return block
 
 
 def block_id(block: Block) -> bytes:

@@ -418,7 +418,7 @@ class Simulation:
         if serial is None:
             # only a valid block enters the store, so every receiver
             # stores each broadcast block and rejects none
-            raise ValueError(f"broadcast block {bid.hex()} is not in the shared store")
+            raise RuntimeError(f"broadcast block {bid.hex()} is not in the shared store")
         others = len(self.receivers) - 1
         draw = self.master.random
         delays = self.curve.inverse(np.array([draw() for _ in range(others)]))

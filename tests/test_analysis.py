@@ -291,6 +291,20 @@ def test_secure_latency_mc_falls_back_when_the_prefix_is_short(monkeypatch, pref
     assert got == oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, 4000, 12)
 
 
+def test_chunk_rows_bound_one_array_and_leave_current_grids_alone():
+    # at the arrivals bound a full chunk would hold 32,768 x 1,346 float64
+    # values, about 350 MB in one array
+    cols = analysis._draw_cols(analysis.MAX_PATH_ARRIVALS)
+    assert cols == 1346
+    rows = analysis._chunk_rows(cols)
+    assert 8 * rows * cols <= analysis._CHUNK_BYTES < 8 * (rows + 1) * cols
+    # the CLI default grid (10:10:990 at a rate of 0.1) and criterion 6's
+    # grids draw fewer columns, so their paths keep their chunks and streams
+    for mean in (0.1 * 990, 0.1 * 600):
+        assert analysis._chunk_rows(analysis._draw_cols(mean)) == analysis._CHUNK
+    assert analysis._chunk_rows(256) == analysis._CHUNK > analysis._chunk_rows(257)
+
+
 def test_catchup_probability_shape():
     assert catchup_probability(0.0, 6) == 0.0
     assert catchup_probability(0.5, 6) == 1.0

@@ -7,8 +7,15 @@ import time
 import pytest
 
 from sdag.analysis import MAX_CHAIN_NODES, theta
-from sdag.cli import EXIT_BAD_INPUT, EXIT_UNSTABLE, _parse_grid, load_sim_config, main
-from sdag.simnet import MAX_NODES, PeerChainFork, PrivateMilestoneFork
+from sdag.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_UNSTABLE,
+    SIMULATE_ARTIFACTS,
+    _parse_grid,
+    load_sim_config,
+    main,
+)
+from sdag.simnet import MAX_NODES, PeerChainFork, PrivateMilestoneFork, Simulation
 
 SMALL_INI = """\
 [simulation]
@@ -511,21 +518,29 @@ def test_every_calculator_flag_at_every_edge_value(capsys, command, flags, flag)
     assert bad == []
 
 
-def test_simulate_artifact_that_is_a_directory_exit_code(config_file, tmp_path, capsys):
-    """The run once finished and then died with an IsADirectoryError traceback."""
+def test_simulate_artifact_that_is_a_directory_exit_code(config_file, tmp_path, capsys, monkeypatch):
+    """The run once finished and then died with an IsADirectoryError
+    traceback; now the target is checked before the simulation starts."""
     out = tmp_path / "out"
     (out / "metrics.csv").mkdir(parents=True)
+
+    def refuse(self):
+        raise AssertionError("the simulation ran although its output cannot be written")
+
+    monkeypatch.setattr(Simulation, "run", refuse)
     assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "manifest.json").exists()
+    assert list(out.iterdir()) == [out / "metrics.csv"]
 
 
 def test_demo_dag_artifact_that_is_a_directory_exit_code(tmp_path, capsys):
-    out = tmp_path / "demo"
-    (out / "ledger.csv").mkdir(parents=True)
-    assert main(["demo-dag", "--out", str(out)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "manifest.json").exists()
+    """No file is written, so none is left behind without a manifest."""
+    for target in ("ledger.csv", "manifest.json"):
+        out = tmp_path / target
+        (out / target).mkdir(parents=True)
+        assert main(["demo-dag", "--out", str(out)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == [out / target]
 
 
 def test_simulate_over_the_orphan_cap_exit_code(tmp_path, capsys):
@@ -561,3 +576,6 @@ def test_manifest_lists_exactly_the_files_written(config_file, tmp_path, command
     written = {path.name for path in out.iterdir()} - {manifest.name}
     artifacts = json.loads(manifest.read_text())["artifacts"]
     assert sorted(artifacts) == sorted(written)
+    if command == "simulate":
+        # the names checked before the run are the names written
+        assert sorted(SIMULATE_ARTIFACTS) == sorted(written)

@@ -124,6 +124,19 @@ def test_tx_roundtrip(tx):
     assert decode_tx(encode_tx(tx)) == tx
 
 
+@given(tx_strategy)
+def test_sighash_matches_a_stripped_copy(tx):
+    """Oracle: the digest is the hash of a copy with every witness blank."""
+    stripped = Transaction(
+        tx.kind,
+        tuple(TxInput(i.txid, i.index, b"") for i in tx.inputs),
+        tx.outputs,
+        tx.reward_claim,
+        tx.next_address,
+    )
+    assert sighash(tx) == sha256(encode_tx(stripped))
+
+
 @given(
     tx_strategy,
     st.binary(min_size=32, max_size=32),
@@ -153,6 +166,8 @@ NON_CANONICAL = {
     "address-flag-2": encode_tx(make_normal())[:-1] + b"\x02",
     "empty-kind": b"\x04" + bytes(10),
     "unknown-kind": b"\x09" + REGISTRATION[1:],
+    # well formed, but a normal tx needs an output: Transaction's own check
+    "normal-without-outputs": b"\x01" + (1).to_bytes(4, "big") + H("in") + bytes(12) + b"\x00\x00",
 }
 
 
@@ -180,21 +195,26 @@ def payloads(draw):
 @example(NON_CANONICAL["empty-kind"])
 def test_only_canonical_encodings_decode(raw):
     """Each accepted byte string re-encodes to itself, so a transaction or
-    block id is the hash of exactly the bytes read."""
+    block id is the hash of exactly the bytes read, and every identity the
+    decoder fills in equals the one a cold copy computes."""
     try:
         tx = decode_tx(raw)
     except ValueError:
         tx = None
     if tx is not None:
-        assert encode_tx(tx) == raw
+        assert tx._encoding == raw
+        assert_tx_warm_and_equal_to_cold(tx)
     block_raw = canonical_encode(Block(H("p"), H("m"), H("t"), H("peer"), 7, EMPTY_TX))[:-4]
     block_raw += len(raw).to_bytes(4, "big") + raw
     try:
         block = decode_block(block_raw)
     except ValueError:
+        assert tx is None
         return
-    assert canonical_encode(block) == block_raw
-    assert block_id(block) == sha256(block_raw)
+    assert tx is not None
+    assert canonical_encode(cold_copy(block)) == block_raw
+    assert block._id == sha256(block_raw)
+    assert_warm_and_equal_to_cold(block)
 
 
 # -- cached identities -----------------------------------------------------
@@ -209,6 +229,29 @@ def fill_caches(block):
     block.mes.txid()
     sighash(block.mes)
     return block
+
+
+def cold_tx(tx):
+    """The transaction rebuilt field by field, so every cache starts empty."""
+    return Transaction(tx.kind, tx.inputs, tx.outputs, tx.reward_claim, tx.next_address)
+
+
+def cold_copy(block):
+    return Block(block.idp, block.idm, block.idt, block.peer, block.pow, cold_tx(block.mes))
+
+
+def assert_tx_warm_and_equal_to_cold(tx):
+    """The encoding is already cached, and it, the txid and the sighash
+    equal a cold copy's."""
+    cold = cold_tx(tx)
+    assert tx._encoding is not None and tx._encoding == encode_tx(cold)
+    assert tx.txid() == cold.txid()
+    assert sighash(tx) == sighash(cold)
+
+
+def assert_warm_and_equal_to_cold(block):
+    assert block._id is not None and block._id == block_id(cold_copy(block))
+    assert_tx_warm_and_equal_to_cold(block.mes)
 
 
 def test_cached_identities_leave_equality_hash_repr_alone():
@@ -226,9 +269,10 @@ def test_cached_identities_leave_equality_hash_repr_alone():
 def test_cached_identities_match_a_decoded_copy():
     block = fill_caches(sample_block())
     fresh = decode_block(canonical_encode(block))
-    assert fresh._id is None and fresh.mes._encoding is None
-    assert block_id(fresh) == block_id(block) == sha256(canonical_encode(fresh))
-    assert fresh.mes.txid() == block.mes.txid() == sha256(encode_tx(fresh.mes))
+    # decoding fills the id and the encoding from the bytes read
+    assert_warm_and_equal_to_cold(fresh)
+    assert block_id(fresh) == block_id(block)
+    assert fresh.mes.txid() == block.mes.txid()
     assert sighash(fresh.mes) == sighash(block.mes)
 
 

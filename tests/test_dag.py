@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdag import core, dag as dag_module
 from sdag.core import (
     EMPTY_TX,
     GENESIS_ID,
@@ -25,6 +26,7 @@ from sdag.ledger import resolve_peer_chain
 
 from dagtools import (
     RANDOM_PARAMS,
+    RandomPayloads,
     brute_force_confirm,
     dag_signature,
     random_dag,
@@ -211,6 +213,24 @@ def test_dump_load_roundtrip(demo):
     reloaded = SDag.load(io.StringIO(text), demo.params)
     assert dag_signature(reloaded) == dag_signature(demo.sdag)
     assert reloaded.dumps() == text
+
+
+def test_load_encodes_nothing_and_dumps_the_same_bytes(monkeypatch):
+    """A loaded block keeps the bytes it was read from, so loading encodes
+    no block or transaction, and the loaded DAG dumps byte for byte."""
+    rng = random.Random(23)
+    source = random_dag(rng, n_blocks=120, payload=RandomPayloads(6, sha256(b"load-user")))
+    text = source.dumps()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SDag.load encoded a block or a transaction")
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "canonical_encode", refuse)
+        m.setattr(dag_module, "canonical_encode", refuse)
+        m.setattr(core, "_encode_tx", refuse)
+        loaded = SDag.load(io.StringIO(text), RANDOM_PARAMS)
+    assert loaded.dumps() == text
 
 
 def test_load_rejects_garbage(demo):

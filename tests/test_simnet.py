@@ -459,7 +459,8 @@ def test_broadcast_of_an_unstored_block_is_an_error():
     sim = Simulation(small())
     block = sim.nodes[0].create_block()
     other = Simulation(small())
-    with pytest.raises(ValueError, match="is not in the shared store"):
+    # a program fault, not bad input: main shows its traceback
+    with pytest.raises(RuntimeError, match="is not in the shared store"):
         other._broadcast(block, 1.0, 0)
 
 
