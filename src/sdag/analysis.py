@@ -282,6 +282,11 @@ _CHUNK_BYTES = _CHUNK * 256 * 8
 # bounds the expected honest arrivals per path, mean = rate * T: an infinite
 # mean has no column count
 MAX_PATH_ARRIVALS = 1000
+# bounds the paths per grid point: chunk c of point i draws from stream
+# i * 2**20 + c, so a point must fit in 2**20 chunks.  With the columns at
+# MAX_PATH_ARRIVALS doubled once, a chunk holds 3,116 rows, so 2**20 chunks
+# cover about 3.3e9 paths
+MAX_PATHS = 10**9
 
 
 def _draw_cols(mean_arrivals: float) -> int:
@@ -328,8 +333,8 @@ def secure_latency_mc(
     columns, and later columns fall outside both counts, so the result is
     that of working on every drawn column.
     """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    if not 1 <= paths <= MAX_PATHS:
+        raise ValueError(f"paths must be in [1, {MAX_PATHS}]")
     _require_positive(honest_rate=pn_mu_honest)
     for t_len in t_grid:
         if t_len <= 2 * t0:

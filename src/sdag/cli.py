@@ -3,7 +3,8 @@
 Every artifact directory gets a manifest.json recording the command line,
 config digest, seed, and output paths (`analyze secure --out PATH` writes
 PATH.manifest.json instead); re-running with the same inputs
-reproduces the outputs byte for byte.  Values print with 12 significant
+reproduces the outputs byte for byte, except the wall seconds in
+`simulate`'s timings.json.  Values print with 12 significant
 digits.  `main` alone maps exceptions to exit codes: 0 success, 2 invalid
 input (ValueError, OSError, configparser.Error), 3 unstable queue.
 """
@@ -38,7 +39,7 @@ from .analysis import (
 from .curves import make_curve
 from .demo import build_demo
 from .ledger import build_from_dag, ledger_csv, dfs_order
-from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, run
+from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, Simulation
 
 EXIT_BAD_INPUT = 2
 EXIT_UNSTABLE = 3
@@ -51,7 +52,13 @@ def _fmt(value: float) -> str:
 
 
 # what `simulate` writes besides its manifest, checked before the run
-SIMULATE_ARTIFACTS = ("metrics.csv", "queueing_latency.csv", "infection_latency.csv", "counters.json")
+SIMULATE_ARTIFACTS = (
+    "metrics.csv",
+    "queueing_latency.csv",
+    "infection_latency.csv",
+    "counters.json",
+    "timings.json",
+)
 
 
 def _refuse_directories(directory: Path, names: Sequence[str]) -> None:
@@ -159,7 +166,8 @@ def cmd_simulate(args) -> int:
     _refuse_directories(out_dir, SIMULATE_ARTIFACTS + ("manifest.json",))
     if seed is not None:
         config.seed = seed
-    metrics = run(config)
+    sim = Simulation(config)
+    metrics = sim.run()
     row = metrics.row()
     metrics_csv = io.StringIO()
     writer = csv.DictWriter(metrics_csv, fieldnames=list(row), lineterminator="\n")
@@ -169,6 +177,8 @@ def cmd_simulate(args) -> int:
     for name in ("queueing_latency", "infection_latency"):
         files[f"{name}.csv"] = "seconds\n" + "".join(f"{s:.9f}\n" for s in getattr(metrics, name))
     files["counters.json"] = json.dumps(metrics.counters, indent=2) + "\n"
+    # wall seconds: the one artifact that differs between reruns
+    files["timings.json"] = json.dumps(sim.timings, indent=2) + "\n"
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     _write_artifacts(out_dir, files, "manifest.json", config.seed, digest)
     print(f"wrote {out_dir / 'metrics.csv'}")

@@ -133,9 +133,7 @@ _OUTPUT = struct.Struct(">Q32s")  # value | address
 _NO_WITNESS = _U32.pack(0)
 
 
-def _encode_tx(tx: Transaction, witnesses: bool = True) -> bytes:
-    """The encoding, or with `witnesses` False the one each witness signs:
-    every witness written as length 0."""
+def _encode_tx(tx: Transaction) -> bytes:
     if tx.kind is TxKind.EMPTY:
         return b""
     parts = [bytes([tx.kind.value]), _U32.pack(len(tx.inputs))]
@@ -144,11 +142,8 @@ def _encode_tx(tx: Transaction, witnesses: bool = True) -> bytes:
             raise EncodingError("input txid must be 32 bytes")
         parts.append(txid)
         parts.append(_U32.pack(index))
-        if witnesses:
-            parts.append(_U32.pack(len(witness)))
-            parts.append(witness)
-        else:
-            parts.append(_NO_WITNESS)
+        parts.append(_U32.pack(len(witness)))
+        parts.append(witness)
     parts.append(_U32.pack(len(tx.outputs)))
     for value, address in tx.outputs:
         parts.append(_U64.pack(value))
@@ -165,10 +160,22 @@ def _encode_tx(tx: Transaction, witnesses: bool = True) -> bytes:
 
 
 def sighash(tx: Transaction) -> bytes:
-    """Digest signed by input witnesses: the tx encoding with witnesses blanked."""
+    """Digest signed by input witnesses: the tx encoding with every witness
+    written as length 0, cut from the encoding rather than re-encoded."""
     h = tx._sighash
     if h is None:
-        h = sha256(_encode_tx(tx, witnesses=False))
+        enc = encode_tx(tx)
+        parts = []
+        start = 0
+        pos = 5  # kind | len(inputs)
+        for _txid, _index, witness in tx.inputs:
+            pos += HASH_BYTES + 4  # txid | index
+            parts.append(enc[start:pos])
+            parts.append(_NO_WITNESS)
+            pos += 4 + len(witness)  # len(witness) | witness
+            start = pos
+        parts.append(enc[start:])
+        h = sha256(b"".join(parts))
         object.__setattr__(tx, "_sighash", h)
     return h
 

@@ -27,7 +27,7 @@ from .core import (
     TxKind,
     sighash,
 )
-from .dag import SDag
+from .dag import SDag, collector_paused
 from .sigs import DEFAULT_SCHEME
 
 WITNESS_PUB_BYTES = 32
@@ -404,6 +404,7 @@ def build_ledger(
     return ledger
 
 
+@collector_paused()
 def build_from_dag(
     sdag: SDag,
     params: Params,
@@ -412,10 +413,14 @@ def build_from_dag(
 ) -> LedgerBuild:
     """One deterministic pass: order blocks, fold the ledger, and compute
     reward records for every block whose level set is at least
-    `finality_depth` milestones below the tip."""
+    `finality_depth` milestones below the tip.  Runs with the cyclic
+    collector paused (`collector_paused`): the fold makes no cyclic
+    garbage."""
     ordered_blocks = iter_ordered_blocks(sdag)
     final_levels = max(len(sdag.main_chain) - finality_depth, 1)
-    lev_sizes = {k: len(lev) for k, lev in enumerate(sdag.level_sets())}
+    levels = sdag.facts.levels
+    # the genesis pseudo-level holds the genesis alone
+    lev_sizes = [1] + [len(levels[ms]) for ms in sdag.main_chain[1:]]
     miners = {sdag.blocks[ob.block_id].peer for ob in ordered_blocks}
     views = {m: resolve_peer_chain(sdag, m) for m in miners}
     rewards: dict[bytes, RewardRecord] = {}

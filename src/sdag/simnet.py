@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import time
 from collections import Counter
 from itertools import groupby
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from .core import (
 )
 from .curves import make_curve
 from .dag import DagFacts
-from .ledger import build_from_dag, resolve_peer_chain
+from .ledger import LedgerBuild, build_from_dag, resolve_peer_chain
 from .mempool import PoolEntry
 from .node import DEFAULT_MINE_BUDGET, NodeState, drain
 from .sigs import DEFAULT_SCHEME
@@ -325,6 +326,7 @@ class StoreTimes:
 
 class Simulation:
     def __init__(self, config: SimConfig):
+        started = time.perf_counter()
         config.validate()
         self.cfg = config
         self.curve = make_curve(config.delay_curve, config.t0)
@@ -400,6 +402,10 @@ class Simulation:
         # by `_public_height`, and the highest seen
         self.first_stores: list[tuple[float, int]] = []
         self.public_height = 0
+        # wall seconds of each phase: set-up here, and in `run` the event
+        # loop, the final catch-up, the reference node's fold and the other
+        # metrics; kept out of `SimMetrics`, whose values a seed determines
+        self.timings = {"setup_s": time.perf_counter() - started}
 
     # -- plumbing --------------------------------------------------------
 
@@ -702,6 +708,8 @@ class Simulation:
 
     def run(self) -> SimMetrics:
         cfg = self.cfg
+        clock = time.perf_counter
+        started = clock()
         for i in range(cfg.n):
             self._push(self.master.expovariate(self.honest_rate), _RANK_MINE, i)
         if self.adv_node is not None:
@@ -734,12 +742,28 @@ class Simulation:
                 if t >= cfg.horizon * 0.75:
                     self._catch_up(0, t)
                     self.mempool_samples.append(float(len(self.nodes[0].mempool)))
+        looped = clock()
         if self.chains_at_horizon is None:
             self._snapshot_horizon()
         for j in range(len(self.receivers)):
             self._catch_up(j, math.inf)
         self._fold_orphans(math.inf)
-        return self._metrics()
+        caught_up = clock()
+        build = build_from_dag(
+            self.nodes[0].sdag,
+            self.params,
+            self.genesis_outputs,
+            finality_depth=cfg.finality_depth,
+        )
+        folded = clock()
+        metrics = self._metrics(build)
+        self.timings.update(
+            event_loop_s=looped - started,
+            catch_up_s=caught_up - looped,
+            fold_s=folded - caught_up,
+            metrics_s=clock() - folded,
+        )
+        return metrics
 
     def _snapshot_horizon(self) -> None:
         """Every honest chain with exactly the stores at or before the
@@ -778,15 +802,10 @@ class Simulation:
         """Reorgs over the honest nodes (see `SimMetrics.reorg_count`)."""
         return sum(node.reorgs for node in self.nodes)
 
-    def _metrics(self) -> SimMetrics:
+    def _metrics(self, build: LedgerBuild) -> SimMetrics:
+        """The run's metrics; `build` is the reference node's fold."""
         cfg = self.cfg
         ref = self.nodes[0]
-        build = build_from_dag(
-            ref.sdag,
-            self.params,
-            self.genesis_outputs,
-            finality_depth=cfg.finality_depth,
-        )
         accepted_normal = 0
         duplicates = 0
         normal_blocks = 0

@@ -305,6 +305,22 @@ def test_chunk_rows_bound_one_array_and_leave_current_grids_alone():
     assert analysis._chunk_rows(256) == analysis._CHUNK > analysis._chunk_rows(257)
 
 
+def test_secure_latency_mc_refuses_paths_past_its_streams(monkeypatch):
+    """Chunk c of grid point i draws from stream i * 2**20 + c, so the
+    paths bound fits in 2**20 chunks even at the arrivals bound with the
+    columns doubled, and more paths are refused before any draw."""
+    doubled = 2 * analysis._draw_cols(analysis.MAX_PATH_ARRIVALS)
+    assert analysis.MAX_PATHS <= analysis._chunk_rows(doubled) * (1 << 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew paths before checking their count")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    honest, adv = rates_for_share(0.1, 0.1)
+    with pytest.raises(ValueError, match="paths"):
+        secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=analysis.MAX_PATHS + 1)
+
+
 def test_catchup_probability_shape():
     assert catchup_probability(0.0, 6) == 0.0
     assert catchup_probability(0.5, 6) == 1.0

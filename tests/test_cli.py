@@ -4,9 +4,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from sdag.analysis import MAX_CHAIN_NODES, theta
+from sdag.analysis import MAX_CHAIN_NODES, MAX_PATHS, theta
 from sdag.cli import (
     EXIT_BAD_INPUT,
     EXIT_UNSTABLE,
@@ -103,13 +104,19 @@ def test_simulate_writes_artifacts(config_file, tmp_path):
         "queueing_latency.csv",
         "infection_latency.csv",
         "counters.json",
+        "timings.json",
     }
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("seed,n,horizon,")
     assert len(metrics) == 2
+    timings = json.loads((out / "timings.json").read_text())
+    assert list(timings) == ["setup_s", "event_loop_s", "catch_up_s", "fold_s", "metrics_s"]
+    assert all(isinstance(s, float) and s >= 0 for s in timings.values())
 
 
 def test_simulate_reproducible(config_file, tmp_path):
+    """A rerun writes the same bytes; timings.json, which holds wall
+    seconds, is left out."""
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(config_file), "--out", str(out2)]) == 0
@@ -448,6 +455,18 @@ def test_grid_points_unchanged():
 def test_analyze_secure_rejects_empty_runs_and_bad_rates(flags):
     rc = main(["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "10"] + flags)
     assert rc == EXIT_BAD_INPUT
+
+
+def test_analyze_secure_rejects_too_many_paths(monkeypatch, capsys):
+    """More paths than MAX_PATHS exit 2 before any path is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew paths before checking their count")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    rc = main(["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", str(MAX_PATHS + 1)])
+    assert rc == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: paths")
 
 
 def test_demo_dag_artifacts(tmp_path, capsys):

@@ -212,6 +212,83 @@ def test_simnet_has_one_receive_path():
     assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
 
 
+# calls that switch the cyclic collector off or on, or retune it
+GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+HELPER = "collector_paused"
+
+
+def collector_switches(tree: ast.Module, helper_module: bool) -> list[str]:
+    """Calls of `GC_SWITCHES`, through `gc.` or imported from `gc`, outside
+    the body of the helper (counted only in the helper's own module)."""
+    from_gc = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "gc"
+        for alias in node.names
+        if alias.name in GC_SWITCHES
+    }
+    exempt = set()
+    if helper_module:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == HELPER:
+                exempt.update(id(sub) for sub in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in GC_SWITCHES
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "gc"
+        ) or (isinstance(func, ast.Name) and func.id in from_gc):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_collector_switches_flagged():
+    tree = ast.parse(
+        "import gc\nfrom gc import freeze as f\n"
+        f"def {HELPER}():\n    gc.disable()\n    gc.enable()\n"
+        "def run():\n    gc.disable()\n    f()\n    gc.set_threshold(0)\n    gc.collect()\n    gc.isenabled()\n"
+    )
+    assert len(collector_switches(tree, helper_module=True)) == 3
+    assert len(collector_switches(tree, helper_module=False)) == 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_helper_switches_the_collector(path):
+    """`dag.collector_paused` alone turns the cyclic collector off and back
+    on, so every pause restores the state it found."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = collector_switches(tree, helper_module=path.name == "dag.py")
+    assert not found, f"{path.name} switches the cyclic collector: {'; '.join(found)}"
+
+
+def test_only_load_and_fold_pause_the_collector():
+    """The pause is safe only around code that makes no cyclic garbage, as
+    loading and folding a DAG do (`tests/test_ledger.py` checks it); a
+    simulation run does make some, so it runs with the collector on."""
+    paused, other = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == HELPER:
+                        decorators.add(id(d.func))
+                        paused.append(node.name)
+        other += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == HELPER and id(node) not in decorators
+        ]
+    assert sorted(paused) == ["build_from_dag", "load"]
+    assert not other, f"{HELPER} used other than as a decorator: {', '.join(other)}"
+
+
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
