@@ -187,6 +187,10 @@ def _flag(data: bytes, pos: int) -> bool:
     return flag == 1
 
 
+# the kinds a non-empty encoding may name, by kind byte
+_DECODED_KIND = (None, TxKind.NORMAL, TxKind.REGISTRATION, TxKind.REDEMPTION)
+
+
 def decode_tx(data: bytes) -> Transaction:
     """The inverse of `encode_tx`: only a canonical encoding decodes, so
     `encode_tx(decode_tx(b)) == b` whenever it returns, and the decoded
@@ -230,7 +234,7 @@ def decode_tx(data: bytes) -> Transaction:
     if pos < len(data):
         raise EncodingError("trailing bytes in tx encoding")
     try:
-        tx = Transaction(TxKind(kind), tuple(inputs), tuple(outputs), reward_claim, next_address)
+        tx = Transaction(_DECODED_KIND[kind], tuple(inputs), tuple(outputs), reward_claim, next_address)
     except ValueError as exc:
         raise EncodingError(str(exc)) from None
     object.__setattr__(tx, "_encoding", bytes(data))

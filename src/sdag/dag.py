@@ -42,12 +42,23 @@ def collector_paused():
     thousand, which hold no reference cycle: reference counting frees all
     of them, while the collector would walk them again on every pass.  Use
     it only around code that makes no cyclic garbage, or the garbage waits
-    for the next pass after it."""
+    for the next pass after it.
+
+    On the way out the objects the body left alive move to the oldest
+    generation (`gc.freeze` then `gc.unfreeze`, two list merges that also
+    reset the young-generation count), so no young pass walks the whole
+    freshly loaded DAG; the next full collection still sees them.  If the
+    caller has frozen objects of its own, that step is skipped, so they
+    stay frozen."""
     enabled = gc.isenabled()
+    promote = gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
 
@@ -199,8 +210,9 @@ class SDag:
     def _check(self, block: Block, cls: BlockClass) -> Optional[Violation]:
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
-        for ref in self._refs(block):
-            if ref not in self:
+        held, serial = self.held, self.facts.serial
+        for ref in (block.idp, block.idm, block.idt):
+            if not held[serial.get(ref, -1)]:
                 return Violation(ViolationKind.MISSING_PARENT, ref.hex())
         if block.idp != GENESIS_ID:
             target = self.blocks[block.idp]
@@ -224,16 +236,24 @@ class SDag:
         """Add a checked block; duplicate insert is a no-op.  Returns the
         violation if the block is invalid, else None."""
         bid = block_id(block)
+        held = self.held
         s = self.facts.serial.get(bid, -1)
-        if self.held[s]:
+        if held[s]:
             return None
         cls = classify_hash(bid, self.params)
         v = self._check(block, cls)
         if v is not None:
             return v
         if s < 0:
-            s = self.facts.add(bid, block, cls)
-        self.hold((bid,), ((block.idp, block.idm, block.idt),), (s,))
+            s = self.facts.add(bid, block, cls)  # grows `held` in place
+        # `hold` for one block: no parent is the block itself, since a
+        # parent that is not held fails the check above
+        held[s] = 1
+        unreferenced = self._unreferenced
+        unreferenced.discard(block.idp)
+        unreferenced.discard(block.idm)
+        unreferenced.discard(block.idt)
+        unreferenced.add(bid)
         if cls is BlockClass.MILESTONE:
             self.adopt(bid)
         return None
@@ -298,19 +318,35 @@ class SDag:
         # (the confirm set of its parent milestone, whose levels are all on
         # the main chain by now); expansion order (idp, idm, idt) keeps
         # discovery deterministic.  No level of a later milestone is known
-        # yet, so a confirmed block is held by an earlier level.
+        # yet, so a confirmed block is held by an earlier level.  The test
+        # is `_confirmed`, written out: a main-chain milestone's level
+        # holds the ref.
+        blocks, level_of = self.blocks, self.facts.level_of
+        chain, ms_height = self.main_chain, self.facts.ms_height
+        height = len(chain)
         lev: list[bytes] = []
         seen = {ms}
         queue = deque([ms])
         while queue:
             bid = queue.popleft()
             lev.append(bid)
-            for ref in self._refs(self.blocks[bid]):
-                if ref not in seen:
-                    seen.add(ref)
-                    if not self._confirmed(ref):
-                        queue.append(ref)
-        level_of = self.facts.level_of
+            block = blocks[bid]
+            for ref in (block.idp, block.idm, block.idt):
+                if ref in seen:
+                    continue
+                seen.add(ref)
+                holders = level_of.get(ref)
+                if holders is None:
+                    queue.append(ref)
+                    continue
+                if type(holders) is bytes:
+                    holders = (holders,)
+                for holder in holders:
+                    k = ms_height[holder]
+                    if k < height and chain[k] == holder:
+                        break
+                else:
+                    queue.append(ref)
         for bid in lev:
             had = level_of.get(bid)
             if had is None:
@@ -396,9 +432,11 @@ class SDag:
     @collector_paused()
     def load(cls, fp: Iterable[str], params: Params) -> "SDag":
         """The SDag of a `dump`, inserting each line in order; a line that
-        does not decode or insert raises ValueError naming it.  Runs with
-        the cyclic collector paused (`collector_paused`)."""
+        does not decode or insert, or whose block is already loaded (a
+        dump holds each block once), raises ValueError naming it.  Runs
+        with the cyclic collector paused (`collector_paused`)."""
         sdag = cls(params)
+        serial = sdag.facts.serial
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
@@ -407,7 +445,11 @@ class SDag:
                 block = decode_block(bytes.fromhex(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
+            stored = len(serial)
             v = sdag.insert(block)
             if v is not None:
                 raise ValueError(f"line {lineno}: {v.kind.value}: {v.detail}")
+            # the SDag owns its store, which grows by every block it takes
+            if len(serial) == stored:
+                raise ValueError(f"line {lineno}: duplicate block")
         return sdag

@@ -50,8 +50,7 @@ class TxValidity(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class RewardRecord:
+class RewardRecord(NamedTuple):
     block_id: bytes
     kind: BlockKind
     status: ChainStatus
@@ -134,8 +133,9 @@ def dfs_order(sdag: SDag, ms: bytes) -> list[bytes]:
     an in-set milestone reference (a confirmed fork) is traversed last so
     the output is always a permutation of the level set.  Peer-chain
     chronology is preserved: a miner's earlier block precedes its later one.
+    `ms` must be on the main chain (KeyError otherwise).
     """
-    members = set(sdag.level_set(ms))
+    members = set(sdag.facts.levels[ms]) if sdag.level_index(ms) else {ms}
     blocks = sdag.blocks
     visited = {ms}
     order: list[bytes] = []
@@ -430,8 +430,10 @@ def build_from_dag(
         view = views[block.peer]
         validity = TxValidity.NONE
         fee = 0
-        if block.mes.kind is not TxKind.EMPTY:
-            context = _PeerChainContext(sdag, view, rewards)
+        tx_kind = block.mes.kind
+        if tx_kind is not TxKind.EMPTY:
+            # only a registration or a redemption reads its peer chain
+            context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
             accepted, fee = _fold_tx(ledger, block.mes, ob, context)
             validity = TxValidity.VALID if accepted else TxValidity.INVALID
         if ob.level_index < final_levels:

@@ -253,6 +253,22 @@ def test_load_rejects_garbage(demo):
         SDag.load(io.StringIO("\n".join(lines) + "\n"), demo.params)
 
 
+def test_load_refuses_a_repeated_line(demo):
+    """A dump holds each block once, so a line whose block is already
+    loaded is refused, not skipped: skipping it would load a text that
+    `dumps` does not give back."""
+    lines = demo.sdag.dumps().splitlines()
+    for k in (0, 5, len(lines) - 1):
+        for at in (k + 1, len(lines)):  # right after its first copy, and last
+            text = "\n".join(lines[:at] + [lines[k]] + lines[at:]) + "\n"
+            with pytest.raises(ValueError, match=f"^line {at + 1}: duplicate block$"):
+                SDag.load(io.StringIO(text), demo.params)
+    # the genesis is loaded before the first line
+    genesis = core.canonical_encode(core.GENESIS).hex()
+    with pytest.raises(ValueError, match="^line 1: duplicate block$"):
+        SDag.load(io.StringIO(genesis + "\n" + "\n".join(lines) + "\n"), demo.params)
+
+
 def test_confirm_set_unknown_raises(demo):
     with pytest.raises(KeyError):
         demo.sdag.confirm_set(sha256(b"nope"))

@@ -212,8 +212,9 @@ def test_simnet_has_one_receive_path():
     assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
 
 
-# calls that switch the cyclic collector off or on, or retune it
-GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+# calls that switch the cyclic collector off or on, retune it or move
+# objects between its generations
+GC_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
 HELPER = "collector_paused"
 
 
@@ -250,17 +251,18 @@ def collector_switches(tree: ast.Module, helper_module: bool) -> list[str]:
 def test_collector_switches_flagged():
     tree = ast.parse(
         "import gc\nfrom gc import freeze as f\n"
-        f"def {HELPER}():\n    gc.disable()\n    gc.enable()\n"
-        "def run():\n    gc.disable()\n    f()\n    gc.set_threshold(0)\n    gc.collect()\n    gc.isenabled()\n"
+        f"def {HELPER}():\n    gc.disable()\n    gc.freeze()\n    gc.unfreeze()\n    gc.enable()\n"
+        "def run():\n    gc.disable()\n    f()\n    gc.unfreeze()\n    gc.set_threshold(0)\n"
+        "    gc.collect()\n    gc.isenabled()\n    gc.get_freeze_count()\n"
     )
-    assert len(collector_switches(tree, helper_module=True)) == 3
-    assert len(collector_switches(tree, helper_module=False)) == 5
+    assert len(collector_switches(tree, helper_module=True)) == 4
+    assert len(collector_switches(tree, helper_module=False)) == 8
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_helper_switches_the_collector(path):
     """`dag.collector_paused` alone turns the cyclic collector off and back
-    on, so every pause restores the state it found."""
+    on and promotes objects, so every pause restores the state it found."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = collector_switches(tree, helper_module=path.name == "dag.py")
     assert not found, f"{path.name} switches the cyclic collector: {'; '.join(found)}"
