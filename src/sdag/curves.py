@@ -34,7 +34,7 @@ class QuadraticCurve(DelayCurve):
     """F(t) = 2u - u^2 with u = t/t0; for t0 = 2 this is t - t^2/4."""
 
     def cdf(self, t):
-        u = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
+        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0) / self.t0
         out = 2.0 * u - u * u
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -50,7 +50,7 @@ class QuadraticCurve(DelayCurve):
 @dataclass(frozen=True)
 class UniformCurve(DelayCurve):
     def cdf(self, t):
-        u = np.clip(np.asarray(t, dtype=float) / self.t0, 0.0, 1.0)
+        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0) / self.t0
         return float(u) if np.ndim(u) == 0 else u
 
     def inverse(self, y):

@@ -3,9 +3,10 @@
 Mining is modeled as exponential completion times (one Poisson process per
 miner), not per-hash events; broadcast delays are drawn i.i.d. per receiving
 peer from a delay curve F truncated at t0, with no relay topology.  Honest
-peers run the full node state machine; the adversary follows one of two
-strategies.  A (config, seed) pair fully determines the event trace and the
-metrics.
+peers run the full node state machine.  The adversary's strategy keeps its
+own run state: it is called when the adversary mines and, if it reads the
+public height, told each milestone's first honest store time.  A (config,
+seed) pair fully determines the event trace and the metrics.
 
 A broadcast is one vector, not one event per peer: the block's arrival
 time a_j at each receiver j (the honest nodes, then the adversary), and
@@ -104,6 +105,9 @@ class PrivateMilestoneFork:
     """Withhold own milestones on a private branch; release when it
     overtakes the public chain."""
 
+    def start(self, sim: Simulation) -> _PrivateForkRun:
+        return _PrivateForkRun(sim)
+
 
 @dataclass(frozen=True)
 class PeerChainFork:
@@ -112,8 +116,66 @@ class PeerChainFork:
 
     victim: int = 0
 
+    def start(self, sim: Simulation) -> _PeerForkRun:
+        return _PeerForkRun(sim, sim.nodes[self.victim].identity)
 
-AdversaryStrategy = Optional[Union[PrivateMilestoneFork, PeerChainFork]]
+
+class _PrivateForkRun:
+    """A `PrivateMilestoneFork` run: withheld blocks, releases, and each
+    milestone's (first honest store time, height) until `public_height`."""
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.pending: list[Block] = []
+        self.releases = 0
+        self.first_stores: list[tuple[float, int]] = []
+        self.height = 0
+
+    def milestone_stored(self, first_store: float, height: int) -> None:
+        heapq.heappush(self.first_stores, (first_store, height))
+
+    def public_height(self, t: float) -> int:
+        """The height of the best chain any honest node holds at `t`: the
+        running maximum over each milestone's first honest store time."""
+        while self.first_stores and self.first_stores[0][0] <= t:
+            self.height = max(self.height, heapq.heappop(self.first_stores)[1])
+        return self.height
+
+    def on_mine(self, t: float) -> None:
+        """Withhold the new block; release every withheld one once the
+        adversary's own block tops a chain above the public height, the global
+        best: an oracle that makes the strategy as strong as the model allows."""
+        sim, node = self.sim, self.sim.adv_node
+        block = node.create_block()
+        sim.adversary_block_ids.add(sim._record_block(block, t))
+        self.pending.append(block)
+        if node.sdag.height() > self.public_height(t) and node.sdag.blocks[node.sdag.chain_tip()].peer == node.identity:
+            for block in self.pending:
+                sim._broadcast(block, t, skip=sim.cfg.n)
+            self.pending.clear()
+            self.releases += 1
+
+
+class _PeerForkRun:
+    """A `PeerChainFork` run: the victim's `peer` identity, to forge."""
+
+    def __init__(self, sim: Simulation, victim_peer: bytes):
+        self.sim = sim
+        self.victim_peer = victim_peer
+
+    def on_mine(self, t: float) -> None:
+        sim, node = self.sim, self.sim.adv_node
+        chain = resolve_peer_chain(node.sdag, self.victim_peer).blocks
+        if len(chain) >= 2:
+            # regular-class only: a forged milestone would show up on the
+            # public chain and defeat the impersonation
+            template = Block(chain[-2], node.sdag.chain_tip(), GENESIS_ID, self.victim_peer, pow=0, mes=EMPTY_TX)
+            nonce = node.rng.getrandbits(64)
+            block = mine(template, sim.params, DEFAULT_MINE_BUDGET, start_nonce=nonce, want=BlockClass.REGULAR).block
+            violation = node.sdag.insert(block)
+            assert violation is None, violation
+            sim.adversary_block_ids.add(sim._record_block(block, t))
+            sim._broadcast(block, t, skip=sim.cfg.n)
 
 
 @dataclass
@@ -126,7 +188,7 @@ class SimConfig:
     delay_curve: str = "quadratic"
     t0: float = 0.5
     adversary_share: float = 0.0
-    adversary_strategy: AdversaryStrategy = None
+    adversary_strategy: Optional[Union[PrivateMilestoneFork, PeerChainFork]] = None
     horizon: float = 2000.0
     seed: int = 0
     fee: int = 1
@@ -368,9 +430,11 @@ class Simulation:
                 seed=self.master.getrandbits(64),
                 facts=self.facts,
             )
-        self.private_pending: list[Block] = []
+        # the strategy's run state; only one that reads the public height
+        # hears of each milestone's first honest store time
+        self.adversary = None if config.adversary_strategy is None else config.adversary_strategy.start(self)
+        self.milestone_stored = getattr(self.adversary, "milestone_stored", None)
         self.adversary_block_ids: set[bytes] = set()
-        self.adversary_releases = 0
 
         self.heap: list[tuple[float, int, int, int]] = []
         self.seq = 0
@@ -398,10 +462,6 @@ class Simulation:
         self.orphan_events: list[tuple[np.ndarray, np.ndarray, Union[int, np.ndarray]]] = []
         self.orphan_events_size = 0
         self.orphan_fold_at = ORPHAN_EVENT_BATCH
-        # (first honest store time, height) of each milestone not yet seen
-        # by `_public_height`, and the highest seen
-        self.first_stores: list[tuple[float, int]] = []
-        self.public_height = 0
         # wall seconds of each phase: set-up here, and in `run` the event
         # loop, the final catch-up, the reference node's fold and the other
         # metrics; kept out of `SimMetrics`, whose values a seed determines
@@ -452,8 +512,8 @@ class Simulation:
             if self.orphan_events_size >= self.orphan_fold_at:
                 self._fold_orphans(t)
         milestone = bid in facts.ms_height
-        if milestone:
-            heapq.heappush(self.first_stores, (float(store[: self.cfg.n].min()), facts.ms_height[bid]))
+        if milestone and self.milestone_stored is not None:
+            self.milestone_stored(float(store[: self.cfg.n].min()), facts.ms_height[bid])
 
         if times.full():
             self._make_room(t)
@@ -636,73 +696,10 @@ class Simulation:
         block = self.nodes[i].create_block()
         self._record_block(block, t)
         self._broadcast(block, t, skip=i)
-        nxt = t + self.master.expovariate(self.honest_rate)
-        if nxt <= self.cfg.horizon:
-            self._push(nxt, _RANK_MINE, i)
-
-    # -- adversary -------------------------------------------------------
-
-    def _public_height(self, t: float) -> int:
-        """The height of the best chain any honest node holds at `t`: the
-        running maximum over each milestone's first honest store time."""
-        first_stores = self.first_stores
-        while first_stores and first_stores[0][0] <= t:
-            self.public_height = max(self.public_height, heapq.heappop(first_stores)[1])
-        return self.public_height
-
-    def _maybe_release(self, t: float) -> None:
-        """Release trigger uses the global best public height; the simulated
-        attacker is given this oracle to make the strategy as strong as the
-        model allows."""
-        assert self.adv_node is not None
-        if not self.private_pending:
-            return
-        if self.adv_node.sdag.height() > self._public_height(t):
-            tip = self.adv_node.sdag.chain_tip()
-            if self.adv_node.sdag.blocks[tip].peer == self.adv_node.identity:
-                for block in self.private_pending:
-                    self._broadcast(block, t, skip=self.cfg.n)
-                self.private_pending.clear()
-                self.adversary_releases += 1
 
     def _handle_adv_mine(self, t: float) -> None:
-        assert self.adv_node is not None
         self._catch_up(self.cfg.n, t)
-        strategy = self.cfg.adversary_strategy
-        if isinstance(strategy, PrivateMilestoneFork):
-            block = self.adv_node.create_block()
-            self.adversary_block_ids.add(self._record_block(block, t))
-            self.private_pending.append(block)
-            self._maybe_release(t)
-        elif isinstance(strategy, PeerChainFork):
-            victim_peer = self.nodes[strategy.victim].identity
-            chain = resolve_peer_chain(self.adv_node.sdag, victim_peer).blocks
-            if len(chain) >= 2:
-                template = Block(
-                    idp=chain[-2],
-                    idm=self.adv_node.sdag.chain_tip(),
-                    idt=GENESIS_ID,
-                    peer=victim_peer,
-                    pow=0,
-                    mes=EMPTY_TX,
-                )
-                # regular-class only: a forged milestone would show up on
-                # the public chain and defeat the impersonation
-                result = mine(
-                    template,
-                    self.params,
-                    DEFAULT_MINE_BUDGET,
-                    start_nonce=self.adv_node.rng.getrandbits(64),
-                    want=BlockClass.REGULAR,
-                )
-                block = result.block
-                violation = self.adv_node.sdag.insert(block)
-                assert violation is None, violation
-                self.adversary_block_ids.add(self._record_block(block, t))
-                self._broadcast(block, t, skip=self.cfg.n)
-        nxt = t + self.master.expovariate(self.adv_rate)
-        if nxt <= self.cfg.horizon:
-            self._push(nxt, _RANK_MINE, self.cfg.n)
+        self.adversary.on_mine(t)
 
     # -- main loop -------------------------------------------------------
 
@@ -736,6 +733,9 @@ class Simulation:
                     self._handle_adv_mine(t)
                 else:
                     self._handle_mine(actor, t)
+                nxt = t + self.master.expovariate(self.adv_rate if actor == cfg.n else self.honest_rate)
+                if nxt <= cfg.horizon:
+                    self._push(nxt, _RANK_MINE, actor)
             elif rank == _RANK_SAMPLE:
                 # the mempool fill time constant is long; sample only the
                 # final quarter so transients do not drag the mean down
@@ -881,7 +881,7 @@ class Simulation:
             reward_amounts=reward_amounts,
             utxo_digests=digests,
             adversary_blocks=len(self.adversary_block_ids),
-            adversary_releases=self.adversary_releases,
+            adversary_releases=getattr(self.adversary, "releases", 0),
             counters=self.counters(),
         )
 

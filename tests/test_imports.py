@@ -3,11 +3,13 @@ public names resolve.  No linter is assumed; these checks read the source
 with `ast`."""
 
 import ast
+import typing
 from pathlib import Path
 
 import pytest
 
 import sdag
+import sdag.simnet
 
 MODULES = sorted(Path(sdag.__file__).parent.glob("*.py"))
 
@@ -188,6 +190,81 @@ def test_simnet_reads_no_private_state_of_sdag_or_node():
     found = foreign_private_reads(ast.parse(path.read_text(), filename=str(path)), sdag_and_node_privates())
     assert not found, f"simnet.py reads private state: {'; '.join(found)}"
 
+
+
+# what `Simulation` kept for one adversary strategy before each strategy
+# kept its own run state
+STRATEGY_ONLY = {"private_pending", "adversary_releases", "first_stores", "public_height", "_public_height", "_maybe_release"}
+
+
+def strategy_branches(tree: ast.Module, strategies: set[str], attributes: set[str]) -> list[str]:
+    """In the class `Simulation`: `isinstance` tests against a class named in
+    `strategies`, and reads or writes of `self.<name>` for a name in
+    `attributes`."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "Simulation"):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                tested = node.args[1] if len(node.args) == 2 else ast.Tuple(elts=[])
+                classes = tested.elts if isinstance(tested, ast.Tuple) else [tested]
+                if {ast.unparse(c).rsplit(".", 1)[-1] for c in classes} & strategies:
+                    found.append(ast.unparse(node))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in attributes
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_strategy_branches_flagged():
+    tree = ast.parse(
+        "class Simulation:\n"
+        "    def _handle_adv_mine(self, t):\n"
+        "        if isinstance(self.cfg.adversary_strategy, PrivateMilestoneFork):\n"
+        "            self.private_pending.append(b)\n"
+        "        isinstance(s, (int, simnet.PeerChainFork))\n"
+        "        isinstance(x, int)\n"
+        "        self.adversary.pending\n"
+        "class SimConfig:\n"
+        "    def validate(self):\n"
+        "        isinstance(self.adversary_strategy, PeerChainFork)\n"
+    )
+    found = strategy_branches(tree, {"PrivateMilestoneFork", "PeerChainFork"}, {"private_pending", "pending"})
+    assert len(found) == 3
+
+
+def test_simulation_keeps_no_strategy_state():
+    """Each adversary strategy keeps its run state in its own object (the
+    classes with an `on_mine` method), which `Simulation` calls through
+    generic hooks: no method of `Simulation` tests a strategy's type or
+    holds an attribute that only one strategy uses.  `SimConfig.validate`
+    may still test the type, to check a strategy's arguments."""
+    path = Path(sdag.__file__).parent / "simnet.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hint = typing.get_type_hints(sdag.simnet.SimConfig)["adversary_strategy"]
+    strategies = {cls.__name__ for cls in typing.get_args(hint)} - {"NoneType"}
+    attributes = set(STRATEGY_ONLY)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(f, ast.FunctionDef) and f.name == "on_mine" for f in cls.body
+        ):
+            strategies.add(cls.name)
+            attributes |= {
+                node.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            }
+    assert {"PrivateMilestoneFork", "PeerChainFork"} <= strategies
+    found = strategy_branches(tree, strategies, attributes)
+    assert not found, f"Simulation branches on or holds strategy state: {'; '.join(found)}"
 
 
 # a node's per-delivery receive path: the library API that the simulator's

@@ -224,7 +224,8 @@ def replay_deliveries(cfg):
     record("_handle_tx", lambda t: (t, 0, 0))
     record("_handle_mine", lambda i, t: (t, 2, i))
     record("_handle_adv_mine", lambda t: (t, 2, n))
-    record_block, broadcast, public_height = sim._record_block, sim._broadcast, sim._public_height
+    record_block, broadcast = sim._record_block, sim._broadcast
+    public_height = getattr(sim.adversary, "public_height", None)
 
     def recording_record_block(block, t):
         maker = steps[-1][0][2]
@@ -246,7 +247,8 @@ def replay_deliveries(cfg):
         return height
 
     sim._record_block, sim._broadcast = recording_record_block, recording_broadcast
-    sim._public_height = recording_public_height
+    if public_height is not None:
+        sim.adversary.public_height = recording_public_height
     m = sim.run()
 
     facts = DagFacts(sim.params)
@@ -388,6 +390,33 @@ def test_store_times_match_per_delivery_replay(overrides, monkeypatch):
     if cfg.delay_curve == "step" and private:
         # a released branch of several milestones, led by a regular block
         assert crowded >= 2 and reorgs > 100
+
+
+def first_store_pushes(cfg, monkeypatch):
+    """Run `cfg` and return every (first honest store time, height) pair it
+    pushed on a heap: each milestone first-store time the run recorded."""
+    pushed = []
+    push = heapq.heappush
+
+    def counted(heap, item):
+        if len(item) == 2:
+            pushed.append(item)
+        push(heap, item)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simnet.heapq, "heappush", counted)
+        run(cfg)
+    return pushed
+
+
+def test_only_the_private_fork_records_milestone_first_stores(monkeypatch):
+    """Only `PrivateMilestoneFork` reads the public height, so a run with no
+    adversary or with `PeerChainFork` keeps no milestone first-store time;
+    a desk run (seed 0, 1000 s) kept 107 that nothing read."""
+    assert first_store_pushes(small(**ORPHAN_HEAVY), monkeypatch) == []
+    assert first_store_pushes(small(**PEER_CHAIN_FORK), monkeypatch) == []
+    private = first_store_pushes(small(**DEGENERATE), monkeypatch)
+    assert private and all(isinstance(t, float) and isinstance(h, int) for t, h in private)
 
 
 def test_store_window_catches_laggards_up_early(monkeypatch):
