@@ -192,8 +192,8 @@ def test_simnet_reads_no_private_state_of_sdag_or_node():
 
 
 
-# what `Simulation` kept for one adversary strategy before each strategy
-# kept its own run state
+# state that only one adversary strategy reads, so it belongs in that
+# strategy's run state
 STRATEGY_ONLY = {"private_pending", "adversary_releases", "first_stores", "public_height", "_public_height", "_maybe_release"}
 
 

@@ -411,8 +411,8 @@ def first_store_pushes(cfg, monkeypatch):
 
 def test_only_the_private_fork_records_milestone_first_stores(monkeypatch):
     """Only `PrivateMilestoneFork` reads the public height, so a run with no
-    adversary or with `PeerChainFork` keeps no milestone first-store time;
-    a desk run (seed 0, 1000 s) kept 107 that nothing read."""
+    adversary or with `PeerChainFork` keeps no milestone first-store time
+    (a desk run, seed 0 for 1000 s, makes 107 milestones)."""
     assert first_store_pushes(small(**ORPHAN_HEAVY), monkeypatch) == []
     assert first_store_pushes(small(**PEER_CHAIN_FORK), monkeypatch) == []
     private = first_store_pushes(small(**DEGENERATE), monkeypatch)
