@@ -1,5 +1,5 @@
-"""Closed-form calculators and Monte-Carlo cross-checks for the protocol's
-throughput and latency model.
+"""Closed-form calculators and the secure-latency Monte Carlo for the
+protocol's throughput and latency model.
 
 Quantities covered: the wasted-capacity fraction theta(c), mempool queue
 length Q and queueing latency W1, the infection-chain hitting time q1 and
@@ -7,15 +7,18 @@ the infection latency W2, the type-1 milestone fraction under the tagging
 model, secure-latency failure-frequency curves, and the discounted Nakamoto
 confirmation depth.
 
-All Monte Carlo uses numpy's counter-based Philox generator so million-path
+The Monte Carlo uses numpy's counter-based Philox generator so million-path
 runs are replayable bit for bit; independent chunks use Philox jumps and
-aggregate by integer counts, so results do not depend on chunk order (they
-do depend on the chunk size, which is fixed).
+aggregate by integer counts, so results do not depend on chunk order or on
+the threads that run them (they do depend on the chunk size, which is
+fixed).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -148,37 +151,6 @@ def w2_bound(n: int, p: float, mu: float) -> W2Result:
     return W2Result(exact, bound)
 
 
-class MCEstimate(NamedTuple):
-    mean: float
-    stderr: float
-    samples: int
-
-
-def infection_chain_mc(n: int, p: float, paths: int, seed: int = 0) -> MCEstimate:
-    """Monte Carlo of the (X, M) jump chain: jumps to absorption from X=1."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.ones(paths, dtype=np.int64)
-    jumps = np.zeros(paths, dtype=np.int64)
-    alive = np.ones(paths, dtype=bool)
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        xs = x[idx]
-        jumps[idx] += 1
-        absorbed = rng.random(idx.size) < p * xs / n
-        grow = rng.random(idx.size) < xs * (n - xs) / (n * n)
-        x[idx] = np.where(~absorbed & grow, xs + 1, xs)
-        done = idx[absorbed]
-        alive[done] = False
-        # once fully infected, the remaining wait is geometric(p)
-        full = idx[~absorbed & (x[idx] == n)]
-        if full.size:
-            jumps[full] += rng.geometric(p, full.size)
-            alive[full] = False
-    mean = float(jumps.mean())
-    stderr = float(jumps.std(ddof=1) / math.sqrt(paths))
-    return MCEstimate(mean, stderr, paths)
-
-
 # -- milestone tagging -----------------------------------------------------
 
 
@@ -221,29 +193,13 @@ def _tags(u: np.ndarray, w: np.ndarray, t0: float, curve: DelayCurve) -> np.ndar
     holds 2n+1 for n columns.
     """
     b = u > t0
-    keep = (w < curve.cdf(u)) & ~b
+    keep = w < curve.cdf(u)
+    keep &= ~b
     n = u.shape[-1]
     dtype = np.min_scalar_type(-2 * n - 1)
     code = 2 * np.arange(n, dtype=dtype) + b
     code[keep] = -2
     return (np.maximum.accumulate(code, axis=-1) & 1).astype(bool)
-
-
-def tag_sequence_mc(
-    pn_mu: float, t0: float, curve: DelayCurve, tags: int, seed: int = 0
-) -> MCEstimate:
-    """Long-run tag average from one simulated chain; the standard error
-    uses batch means because consecutive tags are correlated."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.exponential(1.0 / pn_mu, size=(1, tags))
-    w = rng.random((1, tags))
-    y = _tags(u, w, t0, curve)[0, 1:]  # drop the initial-state transient
-    mean = float(y.mean())
-    batches = 200
-    usable = (y.size // batches) * batches
-    bm = y[:usable].reshape(batches, -1).mean(axis=1)
-    stderr = float(bm.std(ddof=1) / math.sqrt(batches))
-    return MCEstimate(mean, stderr, int(y.size))
 
 
 # -- secure latency --------------------------------------------------------
@@ -287,6 +243,8 @@ MAX_PATH_ARRIVALS = 1000
 # MAX_PATH_ARRIVALS doubled once, a chunk holds 3,116 rows, so 2**20 chunks
 # cover about 3.3e9 paths
 MAX_PATHS = 10**9
+# bounds the threads of one secure_latency_mc call, each holding a chunk
+_MAX_WORKERS = 4
 
 
 def _draw_cols(mean_arrivals: float) -> int:
@@ -304,6 +262,62 @@ def _prefix_cols(mean_arrivals: float) -> int:
     """Columns summed first: enough that every row of a chunk passes T
     unless the Poisson count lands beyond mean + 7 sigma."""
     return int(mean_arrivals + 7.0 * math.sqrt(mean_arrivals + 1.0) + 8)
+
+
+def _worker_count(points: int) -> int:
+    """Threads for a grid of `points` points: one per usable CPU, at most
+    _MAX_WORKERS and at most one per point."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(points, cpus or 1, _MAX_WORKERS))
+
+
+def _secure_point(
+    base: np.random.Philox, point_i: int, t_len: float, pn_mu_honest: float,
+    adversary_rate: float, t0: float, curve: DelayCurve, paths: int,
+) -> SecurePoint:
+    """Grid point `point_i` of secure_latency_mc.  Its chunks run in order:
+    a chunk that falls short of T moves on to the next stream."""
+    mean_arrivals = pn_mu_honest * t_len
+    cols = _draw_cols(mean_arrivals)
+    prefix = _prefix_cols(mean_arrivals)
+    failures = 0
+    done = 0
+    chunk_i = 0
+    while done < paths:
+        rows = min(_chunk_rows(cols), paths - done)
+        rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
+        chunk_i += 1
+        u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))
+        # a cumsum of non-negative floats never decreases, so a prefix
+        # past T in every row settles the full-width check as well
+        times = np.cumsum(u[:, :prefix], axis=1)
+        if not (times[:, -1] > t_len).all():
+            times = np.cumsum(u, axis=1)
+        # enough columns that every path overruns T; Poisson tails make
+        # a shortfall at cols = mean + 10 sigma astronomically unlikely
+        if not (times[:, -1] > t_len).all():
+            cols *= 2
+            continue
+        # the most arrivals at or before T in any row; every row passes
+        # T, so argmax finds its first arrival after T
+        k = int((times > t_len).argmax(axis=1).max())
+        times = times[:, :k]
+        window = (times >= t0) & (times <= t_len - t0)
+        full = times <= t_len
+        # each thread holds a chunk: keep only the k columns worked on
+        del times
+        u = u[:, :k].copy()
+        w = rng.random((rows, cols))[:, :k]
+        y = _tags(u, w, t0, curve)
+        del u, w
+        ones = (y & window).sum(axis=1)
+        zeros = (~y & full).sum(axis=1)
+        adv = rng.poisson(adversary_rate * t_len, rows)
+        failures += int((ones <= zeros + adv).sum())
+        done += rows
+    freq = failures / paths
+    stderr = math.sqrt(max(freq * (1.0 - freq), 1.0 / paths) / paths)
+    return SecurePoint(float(t_len), failures, paths, freq, stderr)
 
 
 def secure_latency_mc(
@@ -332,6 +346,10 @@ def secure_latency_mc(
     arrivals at or before T in any path.  A tag depends only on earlier
     columns, and later columns fall outside both counts, so the result is
     that of working on every drawn column.
+
+    Grid points run on up to _MAX_WORKERS threads, largest T first, and
+    each draws only from its own streams, so the result does not depend on
+    the thread count.  An exception cancels the points not yet started.
     """
     if not 1 <= paths <= MAX_PATHS:
         raise ValueError(f"paths must be in [1, {MAX_PATHS}]")
@@ -342,45 +360,23 @@ def secure_latency_mc(
     if pn_mu_honest * max(t_grid, default=0.0) > MAX_PATH_ARRIVALS:
         raise ValueError(f"honest rate * T (expected arrivals per path) must be at most {MAX_PATH_ARRIVALS}")
     base = np.random.Philox(seed)
-    out = []
-    for point_i, t_len in enumerate(t_grid):
-        mean_arrivals = pn_mu_honest * t_len
-        cols = _draw_cols(mean_arrivals)
-        prefix = _prefix_cols(mean_arrivals)
-        failures = 0
-        done = 0
-        chunk_i = 0
-        while done < paths:
-            rows = min(_chunk_rows(cols), paths - done)
-            rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
-            chunk_i += 1
-            u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))
-            # a cumsum of non-negative floats never decreases, so a prefix
-            # past T in every row settles the full-width check as well
-            times = np.cumsum(u[:, :prefix], axis=1)
-            if not (times[:, -1] > t_len).all():
-                times = np.cumsum(u, axis=1)
-            # enough columns that every path overruns T; Poisson tails make
-            # a shortfall at cols = mean + 10 sigma astronomically unlikely
-            if not (times[:, -1] > t_len).all():
-                cols *= 2
-                continue
-            w = rng.random((rows, cols))
-            # the most arrivals at or before T in any row; every row passes
-            # T, so argmax finds its first arrival after T
-            k = int((times > t_len).argmax(axis=1).max())
-            times = times[:, :k]
-            y = _tags(u[:, :k], w[:, :k], t0, curve)
-            window = (times >= t0) & (times <= t_len - t0)
-            full = times <= t_len
-            ones = (y & window).sum(axis=1)
-            zeros = (~y & full).sum(axis=1)
-            adv = rng.poisson(adversary_rate * t_len, rows)
-            failures += int((ones <= zeros + adv).sum())
-            done += rows
-        freq = failures / paths
-        stderr = math.sqrt(max(freq * (1.0 - freq), 1.0 / paths) / paths)
-        out.append(SecurePoint(float(t_len), failures, paths, freq, stderr))
+
+    def point(i: int) -> SecurePoint:
+        return _secure_point(base, i, t_grid[i], pn_mu_honest, adversary_rate, t0, curve, paths)
+
+    workers = _worker_count(len(t_grid))
+    if workers == 1:
+        return [point(i) for i in range(len(t_grid))]
+    out: list[SecurePoint] = [None] * len(t_grid)  # type: ignore[list-item]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # the work of a point grows with its columns, so the longest go first
+        order = sorted(range(len(t_grid)), key=lambda i: -t_grid[i])
+        futures = {pool.submit(point, i): i for i in order}
+        for future in as_completed(futures):
+            out[futures[future]] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -34,8 +34,11 @@ class QuadraticCurve(DelayCurve):
     """F(t) = 2u - u^2 with u = t/t0; for t0 = 2 this is t - t^2/4."""
 
     def cdf(self, t):
-        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0) / self.t0
-        out = 2.0 * u - u * u
+        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0)
+        u /= self.t0
+        out = 2.0 * u
+        u *= u
+        out -= u
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def inverse(self, y):
@@ -50,7 +53,8 @@ class QuadraticCurve(DelayCurve):
 @dataclass(frozen=True)
 class UniformCurve(DelayCurve):
     def cdf(self, t):
-        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0) / self.t0
+        u = np.clip(np.asarray(t, dtype=float), 0.0, self.t0)
+        u /= self.t0
         return float(u) if np.ndim(u) == 0 else u
 
     def inverse(self, y):

@@ -27,6 +27,7 @@ from dagtools import (
     random_dag,
     reinsert_random_order,
 )
+from mc_oracles import infection_chain_mc, tag_sequence_mc
 from test_ledger import (
     A_ADDR,
     B_ADDR,
@@ -82,7 +83,7 @@ def test_criterion_3_queueing_latency():
 
 def test_criterion_4_infection_latency():
     w2 = analysis.w2_bound(1000, Fraction(1, 12000), 1.2)
-    mc = analysis.infection_chain_mc(50, 0.01, 100_000, seed=4)
+    mc = infection_chain_mc(50, 0.01, 100_000, seed=4)
     exact50 = float(analysis.infection_q1(50, Fraction(1, 100)).exact)
     dev = abs(mc.mean - exact50)
     ok = (
@@ -102,7 +103,7 @@ def test_criterion_4_infection_latency():
 def test_criterion_5_type1_fraction():
     curve = make_curve("quadratic", 2.0)
     frac = analysis.type1_fraction(0.1, 2.0, curve)
-    mc = analysis.tag_sequence_mc(0.1, 2.0, curve, 1_000_000, seed=5)
+    mc = tag_sequence_mc(0.1, 2.0, curve, 1_000_000, seed=5)
     dev = abs(mc.mean - frac)
     ok = abs(frac - 0.928) <= 1e-3 and dev <= 3.0 * mc.stderr
     check(

@@ -2,6 +2,8 @@
 
 import decimal
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +15,11 @@ from sdag.analysis import (
     SecurePoint,
     UnstableQueue,
     catchup_probability,
-    infection_chain_mc,
     infection_q1,
     nakamoto_discounted_depth,
     queue_length,
     rates_for_share,
     secure_latency_mc,
-    tag_sequence_mc,
     theta,
     type1_fraction,
     w1,
@@ -28,6 +28,8 @@ from sdag.analysis import (
     z_success_prob,
 )
 from sdag.curves import InstantCurve, QuadraticCurve, StepCurve, UniformCurve
+
+from mc_oracles import infection_chain_mc, tag_sequence_mc
 
 
 def test_theta_form_and_limits():
@@ -289,6 +291,63 @@ def test_secure_latency_mc_falls_back_when_the_prefix_is_short(monkeypatch, pref
     grid = [10.0, 80.0]
     got = secure_latency_mc(honest, adv, 2.0, curve, grid, paths=4000, seed=12)
     assert got == oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, 4000, 12)
+
+
+@pytest.mark.parametrize(
+    "honest, adv, grid, paths, seed",
+    [
+        # a multi-chunk point, the short-prefix fallback (T=25) and a grid
+        # out of order, so the longest-first schedule differs from it
+        (0.07, 0.03, [60.0, 25.0, 150.0, 5.0], 2 * analysis._CHUNK + 1000, 13),
+        # no arrival before T: every confirmation fails
+        (1e-9, 0.0, [5.0, 7.0, 6.0], 500, 0),
+    ],
+    ids=["chunks-prefix-order", "all-fail"],
+)
+def test_secure_latency_mc_is_the_same_at_any_worker_count(monkeypatch, honest, adv, grid, paths, seed):
+    # one column is too short a prefix at T=25, which sums the full width
+    prefix_cols = analysis._prefix_cols
+    monkeypatch.setattr(
+        analysis, "_prefix_cols", lambda mean: 1 if mean == honest * 25.0 else prefix_cols(mean)
+    )
+    curve = QuadraticCurve(2.0)
+    want = oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, paths, seed)
+    assert [p.horizon for p in want] == grid
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(analysis, "_worker_count", lambda points: workers)
+        assert secure_latency_mc(honest, adv, 2.0, curve, grid, paths=paths, seed=seed) == want
+
+
+def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
+    """A point that raises reaches the caller, the points still queued
+    never run, and the call leaves no thread behind."""
+    tags = analysis._tags
+    lock = threading.Lock()
+    calls = []
+
+    def tags_failing_second(u, w, t0, curve):
+        with lock:
+            calls.append(u.shape)
+            second = len(calls) == 2
+        if second:
+            raise RuntimeError("second point fails")
+        # a point outlasts the failure's trip to the caller by far
+        time.sleep(0.25)
+        return tags(u, w, t0, curve)
+
+    monkeypatch.setattr(analysis, "_tags", tags_failing_second)
+    monkeypatch.setattr(analysis, "_worker_count", lambda points: 2)
+    threads = threading.active_count()
+    grid = [20.0 + 10.0 * i for i in range(12)]
+    honest, adv = rates_for_share(0.1, 0.1)
+    with pytest.raises(RuntimeError, match="second point fails"):
+        secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), grid, paths=20_000, seed=1)
+    # each point is one chunk, so one call per started point: the two
+    # running when the second failed, and at most the one its thread may
+    # take next before the rest are cancelled; a fourth would need the
+    # caller to take 0.25 s to cancel them
+    assert 2 <= len(calls) <= 3
+    assert threading.active_count() == threads
 
 
 def test_chunk_rows_bound_one_array_and_leave_current_grids_alone():
