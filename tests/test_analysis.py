@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -313,9 +314,15 @@ def test_secure_latency_mc_is_the_same_at_any_worker_count(monkeypatch, honest, 
     curve = QuadraticCurve(2.0)
     want = oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, paths, seed)
     assert [p.horizon for p in want] == grid
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(analysis, "_worker_count", lambda points: workers)
-        assert secure_latency_mc(honest, adv, 2.0, curve, grid, paths=paths, seed=seed) == want
+    # up to three threads, switching between them often
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(analysis, "_worker_count", lambda points: workers)
+            assert secure_latency_mc(honest, adv, 2.0, curve, grid, paths=paths, seed=seed) == want
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
