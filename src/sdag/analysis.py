@@ -243,8 +243,9 @@ MAX_PATH_ARRIVALS = 1000
 # MAX_PATH_ARRIVALS doubled once, a chunk holds 3,116 rows, so 2**20 chunks
 # cover about 3.3e9 paths
 MAX_PATHS = 10**9
-# bounds the threads of one secure_latency_mc call, each holding a chunk
-_MAX_WORKERS = 4
+# bounds the threads of one secure_latency_mc call, each holding a chunk:
+# two threads are the most whose speed and peak memory were measured
+_MAX_WORKERS = 2
 
 
 def _draw_cols(mean_arrivals: float) -> int:
@@ -364,11 +365,8 @@ def secure_latency_mc(
     def point(i: int) -> SecurePoint:
         return _secure_point(base, i, t_grid[i], pn_mu_honest, adversary_rate, t0, curve, paths)
 
-    workers = _worker_count(len(t_grid))
-    if workers == 1:
-        return [point(i) for i in range(len(t_grid))]
     out: list[SecurePoint] = [None] * len(t_grid)  # type: ignore[list-item]
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(_worker_count(len(t_grid)))
     try:
         # the work of a point grows with its columns, so the longest go first
         order = sorted(range(len(t_grid)), key=lambda i: -t_grid[i])

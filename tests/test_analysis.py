@@ -4,7 +4,6 @@ import decimal
 import math
 import sys
 import threading
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +329,7 @@ def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
     never run, and the call leaves no thread behind."""
     tags = analysis._tags
     lock = threading.Lock()
+    release = threading.Event()
     calls = []
 
     def tags_failing_second(u, w, t0, curve):
@@ -338,23 +338,33 @@ def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
             second = len(calls) == 2
         if second:
             raise RuntimeError("second point fails")
-        # a point outlasts the failure's trip to the caller by far
-        time.sleep(0.25)
+        # no other point finishes before the pool is shut down, so no
+        # thread can take a queued point that a working cancel removes
+        release.wait(60.0)
         return tags(u, w, t0, curve)
 
+    class GatedPool(analysis.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
     monkeypatch.setattr(analysis, "_tags", tags_failing_second)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", GatedPool)
     monkeypatch.setattr(analysis, "_worker_count", lambda points: 2)
     threads = threading.active_count()
     grid = [20.0 + 10.0 * i for i in range(12)]
     honest, adv = rates_for_share(0.1, 0.1)
-    with pytest.raises(RuntimeError, match="second point fails"):
-        secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), grid, paths=20_000, seed=1)
-    # each point is one chunk, so one call per started point: the two
-    # running when the second failed, and at most the one its thread may
-    # take next before the rest are cancelled; a fourth would need the
-    # caller to take 0.25 s to cancel them
-    assert 2 <= len(calls) <= 3
-    assert threading.active_count() == threads
+    try:
+        with pytest.raises(RuntimeError, match="second point fails"):
+            secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), grid, paths=20_000, seed=1)
+        # each point is one chunk, so one call per started point: the two
+        # running when the second failed, and at most the one its thread
+        # took next before the shutdown cancelled the rest
+        assert 2 <= len(calls) <= 3
+        assert threading.active_count() == threads
+    finally:
+        release.set()
 
 
 def test_chunk_rows_bound_one_array_and_leave_current_grids_alone():
