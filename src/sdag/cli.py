@@ -1,9 +1,9 @@
 """Command-line entry point: simulations, analysis calculators, demo DAG.
 
-Every artifact directory gets a manifest.json recording the command line,
-config digest, seed, and output paths (`analyze secure --out PATH` writes
-PATH.manifest.json instead); re-running with the same inputs
-reproduces the outputs byte for byte, except the wall seconds in
+Every artifact directory gets a manifest.json recording the command as
+`main` parsed it, config digest, seed, and output paths (`analyze secure
+--out PATH` writes PATH.manifest.json instead); re-running with the same
+inputs reproduces the outputs byte for byte, except the wall seconds in
 `simulate`'s timings.json.  Values print with 12 significant
 digits.  `main` alone maps exceptions to exit codes: 0 success, 2 invalid
 input (ValueError, OSError, configparser.Error), 3 unstable queue.
@@ -70,14 +70,19 @@ def _refuse_directories(directory: Path, names: Sequence[str]) -> None:
 
 
 def _write_artifacts(
-    directory: Path, files: dict[str, str], manifest_name: str, seed: Optional[int], config_digest: str
+    directory: Path,
+    files: dict[str, str],
+    manifest_name: str,
+    seed: Optional[int],
+    config_digest: str,
+    command: list[str],
 ) -> None:
     """Write each named text as its exact bytes, then a manifest listing them."""
     _refuse_directories(directory, [*files, manifest_name])
     for name, text in files.items():
         (directory / name).write_bytes(text.encode())
     manifest = {
-        "command": sys.argv,
+        "command": command,
         "config_digest": config_digest,
         "seed": seed,
         "artifacts": list(files),
@@ -158,7 +163,7 @@ def _seed_override(args_seed: Optional[int]) -> Optional[int]:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, command: list[str]) -> int:
     config = load_sim_config(args.config)
     seed = _seed_override(args.seed)
     out_dir = _make_out_dir(args.out)
@@ -180,12 +185,12 @@ def cmd_simulate(args) -> int:
     # wall seconds: the one artifact that differs between reruns
     files["timings.json"] = json.dumps(sim.timings, indent=2) + "\n"
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    _write_artifacts(out_dir, files, "manifest.json", config.seed, digest)
+    _write_artifacts(out_dir, files, "manifest.json", config.seed, digest, command)
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, command: list[str]) -> int:
     if args.analysis == "theta":
         print(_fmt(theta(args.c, args.mu, args.tbar)))
     elif args.analysis == "w1":
@@ -202,7 +207,7 @@ def cmd_analyze(args) -> int:
         curve = make_curve(args.curve, args.t0)
         print(_fmt(type1_fraction(args.pnmu, args.t0, curve)))
     elif args.analysis == "secure":
-        return _cmd_secure(args)
+        return _cmd_secure(args, command)
     elif args.analysis == "depth":
         print(nakamoto_discounted_depth(args.share, args.fraction, args.risk))
     return 0
@@ -228,7 +233,7 @@ def _parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _cmd_secure(args) -> int:
+def _cmd_secure(args, command: list[str]) -> int:
     curve = make_curve(args.curve, args.t0)
     grid = _parse_grid(args.grid)
     seed = _seed_override(args.seed) or 0
@@ -254,12 +259,12 @@ def _cmd_secure(args) -> int:
     # the manifest goes next to the CSV, so a simulate manifest.json in the
     # same directory is left alone
     _write_artifacts(
-        csv_path.parent, {csv_path.name: text}, csv_path.name + ".manifest.json", seed, digest
+        csv_path.parent, {csv_path.name: text}, csv_path.name + ".manifest.json", seed, digest, command
     )
     return 0
 
 
-def cmd_demo_dag(args) -> int:
+def cmd_demo_dag(args, command: list[str]) -> int:
     out_dir = _make_out_dir(args.out)
     demo = build_demo()
     sdag = demo.sdag
@@ -282,7 +287,7 @@ def cmd_demo_dag(args) -> int:
         "ledger.csv": ledger_csv(build_from_dag(sdag, demo.params)),
     }
     digest = hashlib.sha256(dag_text.encode()).hexdigest()
-    _write_artifacts(out_dir, files, "manifest.json", None, digest)
+    _write_artifacts(out_dir, files, "manifest.json", None, digest, command)
     print(f"wrote {out_dir}/" + ", ".join(files))
     return 0
 
@@ -358,9 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the manifests record the command as parsed here, kept out of
+        # `args`, whose fields the secure manifest's digest hashes
+        return args.func(args, ["sdag", *argv])
     except UnstableQueue as exc:
         print(f"unstable queue: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

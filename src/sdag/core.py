@@ -302,13 +302,6 @@ def block_id(block: Block) -> bytes:
     return h
 
 
-def unit_fraction(h: bytes) -> Fraction:
-    """The 32 bytes read as a big-endian integer N, mapped to N / 2**256 in [0, 1)."""
-    if len(h) != HASH_BYTES:
-        raise ValueError("expected a 32-byte digest")
-    return Fraction(int.from_bytes(h, "big"), SCALE)
-
-
 def _scaled_threshold(x: Fraction) -> int:
     # N < x  <=>  N < ceil(x * 2**256) for integer N
     num = x.numerator << SCALE_BITS
@@ -399,10 +392,11 @@ def mine(
 
 
 def tx_distance(head_id: bytes, tx: Transaction) -> Fraction:
-    """Hash-derived distance in [0, 1) between a chain head and a transaction."""
+    """Hash-derived distance in [0, 1) between a chain head and a
+    transaction: the digest read as a big-endian integer N, over 2**256."""
     if len(head_id) != HASH_BYTES:
         raise ValueError("head id must be 32 bytes")
-    return unit_fraction(sha256(head_id + encode_tx(tx)))
+    return Fraction(int.from_bytes(sha256(head_id + encode_tx(tx)), "big"), SCALE)
 
 
 # The genesis block: all references absent (zero hashes), zero peer, empty

@@ -197,17 +197,12 @@ class SDag:
 
     # -- validity --------------------------------------------------------
 
-    def check_block(self, block: Block) -> Optional[Violation]:
-        """Syntactic validity of `block` against this DAG; None means ok.
-
-        Checks run in a fixed order so the reported violation is
-        deterministic: pow, missing parents, peer rule, tip rule, ms rule.
-        No rule checks for a self-reference, which would need a SHA-256
-        fixed point.
-        """
-        return self._check(block, classify_hash(block_id(block), self.params))
-
     def _check(self, block: Block, cls: BlockClass) -> Optional[Violation]:
+        """Syntactic validity of `block`, of hash class `cls`, against this
+        DAG; None means ok.  Checks run in a fixed order so the reported
+        violation is deterministic: pow, missing parents, peer rule, tip
+        rule, ms rule.  No rule checks for a self-reference, which would
+        need a SHA-256 fixed point."""
         if cls is BlockClass.INVALID:
             return Violation(ViolationKind.BAD_POW, "hash above difficulty threshold")
         held, serial = self.held, self.facts.serial

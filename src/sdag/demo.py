@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     EMPTY_TX,
@@ -87,9 +86,8 @@ class DemoDag:
         return self.names.get(bid, bid.hex()[:8])
 
 
-def build_demo(stop_before: Optional[str] = None) -> DemoDag:
-    """Build the example DAG; `stop_before` truncates the insertion list
-    (useful for looking at the chain before the d5 tie-breaker lands)."""
+def build_demo() -> DemoDag:
+    """Build the example DAG, inserting the blocks in `TABLE` order."""
     sdag = SDag(DEMO_PARAMS)
     secrets = {m: sha256(b"demo-miner-" + bytes([m])) for m in MINERS}
     peers = {
@@ -99,8 +97,6 @@ def build_demo(stop_before: Optional[str] = None) -> DemoDag:
     ids: dict[str, bytes] = {"O": GENESIS_ID}
     names: dict[bytes, str] = {GENESIS_ID: "O"}
     for name, (rp, rm, rt) in TABLE:
-        if name == stop_before:
-            break
         m = miner_of(name)
         if name.startswith("a"):
             mes = Transaction(TxKind.REGISTRATION, next_address=peers[m])

@@ -470,14 +470,6 @@ def _accrued_span(
     return total
 
 
-def accrued_rewards(view: PeerChainView, rewards: dict[bytes, RewardRecord]) -> int:
-    """Unclaimed settled rewards at the head of the canonical chain."""
-    start = next(reversed(view.claims), 0)
-    return sum(
-        rewards[bid].amount for bid in view.blocks[start:] if bid in rewards
-    )
-
-
 def validate_redemption(
     sdag: SDag,
     view: PeerChainView,

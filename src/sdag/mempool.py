@@ -2,7 +2,7 @@
 
 A transaction is workable for a miner only if its hash distance to the
 miner's chain head falls below c*q, where q is the miner's estimated share
-of total hashing power.  The closed-form collision estimates quantify how
+of total hashing power.  The closed-form collision estimate quantifies how
 rarely two miners can work the same transaction.
 """
 
@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
@@ -34,13 +34,6 @@ class PoolEntry:
 
 # the largest 32-byte digest: every digest is at or below it
 _TOP_DIGEST = b"\xff" * HASH_BYTES
-
-
-@dataclass
-class HashPowerEstimate:
-    miner: bytes
-    q: Fraction
-    window: int
 
 
 class Mempool:
@@ -132,30 +125,10 @@ def power_share(counts: dict[bytes, int], total: int, miner: bytes) -> Fraction:
     return Fraction(mine, total)
 
 
-def estimate_power(
-    sdag: SDag, miner: bytes, window: int = DEFAULT_POWER_WINDOW
-) -> HashPowerEstimate:
-    """Estimate a miner's hash-power share from block counts in the last
-    `window` main-chain level sets (`power_counts`, then `power_share`)."""
-    q = power_share(*power_counts(sdag, window), miner)
-    return HashPowerEstimate(miner=miner, q=q, window=min(window, sdag.height()) or window)
-
-
-# -- collision estimates -------------------------------------------------
-
-
-def no_worker_prob(c: float) -> float:
-    """Large-n probability that no miner can work a given transaction."""
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    return math.exp(-c)
-
-
-def one_worker_prob(c: float) -> float:
-    """Large-n probability that exactly one miner can work a transaction."""
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    return c * math.exp(-c)
+def estimate_power(sdag: SDag, miner: bytes, window: int = DEFAULT_POWER_WINDOW) -> Fraction:
+    """A miner's hash-power share from block counts in the last `window`
+    main-chain level sets (`power_counts`, then `power_share`)."""
+    return power_share(*power_counts(sdag, window), miner)
 
 
 def collision_prob(c: float) -> float:
@@ -164,22 +137,3 @@ def collision_prob(c: float) -> float:
     if c < 0:
         raise ValueError("c must be >= 0")
     return 1.0 - math.exp(-c) - c * math.exp(-c)
-
-
-def no_worker_prob_exact(c: float, shares: Sequence[float]) -> float:
-    """Exact product form over explicit power shares."""
-    prod = 1.0
-    for q in shares:
-        prod *= 1.0 - c * q
-    return prod
-
-
-def one_worker_prob_exact(c: float, shares: Sequence[float]) -> float:
-    if any(c * q >= 1.0 for q in shares):
-        raise ValueError("requires c < 1/max share")
-    prod = no_worker_prob_exact(c, shares)
-    return sum(c * q * prod / (1.0 - c * q) for q in shares)
-
-
-def collision_prob_exact(c: float, shares: Sequence[float]) -> float:
-    return 1.0 - no_worker_prob_exact(c, shares) - one_worker_prob_exact(c, shares)

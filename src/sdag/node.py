@@ -34,7 +34,9 @@ from .dag import DagFacts, SDag
 from .mempool import Mempool, PoolEntry, power_counts, power_share
 from .sigs import DEFAULT_SCHEME
 
-DEFAULT_ORPHAN_CAP = 10_000
+# the most orphans one node buffers before it evicts the oldest; the
+# simulator stops a run instead of evicting (`Simulation._fold_orphans`)
+ORPHAN_CAP = 10_000
 DEFAULT_MINE_BUDGET = 1 << 20
 POWER_KEEP_DEPTH = 4  # a miner's chain tip lags the highest by one or two
 
@@ -66,7 +68,6 @@ class NodeState:
         params: Params,
         secret: bytes,
         seed: int = 0,
-        orphan_cap: int = DEFAULT_ORPHAN_CAP,
         facts: Optional[DagFacts] = None,
     ):
         self.params = params
@@ -77,7 +78,6 @@ class NodeState:
         self.rng = random.Random(seed)
         self.orphan_blocks: dict[bytes, Block] = {}
         self.orphans_by_missing: dict[bytes, set[bytes]] = {}
-        self.orphan_cap = orphan_cap
         # counters of what happened, for a simulation's counters.json
         self.orphans_buffered = 0
         self.orphans_evicted = 0
@@ -101,7 +101,7 @@ class NodeState:
             if self._try_insert(block) and bid in self.orphans_by_missing:
                 self._drain_orphans(bid)
             return
-        if len(self.orphan_blocks) >= self.orphan_cap:
+        if len(self.orphan_blocks) >= ORPHAN_CAP:
             # FIFO eviction bounds memory under junk floods
             victim = next(iter(self.orphan_blocks))
             evicted = self.orphan_blocks.pop(victim)

@@ -61,6 +61,7 @@ from .curves import make_curve
 from .dag import DagFacts
 from .ledger import LedgerBuild, build_from_dag, resolve_peer_chain
 from .mempool import PoolEntry
+from . import node as node_module
 from .node import DEFAULT_MINE_BUDGET, NodeState, drain
 from .sigs import DEFAULT_SCHEME
 
@@ -249,10 +250,8 @@ class SimMetrics:
     reorg_count: int
     max_reorg_depth: int
     mempool_occupancy: float
-    mempool_samples: list[float]
     reward_by_miner: dict[int, int]
     reward_amounts: list[int]
-    utxo_digests: Optional[list[bytes]]
     adversary_blocks: int
     adversary_releases: int
     counters: dict[str, object]
@@ -534,7 +533,7 @@ class Simulation:
         """Fold the buffered orphan arrivals (+1) and stores (-1) timed
         before `before` into each receiver's orphan count and peak; later
         ones stay buffered.  A receiver that would hold more orphans than
-        its `orphan_cap` is a ValueError: the per-delivery path would evict
+        `node.ORPHAN_CAP` is a ValueError: the per-delivery path would evict
         one, which store times cannot express."""
         if not self.orphan_events:
             return
@@ -559,13 +558,13 @@ class Simulation:
         held += np.repeat(self.orphan_count[ids] - (held[starts] - step[starts]), np.diff(np.r_[starts, len(node)]))
         self.orphan_peak[ids] = np.maximum(self.orphan_peak[ids], np.maximum.reduceat(held, starts))
         self.orphan_count[ids] = held[np.r_[starts[1:], len(node)] - 1]
-        caps = np.array([node.orphan_cap for node in self.receivers])
-        over = np.flatnonzero(self.orphan_peak > caps)
+        cap = node_module.ORPHAN_CAP
+        over = np.flatnonzero(self.orphan_peak > cap)
         if len(over):
             j = int(over[0])
             raise ValueError(
                 f"node {j} would hold {int(self.orphan_peak[j])} orphans at once, over its "
-                f"orphan_cap of {int(caps[j])}: the per-delivery path would evict, and "
+                f"orphan_cap of {cap}: the per-delivery path would evict, and "
                 "the simulation would no longer be exact"
             )
 
@@ -845,14 +844,6 @@ class Simulation:
         )
         chain_height = ref.sdag.height()
         fork_rate = (milestones - chain_height) / milestones if milestones else 0.0
-        digests = None
-        if cfg.n <= 16:
-            digests = [
-                build_from_dag(
-                    node.sdag, self.params, self.genesis_outputs
-                ).ledger.utxo_digest()
-                for node in self.nodes
-            ]
         occupancy = (
             sum(self.mempool_samples) / len(self.mempool_samples)
             if self.mempool_samples
@@ -876,10 +867,8 @@ class Simulation:
             reorg_count=self.reorg_count(),
             max_reorg_depth=max(node.max_reorg_depth for node in self.nodes),
             mempool_occupancy=occupancy,
-            mempool_samples=self.mempool_samples,
             reward_by_miner=reward_by_miner,
             reward_amounts=reward_amounts,
-            utxo_digests=digests,
             adversary_blocks=len(self.adversary_block_ids),
             adversary_releases=getattr(self.adversary, "releases", 0),
             counters=self.counters(),

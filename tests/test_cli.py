@@ -593,8 +593,10 @@ def test_manifest_lists_exactly_the_files_written(config_file, tmp_path, command
         manifest = out / "secure.csv.manifest.json"
     assert main(argv) == 0
     written = {path.name for path in out.iterdir()} - {manifest.name}
-    artifacts = json.loads(manifest.read_text())["artifacts"]
-    assert sorted(artifacts) == sorted(written)
+    recorded = json.loads(manifest.read_text())
+    assert sorted(recorded["artifacts"]) == sorted(written)
+    # the command `main` parsed, not the argv of the process that called it
+    assert recorded["command"] == ["sdag", *argv]
     if command == "simulate":
         # the names checked before the run are the names written
         assert sorted(SIMULATE_ARTIFACTS) == sorted(written)

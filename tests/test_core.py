@@ -32,7 +32,6 @@ from sdag.core import (
     sha256,
     sighash,
     tx_distance,
-    unit_fraction,
 )
 
 H = lambda tag: sha256(tag.encode())
@@ -313,7 +312,7 @@ def test_params_validation():
 @given(st.binary(min_size=32, max_size=32))
 def test_classification_matches_exact_fractions(h):
     params = Params(d=Fraction(1, 3), p=Fraction(1, 7))
-    x = unit_fraction(h)
+    x = Fraction(int.from_bytes(h, "big"), SCALE)
     cls = classify_hash(h, params)
     if x < params.p * params.d:
         assert cls is BlockClass.MILESTONE
@@ -339,13 +338,6 @@ def test_threshold_boundaries_exact():
 def test_d_one_accepts_everything():
     params = Params(d=Fraction(1), p=Fraction(1, 2))
     assert classify_hash(b"\xff" * 32, params) is not BlockClass.INVALID
-
-
-@given(st.binary(min_size=32, max_size=32))
-def test_unit_fraction_range(h):
-    x = unit_fraction(h)
-    assert 0 <= x < 1
-    assert x == Fraction(int.from_bytes(h, "big"), SCALE)
 
 
 # -- mining ----------------------------------------------------------------
@@ -374,6 +366,7 @@ def test_tx_distance_range_and_determinism():
     tx = make_normal()
     d1 = tx_distance(GENESIS_ID, tx)
     assert 0 <= d1 < 1
+    assert d1 == Fraction(int.from_bytes(sha256(GENESIS_ID + encode_tx(tx)), "big"), SCALE)
     assert d1 == tx_distance(GENESIS_ID, tx)
     assert d1 != tx_distance(H("other-head"), tx)
     with pytest.raises(ValueError):

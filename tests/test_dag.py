@@ -67,8 +67,9 @@ def test_check_violations():
             found = cand
             break
     assert found is not None
-    v = sdag.check_block(found)
+    v = sdag.insert(found)
     assert v is not None and v.kind is ViolationKind.BAD_POW
+    assert block_id(found) not in sdag
 
     # missing parent
     ghost = sha256(b"ghost")
@@ -465,7 +466,7 @@ def test_shared_facts_report_bad_pow_before_missing_parents():
     nonce = 0
     while True:
         block = Block(ghost, GENESIS_ID, GENESIS_ID, sha256(b"A"), nonce, EMPTY_TX)
-        if SDag(EASY).check_block(block).kind is ViolationKind.BAD_POW:
+        if SDag(EASY).insert(block).kind is ViolationKind.BAD_POW:
             break
         nonce += 1
     facts = DagFacts(EASY)

@@ -1,6 +1,7 @@
 """The 19-block example DAG: chain, level sets, pending set, ordering."""
 
-from sdag.core import BlockClass
+from sdag.core import BlockClass, canonical_encode
+from sdag.dag import SDag
 from sdag.demo import MILESTONES, TABLE, build_demo
 from sdag.ledger import dfs_order
 
@@ -34,10 +35,13 @@ def test_classes_match_plan(demo):
         assert cls is want, name
 
 
-def test_forked_milestone_retained_until_extended():
-    # before d5 lands, c2 and c4 tie at height 4 and the incumbent c2 wins
-    partial = build_demo(stop_before="d4")
-    assert [partial.name_of(b) for b in partial.sdag.main_chain] == [
+def test_forked_milestone_retained_until_extended(demo):
+    # before d5 lands, c2 and c4 tie at height 4 and the incumbent c2 wins;
+    # the dump lists the blocks in insertion order, so cut it before d4
+    lines = demo.sdag.dumps().splitlines()
+    cut = lines.index(canonical_encode(demo.sdag.blocks[demo.ids["d4"]]).hex())
+    partial = SDag.load(lines[:cut], demo.params)
+    assert names(demo, partial.main_chain) == [
         "O",
         "a2",
         "a1",

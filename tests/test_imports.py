@@ -449,13 +449,131 @@ def test_unset_knobs_flagged():
     assert unset_knobs([definitions], [callers]) == ["C(y)", "f(c)", "m(v)", "s(v)"]
 
 
+def parse(paths) -> list[ast.Module]:
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
 def test_every_knob_has_a_caller():
     """Every parameter with a default, of a function or method in the
     package, is passed at some call in `src/`, `tests/` or `bench/`: one that
     never is can only ever hold its default.  Callees are matched by name,
     and a constructor by its class."""
-    def parse(paths):
-        return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
-
     flagged = unset_knobs(parse(MODULES), parse(CALLER_FILES))
     assert not flagged, f"parameters no call passes: {', '.join(flagged)}"
+
+
+# the package and the benchmark scripts, without any test
+LIBRARY_FILES = sorted(
+    p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py") if "tests" not in p.relative_to(ROOT).parts
+)
+
+# parameters that only tests pass, each with why it stays
+TEST_ONLY_KNOBS = {
+    "build_ledger(genesis_outputs)": "build_ledger is a test oracle that bench/tracer.py wraps by name (ROADMAP item 2)",
+    "estimate_power(window)": "estimate_power is a test oracle that bench/tracer.py wraps by name (ROADMAP item 2)",
+}
+
+
+def test_every_knob_has_a_caller_outside_the_tests():
+    """Every parameter with a default is passed at some call in `src/` or
+    in a benchmark script, but for `TEST_ONLY_KNOBS`: a value that only
+    tests set is a setting no command or simulation can reach, and the
+    tests can set a module constant instead (`monkeypatch`)."""
+    flagged = set(unset_knobs(parse(MODULES), parse(LIBRARY_FILES)))
+    assert not flagged - set(TEST_ONLY_KNOBS), (
+        f"parameters only tests pass: {', '.join(sorted(flagged - set(TEST_ONLY_KNOBS)))}"
+    )
+    assert not set(TEST_ONLY_KNOBS) - flagged, (
+        f"exempt parameters that are gone or have a caller: {', '.join(sorted(set(TEST_ONLY_KNOBS) - flagged))}"
+    )
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def bench_names(tree: ast.Module) -> set[str]:
+    """What a benchmark script can reach in the package by name: the names
+    and attributes it reads, but not an attribute of a module it imports
+    from outside the package (`statistics.mean` names no `mean` of sdag),
+    and its string constants (the tracer binds its targets by name)."""
+    foreign = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] != "sdag"
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreached_public_definitions(package: dict[str, ast.Module], bench: list[ast.Module]) -> dict[str, str]:
+    """Name -> where, of each public function, class or method of the
+    package that no module of it reads, as a name or an attribute, and no
+    benchmark script names.  An import is not a read, so neither is a
+    re-export in `__init__`.  Names are matched across modules, not bound
+    to their scope."""
+    defined = {}
+    reached = set()
+    for name, tree in package.items():
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reached.add(node.attr)
+    for tree in bench:
+        reached |= bench_names(tree)
+    return {name: where for name, where in defined.items() if name not in reached}
+
+
+def test_unreached_public_definitions_flagged():
+    package = {
+        "a.py": ast.parse(
+            "def used(): pass\ndef unused(): pass\ndef _private(): pass\ndef traced(): pass\n"
+            "class C:\n    def m(self): pass\n    def n(self): pass\n    def k(self): pass\n"
+            "used()\nobj.m()\n"
+        ),
+        "__init__.py": ast.parse("from .a import unused\n__all__ = ['unused']\n"),
+    }
+    bench = [
+        ast.parse(
+            "import statistics\nfrom sdag.a import C\nstatistics.k([1])\nC.n\n"
+            "TARGETS = (('a', None, 'traced'),)\n"
+        )
+    ]
+    assert sorted(unreached_public_definitions(package, bench)) == ["k", "unused"]
+
+
+# public definitions that only tests reach, each with why it stays
+TEST_ONLY_DEFINITIONS = {
+    "w1_of_theta": "the paper's capacity-latency trade-off, W1 as a function of theta (tests/test_analysis.py)",
+    "z_success_prob": "the paper's closed form for a milestone creator having seen every prior one (tests/test_analysis.py)",
+    "mean": "DelayCurve.mean, the paper's mean broadcast delay of each curve (tests/test_curves.py)",
+    "collision_prob": "the paper's collision closed form, which criterion 1 reads",
+    "confirm_set": "the DAG query that criterion 8b checks against a brute-force closure",
+    "milestone_leaf_set": "the DAG query that criterion 8a and the DAG tests read",
+    "block_class": "the DAG query that the demo, DAG and oracle tests read",
+}
+
+
+def test_public_definitions_are_reached():
+    """Every public function, method or class defined in the package is
+    read somewhere in it or named by a benchmark script, but for
+    `TEST_ONLY_DEFINITIONS`: code that only tests reach belongs in the
+    tests, or goes with its last caller."""
+    package = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    bench = parse(p for p in LIBRARY_FILES if p.is_relative_to(ROOT / "bench"))
+    unreached = unreached_public_definitions(package, bench)
+    orphans = sorted(f"{name} ({where})" for name, where in unreached.items() if name not in TEST_ONLY_DEFINITIONS)
+    assert not orphans, f"public definitions only tests reach: {', '.join(orphans)}"
+    stale = sorted(set(TEST_ONLY_DEFINITIONS) - set(unreached))
+    assert not stale, f"exempt definitions that are gone or reached: {', '.join(stale)}"

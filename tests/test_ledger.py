@@ -31,7 +31,6 @@ from sdag.ledger import (
     ChainStatus,
     OrderedBlock,
     TxValidity,
-    accrued_rewards,
     block_reward,
     build_from_dag,
     build_ledger,
@@ -232,9 +231,14 @@ def make_redemption(claim, secret, next_address):
 
 
 def accrued_for(chain, miner):
+    """The fold, the miner's peer chain, and the settled rewards on that
+    chain from its last claim (inclusive) to its head: what a redemption
+    appended at the head may claim."""
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
     view = build.peer_views[miner]
-    return build, view, accrued_rewards(view, build.rewards)
+    start = next(reversed(view.claims), 0)
+    accrued = sum(build.rewards[bid].amount for bid in view.blocks[start:] if bid in build.rewards)
+    return build, view, accrued
 
 
 def test_redemption_happy_path(chain):

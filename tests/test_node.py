@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdag import node as node_module
 from sdag.core import (
     GENESIS_ID,
     Block,
@@ -164,10 +165,11 @@ def test_orphan_solidification_and_relay_once():
     assert node.rejected_blocks == 0
 
 
-def test_orphan_cap_eviction():
+def test_orphan_cap_eviction(monkeypatch):
     miner = make_node(b"m2", seed=2)
     blocks = [miner.create_block() for _ in range(4)]
-    node = NodeState(PARAMS, secret=sha256(b"n5"), orphan_cap=2)
+    monkeypatch.setattr(node_module, "ORPHAN_CAP", 2)
+    node = NodeState(PARAMS, secret=sha256(b"n5"))
     for b in blocks[1:]:
         node.on_receive_block(b)
     ids = [block_id(b) for b in blocks]
@@ -187,14 +189,15 @@ def test_orphan_cap_eviction():
     assert node.orphan_blocks == {}
 
 
-def test_orphan_flood_evicts_from_its_own_buckets():
-    """5,000 parentless blocks at orphan_cap=1000: the buckets hold exactly
+def test_orphan_flood_evicts_from_its_own_buckets(monkeypatch):
+    """5,000 parentless blocks at ORPHAN_CAP=1000: the buckets hold exactly
     the buffered blocks' missing refs, none is left empty, and an evicted
     block is not even tried when its missing parent arrives."""
     miner = make_node(b"m6", seed=6)
     parent = miner.create_block()
     pid = block_id(parent)
-    node = NodeState(PARAMS, secret=sha256(b"n6"), orphan_cap=1000)
+    monkeypatch.setattr(node_module, "ORPHAN_CAP", 1000)
+    node = NodeState(PARAMS, secret=sha256(b"n6"))
     flood = []
     for i in range(5000):
         if i % 5 == 0:  # waits for the real parent only
@@ -311,10 +314,10 @@ def test_shared_power_counts_match_estimate_power():
                 node.on_receive_block(block)
                 if node.sdag.main_chain[: len(before)] != before:
                     switches += 1
-                assert node._estimated_q() == estimate_power(node.sdag, node.identity).q
+                assert node._estimated_q() == estimate_power(node.sdag, node.identity)
                 counts = facts.power[node.sdag.chain_tip()]
                 for miner in counts[0]:
-                    assert power_share(*counts, miner) == estimate_power(node.sdag, miner).q
+                    assert power_share(*counts, miner) == estimate_power(node.sdag, miner)
         # equal-height tips may differ: the incumbent wins ties
         assert nodes[0].sdag.height() == nodes[1].sdag.height() == sdag.height()
     # the DAGs exercise chain switches

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from sdag import cli, simnet
+from sdag import cli, node as node_module, simnet
 from sdag.core import BlockClass, TxKind, block_id, classify_hash
 from sdag.dag import DagFacts
 from sdag.ledger import build_from_dag, verify_normal
@@ -90,24 +90,31 @@ def test_membership_bitmap_cells_are_bounded():
     small(n=1000, mu=MAX_EXPECTED_BLOCKS / 1000, horizon=1.0).validate()
 
 
+def utxo_digests(sim):
+    """The UTXO digest of each honest node's own DAG, folded after a run."""
+    return [
+        build_from_dag(node.sdag, sim.params, sim.genesis_outputs).ledger.utxo_digest()
+        for node in sim.nodes
+    ]
+
+
 def test_same_seed_same_trace():
-    m1 = run(small())
-    m2 = run(small())
+    sim1, sim2 = Simulation(small()), Simulation(small())
+    m1, m2 = sim1.run(), sim2.run()
     assert m1.blocks_created == m2.blocks_created
     assert m1.chain_height == m2.chain_height
     assert m1.duplicate_count == m2.duplicate_count
     assert m1.queueing_latency == m2.queueing_latency
-    assert m1.utxo_digests == m2.utxo_digests
+    assert utxo_digests(sim1) == utxo_digests(sim2)
     m3 = run(small(seed=43))
     assert (m3.blocks_created, m3.chain_height) != (m1.blocks_created, m1.chain_height)
 
 
 def test_full_delivery_converges():
-    m = run(small())
-    # n <= 16: per-node UTXO digests are computed and must agree after the
-    # event queue fully drains
-    assert m.utxo_digests is not None
-    assert len(set(m.utxo_digests)) == 1
+    sim = Simulation(small())
+    m = sim.run()
+    # the nodes' UTXO digests agree after the event queue fully drains
+    assert len(set(utxo_digests(sim))) == 1
     assert m.common_prefix_violations == 0
     assert m.chain_height > 0
     assert m.tps_effective > 0
@@ -442,25 +449,21 @@ def test_store_window_catches_laggards_up_early(monkeypatch):
     assert m == wide
 
 
-def run_with_orphan_cap(cap):
-    sim = Simulation(small(**ORPHAN_HEAVY))
-    for node in sim.nodes:
-        node.orphan_cap = cap
-    return sim.run()
-
-
-def test_orphan_cap_is_checked():
+def test_orphan_cap_is_checked(monkeypatch):
     """A node that would buffer more orphans than its cap, where the
     per-delivery path would evict one, stops the run with a ValueError: the
     input is outside what the simulator models.  Holding exactly the cap is
     fine."""
-    with pytest.raises(ValueError, match="orphan_cap"):
-        run_with_orphan_cap(2)
     peak = run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"]
     assert peak > 2
-    assert run_with_orphan_cap(peak).counters["orphan_peak_per_node"] == peak
+    monkeypatch.setattr(node_module, "ORPHAN_CAP", 2)
+    with pytest.raises(ValueError, match="orphan_cap of 2"):
+        run(small(**ORPHAN_HEAVY))
+    monkeypatch.setattr(node_module, "ORPHAN_CAP", peak)
+    assert run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"] == peak
+    monkeypatch.setattr(node_module, "ORPHAN_CAP", peak - 1)
     with pytest.raises(ValueError, match="orphan_cap"):
-        run_with_orphan_cap(peak - 1)
+        run(small(**ORPHAN_HEAVY))
 
 
 def test_orphan_folds_sort_each_event_a_bounded_number_of_times(monkeypatch):
@@ -526,10 +529,11 @@ def test_private_milestone_fork_runs_and_reorgs():
         horizon=300.0,
         seed=7,
     )
-    m = run(cfg)
+    sim = Simulation(cfg)
+    m = sim.run()
     assert m.adversary_blocks > 0
     # honest nodes still agree after full delivery
-    assert len(set(m.utxo_digests)) == 1
+    assert len(set(utxo_digests(sim))) == 1
 
 
 def test_peer_chain_fork_no_reward_no_consensus_damage():
