@@ -462,10 +462,8 @@ def test_every_knob_has_a_caller():
     assert not flagged, f"parameters no call passes: {', '.join(flagged)}"
 
 
-# the package and the benchmark scripts, without any test
-LIBRARY_FILES = sorted(
-    p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py") if "tests" not in p.relative_to(ROOT).parts
-)
+# the benchmark scripts, without their tests
+BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
 
 # parameters that only tests pass, each with why it stays
 TEST_ONLY_KNOBS = {
@@ -479,13 +477,11 @@ def test_every_knob_has_a_caller_outside_the_tests():
     in a benchmark script, but for `TEST_ONLY_KNOBS`: a value that only
     tests set is a setting no command or simulation can reach, and the
     tests can set a module constant instead (`monkeypatch`)."""
-    flagged = set(unset_knobs(parse(MODULES), parse(LIBRARY_FILES)))
-    assert not flagged - set(TEST_ONLY_KNOBS), (
-        f"parameters only tests pass: {', '.join(sorted(flagged - set(TEST_ONLY_KNOBS)))}"
-    )
-    assert not set(TEST_ONLY_KNOBS) - flagged, (
-        f"exempt parameters that are gone or have a caller: {', '.join(sorted(set(TEST_ONLY_KNOBS) - flagged))}"
-    )
+    flagged = set(unset_knobs(parse(MODULES), parse(MODULES + BENCH_SCRIPTS)))
+    only_tests = sorted(flagged - set(TEST_ONLY_KNOBS))
+    assert not only_tests, f"parameters only tests pass: {', '.join(only_tests)}"
+    stale = sorted(set(TEST_ONLY_KNOBS) - flagged)
+    assert not stale, f"exempt parameters that are gone or have a caller: {', '.join(stale)}"
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -571,8 +567,7 @@ def test_public_definitions_are_reached():
     `TEST_ONLY_DEFINITIONS`: code that only tests reach belongs in the
     tests, or goes with its last caller."""
     package = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
-    bench = parse(p for p in LIBRARY_FILES if p.is_relative_to(ROOT / "bench"))
-    unreached = unreached_public_definitions(package, bench)
+    unreached = unreached_public_definitions(package, parse(BENCH_SCRIPTS))
     orphans = sorted(f"{name} ({where})" for name, where in unreached.items() if name not in TEST_ONLY_DEFINITIONS)
     assert not orphans, f"public definitions only tests reach: {', '.join(orphans)}"
     stale = sorted(set(TEST_ONLY_DEFINITIONS) - set(unreached))
