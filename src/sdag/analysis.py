@@ -11,7 +11,8 @@ The Monte Carlo uses numpy's counter-based Philox generator so million-path
 runs are replayable bit for bit; independent chunks use Philox jumps and
 aggregate by integer counts, so results do not depend on chunk order or on
 the threads that run them (they do depend on the chunk size, which is
-fixed).
+fixed).  A chunk is worked on in tiles of rows, which bound the memory a
+thread holds and do not change the result.
 """
 
 from __future__ import annotations
@@ -235,6 +236,12 @@ _CHUNK = 1 << 15
 # columns, more columns than any grid of the CLI, the benchmark or the tests
 # draws (at most 229), so the cap leaves their paths in the same chunks
 _CHUNK_BYTES = _CHUNK * 256 * 8
+# the most bytes of one float64 array of a tile, the rows of a chunk worked
+# on at once: a chunk fixes the streams and the draws, and its tiles bound
+# what a thread holds to the chunk's trimmed inter-arrivals and masks plus
+# one tile of each working array.  1 MiB is 572 rows at 229 columns; 256 KiB
+# tiles slowed the benchmark's 2,000-path grid by a fifth (a loop step each)
+_TILE_BYTES = 1 << 20
 # bounds the expected honest arrivals per path, mean = rate * T: an infinite
 # mean has no column count
 MAX_PATH_ARRIVALS = 1000
@@ -243,7 +250,9 @@ MAX_PATH_ARRIVALS = 1000
 # MAX_PATH_ARRIVALS doubled once, a chunk holds 3,116 rows, so 2**20 chunks
 # cover about 3.3e9 paths
 MAX_PATHS = 10**9
-# bounds the threads of one secure_latency_mc call, each holding a chunk:
+# numpy's largest Poisson mean: Generator.poisson refuses a larger one
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+# bounds the threads of one secure_latency_mc call, each working a chunk:
 # two threads are the most whose speed and peak memory were measured
 _MAX_WORKERS = 2
 
@@ -259,6 +268,12 @@ def _chunk_rows(cols: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_BYTES // (8 * cols)))
 
 
+def _tile_rows(cols: int) -> int:
+    """Paths per tile: as many as keep one float64 array of `cols`
+    columns within _TILE_BYTES, and at least one."""
+    return max(1, _TILE_BYTES // (8 * cols))
+
+
 def _prefix_cols(mean_arrivals: float) -> int:
     """Columns summed first: enough that every row of a chunk passes T
     unless the Poisson count lands beyond mean + 7 sigma."""
@@ -270,6 +285,32 @@ def _worker_count(points: int) -> int:
     _MAX_WORKERS and at most one per point."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(points, cpus or 1, _MAX_WORKERS))
+
+
+def _arrival_tiles(
+    rng: np.random.Generator, rows: int, cols: int, prefix: int,
+    scale: float, t_len: float, t0: float,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """Pass 1 of a chunk: its `rows` x `cols` inter-arrivals, drawn tile
+    by tile.  Per tile, the inter-arrivals up to its largest count of
+    arrivals at or before T and the masks of those arrivals inside
+    [t0, T - t0] and [0, T]; None if some path does not pass T."""
+    tiles = []
+    step = _tile_rows(cols)
+    for start in range(0, rows, step):
+        u = rng.exponential(scale, size=(min(step, rows - start), cols))
+        # a cumsum of non-negative floats never decreases, so a prefix
+        # past T in every row settles the full-width check as well
+        times = np.cumsum(u[:, :prefix], axis=1)
+        if not (times[:, -1] > t_len).all():
+            times = np.cumsum(u, axis=1)
+            if not (times[:, -1] > t_len).all():
+                return None
+        # every row passes T, so argmax finds its first arrival after T
+        k = int((times > t_len).argmax(axis=1).max())
+        times = times[:, :k]
+        tiles.append((u[:, :k].copy(), (times >= t0) & (times <= t_len - t0), times <= t_len))
+    return tiles
 
 
 def _secure_point(
@@ -288,33 +329,26 @@ def _secure_point(
         rows = min(_chunk_rows(cols), paths - done)
         rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
         chunk_i += 1
-        u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))
-        # a cumsum of non-negative floats never decreases, so a prefix
-        # past T in every row settles the full-width check as well
-        times = np.cumsum(u[:, :prefix], axis=1)
-        if not (times[:, -1] > t_len).all():
-            times = np.cumsum(u, axis=1)
+        tiles = _arrival_tiles(rng, rows, cols, prefix, 1.0 / pn_mu_honest, t_len, t0)
         # enough columns that every path overruns T; Poisson tails make
         # a shortfall at cols = mean + 10 sigma astronomically unlikely
-        if not (times[:, -1] > t_len).all():
+        if tiles is None:
             cols *= 2
             continue
-        # the most arrivals at or before T in any row; every row passes
-        # T, so argmax finds its first arrival after T
-        k = int((times > t_len).argmax(axis=1).max())
-        times = times[:, :k]
-        window = (times >= t0) & (times <= t_len - t0)
-        full = times <= t_len
-        # each thread holds a chunk: keep only the k columns worked on
-        del times
-        u = u[:, :k].copy()
-        w = rng.random((rows, cols))[:, :k]
-        y = _tags(u, w, t0, curve)
-        del u, w
-        ones = (y & window).sum(axis=1)
-        zeros = (~y & full).sum(axis=1)
+        # pass 2: the uniforms in the same tiles, then the adversary; per
+        # path, the 1-tags inside [t0, T - t0] less the 0-tags on [0, T]
+        lead = np.empty(rows, dtype=np.int64)
+        start = 0
+        for u, window, full in tiles:
+            n, k = u.shape
+            w = rng.random((n, cols))[:, :k]
+            y = _tags(u, w, t0, curve)
+            lead[start : start + n] = (y & window).sum(axis=1) - (~y & full).sum(axis=1)
+            start += n
+        # the next chunk's pass 1 must not overlap this chunk's tiles
+        del tiles
         adv = rng.poisson(adversary_rate * t_len, rows)
-        failures += int((ones <= zeros + adv).sum())
+        failures += int((lead <= adv).sum())
         done += rows
     freq = failures / paths
     stderr = math.sqrt(max(freq * (1.0 - freq), 1.0 / paths) / paths)
@@ -344,9 +378,15 @@ def secure_latency_mc(
     worked on: arrival times are summed over a prefix of mean + 7 sigma + 8
     columns (the full width when some path has not passed T by then), and
     the tags and counts run over the columns up to the largest count of
-    arrivals at or before T in any path.  A tag depends only on earlier
-    columns, and later columns fall outside both counts, so the result is
-    that of working on every drawn column.
+    arrivals at or before T in any path of a tile.  A tag depends only on
+    earlier columns, and later columns fall outside both counts, so the
+    result is that of working on every drawn column.
+
+    A chunk fixes the stream and the draws: all its inter-arrivals, then
+    all its uniforms, then its adversary counts.  The draws run tile by
+    tile (_TILE_BYTES per float64 array), so a thread holds the chunk's
+    trimmed inter-arrivals and masks plus one tile of each working array,
+    and the tile size does not change the result.
 
     Grid points run on up to _MAX_WORKERS threads, largest T first, and
     each draws only from its own streams, so the result does not depend on
@@ -360,6 +400,10 @@ def secure_latency_mc(
             raise ValueError("every T must exceed 2*t0")
     if pn_mu_honest * max(t_grid, default=0.0) > MAX_PATH_ARRIVALS:
         raise ValueError(f"honest rate * T (expected arrivals per path) must be at most {MAX_PATH_ARRIVALS}")
+    if not (math.isfinite(adversary_rate) and adversary_rate >= 0):
+        raise ValueError("adversary_rate must be finite and >= 0")
+    if adversary_rate * max(t_grid, default=0.0) > _POISSON_LAM_MAX:
+        raise ValueError(f"adversary_rate * T (the adversary's Poisson mean) must be at most {_POISSON_LAM_MAX:.6g}")
     base = np.random.Philox(seed)
 
     def point(i: int) -> SecurePoint:

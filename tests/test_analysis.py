@@ -4,6 +4,7 @@ import decimal
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -324,24 +325,105 @@ def test_secure_latency_mc_is_the_same_at_any_worker_count(monkeypatch, honest, 
         sys.setswitchinterval(switch)
 
 
+TILE_CASES = [
+    # a multi-chunk point (paths None: 2 * _CHUNK + 1000) in a grid out of order
+    (0.07, 0.03, [60.0, 25.0, 150.0, 5.0], None, 13, None),
+    # one column is too short a prefix, which sums the full width
+    (0.09, 0.01, [10.0, 80.0], 4000, 12, lambda mean: 1),
+    # no arrival before T: every confirmation fails
+    (1e-9, 0.0, [5.0], 500, 0, None),
+]
+
+
+@pytest.mark.parametrize("tile_rows", [1, 37, None], ids=["one-row", "37-rows", "whole-chunk"])
+@pytest.mark.parametrize(
+    "honest, adv, grid, paths, seed, prefix", TILE_CASES, ids=["chunks", "short-prefix", "all-fail"]
+)
+def test_secure_latency_mc_is_the_same_at_any_tile_size(
+    monkeypatch, tile_rows, honest, adv, grid, paths, seed, prefix
+):
+    # a chunk fixes the streams and the draws; its tiles only bound memory
+    if prefix is not None:
+        monkeypatch.setattr(analysis, "_prefix_cols", prefix)
+    if paths is None:
+        # a one-row tile costs a loop step per path: smaller chunks keep
+        # that case fast and still span three of them
+        if tile_rows == 1:
+            monkeypatch.setattr(analysis, "_CHUNK", 1500)
+        paths = 2 * analysis._CHUNK + 1000
+    monkeypatch.setattr(analysis, "_tile_rows", lambda cols: tile_rows or analysis._CHUNK)
+    curve = QuadraticCurve(2.0)
+    want = oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, paths, seed)
+    assert secure_latency_mc(honest, adv, 2.0, curve, grid, paths=paths, seed=seed) == want
+
+
+def test_secure_latency_mc_column_shortfall_is_the_same_at_any_tile_size(monkeypatch):
+    # one drawn column falls short of T, so each chunk doubles its columns
+    # and moves to the next stream, from whichever tile fell short
+    monkeypatch.setattr(analysis, "_draw_cols", lambda mean: 1)
+    generator = np.random.Generator
+    streams = []
+    monkeypatch.setattr(np.random, "Generator", lambda bits: streams.append(bits) or generator(bits))
+    got = []
+    for tile_rows in (1, analysis._CHUNK):
+        monkeypatch.setattr(analysis, "_tile_rows", lambda cols: tile_rows)
+        streams.clear()
+        got.append(secure_latency_mc(0.09, 0.01, 2.0, QuadraticCurve(2.0), [60.0], paths=3000, seed=2))
+        assert len(streams) > 1
+    assert got[0] == got[1]
+
+
+def test_tile_rows_bound_one_array():
+    for cols in (1, 77, 229, analysis._draw_cols(analysis.MAX_PATH_ARRIVALS)):
+        rows = analysis._tile_rows(cols)
+        assert 8 * rows * cols <= analysis._TILE_BYTES < 8 * (rows + 1) * cols
+    assert analysis._tile_rows(analysis._TILE_BYTES) == 1
+
+
+@pytest.mark.parametrize(
+    "chunks, rate, t_len, bound_mib",
+    [
+        # the CLI default grid's longest T: 32,768-path chunks
+        (1, 0.09, 990.0, 64),
+        # the second chunk's tiles must not overlap the first's
+        (2, 0.09, 990.0, 64),
+        # the arrivals bound: 6,232-path chunks
+        (1, 1.0, analysis.MAX_PATH_ARRIVALS, 128),
+    ],
+    ids=["cli-default", "cli-default-two-chunks", "arrivals-bound"],
+)
+def test_secure_point_chunk_memory_is_bounded(chunks, rate, t_len, bound_mib):
+    """A thread holds one chunk's trimmed inter-arrivals and masks and one
+    tile of each working array, not a chunk of full-width arrays (which
+    peaked at 165.7 and 244.0 MiB in the one-chunk cases)."""
+    paths = chunks * analysis._chunk_rows(analysis._draw_cols(rate * t_len))
+    tracemalloc.start()
+    try:
+        analysis._secure_point(np.random.Philox(0), 0, t_len, rate, 0.01, 2.0, QuadraticCurve(2.0), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
 def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
     """A point that raises reaches the caller, the points still queued
     never run, and the call leaves no thread behind."""
-    tags = analysis._tags
+    secure_point = analysis._secure_point
     lock = threading.Lock()
     release = threading.Event()
-    calls = []
+    started = []
 
-    def tags_failing_second(u, w, t0, curve):
+    def point_failing_second(base, point_i, *args):
         with lock:
-            calls.append(u.shape)
-            second = len(calls) == 2
+            started.append(point_i)
+            second = len(started) == 2
         if second:
             raise RuntimeError("second point fails")
         # no other point finishes before the pool is shut down, so no
         # thread can take a queued point that a working cancel removes
         release.wait(60.0)
-        return tags(u, w, t0, curve)
+        return secure_point(base, point_i, *args)
 
     class GatedPool(analysis.ThreadPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
@@ -349,7 +431,7 @@ def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
             release.set()
             super().shutdown(wait=wait)
 
-    monkeypatch.setattr(analysis, "_tags", tags_failing_second)
+    monkeypatch.setattr(analysis, "_secure_point", point_failing_second)
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", GatedPool)
     monkeypatch.setattr(analysis, "_worker_count", lambda points: 2)
     threads = threading.active_count()
@@ -358,10 +440,9 @@ def test_secure_latency_mc_error_cancels_the_points_not_started(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="second point fails"):
             secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), grid, paths=20_000, seed=1)
-        # each point is one chunk, so one call per started point: the two
-        # running when the second failed, and at most the one its thread
-        # took next before the shutdown cancelled the rest
-        assert 2 <= len(calls) <= 3
+        # the two points running when the second failed, and at most the
+        # one its thread took next before the shutdown cancelled the rest
+        assert 2 <= len(started) <= 3
         assert threading.active_count() == threads
     finally:
         release.set()
@@ -395,6 +476,26 @@ def test_secure_latency_mc_refuses_paths_past_its_streams(monkeypatch):
     honest, adv = rates_for_share(0.1, 0.1)
     with pytest.raises(ValueError, match="paths"):
         secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=analysis.MAX_PATHS + 1)
+
+
+@pytest.mark.parametrize("adv", [-0.01, math.nan, math.inf, 1e18], ids=["negative", "nan", "inf", "too-large"])
+def test_secure_latency_mc_refuses_bad_adversary_rates(monkeypatch, adv):
+    """A rate numpy's Poisson draw would refuse is refused before any
+    draw, naming the parameter (1e18 * T = 2e19 is past numpy's limit)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew paths before checking the adversary rate")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    with pytest.raises(ValueError, match="adversary_rate"):
+        secure_latency_mc(0.09, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=1000)
+
+
+def test_poisson_limit_is_numpys():
+    rng = np.random.default_rng(0)
+    rng.poisson(analysis._POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(analysis._POISSON_LAM_MAX, np.inf))
 
 
 def test_catchup_probability_shape():
