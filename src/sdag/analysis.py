@@ -237,10 +237,9 @@ _CHUNK = 1 << 15
 # draws (at most 229), so the cap leaves their paths in the same chunks
 _CHUNK_BYTES = _CHUNK * 256 * 8
 # the most bytes of one float64 array of a tile, the rows of a chunk worked
-# on at once: a chunk fixes the streams and the draws, and its tiles bound
-# what a thread holds to the chunk's trimmed inter-arrivals and masks plus
-# one tile of each working array.  1 MiB is 572 rows at 229 columns; 256 KiB
-# tiles slowed the benchmark's 2,000-path grid by a fifth (a loop step each)
+# on at once (see secure_latency_mc).  1 MiB is 572 rows at 229 columns;
+# 256 KiB tiles, a loop step each, slowed the benchmark's 2,000-path grid
+# by a fifth in one run
 _TILE_BYTES = 1 << 20
 # bounds the expected honest arrivals per path, mean = rate * T: an infinite
 # mean has no column count

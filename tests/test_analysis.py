@@ -462,31 +462,31 @@ def test_chunk_rows_bound_one_array_and_leave_current_grids_alone():
     assert analysis._chunk_rows(256) == analysis._CHUNK > analysis._chunk_rows(257)
 
 
-def test_secure_latency_mc_refuses_paths_past_its_streams(monkeypatch):
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail a secure_latency_mc call that draws before refusing its input."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew paths before checking the input")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+
+
+def test_secure_latency_mc_refuses_paths_past_its_streams(no_draws):
     """Chunk c of grid point i draws from stream i * 2**20 + c, so the
     paths bound fits in 2**20 chunks even at the arrivals bound with the
     columns doubled, and more paths are refused before any draw."""
     doubled = 2 * analysis._draw_cols(analysis.MAX_PATH_ARRIVALS)
     assert analysis.MAX_PATHS <= analysis._chunk_rows(doubled) * (1 << 20)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew paths before checking their count")
-
-    monkeypatch.setattr(np.random, "Generator", refuse)
     honest, adv = rates_for_share(0.1, 0.1)
     with pytest.raises(ValueError, match="paths"):
         secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=analysis.MAX_PATHS + 1)
 
 
 @pytest.mark.parametrize("adv", [-0.01, math.nan, math.inf, 1e18], ids=["negative", "nan", "inf", "too-large"])
-def test_secure_latency_mc_refuses_bad_adversary_rates(monkeypatch, adv):
+def test_secure_latency_mc_refuses_bad_adversary_rates(no_draws, adv):
     """A rate numpy's Poisson draw would refuse is refused before any
     draw, naming the parameter (1e18 * T = 2e19 is past numpy's limit)."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew paths before checking the adversary rate")
-
-    monkeypatch.setattr(np.random, "Generator", refuse)
     with pytest.raises(ValueError, match="adversary_rate"):
         secure_latency_mc(0.09, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=1000)
 
