@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .core import (
     GENESIS,
@@ -82,8 +82,9 @@ class DagFacts:
     of the SDags that share the table:
     - `levels`: milestone id -> level set (its confirm set minus its
       parent's, in discovery order);
-    - `level_of`: block id -> the milestone whose level set holds it, or a
-      tuple of them when forks put it in several;
+    - `level_of`: block id -> the tuple of milestones whose level sets
+      hold it, in the order they were walked (more than one only when
+      forks put it in several; the genesis holds itself);
     - the store: every block that some sharing SDag holds, in first-insert
       order (`blocks`), its serial number (its position there), each
       milestone's height (so a stored block other than the genesis is a
@@ -102,7 +103,7 @@ class DagFacts:
     def __init__(self, params: Params):
         self.params = params
         self.levels: dict[bytes, tuple[bytes, ...]] = {}
-        self.level_of: dict[bytes, Union[bytes, tuple[bytes, ...]]] = {GENESIS_ID: GENESIS_ID}
+        self.level_of: dict[bytes, tuple[bytes, ...]] = {GENESIS_ID: (GENESIS_ID,)}
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
         self.serial: dict[bytes, int] = {GENESIS_ID: 0}
         self.ms_height: dict[bytes, int] = {GENESIS_ID: 0}
@@ -296,13 +297,8 @@ class SDag:
 
     def _confirmed(self, bid: bytes) -> bool:
         """Whether a level set of the main chain holds `bid`."""
-        holders = self.facts.level_of.get(bid)
-        if holders is None:
-            return False
-        if type(holders) is bytes:
-            holders = (holders,)
         chain, ms_height = self.main_chain, self.facts.ms_height
-        for ms in holders:
+        for ms in self.facts.level_of.get(bid, ()):
             k = ms_height[ms]
             if k < len(chain) and chain[k] == ms:
                 return True
@@ -313,12 +309,8 @@ class SDag:
         # (the confirm set of its parent milestone, whose levels are all on
         # the main chain by now); expansion order (idp, idm, idt) keeps
         # discovery deterministic.  No level of a later milestone is known
-        # yet, so a confirmed block is held by an earlier level.  The test
-        # is `_confirmed`, written out: a main-chain milestone's level
-        # holds the ref.
+        # yet, so a confirmed block is held by an earlier level.
         blocks, level_of = self.blocks, self.facts.level_of
-        chain, ms_height = self.main_chain, self.facts.ms_height
-        height = len(chain)
         lev: list[bytes] = []
         seen = {ms}
         queue = deque([ms])
@@ -327,29 +319,12 @@ class SDag:
             lev.append(bid)
             block = blocks[bid]
             for ref in (block.idp, block.idm, block.idt):
-                if ref in seen:
-                    continue
-                seen.add(ref)
-                holders = level_of.get(ref)
-                if holders is None:
-                    queue.append(ref)
-                    continue
-                if type(holders) is bytes:
-                    holders = (holders,)
-                for holder in holders:
-                    k = ms_height[holder]
-                    if k < height and chain[k] == holder:
-                        break
-                else:
-                    queue.append(ref)
+                if ref not in seen:
+                    seen.add(ref)
+                    if not self._confirmed(ref):
+                        queue.append(ref)
         for bid in lev:
-            had = level_of.get(bid)
-            if had is None:
-                level_of[bid] = ms
-            elif type(had) is bytes:
-                level_of[bid] = (had, ms)
-            else:
-                level_of[bid] = had + (ms,)
+            level_of[bid] = level_of.get(bid, ()) + (ms,)
         return tuple(lev)
 
     # -- derived sets ----------------------------------------------------

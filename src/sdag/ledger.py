@@ -274,7 +274,6 @@ class LedgerEntry:
     txid: bytes
     block_id: bytes
     level_index: int
-    position: int
     accepted: bool
     reason: str = ""
 
@@ -378,9 +377,7 @@ def _fold_tx(
             reason = str(exc)
     if accepted:
         ledger.accepted_ids.add(txid)
-    ledger.entries.append(
-        LedgerEntry(txid, ob.block_id, ob.level_index, len(ledger.entries), accepted, reason)
-    )
+    ledger.entries.append(LedgerEntry(txid, ob.block_id, ob.level_index, accepted, reason))
     return accepted, fee
 
 
@@ -497,14 +494,14 @@ def validate_redemption(
 
 
 def ledger_csv(build: LedgerBuild) -> str:
-    """CSV export: level index, position, block id, tx id, accepted flag,
-    reward amount."""
+    """CSV export: level index, position in the ledger, block id, tx id,
+    accepted flag, reward amount."""
     lines = ["level,position,block_id,tx_id,accepted,reward"]
-    for e in build.ledger.entries:
+    for position, e in enumerate(build.ledger.entries):
         rec = build.rewards.get(e.block_id)
         amount = rec.amount if rec else ""
         lines.append(
-            f"{e.level_index},{e.position},{e.block_id.hex()},{e.txid.hex()},"
+            f"{e.level_index},{position},{e.block_id.hex()},{e.txid.hex()},"
             f"{int(e.accepted)},{amount}"
         )
     return "\n".join(lines) + "\n"

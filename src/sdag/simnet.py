@@ -73,6 +73,10 @@ _RANK_SAMPLE = 3
 _RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
+# every user transaction spends one genesis output of 2 and pays this fee: a
+# fee that is the same for every transaction never changes the workable
+# order, only the reward amounts
+TX_FEE = 1
 
 # the most store-time rows kept before the receivers that hold back the
 # oldest ones are caught up early, so the rows can go: four rows per
@@ -192,7 +196,6 @@ class SimConfig:
     adversary_strategy: Optional[Union[PrivateMilestoneFork, PeerChainFork]] = None
     horizon: float = 2000.0
     seed: int = 0
-    fee: int = 1
     finality_depth: int = 13
 
     def validate(self) -> None:
@@ -215,8 +218,6 @@ class SimConfig:
             raise ValueError(f"n * n * mu * horizon (membership bitmap cells) must be at most {MAX_BITMAP_CELLS}")
         if self.finality_depth < 0:
             raise ValueError("finality_depth must be >= 0")
-        if not 0 <= self.fee <= 2:
-            raise ValueError("fee must be in [0, 2] (outputs are funded with 2)")
         if not 0 <= self.adversary_share < 1:
             raise ValueError("adversary_share must be in [0, 1)")
         if self.adversary_share > 0 and self.adversary_strategy is None:
@@ -665,7 +666,7 @@ class Simulation:
         bare = Transaction(
             TxKind.NORMAL,
             inputs=(TxInput(GENESIS_ID, index, b""),),
-            outputs=(TxOutput(2 - self.cfg.fee, self.user_address),),
+            outputs=(TxOutput(2 - TX_FEE, self.user_address),),
         )
         witness = self.user_public + DEFAULT_SCHEME.sign(self.user_secret, sighash(bare))
         return Transaction(
@@ -679,7 +680,7 @@ class Simulation:
             tx = self._make_tx(len(self.tx_log))
             # one immutable entry, shared by every pool; the receivers take
             # it in when they catch up
-            entry = PoolEntry(tx, t, self.cfg.fee)
+            entry = PoolEntry(tx, t, TX_FEE)
             self.tx_log.append((tx.txid(), entry))
         nxt = t + self.master.expovariate(self.cfg.lam)
         if nxt <= self.cfg.horizon:

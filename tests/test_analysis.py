@@ -185,7 +185,8 @@ def oracle_secure_latency_mc(pn_mu_honest, adversary_rate, t0, curve, t_grid, pa
         done = 0
         chunk_i = 0
         while done < paths:
-            rows = min(analysis._CHUNK, paths - done)
+            # the program's chunk rows, recomputed after a column doubling
+            rows = min(analysis._chunk_rows(cols), paths - done)
             rng = np.random.Generator(base.jumped(point_i * (1 << 20) + chunk_i))
             chunk_i += 1
             u = rng.exponential(1.0 / pn_mu_honest, size=(rows, cols))
@@ -271,6 +272,21 @@ def test_secure_latency_mc_matches_oracle_across_chunks():
     grid = [30.0, 90.0]
     got = secure_latency_mc(honest, adv, 2.0, curve, grid, paths=paths, seed=9)
     assert got == oracle_secure_latency_mc(honest, adv, 2.0, curve, grid, paths, 9)
+
+
+def test_secure_latency_mc_matches_oracle_past_256_columns(monkeypatch):
+    # T = 150 at rate 0.9 draws 281 columns, where _CHUNK_BYTES rather than
+    # _CHUNK sets the chunk rows: patched, 700 paths a chunk, each chunk
+    # spanning two tiles of up to 466 rows.  At t0 = 2 every path at T = 150
+    # fails, whatever its draws; at t0 = 1 about one in seven does
+    cols = analysis._draw_cols(135.0)
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 8 * cols * 700)
+    assert cols > 256 and analysis._chunk_rows(cols) == 700 and analysis._tile_rows(cols) == 466
+    curve = QuadraticCurve(1.0)
+    grid = [150.0, 60.0]
+    got = secure_latency_mc(0.9, 0.1, 1.0, curve, grid, paths=2000, seed=0)
+    assert got == oracle_secure_latency_mc(0.9, 0.1, 1.0, curve, grid, 2000, 0)
+    assert 0 < got[0].failures < 2000
 
 
 def test_secure_latency_mc_without_arrivals_before_t():

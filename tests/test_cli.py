@@ -86,11 +86,17 @@ def test_simulate_rejects_non_finite_floats(tmp_path, key, value):
     assert not (out / "metrics.csv").exists()
 
 
-def test_load_sim_config_unknown_key(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text(SMALL_INI + "bogus = 1\n")
-    with pytest.raises(ValueError, match="bogus"):
-        load_sim_config(str(path))
+def test_load_sim_config_unknown_key(tmp_path, capsys):
+    # the fee is a constant (simnet.TX_FEE), not a setting
+    for key in ("bogus", "fee"):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMALL_INI + f"{key} = 1\n")
+        with pytest.raises(ValueError, match=key):
+            load_sim_config(str(path))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_writes_artifacts(config_file, tmp_path):

@@ -1,6 +1,6 @@
-"""The ledger bytes the benchmark pins, checked on every test run: the
-`dag-replay` ledger of seed 0 and the `demo-dag` artifacts are rebuilt and
-compared with `bench/goldens.json`, which this file only reads."""
+"""The bytes the benchmark pins, checked on every test run: seed 0 of every
+workload and the `demo-dag` artifacts are rebuilt and compared with
+`bench/goldens.json`, which this file only reads."""
 
 import json
 import sys
@@ -14,13 +14,25 @@ import workloads  # noqa: E402
 GOLDENS = json.loads((BENCH / "goldens.json").read_text())
 
 
+def check_seed_0(workload, tmp_path):
+    run = workload()
+    assert GOLDENS[run.name]["spec"] == run.spec
+    run.prepare(0, tmp_path)
+    result = run.job()
+    assert run.check(result) == []
+    assert result.digests == GOLDENS[run.name]["seeds"]["0"]
+
+
+def test_desk_sim_artifacts_match_golden(tmp_path):
+    check_seed_0(workloads.DeskSim, tmp_path)
+
+
 def test_dag_replay_ledger_matches_golden(tmp_path):
-    replay = workloads.DagReplay()
-    assert GOLDENS[replay.name]["spec"] == replay.spec
-    replay.prepare(0, tmp_path)
-    result = replay.job()
-    assert replay.check(result) == []
-    assert result.digests == GOLDENS[replay.name]["seeds"]["0"]
+    check_seed_0(workloads.DagReplay, tmp_path)
+
+
+def test_secure_curve_matches_golden(tmp_path):
+    check_seed_0(workloads.SecureCurve, tmp_path)
 
 
 def test_demo_dag_artifacts_match_golden(tmp_path):

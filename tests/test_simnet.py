@@ -51,8 +51,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small(p=0.0).validate()
     with pytest.raises(ValueError):
-        small(fee=3).validate()
-    with pytest.raises(ValueError):
         small(adversary_share=0.2).validate()  # needs a strategy
     with pytest.raises(ValueError):
         small(adversary_strategy=PrivateMilestoneFork()).validate()  # needs a share
