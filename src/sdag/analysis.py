@@ -214,20 +214,15 @@ class SecurePoint(NamedTuple):
     stderr: float
 
 
-def rates_for_share(
-    share: float, pn_mu: float, honest_fixed: bool = False
-) -> tuple[float, float]:
+def rates_for_share(share: float, pn_mu: float) -> tuple[float, float]:
     """(honest, adversary) milestone rates for a hash-power share.
 
-    Default convention: the combined rate is fixed at pn_mu and split
-    (1-share)/share; this is the convention that reproduces the published
-    failure-frequency curves.  With honest_fixed the honest rate stays at
-    pn_mu and the adversary adds share/(1-share) of it on top (a strictly
-    stronger adversary, available for sensitivity analysis)."""
+    The combined rate is fixed at pn_mu and split (1-share)/share; this is
+    the convention that reproduces the published failure-frequency curves.
+    To hold the honest rate at P instead, with the adversary adding
+    share/(1-share) of it on top, pass pn_mu = P / (1 - share)."""
     if not 0 <= share < 1:
         raise ValueError("share must be in [0, 1)")
-    if honest_fixed:
-        return pn_mu, share / (1.0 - share) * pn_mu
     return (1.0 - share) * pn_mu, share * pn_mu
 
 

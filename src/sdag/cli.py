@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -150,27 +149,16 @@ def _make_out_dir(path: str) -> Path:
     return out_dir
 
 
-def _seed_override(args_seed: Optional[int]) -> Optional[int]:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("SDAG_SEED")
-    try:
-        return int(env) if env else None
-    except ValueError:
-        raise ValueError(f"SDAG_SEED must be an integer, got {env!r}") from None
-
-
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_simulate(args, command: list[str]) -> int:
     config = load_sim_config(args.config)
-    seed = _seed_override(args.seed)
     out_dir = _make_out_dir(args.out)
     # checked before the simulation, which can run for minutes
     _refuse_directories(out_dir, SIMULATE_ARTIFACTS + ("manifest.json",))
-    if seed is not None:
-        config.seed = seed
+    if args.seed is not None:
+        config.seed = args.seed
     sim = Simulation(config)
     metrics = sim.run()
     row = metrics.row()
@@ -236,16 +224,15 @@ def _parse_grid(spec: str) -> list[float]:
 def _cmd_secure(args, command: list[str]) -> int:
     curve = make_curve(args.curve, args.t0)
     grid = _parse_grid(args.grid)
-    seed = _seed_override(args.seed) or 0
     csv_path = Path(args.out) if args.out else None
     # checked before the Monte Carlo, which can run for minutes
     if csv_path is not None:
         if not csv_path.parent.is_dir():
             raise ValueError(f"output directory {csv_path.parent} does not exist")
         _refuse_directories(csv_path.parent, (csv_path.name, csv_path.name + ".manifest.json"))
-    honest, adv_rate = rates_for_share(args.share, args.pnmu, honest_fixed=args.honest_fixed)
+    honest, adv_rate = rates_for_share(args.share, args.pnmu)
     points = secure_latency_mc(
-        honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=seed
+        honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=args.seed
     )
     text = "T,failures,paths,frequency,stderr\n" + "".join(
         f"{p.horizon:g},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
@@ -259,7 +246,7 @@ def _cmd_secure(args, command: list[str]) -> int:
     # the manifest goes next to the CSV, so a simulate manifest.json in the
     # same directory is left alone
     _write_artifacts(
-        csv_path.parent, {csv_path.name: text}, csv_path.name + ".manifest.json", seed, digest, command
+        csv_path.parent, {csv_path.name: text}, csv_path.name + ".manifest.json", args.seed, digest, command
     )
     return 0
 
@@ -340,14 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sec.add_argument("--curve", default="quadratic")
     sec.add_argument("--paths", type=int, default=1_000_000)
     sec.add_argument("--grid", default="10:10:990", help="T values start:step:stop")
-    sec.add_argument("--seed", type=int, default=None)
+    sec.add_argument("--seed", type=int, default=0)
     sec.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sec.add_argument(
-        "--honest-fixed",
-        action="store_true",
-        dest="honest_fixed",
-        help="hold the honest milestone rate fixed instead of the combined rate",
-    )
 
     dp = asub.add_parser("depth", help="discounted Nakamoto confirmation depth")
     dp.add_argument("--share", type=float, required=True)

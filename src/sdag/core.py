@@ -331,8 +331,6 @@ class Params:
             raise ValueError("difficulty d must be in (0, 1]")
         if not (0 < self.p <= 1):
             raise ValueError("milestone probability p must be in (0, 1]")
-        if not (0 < self.p * self.d <= self.d):
-            raise ValueError("need 0 < p*d <= d")
         if not (self.r_m > self.r_n >= 0):
             raise ValueError("need r_m > r_n >= 0")
         if not (0 <= self.delta <= 1):

@@ -237,12 +237,10 @@ class SimMetrics:
     milestones_created: int
     chain_height: int
     tps_effective: float
-    duplicate_tx_fraction: float
     duplicate_count: int
     normal_block_count: int
     queueing_latency: list[float]
     infection_latency: list[float]
-    milestone_fork_rate: float
     common_prefix_violations: int
     # reorgs over the honest nodes, and the most milestones one dropped: a
     # delivered milestone, with the orphans it releases, switches a node's
@@ -261,6 +259,7 @@ class SimMetrics:
         """Flat summary for one CSV row."""
         ql = self.queueing_latency
         il = self.infection_latency
+        normal, milestones = self.normal_block_count, self.milestones_created
         return {
             "seed": self.config.seed,
             "n": self.config.n,
@@ -269,10 +268,10 @@ class SimMetrics:
             "milestones_created": self.milestones_created,
             "chain_height": self.chain_height,
             "tps_effective": self.tps_effective,
-            "duplicate_tx_fraction": self.duplicate_tx_fraction,
+            "duplicate_tx_fraction": self.duplicate_count / normal if normal else 0.0,
             "queueing_latency_mean": sum(ql) / len(ql) if ql else "",
             "infection_latency_mean": sum(il) / len(il) if il else "",
-            "milestone_fork_rate": self.milestone_fork_rate,
+            "milestone_fork_rate": (milestones - self.chain_height) / milestones if milestones else 0.0,
             "common_prefix_violations": self.common_prefix_violations,
             "reorg_count": self.reorg_count,
             "max_reorg_depth": self.max_reorg_depth,
@@ -843,8 +842,6 @@ class Simulation:
         infection = measure_infection(
             ref.sdag, self.created_at, cutoff=cfg.horizon * 0.7, horizon=cfg.horizon
         )
-        chain_height = ref.sdag.height()
-        fork_rate = (milestones - chain_height) / milestones if milestones else 0.0
         occupancy = (
             sum(self.mempool_samples) / len(self.mempool_samples)
             if self.mempool_samples
@@ -854,14 +851,12 @@ class Simulation:
             config=cfg,
             blocks_created=len(self.created_at),
             milestones_created=milestones,
-            chain_height=chain_height,
+            chain_height=ref.sdag.height(),
             tps_effective=accepted_normal / cfg.horizon,
-            duplicate_tx_fraction=duplicates / normal_blocks if normal_blocks else 0.0,
             duplicate_count=duplicates,
             normal_block_count=normal_blocks,
             queueing_latency=queueing,
             infection_latency=infection,
-            milestone_fork_rate=fork_rate,
             common_prefix_violations=common_prefix_violations(
                 self.chains_at_horizon or [], cfg.finality_depth
             ),

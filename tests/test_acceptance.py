@@ -28,6 +28,7 @@ from dagtools import (
     reinsert_random_order,
 )
 from mc_oracles import infection_chain_mc, tag_sequence_mc
+from secure_dp import failure_dp_extrapolated
 from test_ledger import (
     A_ADDR,
     B_ADDR,
@@ -134,18 +135,33 @@ FAILURE_CURVE_POINTS = {
 }
 
 
-def test_criterion_6_failure_frequency_curves():
-    paths = 1_000_000
-    t0 = 2.0
-    curve = make_curve("quadratic", t0)
+# criterion 6's model: the combined milestone rate, t0, delay curve and paths
+CRITERION_6_MODEL = (0.1, 2.0, "quadratic")
+CRITERION_6_PATHS = 1_000_000
+
+
+@pytest.fixture(scope="module")
+def criterion_6_runs():
+    """Criterion 6's Monte Carlo, share -> its points; the DP check reads
+    the same run."""
+    pn_mu, t0, curve_name = CRITERION_6_MODEL
+    curve = make_curve(curve_name, t0)
+    runs = {}
+    for share, points in FAILURE_CURVE_POINTS.items():
+        honest, adversary = analysis.rates_for_share(share, pn_mu)
+        grid = [t for t, _ in points]
+        runs[share] = analysis.secure_latency_mc(
+            honest, adversary, t0, curve, grid, paths=CRITERION_6_PATHS, seed=6
+        )
+    return runs
+
+
+def test_criterion_6_failure_frequency_curves(criterion_6_runs):
+    paths = CRITERION_6_PATHS
     ok = True
     details = []
     for share, points in FAILURE_CURVE_POINTS.items():
-        honest, adversary = analysis.rates_for_share(share, 0.1)
-        grid = [t for t, _ in points]
-        res = analysis.secure_latency_mc(
-            honest, adversary, t0, curve, grid, paths=paths, seed=6
-        )
+        res = criterion_6_runs[share]
         for point, (t_len, target) in zip(res, points):
             # whichever is looser: 20% relative or 3 binomial sigma
             tol = max(0.2 * target, 3.0 * math.sqrt(target * (1.0 - target) / paths))
@@ -157,6 +173,23 @@ def test_criterion_6_failure_frequency_curves():
                 ok = False
                 details.append(f"non-monotone at T={b.horizon:.0f}")
     check("criterion 6 (failure-frequency curves)", ok, "; ".join(details))
+
+
+def test_criterion_6_counts_match_the_forward_dp(criterion_6_runs):
+    """Criterion 6's ten failure counts against the exact failure
+    probability of the same model (`tests/secure_dp.py`): each within 4
+    binomial sigma, a bound fixed before the comparison was run."""
+    pn_mu, t0, curve_name = CRITERION_6_MODEL
+    curve = make_curve(curve_name, t0)
+    far = []
+    for share, res in criterion_6_runs.items():
+        honest, adversary = analysis.rates_for_share(share, pn_mu)
+        exact = failure_dp_extrapolated(honest, adversary, t0, curve, [p.horizon for p in res])
+        for point, prob in zip(res, exact):
+            z = (point.frequency - prob) / math.sqrt(prob * (1.0 - prob) / point.paths)
+            if abs(z) > 4.0:
+                far.append(f"{share:.0%}/T={point.horizon:g}: {point.failures} of {point.paths}, DP {prob:.6g}, z {z:.2f}")
+    assert not far, "; ".join(far)
 
 
 DESK_SEEDS = (1, 2, 3, 4, 5)

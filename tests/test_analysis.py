@@ -136,8 +136,12 @@ def test_tag_sequence_mc_agrees_with_closed_form():
 def test_rates_for_share_conventions():
     h, a = rates_for_share(0.1, 0.1)
     assert h == pytest.approx(0.09) and a == pytest.approx(0.01)
-    h, a = rates_for_share(0.1, 0.1, honest_fixed=True)
-    assert h == pytest.approx(0.1) and a == pytest.approx(0.1 / 9)
+    # an honest rate held at P, the adversary adding share/(1-share) of it
+    for share in (0.1, 0.3, 0.49):
+        for honest_rate in (0.01, 0.1, 2.5):
+            assert rates_for_share(share, honest_rate / (1 - share)) == pytest.approx(
+                (honest_rate, share / (1 - share) * honest_rate), rel=1e-15
+            )
     with pytest.raises(ValueError):
         rates_for_share(1.0, 0.1)
 

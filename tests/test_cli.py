@@ -133,22 +133,24 @@ def test_simulate_reproducible(config_file, tmp_path):
     assert (out1 / "counters.json").read_bytes() == (out2 / "counters.json").read_bytes()
 
 
-def test_simulate_seed_flag_and_env(config_file, tmp_path, monkeypatch):
+def test_simulate_seed_flag_and_env(config_file, tmp_path, monkeypatch, capsys):
+    """`--seed` overrides the config seed; an `SDAG_SEED` in the
+    environment changes no artifact and no manifest seed."""
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(config_file), "--seed", "9", "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+    plain, env = tmp_path / "plain", tmp_path / "env"
+    secure = ["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "200"]
+    assert main(["simulate", "--config", str(config_file), "--out", str(plain)]) == 0
+    assert main(secure + ["--seed", "0"]) == 0
+    seed_0 = capsys.readouterr().out.splitlines()[-3:]
     monkeypatch.setenv("SDAG_SEED", "11")
-    out2 = tmp_path / "o2"
-    assert main(["simulate", "--config", str(config_file), "--out", str(out2)]) == 0
-    assert json.loads((out2 / "manifest.json").read_text())["seed"] == 11
-
-
-def test_simulate_bad_seed_env_exit_code(config_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SDAG_SEED", "abc")
-    out = tmp_path / "o"
-    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
-    assert "SDAG_SEED" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["simulate", "--config", str(config_file), "--out", str(env)]) == 0
+    assert main(secure) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == seed_0
+    assert json.loads((env / "manifest.json").read_text())["seed"] == 5
+    for name in set(SIMULATE_ARTIFACTS) - {"timings.json"}:
+        assert (env / name).read_bytes() == (plain / name).read_bytes()
 
 
 @pytest.mark.parametrize("strategy", ["private-milestone-fork", "peer-chain-fork:victim=1"])
@@ -427,6 +429,14 @@ def test_analyze_secure_unwritable_out_exit_code(tmp_path, capsys, target):
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_analyze_secure_honest_fixed_exits_2(capsys):
+    """The honest-fixed convention is `--pnmu P/(1-share)`, not a flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "10", "--honest-fixed"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "--honest-fixed" in capsys.readouterr().err
 
 
 def test_analyze_secure_bad_grid():

@@ -572,3 +572,109 @@ def test_public_definitions_are_reached():
     assert not orphans, f"public definitions only tests reach: {', '.join(orphans)}"
     stale = sorted(set(TEST_ONLY_DEFINITIONS) - set(unreached))
     assert not stale, f"exempt definitions that are gone or reached: {', '.join(stale)}"
+
+
+def environment_reads(tree: ast.Module) -> list[str]:
+    """Reads of the process environment: `os.environ` (and so
+    `os.environ.get`), `os.getenv`, and either name imported from `os`."""
+    found = [
+        f"from os import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+        if alias.name in ("environ", "getenv")
+    ]
+    found += [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    ]
+    return found
+
+
+def test_environment_reads_flagged():
+    tree = ast.parse(
+        "import os\nfrom os import getenv\nos.environ.get('A')\nos.getenv('B')\nos.environ['C']\n"
+        "os.cpu_count()\nconfig.environ\n"
+    )
+    assert len(environment_reads(tree)) == 4
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Each input has one way in: a flag or a config key.  A value read from
+    the environment as well is a second way to set it, which no manifest
+    records."""
+    found = environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} reads the environment: {'; '.join(found)}"
+
+
+def parser_dests(tree: ast.Module, builder: str) -> set[str]:
+    """The dest of each `add_argument` call inside the function `builder`:
+    its `dest=` keyword, else its first long option (or its first name)
+    without dashes, `-` read as `_`.  A `version` or `help` action stores
+    nothing."""
+    dests = set()
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name == builder):
+            continue
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            action = keywords.get("action")
+            if isinstance(action, ast.Constant) and action.value in ("version", "help"):
+                continue
+            if isinstance(keywords.get("dest"), ast.Constant):
+                dests.add(keywords["dest"].value)
+                continue
+            names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+            name = next((n for n in names if n.startswith("--")), names[0])
+            dests.add(name.lstrip("-").replace("-", "_"))
+    return dests
+
+
+def args_reads(tree: ast.Module) -> set[str]:
+    """Attributes read on a name `args`; `vars(args)` reads none."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_unread_dests_flagged():
+    tree = ast.parse(
+        "def build_parser():\n"
+        "    p.add_argument('--version', action='version', version='1')\n"
+        "    p.add_argument('--seed', type=int)\n"
+        "    p.add_argument('-q', '--honest-fixed', action='store_true')\n"
+        "    p.add_argument('--x', dest='why')\n"
+        "    p.add_argument('path')\n"
+        "def other():\n"
+        "    p.add_argument('--elsewhere')\n"
+        "def run(args):\n"
+        "    args.seed\n"
+        "    args.path = 1\n"
+        "    digest(vars(args))\n"
+    )
+    assert parser_dests(tree, "build_parser") == {"seed", "honest_fixed", "why", "path"}
+    assert parser_dests(tree, "build_parser") - args_reads(tree) == {"honest_fixed", "why", "path"}
+
+
+def test_every_flag_is_read():
+    """Every option the parser accepts is read as `args.<dest>` in `cli.py`:
+    one that nothing reads is accepted and ignored.  Hashing `vars(args)`
+    into a digest is not a read."""
+    path = Path(sdag.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dests = parser_dests(tree, "build_parser")
+    assert {"config", "seed", "pnmu", "out"} <= dests
+    unread = sorted(dests - args_reads(tree))
+    assert not unread, f"options never read: {', '.join(unread)}"
