@@ -2,7 +2,9 @@
 
 Each test evaluates one numbered criterion at its stated tolerance and
 records a single pass/fail line; the conftest prints all lines in the
-terminal summary.  Criteria 7 and 8 take a few minutes each.
+terminal summary.  Criterion 6's million-path run and criterion 7's five
+desk runs are module fixtures of 10-20 s each; every other test takes a
+few seconds at most.
 """
 
 import dataclasses
