@@ -202,6 +202,9 @@ def cmd_analyze(args, command: list[str]) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
+    """start, start + step, ... up to stop, each T kept to the 12 digits it
+    prints with, so float error neither adds a point past stop nor moves
+    one; points that do not all differ in [start, stop] are refused."""
     try:
         start, step, stop = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -210,15 +213,16 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError("grid start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
-    grid = []
-    t = start
-    while t <= stop + 1e-9:
-        # also ends a grid whose step is too small to move t
+    grid: list[float] = []
+    while True:
+        t = float(_fmt(start + len(grid) * step))
+        if t > stop and grid:
+            return grid
         if len(grid) == MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-        grid.append(round(t, 9))
-        t += step
-    return grid
+        if not start <= t <= stop or (grid and t <= grid[-1]):
+            raise ValueError("grid points must differ, and lie in [start, stop], at 12 significant digits")
+        grid.append(t)
 
 
 def _cmd_secure(args, command: list[str]) -> int:
@@ -235,7 +239,7 @@ def _cmd_secure(args, command: list[str]) -> int:
         honest, adv_rate, args.t0, curve, grid, paths=args.paths, seed=args.seed
     )
     text = "T,failures,paths,frequency,stderr\n" + "".join(
-        f"{p.horizon:g},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
+        f"{_fmt(p.horizon)},{p.failures},{p.paths},{_fmt(p.frequency)},{_fmt(p.stderr)}\n"
         for p in points
     )
     if csv_path is None:

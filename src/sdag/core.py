@@ -31,7 +31,8 @@ class EncodingError(ValueError):
 
 
 class MiningExhausted(Exception):
-    """Mining gave up after the attempt budget; caller should refresh the template."""
+    """Mining gave up after the attempt budget; nothing retries it (at
+    the simulator's d = 1 the first nonce is valid)."""
 
     def __init__(self, attempts: int):
         super().__init__(f"no valid nonce found in {attempts} attempts")

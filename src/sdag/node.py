@@ -10,8 +10,9 @@ are resolved when the DAG is folded into a ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
 of another peer; pick the best workable normal transaction from the
-mempool; mine; publish.  Whether that transaction is valid is again left to
-the fold, which pays a block with an invalid one without its fee.
+mempool; mine once (no retry: `MiningExhausted` reaches the caller);
+publish.  Whether that transaction is valid is again left to the fold,
+which pays a block with an invalid one without its fee.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     GENESIS_ID,
     Block,
-    MiningExhausted,
     Params,
     Transaction,
     TxKind,
@@ -228,34 +228,29 @@ class NodeState:
         return Transaction(TxKind.EMPTY)
 
     def create_block(self) -> Block:
-        """Build, mine, and locally adopt a new block; caller broadcasts it."""
-        for _ in range(8):
-            tips = sorted(self.sdag.tip_set(self.identity))
-            idt = self.rng.choice(tips) if tips else GENESIS_ID
-            template = Block(
-                idp=self.my_head,
-                idm=self.sdag.chain_tip(),
-                idt=idt,
-                peer=self.identity,
-                pow=0,
-                mes=self._pick_tx(),
-            )
-            try:
-                result = mine(
-                    template,
-                    self.params,
-                    DEFAULT_MINE_BUDGET,
-                    start_nonce=self.rng.getrandbits(64),
-                )
-            except MiningExhausted as exc:
-                self.mining_attempts += exc.attempts
-                continue
-            self.mining_attempts += result.attempts
-            block = result.block
-            violation = self.sdag.insert(block)
-            assert violation is None, f"self-created block invalid: {violation}"
-            self.my_head = block_id(block)
-            if block.mes.kind is not TxKind.EMPTY:
-                self.mempool.remove_tx(block.mes.txid())
-            return block
-        raise MiningExhausted(DEFAULT_MINE_BUDGET * 8)
+        """Build, mine once, and locally adopt a new block; caller broadcasts
+        it.  `MiningExhausted` leaves the head, pool and DAG as they were."""
+        tips = sorted(self.sdag.tip_set(self.identity))
+        idt = self.rng.choice(tips) if tips else GENESIS_ID
+        template = Block(
+            idp=self.my_head,
+            idm=self.sdag.chain_tip(),
+            idt=idt,
+            peer=self.identity,
+            pow=0,
+            mes=self._pick_tx(),
+        )
+        result = mine(
+            template,
+            self.params,
+            DEFAULT_MINE_BUDGET,
+            start_nonce=self.rng.getrandbits(64),
+        )
+        self.mining_attempts += result.attempts
+        block = result.block
+        violation = self.sdag.insert(block)
+        assert violation is None, f"self-created block invalid: {violation}"
+        self.my_head = block_id(block)
+        if block.mes.kind is not TxKind.EMPTY:
+            self.mempool.remove_tx(block.mes.txid())
+        return block

@@ -227,6 +227,8 @@ class SimConfig:
         if isinstance(self.adversary_strategy, PeerChainFork):
             if not 0 <= self.adversary_strategy.victim < self.n:
                 raise ValueError("victim index out of range")
+            if self.p == 1:
+                raise ValueError("peer-chain-fork needs p < 1: at p = 1 no block is regular")
         make_curve(self.delay_curve, self.t0)  # raises on bad curve spec
 
 
@@ -439,7 +441,7 @@ class Simulation:
         self.seq = 0
         self.created_at: dict[bytes, float] = {}
         self.mempool_samples: list[float] = []
-        self.chains_at_horizon: Optional[list[list[bytes]]] = None
+        self.chains_at_horizon: list[list[bytes]] = []
         # events handled, by rank; deliveries are counted as their
         # store-time vectors are made
         self.events = [0] * len(_RANK_NAMES)
@@ -469,8 +471,11 @@ class Simulation:
     # -- plumbing --------------------------------------------------------
 
     def _push(self, time: float, rank: int, actor: int) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time, rank, actor, self.seq))
+        """Queue an event unless it falls past the horizon, the one place
+        that bounds the traffic; callers draw its time either way."""
+        if time <= self.cfg.horizon:
+            self.seq += 1
+            heapq.heappush(self.heap, (time, rank, actor, self.seq))
 
     def _broadcast(self, block: Block, t: float, skip: int) -> None:
         """Send `block`, made at `t` by receiver `skip` (`n` for the
@@ -681,9 +686,7 @@ class Simulation:
             # it in when they catch up
             entry = PoolEntry(tx, t, TX_FEE)
             self.tx_log.append((tx.txid(), entry))
-        nxt = t + self.master.expovariate(self.cfg.lam)
-        if nxt <= self.cfg.horizon:
-            self._push(nxt, _RANK_TX, 0)
+        self._push(t + self.master.expovariate(self.cfg.lam), _RANK_TX, 0)
 
     def _record_block(self, block: Block, t: float) -> bytes:
         bid = block_id(block)
@@ -714,7 +717,7 @@ class Simulation:
             self._push(self.master.expovariate(cfg.lam), _RANK_TX, 0)
         sample_step = cfg.horizon / MEMPOOL_SAMPLES
         for k in range(1, MEMPOOL_SAMPLES + 1):
-            self._push(k * sample_step, _RANK_SAMPLE, 0)
+            self._push(min(k * sample_step, cfg.horizon), _RANK_SAMPLE, 0)
 
         heap = self.heap
         pop = heapq.heappop
@@ -722,9 +725,6 @@ class Simulation:
         while heap:
             t, rank, actor, _seq = pop(heap)
             events[rank] += 1
-            if self.chains_at_horizon is None and t > cfg.horizon:
-                # the last mempool sample may fall just past the horizon
-                self._snapshot_horizon()
             if rank == _RANK_TX:
                 self._handle_tx(t)
             elif rank == _RANK_MINE:
@@ -732,9 +732,8 @@ class Simulation:
                     self._handle_adv_mine(t)
                 else:
                     self._handle_mine(actor, t)
-                nxt = t + self.master.expovariate(self.adv_rate if actor == cfg.n else self.honest_rate)
-                if nxt <= cfg.horizon:
-                    self._push(nxt, _RANK_MINE, actor)
+                rate = self.adv_rate if actor == cfg.n else self.honest_rate
+                self._push(t + self.master.expovariate(rate), _RANK_MINE, actor)
             elif rank == _RANK_SAMPLE:
                 # the mempool fill time constant is long; sample only the
                 # final quarter so transients do not drag the mean down
@@ -742,8 +741,7 @@ class Simulation:
                     self._catch_up(0, t)
                     self.mempool_samples.append(float(len(self.nodes[0].mempool)))
         looped = clock()
-        if self.chains_at_horizon is None:
-            self._snapshot_horizon()
+        self._snapshot_horizon()
         for j in range(len(self.receivers)):
             self._catch_up(j, math.inf)
         self._fold_orphans(math.inf)
@@ -765,8 +763,7 @@ class Simulation:
         return metrics
 
     def _snapshot_horizon(self) -> None:
-        """Every honest chain with exactly the stores at or before the
-        horizon, whether or not an event follows it."""
+        """Every honest chain with exactly the stores at or before the horizon."""
         for j in range(self.cfg.n):
             self._catch_up(j, self.cfg.horizon)
         self.chains_at_horizon = [n.sdag.main_chain for n in self.nodes]
@@ -858,7 +855,7 @@ class Simulation:
             queueing_latency=queueing,
             infection_latency=infection,
             common_prefix_violations=common_prefix_violations(
-                self.chains_at_horizon or [], cfg.finality_depth
+                self.chains_at_horizon, cfg.finality_depth
             ),
             reorg_count=self.reorg_count(),
             max_reorg_depth=max(node.max_reorg_depth for node in self.nodes),

@@ -165,6 +165,26 @@ def test_simulate_rejects_strategy_without_share(tmp_path, capsys, strategy):
     assert not (out / "metrics.csv").exists()
 
 
+def refuse_run(self):
+    raise AssertionError("the simulation ran although its input or output is refused")
+
+
+def test_simulate_refuses_peer_chain_fork_at_p_1(tmp_path, capsys, monkeypatch):
+    """At p = 1 every block is a milestone, so the regular block that
+    peer-chain-fork forges cannot exist: the run once ground 2**20 nonces
+    for one and died with a MiningExhausted traceback.  It is refused
+    before the run."""
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith("p =")]
+    path = tmp_path / "sim.ini"
+    adversary = ["p = 1", "adversary_share = 0.3", "adversary_strategy = peer-chain-fork"]
+    path.write_text("\n".join(lines + adversary) + "\n")
+    monkeypatch.setattr(Simulation, "run", refuse_run)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: peer-chain-fork needs p < 1")
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -448,9 +468,8 @@ def test_analyze_secure_bad_grid():
     "grid", ["10:10:inf", "10:1e-20:20", "nan:1:5", "10:nan:20", "1:1:10001", "1e20:1:2e20"]
 )
 def test_analyze_secure_rejects_unbounded_grids(capsys, grid):
-    """Non-finite bounds and grids of more than 10,000 points, including a
-    step too small to move T, exit 2 instead of looping or printing an
-    empty curve."""
+    """Non-finite bounds, grids of more than 10,000 points and a step too
+    small to move T exit 2 instead of looping or printing an empty curve."""
     rc = main(["analyze", "secure", "--share", "0.1", "--grid", grid, "--paths", "10"])
     assert rc == EXIT_BAD_INPUT
     captured = capsys.readouterr()
@@ -463,6 +482,35 @@ def test_grid_points_unchanged():
     assert _parse_grid("0.1:0.1:0.5") == [0.1, 0.2, 0.3, 0.4, 0.5]
     assert _parse_grid("5:1:5") == [5.0]
     assert _parse_grid("1:1:10000") == [float(k) for k in range(1, 10001)]
+
+
+def secure_t_column(capsys, grid, *flags):
+    """The exit code and the printed T values of a small `analyze secure`
+    run on `grid`."""
+    code = main(["analyze", "secure", "--share", "0.1", "--grid", grid, "--paths", "10", *flags])
+    out, err = capsys.readouterr()
+    return code, [line.split(",")[0] for line in out.splitlines()[1:]], err
+
+
+def test_grid_points_that_cannot_be_told_apart_exit_2(capsys):
+    """A step far below T's 12 printed digits once printed 1005 rows, every
+    one reading T=10."""
+    code, printed, err = secure_t_column(capsys, "10:1e-12:10.000000000005")
+    assert (code, printed) == (EXIT_BAD_INPUT, [])
+    assert err.startswith("error: grid points must differ")
+
+
+def test_grid_ends_at_stop():
+    """An absolute slack of 1e-9 on stop once added 2e-09 to this grid."""
+    assert _parse_grid("1e-9:1e-9:1e-9") == [1e-9]
+
+
+def test_grid_of_small_steps_keeps_its_points(capsys):
+    """Rounding to 9 decimals once made this grid 15 points, four of them 0,
+    which the 2*t0 check then refused."""
+    assert _parse_grid("1e-10:1e-10:5e-10") == [1e-10, 2e-10, 3e-10, 4e-10, 5e-10]
+    code, printed, _err = secure_t_column(capsys, "1e-10:1e-10:5e-10", "--t0", "1e-11")
+    assert (code, printed) == (0, ["1e-10", "2e-10", "3e-10", "4e-10", "5e-10"])
 
 
 @pytest.mark.parametrize(
@@ -558,11 +606,7 @@ def test_simulate_artifact_that_is_a_directory_exit_code(config_file, tmp_path, 
     traceback; now the target is checked before the simulation starts."""
     out = tmp_path / "out"
     (out / "metrics.csv").mkdir(parents=True)
-
-    def refuse(self):
-        raise AssertionError("the simulation ran although its output cannot be written")
-
-    monkeypatch.setattr(Simulation, "run", refuse)
+    monkeypatch.setattr(Simulation, "run", refuse_run)
     assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert list(out.iterdir()) == [out / "metrics.csv"]

@@ -289,6 +289,68 @@ def test_simnet_has_one_receive_path():
     assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
 
 
+# calls that put an item on a heap, and the functions outside
+# `Simulation._push` that may make them, each with the heap it keeps
+HEAP_PUSHES = {"heappush", "heappushpop", "heapreplace"}
+QUEUE = "simnet.Simulation._push"
+OTHER_HEAPS = {"simnet._PrivateForkRun.milestone_stored": "milestone first-store times, not events"}
+
+
+def heap_pushes(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each use of a `HEAP_PUSHES` function, called or not (an alias pushes
+    too), and each import of one from `heapq`, with the dotted name of the
+    definitions around it ('' at module level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Attribute) and node.attr in HEAP_PUSHES:
+            found.append((scope, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id in HEAP_PUSHES:
+            found.append((scope, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
+            found.extend((scope, f"from heapq import {a.name}") for a in node.names if a.name in HEAP_PUSHES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_heap_pushes_flagged():
+    tree = ast.parse(
+        "import heapq\nfrom heapq import heappush as hp, heappop\n"
+        "class Simulation:\n    def _push(self, e):\n        heapq.heappush(self.heap, e)\n"
+        "    def run(self):\n        push = heapq.heappush\n        heapq.heapreplace(self.heap, 1)\n"
+        "        heapq.heappop(self.heap)\n"
+        "def f(heap):\n    heappushpop(heap, 1)\n"
+    )
+    assert heap_pushes(tree) == [
+        ("", "from heapq import heappush"),
+        ("Simulation._push", "heapq.heappush"),
+        ("Simulation.run", "heapq.heappush"),
+        ("Simulation.run", "heapq.heapreplace"),
+        ("f", "heappushpop"),
+    ]
+
+
+def test_only_push_queues_events():
+    """`Simulation._push` drops every event past the horizon, so it is the
+    one place the horizon bounds the traffic only if no other code queues
+    an event: nothing else in the package pushes onto a heap, bar the
+    exempt functions, whose heaps hold no events."""
+    found = [
+        (f"{path.stem}.{scope}", what)
+        for path in MODULES
+        for scope, what in heap_pushes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    stray = sorted(f"{scope}: {what}" for scope, what in found if scope != QUEUE and scope not in OTHER_HEAPS)
+    assert not stray, f"heap pushes outside {QUEUE}: {'; '.join(stray)}"
+    stale = sorted({QUEUE, *OTHER_HEAPS} - {scope for scope, _what in found})
+    assert not stale, f"push sites that no longer push: {', '.join(stale)}"
+
+
 # calls that switch the cyclic collector off or on, retune it or move
 # objects between its generations
 GC_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}

@@ -10,6 +10,7 @@ from sdag.core import (
     GENESIS_ID,
     Block,
     BlockClass,
+    MiningExhausted,
     Params,
     Transaction,
     TxInput,
@@ -93,6 +94,31 @@ def test_spent_tx_not_repicked():
     node.on_tx(pending(conflict))
     # the miner carries it unjudged: the fold rejects the later spend
     assert node.create_block().mes == conflict
+
+
+def test_create_block_mines_once_and_keeps_its_state_when_exhausted(monkeypatch):
+    """One template, one nonce budget: a budget that runs out reaches the
+    caller as `MiningExhausted` (once retried on eight templates), and the
+    node's head, pool and DAG stay as they were."""
+    node = make_node(b"exhausted")
+    node.create_block()  # registration, at d = 1
+    node.on_tx(pending(user_tx(0)))
+    # a workable transaction at a difficulty no 16 nonces meet
+    node.params = Params(d=Fraction(1, 2**64), p=PARAMS.p, c=PARAMS.c, r_n=1, r_m=2)
+    monkeypatch.setattr(node_module, "DEFAULT_MINE_BUDGET", 16)
+    templates = []
+    mine = node_module.mine
+
+    def counted(template, *args, **kwargs):
+        templates.append(template)
+        return mine(template, *args, **kwargs)
+
+    monkeypatch.setattr(node_module, "mine", counted)
+    state = (node.my_head, dict(node.mempool.entries), dict(node.sdag.blocks), node.mining_attempts)
+    with pytest.raises(MiningExhausted) as exc:
+        node.create_block()
+    assert exc.value.attempts == 16 and [t.mes for t in templates] == [user_tx(0)]
+    assert (node.my_head, node.mempool.entries, node.sdag.blocks, node.mining_attempts) == state
 
 
 COMPAT_SECRET = sha256(b"compat")

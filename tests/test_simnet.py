@@ -588,6 +588,19 @@ def test_zero_traffic_mines_empty_blocks():
     assert m.duplicate_count == 0
 
 
+def test_no_traffic_past_the_horizon():
+    """The first mining event of each miner and the first transaction were
+    handled even past the horizon: at these seeds 12 of the 15 blocks made
+    came after the 5 s horizon, the earliest at 8.4 s.  Every event, the
+    first ones included, now ends at the horizon."""
+    for seed in range(5):
+        sim = Simulation(SimConfig(n=3, mu=0.02, lam=0.1, horizon=5.0, seed=seed))
+        m = sim.run()
+        assert all(t <= 5.0 for t in sim.created_at.values())
+        assert all(entry.arrived <= 5.0 for _txid, entry in sim.tx_log)
+        assert m.counters["events"]["mine"] == m.blocks_created == len(sim.created_at)
+
+
 def test_long_own_chain_resolves_without_recursion():
     # each miner's own chain grows past the interpreter's recursion limit,
     # which peer-chain resolution once walked recursively
