@@ -79,7 +79,6 @@ class DemoDag:
     params: Params
     ids: dict[str, bytes]
     names: dict[bytes, str]
-    secrets: dict[int, bytes]
     peers: dict[int, bytes]
 
     def name_of(self, bid: bytes) -> str:
@@ -89,9 +88,8 @@ class DemoDag:
 def build_demo() -> DemoDag:
     """Build the example DAG, inserting the blocks in `TABLE` order."""
     sdag = SDag(DEMO_PARAMS)
-    secrets = {m: sha256(b"demo-miner-" + bytes([m])) for m in MINERS}
     peers = {
-        m: DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(secrets[m]))
+        m: DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(sha256(b"demo-miner-" + bytes([m]))))
         for m in MINERS
     }
     ids: dict[str, bytes] = {"O": GENESIS_ID}
@@ -111,4 +109,4 @@ def build_demo() -> DemoDag:
         bid = block_id(result.block)
         ids[name] = bid
         names[bid] = name
-    return DemoDag(sdag, DEMO_PARAMS, ids, names, secrets, peers)
+    return DemoDag(sdag, DEMO_PARAMS, ids, names, peers)

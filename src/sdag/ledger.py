@@ -54,9 +54,6 @@ class RewardRecord(NamedTuple):
     block_id: bytes
     kind: BlockKind
     status: ChainStatus
-    validity: TxValidity
-    fee: int
-    level_index: int
     amount: int
 
 
@@ -81,7 +78,6 @@ class PeerChainView:
     position 0 and every redemption, validly signed or not) to its `Claim`,
     in chain order."""
 
-    miner: bytes
     blocks: list[bytes]
     registered: bool
     current_address: Optional[bytes]
@@ -235,7 +231,7 @@ def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
         if best is None or key > best_key or (key == best_key and bid < best):
             best, best_key = bid, key
     if best is None:
-        return PeerChainView(miner, [], False, None, set(), {}, {})
+        return PeerChainView([], False, None, set(), {}, {})
 
     blocks = []
     cur = best
@@ -258,7 +254,7 @@ def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
         before = walk
     registered, _, _, _, address = walks[best]
     forked = set(walks).difference(position)
-    return PeerChainView(miner, blocks, registered, address, forked, position, claims_at)
+    return PeerChainView(blocks, registered, address, forked, position, claims_at)
 
 
 # -- ledger construction -------------------------------------------------
@@ -443,9 +439,7 @@ def build_from_dag(
                 ChainStatus.ON_PEER_CHAIN if ob.block_id in view.position else ChainStatus.FORKED
             )
             amount = block_reward(kind, status, validity, fee, lev_sizes[ob.level_index], params)
-            rewards[ob.block_id] = RewardRecord(
-                ob.block_id, kind, status, validity, fee, ob.level_index, amount
-            )
+            rewards[ob.block_id] = RewardRecord(ob.block_id, kind, status, amount)
     return LedgerBuild(ledger, rewards, views, final_levels)
 
 

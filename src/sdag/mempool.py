@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
@@ -22,47 +21,23 @@ from .dag import SDag
 DEFAULT_POWER_WINDOW = 100
 
 
-@dataclass(frozen=True, slots=True)
-class PoolEntry:
-    """A pending transaction, its arrival time and its fee.  Immutable, so
-    one entry can sit in many pools at once."""
-
-    tx: Transaction
-    arrived: float
-    fee: int
-
-
 # the largest 32-byte digest: every digest is at or below it
 _TOP_DIGEST = b"\xff" * HASH_BYTES
 
 
 class Mempool:
     def __init__(self):
-        self.entries: dict[bytes, PoolEntry] = {}
+        # txid -> the pending transaction; a transaction is immutable, so
+        # one object can sit in many pools at once
+        self.entries: dict[bytes, Transaction] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, txid: bytes) -> bool:
-        return txid in self.entries
-
-    def add(self, entry: PoolEntry) -> bool:
-        """Add an entry, which may be shared with other pools; duplicate
-        adds are no-ops.  Returns True if the pool changed."""
-        txid = entry.tx.txid()
-        if txid in self.entries:
-            return False
-        self.entries[txid] = entry
-        return True
-
-    def add_all(self, pairs: Iterable[tuple[bytes, PoolEntry]]) -> None:
-        """Add (txid, entry) pairs of transactions new to the pool, in one
-        update; entries may be shared with other pools."""
+    def add_all(self, pairs: Iterable[tuple[bytes, Transaction]]) -> None:
+        """Add (txid, transaction) pairs in one update; a txid already
+        pooled keeps its place."""
         self.entries.update(pairs)
-
-    def remove_tx(self, txid: bytes) -> Optional[PoolEntry]:
-        """Remove by id; idempotent."""
-        return self.entries.pop(txid, None)
 
     def remove_all(self, txids: Iterable[bytes]) -> None:
         """Remove each id that is in the pool."""
@@ -71,9 +46,8 @@ class Mempool:
             pop(txid, None)
 
     def workable(self, head_id: bytes, cq: Fraction) -> list[bytes]:
-        """Transaction ids with distance <= c*q to the given head, ordered
-        by fee descending, then by distance to the head.  The distance
-        tie-break is head-specific, so equal-fee miners spread over
+        """Transaction ids with distance <= c*q to the given head, nearest
+        first.  The order is head-specific, so miners spread over
         different transactions instead of all racing for the same one.
         Empty list means the miner mines an empty block."""
         if cq <= 0:
@@ -90,12 +64,12 @@ class Mempool:
             limit = ((cq.numerator << SCALE_BITS) // cq.denominator).to_bytes(HASH_BYTES, "big")
         sha = hashlib.sha256
         hits = []
-        for txid, entry in self.entries.items():
-            digest = sha(head_id + encode_tx(entry.tx)).digest()
+        for txid, tx in self.entries.items():
+            digest = sha(head_id + encode_tx(tx)).digest()
             if digest <= limit:
-                hits.append((-entry.fee, digest, txid))
+                hits.append((digest, txid))
         hits.sort()
-        return [txid for _, _, txid in hits]
+        return [txid for _, txid in hits]
 
 
 def power_counts(sdag: SDag, window: int = DEFAULT_POWER_WINDOW) -> tuple[dict[bytes, int], int]:

@@ -9,10 +9,11 @@ Transaction semantics are deliberately NOT checked on receive; conflicts
 are resolved when the DAG is folded into a ledger.
 
 Creating: reference the chain tip, the miner's own head, and a random tip
-of another peer; pick the best workable normal transaction from the
-mempool; mine once (no retry: `MiningExhausted` reaches the caller);
-publish.  Whether that transaction is valid is again left to the fold,
-which pays a block with an invalid one without its fee.
+of another peer; pick the workable normal transaction nearest the
+miner's head from the mempool; mine once (no retry: `MiningExhausted`
+reaches the caller); publish.  Whether that transaction is valid is
+again left to the fold, which pays a block with an invalid one without
+its fee.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     mine,
 )
 from .dag import DagFacts, SDag
-from .mempool import Mempool, PoolEntry, power_counts, power_share
+from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME
 
 # the most orphans one node buffers before it evicts the oldest; the
@@ -125,7 +126,7 @@ class NodeState:
             self.rejected_blocks += 1
             return False
         if block.mes.kind is not TxKind.EMPTY:
-            self.mempool.remove_tx(block.mes.txid())
+            self.mempool.remove_all((block.mes.txid(),))
         return True
 
     def _drain_orphans(self, arrived: bytes) -> None:
@@ -157,7 +158,7 @@ class NodeState:
 
     def catch_up(
         self,
-        entries: Iterable[tuple[bytes, PoolEntry]],
+        entries: Iterable[tuple[bytes, Transaction]],
         bids: Sequence[bytes],
         parents: Sequence[Iterable[bytes]],
         serials: Iterable[int],
@@ -166,15 +167,15 @@ class NodeState:
     ) -> None:
         """Take in bulk what `on_tx` and `on_receive_block` would have taken
         one at a time since the node last acted.  The pool ends as if it
-        took the arrived (txid, entry) pairs and then lost the transactions
-        of the stored blocks (`txids`).  The stored blocks are held (`bids`,
-        their store `serials` and their `parents`, as `SDag.hold` takes
-        them), then the milestones among them switch the main chain in
-        store order.  `cascades` lists those milestones by the delivery
-        that stored them, with the orphans it completed, each list with
-        whether the delivered block was a milestone: only such a delivery
-        counts a reorg, when it switched the chain away from one of its
-        milestones (`SimMetrics.reorg_count`)."""
+        took the arrived (txid, transaction) pairs and then lost the
+        transactions of the stored blocks (`txids`).  The stored blocks are
+        held (`bids`, their store `serials` and their `parents`, as
+        `SDag.hold` takes them), then the milestones among them switch the
+        main chain in store order.  `cascades` lists those milestones by
+        the delivery that stored them, with the orphans it completed, each
+        list with whether the delivered block was a milestone: only such a
+        delivery counts a reorg, when it switched the chain away from one
+        of its milestones (`SimMetrics.reorg_count`)."""
         # (pool | arrived) - carried, without growing the pool's table by
         # every arrival first: a dict never shrinks its table
         carried = set(txids)
@@ -189,10 +190,9 @@ class NodeState:
             if delivered_milestone:
                 self._count_reorg(old)
 
-    def on_tx(self, entry: PoolEntry) -> None:
-        """Add a pending transaction; the entry may be shared with other
-        nodes."""
-        self.mempool.add(entry)
+    def on_tx(self, tx: Transaction) -> None:
+        """Add a pending transaction; it may be shared with other nodes."""
+        self.mempool.add_all(((tx.txid(), tx),))
 
     # -- create path -----------------------------------------------------
 
@@ -222,7 +222,7 @@ class NodeState:
             return Transaction(TxKind.REGISTRATION, next_address=self.identity)
         cq = self.params.c * self._estimated_q()
         for txid in self.mempool.workable(self.my_head, cq):
-            tx = self.mempool.entries[txid].tx
+            tx = self.mempool.entries[txid]
             if self.tx_compatible(tx):
                 return tx
         return Transaction(TxKind.EMPTY)
@@ -252,5 +252,5 @@ class NodeState:
         assert violation is None, f"self-created block invalid: {violation}"
         self.my_head = block_id(block)
         if block.mes.kind is not TxKind.EMPTY:
-            self.mempool.remove_tx(block.mes.txid())
+            self.mempool.remove_all((block.mes.txid(),))
         return block

@@ -60,7 +60,6 @@ from .core import (
 from .curves import make_curve
 from .dag import DagFacts
 from .ledger import LedgerBuild, build_from_dag, resolve_peer_chain
-from .mempool import PoolEntry
 from . import node as node_module
 from .node import DEFAULT_MINE_BUDGET, NodeState, drain
 from .sigs import DEFAULT_SCHEME
@@ -73,9 +72,8 @@ _RANK_SAMPLE = 3
 _RANK_NAMES = ("tx", "deliver", "mine", "sample")
 
 MEMPOOL_SAMPLES = 100
-# every user transaction spends one genesis output of 2 and pays this fee: a
-# fee that is the same for every transaction never changes the workable
-# order, only the reward amounts
+# every user transaction spends one genesis output of 2 and pays this fee,
+# which moves only the reward amounts: the workable order reads no fee
 TX_FEE = 1
 
 # the most store-time rows kept before the receivers that hold back the
@@ -227,8 +225,13 @@ class SimConfig:
         if isinstance(self.adversary_strategy, PeerChainFork):
             if not 0 <= self.adversary_strategy.victim < self.n:
                 raise ValueError("victim index out of range")
-            if self.p == 1:
-                raise ValueError("peer-chain-fork needs p < 1: at p = 1 no block is regular")
+            # a forged block finds no regular hash in its mining budget with
+            # probability p**budget <= e**(-(1 - p) * budget): keep it below e**-64
+            if (1 - self.p) * DEFAULT_MINE_BUDGET < 64:
+                raise ValueError(
+                    f"peer-chain-fork needs p < 1 by at least 64/{DEFAULT_MINE_BUDGET}, "
+                    "or a forged block may find no regular hash in its mining budget"
+                )
         make_curve(self.delay_curve, self.t0)  # raises on bad curve spec
 
 
@@ -451,7 +454,8 @@ class Simulation:
         # broadcasts, and per receiver how far it has taken both in
         self.receivers = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
         width = len(self.receivers)
-        self.tx_log: list[tuple[bytes, PoolEntry]] = []
+        self.tx_log: list[tuple[bytes, Transaction]] = []
+        self.tx_arrival: dict[bytes, float] = {}  # for the queueing latencies
         self.tx_seen = [0] * width
         self.times = StoreTimes(width)
         self.first_row = [0] * width  # oldest row each receiver may not hold
@@ -682,10 +686,11 @@ class Simulation:
     def _handle_tx(self, t: float) -> None:
         if len(self.tx_log) < len(self.genesis_outputs):
             tx = self._make_tx(len(self.tx_log))
-            # one immutable entry, shared by every pool; the receivers take
-            # it in when they catch up
-            entry = PoolEntry(tx, t, TX_FEE)
-            self.tx_log.append((tx.txid(), entry))
+            # one immutable transaction, shared by every pool; the receivers
+            # take it in when they catch up
+            txid = tx.txid()
+            self.tx_log.append((txid, tx))
+            self.tx_arrival[txid] = t
         self._push(t + self.master.expovariate(self.cfg.lam), _RANK_TX, 0)
 
     def _record_block(self, block: Block, t: float) -> bytes:
@@ -834,8 +839,7 @@ class Simulation:
             if tx.kind is TxKind.NORMAL:
                 included.setdefault(tx.txid(), t)
         # every normal transaction comes from the log
-        entries = dict(self.tx_log)
-        queueing = [t - entries[txid].arrived for txid, t in sorted(included.items())]
+        queueing = [t - self.tx_arrival[txid] for txid, t in sorted(included.items())]
         infection = measure_infection(
             ref.sdag, self.created_at, cutoff=cfg.horizon * 0.7, horizon=cfg.horizon
         )

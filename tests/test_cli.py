@@ -172,17 +172,19 @@ def refuse_run(self):
 def test_simulate_refuses_peer_chain_fork_at_p_1(tmp_path, capsys, monkeypatch):
     """At p = 1 every block is a milestone, so the regular block that
     peer-chain-fork forges cannot exist: the run once ground 2**20 nonces
-    for one and died with a MiningExhausted traceback.  It is refused
-    before the run."""
+    for one and died with a MiningExhausted traceback.  Just below 1 it
+    still died so (n=3, mu=0.1, share 0.3, 60 s at p = 0.9999999).  Both
+    are refused before the run."""
     lines = [line for line in SMALL_INI.splitlines() if not line.startswith("p =")]
-    path = tmp_path / "sim.ini"
-    adversary = ["p = 1", "adversary_share = 0.3", "adversary_strategy = peer-chain-fork"]
-    path.write_text("\n".join(lines + adversary) + "\n")
     monkeypatch.setattr(Simulation, "run", refuse_run)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: peer-chain-fork needs p < 1")
-    assert not (out / "metrics.csv").exists()
+    for p in ("1", "0.9999999"):
+        path = tmp_path / "sim.ini"
+        adversary = [f"p = {p}", "adversary_share = 0.3", "adversary_strategy = peer-chain-fork"]
+        path.write_text("\n".join(lines + adversary) + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: peer-chain-fork needs p < 1")
+        assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sdag.core import Transaction, TxKind, TxOutput, TxInput, encode_tx, sha256, tx_distance
-from sdag.mempool import Mempool, PoolEntry, collision_prob, estimate_power
+from sdag.mempool import Mempool, collision_prob, estimate_power
 
 HEAD = sha256(b"head")
 
@@ -20,32 +20,31 @@ def normal_tx(i):
     )
 
 
-def test_add_remove_contains():
+def fill(pool, txs):
+    pool.add_all((tx.txid(), tx) for tx in txs)
+
+
+def test_add_all_remove_all():
     pool = Mempool()
-    tx = normal_tx(0)
-    assert pool.add(PoolEntry(tx, 1.0, 2))
-    assert not pool.add(PoolEntry(tx, 2.0, 2))  # duplicate is a no-op
-    assert tx.txid() in pool and len(pool) == 1
-    entry = pool.remove_tx(tx.txid())
-    assert entry is not None and entry.fee == 2 and entry.arrived == 1.0
-    assert pool.remove_tx(tx.txid()) is None
+    txs = [normal_tx(i) for i in range(3)]
+    fill(pool, txs)
+    fill(pool, txs[:1])  # a pooled txid keeps its place
+    assert list(pool.entries) == [tx.txid() for tx in txs] and len(pool) == 3
+    pool.remove_all([txs[1].txid(), txs[1].txid(), sha256(b"never pooled")])
+    assert pool.entries == {txs[0].txid(): txs[0], txs[2].txid(): txs[2]}
 
 
 def test_workable_threshold_and_order():
     pool = Mempool()
     txs = [normal_tx(i) for i in range(40)]
-    for i, tx in enumerate(txs):
-        pool.add(PoolEntry(tx, 0.0, i % 3))
+    fill(pool, txs)
     cq = Fraction(1, 2)
     got = pool.workable(HEAD, cq)
     expect = {tx.txid() for tx in txs if tx_distance(HEAD, tx) <= cq}
     assert set(got) == expect
-    # fee descending, then distance to this head
-    keyed = [
-        (-pool.entries[txid].fee, tx_distance(HEAD, pool.entries[txid].tx))
-        for txid in got
-    ]
-    assert keyed == sorted(keyed)
+    # nearest to this head first
+    dists = [tx_distance(HEAD, pool.entries[txid]) for txid in got]
+    assert dists == sorted(dists)
     assert pool.workable(HEAD, Fraction(0)) == []
     assert set(pool.workable(HEAD, Fraction(1))) == {tx.txid() for tx in txs}
 
@@ -53,8 +52,7 @@ def test_workable_threshold_and_order():
 @given(st.integers(0, 2**32))
 def test_workable_monotone_in_cq(seed):
     pool = Mempool()
-    for i in range(10):
-        pool.add(PoolEntry(normal_tx(seed % 7 * 10 + i), 0.0, 0))
+    fill(pool, [normal_tx(seed % 7 * 10 + i) for i in range(10)])
     small = set(pool.workable(HEAD, Fraction(1, 8)))
     large = set(pool.workable(HEAD, Fraction(1, 2)))
     assert small <= large
@@ -63,18 +61,17 @@ def test_workable_monotone_in_cq(seed):
 def oracle_workable(pool, head, cq):
     """`workable` by its definition: exact Fraction distances."""
     hits = []
-    for txid, entry in pool.entries.items():
-        dist = tx_distance(head, entry.tx)
+    for txid, tx in pool.entries.items():
+        dist = tx_distance(head, tx)
         if dist <= cq:
-            hits.append((-entry.fee, dist, txid))
-    return [txid for _, _, txid in sorted(hits)]
+            hits.append((dist, txid))
+    return [txid for _, txid in sorted(hits)]
 
 
 def test_workable_integer_boundary():
     pool = Mempool()
     txs = [normal_tx(i) for i in range(20)]
-    for i, tx in enumerate(txs):
-        pool.add(PoolEntry(tx, 0.0, i % 2))
+    fill(pool, txs)
     target = txs[7]
     digest = int.from_bytes(sha256(HEAD + encode_tx(target)), "big")
     at = Fraction(digest, 2**256)  # exactly the target's distance
@@ -89,8 +86,7 @@ def test_workable_integer_boundary():
 def test_workable_matches_fraction_oracle(cq):
     # denominators other than powers of two make floor(cq * 2**256) round
     pool = Mempool()
-    for i in range(12):
-        pool.add(PoolEntry(normal_tx(i), 0.0, i % 3))
+    fill(pool, [normal_tx(i) for i in range(12)])
     assert pool.workable(HEAD, cq) == oracle_workable(pool, HEAD, cq)
 
 
@@ -100,8 +96,7 @@ def test_workable_matches_fraction_oracle(cq):
 def test_workable_matches_fraction_oracle_when_saturated(cq):
     # c is unbounded and q can be 1, so c*q >= 1 happens: every tx is workable
     pool = Mempool()
-    for i in range(12):
-        pool.add(PoolEntry(normal_tx(i), 0.0, i % 3))
+    fill(pool, [normal_tx(i) for i in range(12)])
     got = pool.workable(HEAD, cq)
     assert got == oracle_workable(pool, HEAD, cq)
     assert len(got) == len(pool)
@@ -109,16 +104,14 @@ def test_workable_matches_fraction_oracle_when_saturated(cq):
 
 def test_shared_entry_is_immutable_and_dropped_per_pool():
     tx = normal_tx(0)
-    entry = PoolEntry(tx, 1.0, 2)
     with pytest.raises(AttributeError):
-        entry.fee = 3
+        tx.outputs = ()
     a, b = Mempool(), Mempool()
-    assert a.add(entry) and b.add(entry)
-    assert a.entries[tx.txid()] is b.entries[tx.txid()] is entry
-    assert not a.add(PoolEntry(tx, 5.0, 0))  # duplicate add is a no-op
-    assert a.entries[tx.txid()] is entry
-    assert a.remove_tx(tx.txid()) is entry
-    assert tx.txid() not in a and tx.txid() in b
+    fill(a, [tx])
+    fill(b, [tx])
+    assert a.entries[tx.txid()] is b.entries[tx.txid()] is tx
+    a.remove_all([tx.txid()])
+    assert tx.txid() not in a.entries and tx.txid() in b.entries
 
 
 def test_estimate_power_counts_recent_levels(demo):

@@ -22,7 +22,7 @@ from sdag.core import (
 )
 from sdag.dag import DagFacts
 from sdag.ledger import build_from_dag
-from sdag.mempool import PoolEntry, estimate_power, power_share
+from sdag.mempool import estimate_power, power_share
 from sdag.node import NodeState
 from sdag.sigs import DEFAULT_SCHEME
 
@@ -53,11 +53,6 @@ def user_tx(i, fee=1):
     return signed_tx((i,), 2 - fee)
 
 
-def pending(tx, fee=1):
-    """A pool entry for `tx` that arrived at time 0."""
-    return PoolEntry(tx, 0.0, fee)
-
-
 def test_first_block_is_registration():
     node = make_node(b"n0")
     block = node.create_block()
@@ -71,11 +66,11 @@ def test_create_block_picks_workable_tx():
     node = make_node(b"n1")
     node.create_block()  # registration first
     for i in range(16):
-        node.on_tx(pending(user_tx(i)))
+        node.on_tx(user_tx(i))
     # c = 1 and q = 1 with no other miners: everything is workable
     block = node.create_block()
     assert block.mes.kind is TxKind.NORMAL
-    assert block.mes.txid() not in node.mempool
+    assert block.mes.txid() not in node.mempool.entries
     # with an empty pool the node mines an empty payload
     empty_pool_node = make_node(b"n2")
     empty_pool_node.create_block()
@@ -87,11 +82,11 @@ def test_spent_tx_not_repicked():
     node.create_block()
     tx = user_tx(0)
     conflict = user_tx(0, fee=0)  # same outpoint, different txid
-    node.on_tx(pending(tx))
+    node.on_tx(tx)
     block = node.create_block()
     assert block.mes == tx
-    assert tx.txid() not in node.mempool
-    node.on_tx(pending(conflict))
+    assert tx.txid() not in node.mempool.entries
+    node.on_tx(conflict)
     # the miner carries it unjudged: the fold rejects the later spend
     assert node.create_block().mes == conflict
 
@@ -102,7 +97,7 @@ def test_create_block_mines_once_and_keeps_its_state_when_exhausted(monkeypatch)
     node's head, pool and DAG stay as they were."""
     node = make_node(b"exhausted")
     node.create_block()  # registration, at d = 1
-    node.on_tx(pending(user_tx(0)))
+    node.on_tx(user_tx(0))
     # a workable transaction at a difficulty no 16 nonces meet
     node.params = Params(d=Fraction(1, 2**64), p=PARAMS.p, c=PARAMS.c, r_n=1, r_m=2)
     monkeypatch.setattr(node_module, "DEFAULT_MINE_BUDGET", 16)
@@ -259,14 +254,14 @@ def test_mempool_drained_by_received_blocks():
     miner = make_node(b"m4", seed=4)
     blocks = [miner.create_block()]  # registration
     tx = user_tx(3)
-    miner.on_tx(pending(tx))
+    miner.on_tx(tx)
     node = make_node(b"n7")
-    node.on_tx(pending(tx))
+    node.on_tx(tx)
     while blocks[-1].mes != tx:
         blocks.append(miner.create_block())
     for b in blocks:
         node.on_receive_block(b)
-    assert tx.txid() not in node.mempool
+    assert tx.txid() not in node.mempool.entries
 
 
 def test_shared_pool_entry_dropped_per_node():
@@ -274,28 +269,25 @@ def test_shared_pool_entry_dropped_per_node():
     node = make_node(b"n8")
     registration = miner.create_block()
     tx = user_tx(4)
-    entry = pending(tx)
-    miner.on_tx(entry)
-    node.on_tx(entry)
-    assert miner.mempool.entries[tx.txid()] is node.mempool.entries[tx.txid()] is entry
-    node.on_tx(pending(tx, fee=2))  # a duplicate add changes nothing
-    assert node.mempool.entries[tx.txid()] is entry
+    miner.on_tx(tx)
+    node.on_tx(tx)
+    assert miner.mempool.entries[tx.txid()] is node.mempool.entries[tx.txid()] is tx
     carrier = miner.create_block()
     assert carrier.mes == tx
     # the miner stored the carrying block; the node has not seen it yet
-    assert tx.txid() not in miner.mempool and tx.txid() in node.mempool
+    assert tx.txid() not in miner.mempool.entries and tx.txid() in node.mempool.entries
     node.on_receive_block(carrier)  # buffered: its parent is missing
-    assert tx.txid() in node.mempool
+    assert tx.txid() in node.mempool.entries
     node.on_receive_block(registration)
-    assert tx.txid() not in node.mempool
+    assert tx.txid() not in node.mempool.entries
 
 
 def test_two_nodes_converge():
     a = make_node(b"a", seed=10)
     b = make_node(b"b", seed=11)
     for i in range(8):
-        a.on_tx(pending(user_tx(i)))
-        b.on_tx(pending(user_tx(i)))
+        a.on_tx(user_tx(i))
+        b.on_tx(user_tx(i))
     for _ in range(30):
         for src, dst in ((a, b), (b, a)):
             block = src.create_block()

@@ -134,6 +134,30 @@ def test_queueing_and_infection_samples_plausible():
     assert all(s <= horizon for s in m.infection_latency)
 
 
+def test_queueing_latency_is_first_carry_minus_arrival():
+    """One sample per carried transaction, in txid order: the creation time
+    of the earliest block that carries it minus the time its arrival event
+    was handled."""
+    sim = Simulation(small())
+    arrived = {}
+    handle_tx = sim._handle_tx
+
+    def recorded(t):
+        before = len(sim.tx_log)
+        handle_tx(t)
+        arrived.update((txid, t) for txid, _tx in sim.tx_log[before:])
+
+    sim._handle_tx = recorded
+    m = sim.run()
+    carried = {}
+    for bid, t in sim.created_at.items():
+        tx = sim.facts.blocks[bid].mes
+        if tx.kind is TxKind.NORMAL:
+            carried[tx.txid()] = min(t, carried.get(tx.txid(), t))
+    assert len(carried) > 10
+    assert m.queueing_latency == [carried[txid] - arrived[txid] for txid in sorted(carried)]
+
+
 def pairwise_prefix_violations(chains, depth):
     """Every pair of chains, each cut `depth` short, compared directly."""
     bad = 0
@@ -222,7 +246,7 @@ def replay_deliveries(cfg):
             steps.append((key(*args), []))
             before = len(sim.tx_log)
             handler(*args)
-            steps[-1][1].extend(("tx", entry) for _txid, entry in sim.tx_log[before:])
+            steps[-1][1].extend(("tx", tx) for _txid, tx in sim.tx_log[before:])
 
         setattr(sim, name, recorded)
 
@@ -308,9 +332,9 @@ def replay_deliveries(cfg):
                 node = nodes[maker]
                 assert all(ref in node.sdag for ref in (block.idp, block.idm, block.idt))
                 assert block.idm == node.sdag.chain_tip()
-                assert block.mes.kind is not TxKind.NORMAL or block.mes.txid() in node.mempool
+                assert block.mes.kind is not TxKind.NORMAL or block.mes.txid() in node.mempool.entries
                 assert node.sdag.insert(block) is None
-                node.mempool.remove_tx(block.mes.txid())
+                node.mempool.remove_all([block.mes.txid()])
             elif effect[0] == "public":
                 assert effect[1] == max(node.sdag.height() for node in nodes[:n])
             else:
@@ -597,7 +621,7 @@ def test_no_traffic_past_the_horizon():
         sim = Simulation(SimConfig(n=3, mu=0.02, lam=0.1, horizon=5.0, seed=seed))
         m = sim.run()
         assert all(t <= 5.0 for t in sim.created_at.values())
-        assert all(entry.arrived <= 5.0 for _txid, entry in sim.tx_log)
+        assert all(t <= 5.0 for t in sim.tx_arrival.values())
         assert m.counters["events"]["mine"] == m.blocks_created == len(sim.created_at)
 
 
