@@ -23,6 +23,10 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+# at module load, though two functions use it: `bench/run.py` times the import
+# with a probe whose first 0.1 s alarm must fall inside it, else every run fails
+# with "the probe recorded no burst" (ROADMAP items 1 and 9)
 from scipy.integrate import quad
 
 from .curves import DelayCurve

@@ -126,6 +126,8 @@ def load_sim_config(path: str) -> SimConfig:
         field_name = "lam" if key == "lambda" else key
         if field_name not in known:
             raise ValueError(f"unknown config key: {key}")
+        if field_name in kwargs:  # the parser refuses any other repeated key
+            raise ValueError("config keys lam and lambda both set the arrival rate; keep one")
         f = known[field_name]
         if f.name == "adversary_strategy":
             kwargs[field_name] = _parse_strategy(raw)

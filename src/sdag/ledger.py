@@ -30,9 +30,6 @@ from .core import (
 from .dag import SDag, collector_paused
 from .sigs import DEFAULT_SCHEME
 
-WITNESS_PUB_BYTES = 32
-WITNESS_SIG_BYTES = 64
-
 
 class BlockKind(Enum):
     REGULAR_PLUS = "regular+"
@@ -174,24 +171,6 @@ def iter_ordered_blocks(sdag: SDag) -> list[OrderedBlock]:
 # -- peer chains ---------------------------------------------------------
 
 
-def _witness_parts(witness: bytes) -> Optional[tuple[bytes, bytes]]:
-    if len(witness) != WITNESS_PUB_BYTES + WITNESS_SIG_BYTES:
-        return None
-    return witness[:WITNESS_PUB_BYTES], witness[WITNESS_PUB_BYTES:]
-
-
-def _redemption_sig_ok(tx: Transaction, address: bytes) -> bool:
-    if not tx.inputs:
-        return False
-    parts = _witness_parts(tx.inputs[0].witness)
-    if parts is None:
-        return False
-    public, sig = parts
-    if DEFAULT_SCHEME.address(public) != address:
-        return False
-    return DEFAULT_SCHEME.verify(public, sighash(tx), sig)
-
-
 def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
     """Pick the canonical chain among the branches of a miner's own-chain
     tree.  Branches are scored by valid redemption continuity (registered at
@@ -222,7 +201,9 @@ def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
             walk = (registered, 0, 0, 1, tx.next_address if registered else None)
         else:
             registered, claims, covered, length, address = parent
-            if registered and tx.kind is TxKind.REDEMPTION and _redemption_sig_ok(tx, address):
+            redeems = registered and tx.kind is TxKind.REDEMPTION
+            witness = tx.inputs[0].witness if tx.inputs else b""
+            if redeems and DEFAULT_SCHEME.opens(witness, address, lambda: sighash(tx)):
                 walk = (True, claims + 1, length, length + 1, tx.next_address)
             else:
                 walk = (registered, claims, covered, length + 1, address)
@@ -318,13 +299,10 @@ def verify_normal(tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]]) -> t
         op = Outpoint(inp.txid, inp.index)
         if op in spent or op not in utxo:
             return False, 0, "input not in utxo"
-        parts = _witness_parts(inp.witness)
-        if parts is None:
-            return False, 0, "malformed witness"
-        public, sig = parts
         value, address = utxo[op]
-        if DEFAULT_SCHEME.address(public) != address or not DEFAULT_SCHEME.verify(public, digest, sig):
-            return False, 0, "bad signature"
+        opened = DEFAULT_SCHEME.opens(inp.witness, address, digest)
+        if not opened:
+            return False, 0, "malformed witness" if opened is None else "bad signature"
         spent.add(op)
         total_in += value
     total_out = sum(out.value for out in tx.outputs)

@@ -214,8 +214,8 @@ class SimConfig:
             raise ValueError(f"n * mu * horizon (expected blocks) must be at most {MAX_EXPECTED_BLOCKS}")
         if self.n * (self.n * self.mu * self.horizon) > MAX_BITMAP_CELLS:
             raise ValueError(f"n * n * mu * horizon (membership bitmap cells) must be at most {MAX_BITMAP_CELLS}")
-        if self.finality_depth < 0:
-            raise ValueError("finality_depth must be >= 0")
+        if self.finality_depth < 0 or self.seed < 0:
+            raise ValueError("finality_depth and seed must be >= 0")
         if not 0 <= self.adversary_share < 1:
             raise ValueError("adversary_share must be in [0, 1)")
         if self.adversary_share > 0 and self.adversary_strategy is None:
@@ -408,8 +408,7 @@ class Simulation:
         self.adv_rate = config.n * config.mu * config.adversary_share
 
         self.user_secret = sha256(b"sim-user")
-        self.user_public = DEFAULT_SCHEME.derive_public(self.user_secret)
-        self.user_address = DEFAULT_SCHEME.address(self.user_public)
+        self.user_address = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(self.user_secret))
         n_outputs = int(config.lam * config.horizon * 1.5) + 64
         self.genesis_outputs = [(2, self.user_address)] * n_outputs
 
@@ -676,7 +675,7 @@ class Simulation:
             inputs=(TxInput(GENESIS_ID, index, b""),),
             outputs=(TxOutput(2 - TX_FEE, self.user_address),),
         )
-        witness = self.user_public + DEFAULT_SCHEME.sign(self.user_secret, sighash(bare))
+        witness = DEFAULT_SCHEME.witness(self.user_secret, sighash(bare))
         return Transaction(
             TxKind.NORMAL,
             inputs=(TxInput(GENESIS_ID, index, witness),),

@@ -92,7 +92,7 @@ class RandomPayloads:
         outputs = (TxOutput(rng.choice((1, 2, 3, 4)), self.address),)
         bare = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, b"") for t, i in spent), outputs)
         secret = self.secret if rng.random() < 0.9 else sha256(b"thief")
-        witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
+        witness = DEFAULT_SCHEME.witness(secret, sighash(bare))
         tx = Transaction(TxKind.NORMAL, tuple(TxInput(t, i, witness) for t, i in spent), outputs)
         self.outpoints.append((tx.txid(), 0))
         self.made.append(tx)

@@ -204,6 +204,34 @@ def test_simulate_rejects_negative_depths(tmp_path, extra):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [[], ["--seed", "-5"]], ids=["config", "flag"])
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, flag):
+    """`random.Random` drops a seed's sign, so seed -5 once wrote the
+    latency files of seed 5 under a manifest and metrics that said -5.  A
+    negative seed is refused as a config key and as `--seed`."""
+    monkeypatch.setattr(Simulation, "run", refuse_run)
+    path = tmp_path / "sim.ini"
+    path.write_text(SMALL_INI if flag else SMALL_INI.replace("seed = 5", "seed = -5"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), *flag]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: finality_depth and seed must be >= 0\n"
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("keys", [("lam", "lambda"), ("lambda", "lam")], ids="-".join)
+def test_simulate_rejects_lam_with_lambda(tmp_path, capsys, monkeypatch, keys):
+    """Both keys set the arrival rate, and the later one once won: `lam = 0`
+    then `lambda = 2` ran 32 transaction events."""
+    monkeypatch.setattr(Simulation, "run", refuse_run)
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith("lambda =")]
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"{keys[0]} = 0", f"{keys[1]} = 2"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "lam and lambda" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [("horizon", "1e13"), ("lambda", "1e9")])
 def test_simulate_rejects_huge_transaction_counts(tmp_path, capsys, key, value):
     """The genesis funds 1.5 outputs per expected transaction, so a huge

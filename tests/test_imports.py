@@ -289,6 +289,38 @@ def test_simnet_has_one_receive_path():
     assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
 
 
+# the scheme's primitives, which `sigs.MockScheme.witness` and `.opens` wrap
+# with the witness layout and the owner's address
+SIGNATURE_PRIMITIVES = {"sign", "verify"}
+
+
+def signature_primitive_uses(tree: ast.Module) -> list[str]:
+    """Each read of a `sign` or `verify` attribute, called or not (an alias
+    calls it later)."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SIGNATURE_PRIMITIVES
+    ]
+
+
+def test_signature_primitive_uses_flagged():
+    tree = ast.parse(
+        "S.sign(k, m)\nDEFAULT_SCHEME.verify(p, m, s)\ncheck = S.verify\n"
+        "S.witness(k, m)\nS.opens(w, a, m)\nsign(k, m)\n"
+    )
+    assert sorted(signature_primitive_uses(tree)) == ["DEFAULT_SCHEME.verify", "S.sign", "S.verify"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sigs.py"], ids=lambda p: p.name)
+def test_only_sigs_signs_and_verifies(path):
+    """A witness is built and opened in one place: every module but
+    `sigs.py` goes through `witness` and `opens`, never `sign` or `verify`,
+    so the witness layout and the ownership check have one home."""
+    found = signature_primitive_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} signs or verifies outside sigs: {'; '.join(found)}"
+
+
 # calls that put an item on a heap, and the functions outside
 # `Simulation._push` that may make them, each with the heap it keeps
 HEAP_PUSHES = {"heappush", "heappushpop", "heapreplace"}

@@ -54,24 +54,23 @@ S = DEFAULT_SCHEME
 A_SECRET = sha256(b"ledger-A")
 B_SECRET = sha256(b"ledger-B")
 U_SECRET = sha256(b"ledger-user")
-A_PUB, B_PUB, U_PUB = (S.derive_public(s) for s in (A_SECRET, B_SECRET, U_SECRET))
-A_ADDR, B_ADDR, U_ADDR = (S.address(p) for p in (A_PUB, B_PUB, U_PUB))
+A_ADDR, B_ADDR, U_ADDR = (S.address(S.derive_public(s)) for s in (A_SECRET, B_SECRET, U_SECRET))
 
 GENESIS_OUTPUTS = ((10, U_ADDR), (10, U_ADDR))
 
 
-def signed_normal(outpoint_txid, index, outputs, secret=U_SECRET, pub=U_PUB, garble=False):
+def signed_normal(outpoint_txid, index, outputs, secret=U_SECRET, garble=False):
     bare = Transaction(
         TxKind.NORMAL,
         inputs=(TxInput(outpoint_txid, index, b""),),
         outputs=tuple(outputs),
     )
-    sig = S.sign(secret, sighash(bare))
-    if garble:
-        sig = bytes(64)
+    witness = S.witness(secret, sighash(bare))
+    if garble:  # the owner's key with a zeroed signature
+        witness = witness[:32] + bytes(64)
     return Transaction(
         TxKind.NORMAL,
-        inputs=(TxInput(outpoint_txid, index, pub + sig),),
+        inputs=(TxInput(outpoint_txid, index, witness),),
         outputs=bare.outputs,
     )
 
@@ -221,7 +220,7 @@ def make_redemption(claim, secret, next_address):
         reward_claim=claim,
         next_address=next_address,
     )
-    witness = S.derive_public(secret) + S.sign(secret, sighash(bare))
+    witness = S.witness(secret, sighash(bare))
     return Transaction(
         TxKind.REDEMPTION,
         inputs=(TxInput(bytes(32), 0, witness),),

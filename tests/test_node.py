@@ -45,7 +45,7 @@ def signed_tx(indices, value, secret=U_SECRET):
     `indices`, every input signed with `secret`'s key."""
     outputs = (TxOutput(value, U_ADDR),)
     bare = Transaction(TxKind.NORMAL, tuple(TxInput(GENESIS_ID, i, b"") for i in indices), outputs)
-    witness = DEFAULT_SCHEME.derive_public(secret) + DEFAULT_SCHEME.sign(secret, sighash(bare))
+    witness = DEFAULT_SCHEME.witness(secret, sighash(bare))
     return Transaction(TxKind.NORMAL, tuple(TxInput(GENESIS_ID, i, witness) for i in indices), outputs)
 
 
@@ -120,10 +120,9 @@ COMPAT_SECRET = sha256(b"compat")
 
 
 def redemption_by(secret):
-    public = DEFAULT_SCHEME.derive_public(secret)
-    address = DEFAULT_SCHEME.address(public)
+    address = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(secret))
     bare = Transaction(TxKind.REDEMPTION, (TxInput(bytes(32), 0, b""),), reward_claim=1, next_address=address)
-    witness = public + DEFAULT_SCHEME.sign(secret, sighash(bare))
+    witness = DEFAULT_SCHEME.witness(secret, sighash(bare))
     return Transaction(TxKind.REDEMPTION, (TxInput(bytes(32), 0, witness),), reward_claim=1, next_address=address)
 
 
