@@ -392,6 +392,8 @@ def secure_latency_mc(
     """
     if not 1 <= paths <= MAX_PATHS:
         raise ValueError(f"paths must be in [1, {MAX_PATHS}]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     _require_positive(honest_rate=pn_mu_honest)
     for t_len in t_grid:
         if t_len <= 2 * t0:

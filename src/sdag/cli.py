@@ -156,11 +156,12 @@ def _make_out_dir(path: str) -> Path:
 
 def cmd_simulate(args, command: list[str]) -> int:
     config = load_sim_config(args.config)
+    if args.seed is not None:
+        config.seed = args.seed
+        config.validate()
     out_dir = _make_out_dir(args.out)
     # checked before the simulation, which can run for minutes
     _refuse_directories(out_dir, SIMULATE_ARTIFACTS + ("manifest.json",))
-    if args.seed is not None:
-        config.seed = args.seed
     sim = Simulation(config)
     metrics = sim.run()
     row = metrics.row()

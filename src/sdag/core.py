@@ -68,7 +68,7 @@ def _cache_slot():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """A single transaction; the sole payload of a block.
 
@@ -86,6 +86,17 @@ class Transaction:
     _encoding: Optional[bytes] = _cache_slot()
     _txid: Optional[bytes] = _cache_slot()
     _sighash: Optional[bytes] = _cache_slot()
+
+    def __init__(
+        self,
+        kind: TxKind,
+        inputs: tuple[TxInput, ...] = (),
+        outputs: tuple[TxOutput, ...] = (),
+        reward_claim: Optional[int] = None,
+        next_address: Optional[bytes] = None,
+    ):
+        _fill_tx(self, kind, inputs, outputs, reward_claim, next_address, None)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind is TxKind.NORMAL:
@@ -111,8 +122,36 @@ class Transaction:
         h = self._txid
         if h is None:
             h = sha256(encode_tx(self))
-            object.__setattr__(self, "_txid", h)
+            _set_txid(self, h)
         return h
+
+
+# A new instance is made with `_new` and filled through the frozen classes'
+# own slot setters, which skip the `__setattr__` that freezing adds (it only
+# raises) and the per-call name lookup of `object.__setattr__`.
+_new = object.__new__
+# builds a named tuple from its values without its Python-level `__new__`
+_new_tuple = tuple.__new__
+_set_kind, _set_inputs, _set_outputs, _set_reward_claim, _set_next_address = (
+    Transaction.__dict__[name].__set__
+    for name in ("kind", "inputs", "outputs", "reward_claim", "next_address")
+)
+_set_encoding, _set_txid, _set_sighash = (
+    Transaction.__dict__[name].__set__ for name in ("_encoding", "_txid", "_sighash")
+)
+
+
+def _fill_tx(tx, kind, inputs, outputs, reward_claim, next_address, encoding) -> None:
+    """Write every field and cache slot of a new transaction; the caller
+    then runs `Transaction.__post_init__`."""
+    _set_kind(tx, kind)
+    _set_inputs(tx, inputs)
+    _set_outputs(tx, outputs)
+    _set_reward_claim(tx, reward_claim)
+    _set_next_address(tx, next_address)
+    _set_encoding(tx, encoding)
+    _set_txid(tx, None)
+    _set_sighash(tx, None)
 
 
 EMPTY_TX = Transaction(TxKind.EMPTY)
@@ -123,7 +162,7 @@ def encode_tx(tx: Transaction) -> bytes:
     enc = tx._encoding
     if enc is None:
         enc = _encode_tx(tx)
-        object.__setattr__(tx, "_encoding", enc)
+        _set_encoding(tx, enc)
     return enc
 
 
@@ -177,7 +216,7 @@ def sighash(tx: Transaction) -> bytes:
             start = pos
         parts.append(enc[start:])
         h = sha256(b"".join(parts))
-        object.__setattr__(tx, "_sighash", h)
+        _set_sighash(tx, h)
     return h
 
 
@@ -210,13 +249,13 @@ def decode_tx(data: bytes) -> Transaction:
             pos += _INPUT_HEAD.size
             # a short witness leaves pos past the end, which the next read
             # or the final length check rejects
-            inputs.append(TxInput(txid, index, data[pos : pos + size]))
+            inputs.append(_new_tuple(TxInput, (txid, index, data[pos : pos + size])))
             pos += size
         (count,) = _U32.unpack_from(data, pos)
         pos += 4
         outputs = []
         for _ in range(count):
-            outputs.append(TxOutput._make(_OUTPUT.unpack_from(data, pos)))
+            outputs.append(_new_tuple(TxOutput, _OUTPUT.unpack_from(data, pos)))
             pos += _OUTPUT.size
         reward_claim = None
         if _flag(data, pos):
@@ -234,15 +273,16 @@ def decode_tx(data: bytes) -> Transaction:
         raise EncodingError("truncated encoding")
     if pos < len(data):
         raise EncodingError("trailing bytes in tx encoding")
+    tx = _new(Transaction)
+    _fill_tx(tx, _DECODED_KIND[kind], tuple(inputs), tuple(outputs), reward_claim, next_address, bytes(data))
     try:
-        tx = Transaction(_DECODED_KIND[kind], tuple(inputs), tuple(outputs), reward_claim, next_address)
+        tx.__post_init__()
     except ValueError as exc:
         raise EncodingError(str(exc)) from None
-    object.__setattr__(tx, "_encoding", bytes(data))
     return tx
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Block:
     """The six-field block: three backward references, creator, nonce, payload.
     The block id is cached on the instance."""
@@ -255,12 +295,33 @@ class Block:
     mes: Transaction
     _id: Optional[bytes] = _cache_slot()
 
+    def __init__(self, idp: bytes, idm: bytes, idt: bytes, peer: bytes, pow: int, mes: Transaction):
+        _fill_block(self, idp, idm, idt, peer, pow, mes, None)
+        self.__post_init__()
+
     def __post_init__(self):
         for ref in (self.idp, self.idm, self.idt, self.peer):
             if len(ref) != HASH_BYTES:
                 raise ValueError("references and peer id must be 32 bytes")
         if not 0 <= self.pow <= MAX_NONCE:
             raise ValueError("nonce must fit in 64 bits")
+
+
+_set_idp, _set_idm, _set_idt, _set_peer, _set_pow, _set_mes, _set_id = (
+    Block.__dict__[name].__set__ for name in ("idp", "idm", "idt", "peer", "pow", "mes", "_id")
+)
+
+
+def _fill_block(block, idp, idm, idt, peer, pow_, mes, id_) -> None:
+    """Write every field and the id slot of a new block; the caller runs
+    or stands in for `Block.__post_init__`."""
+    _set_idp(block, idp)
+    _set_idm(block, idm)
+    _set_idt(block, idt)
+    _set_peer(block, peer)
+    _set_pow(block, pow_)
+    _set_mes(block, mes)
+    _set_id(block, id_)
 
 
 # idp | idm | idt | peer | pow | len(mes): everything before the payload
@@ -290,8 +351,10 @@ def decode_block(data: bytes) -> Block:
     mes = decode_tx(data[_HEADER.size : end])
     if end < len(data):
         raise EncodingError("trailing bytes in block encoding")
-    block = Block(idp, idm, idt, peer, pow_, mes)
-    object.__setattr__(block, "_id", sha256(data))
+    # the header format reads 32-byte references and a 64-bit nonce, all
+    # that `Block.__post_init__` checks
+    block = _new(Block)
+    _fill_block(block, idp, idm, idt, peer, pow_, mes, sha256(data))
     return block
 
 
@@ -299,7 +362,7 @@ def block_id(block: Block) -> bytes:
     h = block._id
     if h is None:
         h = sha256(canonical_encode(block))
-        object.__setattr__(block, "_id", h)
+        _set_id(block, h)
     return h
 
 
@@ -318,7 +381,11 @@ class BlockClass(Enum):
 
 @dataclass(frozen=True)
 class Params:
-    """Protocol constants: difficulty, milestone share, assignment and rewards."""
+    """Protocol constants: difficulty, milestone share, assignment and rewards.
+
+    `d_threshold` and `ms_threshold` are d and p * d scaled to 2**256 and
+    rounded up: a hash read as a big-endian integer below one is below the
+    exact fraction (`classify_hash`)."""
 
     d: Fraction
     p: Fraction
@@ -336,16 +403,8 @@ class Params:
             raise ValueError("need r_m > r_n >= 0")
         if not (0 <= self.delta <= 1):
             raise ValueError("delta must be in [0, 1]")
-        object.__setattr__(self, "_d_thresh", _scaled_threshold(self.d))
-        object.__setattr__(self, "_ms_thresh", _scaled_threshold(self.p * self.d))
-
-    @property
-    def d_threshold(self) -> int:
-        return self._d_thresh
-
-    @property
-    def ms_threshold(self) -> int:
-        return self._ms_thresh
+        object.__setattr__(self, "d_threshold", _scaled_threshold(self.d))
+        object.__setattr__(self, "ms_threshold", _scaled_threshold(self.p * self.d))
 
 
 def classify_hash(h: bytes, params: Params) -> BlockClass:
@@ -384,8 +443,9 @@ def mine(
         if cls is BlockClass.INVALID:
             continue
         if want is None or cls is want:
-            block = Block(template.idp, template.idm, template.idt, template.peer, nonce, template.mes)
-            object.__setattr__(block, "_id", h)  # h is the block's id
+            # the checked template's fields, with a 64-bit nonce; h is the id
+            block = _new(Block)
+            _fill_block(block, template.idp, template.idm, template.idt, template.peer, nonce, template.mes, h)
             return MineResult(block, i + 1)
     raise MiningExhausted(max_attempts)
 

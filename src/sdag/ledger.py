@@ -246,6 +246,11 @@ class Outpoint(NamedTuple):
     index: int
 
 
+# builds an Outpoint from (txid, index) without the named tuple's
+# Python-level `__new__`; a plain (txid, index) tuple finds the same entry
+_new_tuple = tuple.__new__
+
+
 @dataclass(slots=True)
 class LedgerEntry:
     txid: bytes
@@ -292,15 +297,15 @@ def verify_normal(tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]]) -> t
     """Judge a normal transaction against a UTXO set: distinct unspent
     inputs, each signed by its owner's key, that cover the outputs.
     Returns (valid, fee, reason for a rejection)."""
-    spent: set[Outpoint] = set()
+    spent: set[tuple[bytes, int]] = set()
     total_in = 0
     digest = sighash(tx)
-    for inp in tx.inputs:
-        op = Outpoint(inp.txid, inp.index)
+    for txid, index, witness in tx.inputs:
+        op = (txid, index)  # equal to, and hashed as, the Outpoint
         if op in spent or op not in utxo:
             return False, 0, "input not in utxo"
         value, address = utxo[op]
-        opened = DEFAULT_SCHEME.opens(inp.witness, address, digest)
+        opened = DEFAULT_SCHEME.opens(witness, address, digest)
         if not opened:
             return False, 0, "malformed witness" if opened is None else "bad signature"
         spent.add(op)
@@ -335,17 +340,18 @@ def _fold_tx(
     elif tx.kind is TxKind.NORMAL:
         accepted, fee, reason = verify_normal(tx, ledger.utxo)
         if accepted:
-            for inp in tx.inputs:
-                del ledger.utxo[Outpoint(inp.txid, inp.index)]
+            utxo = ledger.utxo
+            for spent_txid, index, _witness in tx.inputs:
+                del utxo[spent_txid, index]
             for j, out in enumerate(tx.outputs):
-                ledger.utxo[Outpoint(txid, j)] = (out.value, out.address)
+                utxo[_new_tuple(Outpoint, (txid, j))] = (out.value, out.address)
     elif tx.kind is TxKind.REGISTRATION:
         accepted = context.view.position.get(ob.block_id) == 0
         reason = "" if accepted else "not the canonical registration"
     elif tx.kind is TxKind.REDEMPTION:
         try:
             payout = validate_redemption(context.sdag, context.view, ob.block_id, context.rewards)
-            ledger.utxo[Outpoint(txid, 0)] = (tx.reward_claim or 0, payout)
+            ledger.utxo[_new_tuple(Outpoint, (txid, 0))] = (tx.reward_claim or 0, payout)
             accepted = True
         except RedemptionError as exc:
             reason = str(exc)
@@ -388,36 +394,34 @@ def build_from_dag(
     collector paused (`collector_paused`): the fold makes no cyclic
     garbage."""
     ordered_blocks = iter_ordered_blocks(sdag)
-    final_levels = max(len(sdag.main_chain) - finality_depth, 1)
+    blocks = sdag.blocks
+    main_chain = sdag.main_chain
+    final_levels = max(len(main_chain) - finality_depth, 1)
     levels = sdag.facts.levels
     # the genesis pseudo-level holds the genesis alone
-    lev_sizes = [1] + [len(levels[ms]) for ms in sdag.main_chain[1:]]
-    miners = {sdag.blocks[ob.block_id].peer for ob in ordered_blocks}
+    lev_sizes = [1] + [len(levels[ms]) for ms in main_chain[1:]]
+    miners = {blocks[ob.block_id].peer for ob in ordered_blocks}
     views = {m: resolve_peer_chain(sdag, m) for m in miners}
     rewards: dict[bytes, RewardRecord] = {}
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
     for ob in ordered_blocks:
-        block = sdag.blocks[ob.block_id]
+        bid, level_index = ob
+        block = blocks[bid]
         view = views[block.peer]
         validity = TxValidity.NONE
         fee = 0
-        tx_kind = block.mes.kind
+        tx = block.mes
+        tx_kind = tx.kind
         if tx_kind is not TxKind.EMPTY:
             # only a registration or a redemption reads its peer chain
             context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
-            accepted, fee = _fold_tx(ledger, block.mes, ob, context)
+            accepted, fee = _fold_tx(ledger, tx, ob, context)
             validity = TxValidity.VALID if accepted else TxValidity.INVALID
-        if ob.level_index < final_levels:
-            kind = (
-                BlockKind.MAIN_MILESTONE
-                if sdag.main_chain[ob.level_index] == ob.block_id
-                else BlockKind.REGULAR_PLUS
-            )
-            status = (
-                ChainStatus.ON_PEER_CHAIN if ob.block_id in view.position else ChainStatus.FORKED
-            )
-            amount = block_reward(kind, status, validity, fee, lev_sizes[ob.level_index], params)
-            rewards[ob.block_id] = RewardRecord(ob.block_id, kind, status, amount)
+        if level_index < final_levels:
+            kind = BlockKind.MAIN_MILESTONE if main_chain[level_index] == bid else BlockKind.REGULAR_PLUS
+            status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
+            amount = block_reward(kind, status, validity, fee, lev_sizes[level_index], params)
+            rewards[bid] = RewardRecord(bid, kind, status, amount)
     return LedgerBuild(ledger, rewards, views, final_levels)
 
 

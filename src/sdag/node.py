@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
+    EMPTY_TX,
     GENESIS_ID,
     Block,
     Params,
@@ -225,7 +226,7 @@ class NodeState:
             tx = self.mempool.entries[txid]
             if self.tx_compatible(tx):
                 return tx
-        return Transaction(TxKind.EMPTY)
+        return EMPTY_TX
 
     def create_block(self) -> Block:
         """Build, mine once, and locally adopt a new block; caller broadcasts

@@ -503,6 +503,11 @@ def test_secure_latency_mc_refuses_paths_past_its_streams(no_draws):
         secure_latency_mc(honest, adv, 2.0, QuadraticCurve(2.0), [20.0], paths=analysis.MAX_PATHS + 1)
 
 
+def test_secure_latency_mc_refuses_a_negative_seed(no_draws):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        secure_latency_mc(0.09, 0.01, 2.0, QuadraticCurve(2.0), [20.0], paths=1000, seed=-5)
+
+
 @pytest.mark.parametrize("adv", [-0.01, math.nan, math.inf, 1e18], ids=["negative", "nan", "inf", "too-large"])
 def test_secure_latency_mc_refuses_bad_adversary_rates(no_draws, adv):
     """A rate numpy's Poisson draw would refuse is refused before any

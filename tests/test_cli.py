@@ -208,14 +208,22 @@ def test_simulate_rejects_negative_depths(tmp_path, extra):
 def test_simulate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, flag):
     """`random.Random` drops a seed's sign, so seed -5 once wrote the
     latency files of seed 5 under a manifest and metrics that said -5.  A
-    negative seed is refused as a config key and as `--seed`."""
+    negative seed is refused as a config key and as `--seed`, before the
+    output directory is made."""
     monkeypatch.setattr(Simulation, "run", refuse_run)
     path = tmp_path / "sim.ini"
     path.write_text(SMALL_INI if flag else SMALL_INI.replace("seed = 5", "seed = -5"))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out), *flag]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == "error: finality_depth and seed must be >= 0\n"
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
+
+
+def test_analyze_secure_rejects_a_negative_seed(capsys):
+    """numpy's own refusal named neither the flag nor the bound."""
+    argv = ["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "10", "--seed", "-5"]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("keys", [("lam", "lambda"), ("lambda", "lam")], ids="-".join)

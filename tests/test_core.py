@@ -1,6 +1,8 @@
 """Block primitives: encodings, hashing, classification, mining."""
 
 import copy
+import dataclasses
+import math
 import pickle
 from fractions import Fraction
 
@@ -216,6 +218,31 @@ def test_only_canonical_encodings_decode(raw):
     assert_warm_and_equal_to_cold(block)
 
 
+@given(st.binary(min_size=136, max_size=136), payloads())
+@example(bytes(136), NON_CANONICAL["normal-without-outputs"])
+def test_decoders_build_only_what_the_constructors_build(head, raw):
+    """The decoders fill new instances without `__init__`, so every value
+    they accept must be one the constructors accept and build equal, with
+    the same field types: a decoded block cannot hold what `Block` refuses."""
+    try:
+        tx = decode_tx(raw)
+    except ValueError:
+        tx = None
+    if tx is not None:
+        assert cold_tx(tx) == tx
+        assert all(type(i) is TxInput for i in tx.inputs)
+        assert all(type(o) is TxOutput for o in tx.outputs)
+    try:
+        block = decode_block(head + len(raw).to_bytes(4, "big") + raw)
+    except ValueError:
+        assert tx is None
+        return
+    assert block.mes == tx
+    built = Block(block.idp, block.idm, block.idt, block.peer, block.pow, block.mes)
+    assert built == block and hash(built) == hash(block) and repr(built) == repr(block)
+    assert [type(getattr(block, f)) for f in ("idp", "idm", "idt", "peer", "pow")] == [bytes] * 4 + [int]
+
+
 # -- cached identities -----------------------------------------------------
 
 
@@ -281,6 +308,37 @@ def test_mined_block_id_is_its_hash():
     block = mine(template, params, 10_000).block
     assert block._id is not None
     assert block_id(block) == sha256(canonical_encode(block))
+    assert block == dataclasses.replace(template, pow=block.pow)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in (Block, Transaction) for f in dataclasses.fields(cls)],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_fields_and_cache_slots_are_frozen(cls, name):
+    block = fill_caches(sample_block())
+    obj = block if cls is Block else block.mes
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, name)
+    assert getattr(obj, name) is before
+
+
+def test_replace_builds_a_checked_cold_copy():
+    warm = fill_caches(sample_block())
+    moved = dataclasses.replace(warm, pow=8)
+    assert moved == Block(warm.idp, warm.idm, warm.idt, warm.peer, 8, warm.mes)
+    assert moved._id is None and block_id(moved) == block_id(cold_copy(moved))
+    tx = dataclasses.replace(warm.mes, outputs=warm.mes.outputs[:1])
+    assert tx._encoding is tx._txid is tx._sighash is None
+    assert tx.txid() == cold_tx(tx).txid() != warm.mes.txid()
+    with pytest.raises(ValueError, match="nonce"):
+        dataclasses.replace(warm, pow=-1)
+    with pytest.raises(ValueError, match="normal tx"):
+        dataclasses.replace(warm.mes, outputs=())
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -333,6 +391,17 @@ def test_threshold_boundaries_exact():
     ms_below = ((1 << 254) - 1).to_bytes(32, "big")
     assert classify_hash(ms_below, params) is BlockClass.MILESTONE
     assert classify_hash(ms_at, params) is BlockClass.REGULAR
+
+
+@given(
+    st.fractions(min_value=0, max_value=1).filter(lambda x: x > 0),
+    st.fractions(min_value=0, max_value=1).filter(lambda x: x > 0),
+)
+@example(Fraction(1, 3), Fraction(1, 7))
+def test_thresholds_are_the_exact_fractions_rounded_up(d, p):
+    params = Params(d=d, p=p)
+    assert params.d_threshold == math.ceil(d * SCALE)
+    assert params.ms_threshold == math.ceil(p * d * SCALE)
 
 
 def test_d_one_accepts_everything():

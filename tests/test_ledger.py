@@ -30,6 +30,7 @@ from sdag.ledger import (
     BlockKind,
     ChainStatus,
     OrderedBlock,
+    Outpoint,
     TxValidity,
     block_reward,
     build_from_dag,
@@ -143,6 +144,8 @@ def test_basic_build_accepts_and_rewards(chain):
     utxo = build.ledger.utxo
     assert (GENESIS_ID, 0) not in {(op.txid, op.index) for op in utxo}
     assert sum(v for v, _ in utxo.values()) == 19
+    # the fold looks entries up by plain tuples but keys them by Outpoint
+    assert {type(op) for op in utxo} == {Outpoint}
 
 
 def test_double_spend_first_seen_wins(chain):
@@ -251,6 +254,7 @@ def test_redemption_happy_path(chain):
     assert entry.accepted, entry.reason
     # the claim becomes a spendable output at the rolled-forward address
     assert build.ledger.utxo[(red.txid(), 0)] == (accrued, A_ADDR)
+    assert {type(op) for op in build.ledger.utxo} == {Outpoint}
     view = build.peer_views[A_ADDR]
     assert validate_redemption(chain.sdag, view, red_block, build.rewards) == A_ADDR
     # the plain fold has no peer chains to judge a redemption on
