@@ -123,6 +123,28 @@ def test_chain_growth_and_tie_retention():
     assert sdag.height() == 2
 
 
+def test_rule_level_walk_expands_the_own_chain_reference_before_the_milestone_reference():
+    """A level set lists its blocks in breadth-first discovery order from
+    its milestone, each block's references taken idp, idm, idt."""
+    sdag = SDag(EASY)
+    peer_a, peer_b, peer_c = (sha256(name) for name in (b"A", b"B", b"C"))
+
+    def add(idp, idm, idt, peer, want):
+        block = mined(sdag, idp, idm, idt, peer, want)
+        assert sdag.insert(block) is None
+        return block_id(block)
+
+    g = GENESIS_ID
+    m1 = add(g, g, g, peer_b, BlockClass.MILESTONE)
+    fork = add(g, g, g, peer_c, BlockClass.MILESTONE)  # ties m1; the incumbent stays
+    a1 = add(g, m1, g, peer_a, BlockClass.REGULAR)
+    x = add(a1, fork, g, peer_a, BlockClass.REGULAR)
+    m2 = add(m1, m1, x, peer_b, BlockClass.MILESTONE)
+    assert sdag.main_chain == [g, m1, m2]
+    # x's own chain a1 is discovered before its milestone reference, the fork
+    assert sdag.level_set(m2) == [m2, x, a1, fork]
+
+
 def test_level_sets_partition_confirmed(demo):
     sdag = demo.sdag
     union = set()

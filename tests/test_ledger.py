@@ -36,10 +36,12 @@ from sdag.ledger import (
     build_from_dag,
     build_ledger,
     dfs_order,
+    genesis_utxo,
     iter_ordered_blocks,
     ledger_csv,
     resolve_peer_chain,
     validate_redemption,
+    verify_normal,
     BadSignature,
     WrongAmount,
 )
@@ -183,6 +185,45 @@ def test_bad_signature_and_overspend_rejected(chain):
     assert entries[overspend.txid()].reason == "outputs exceed inputs"
 
 
+def test_rejected_normal_txs_earn_their_blocks_no_fee(chain):
+    """A block whose normal transaction the fold rejects earns the bare
+    regular+ reward: each of these would pay a fee of 1 if it were valid."""
+    garbled = signed_normal(chain.t1.txid(), 0, [TxOutput(8, U_ADDR)], garble=True)
+    spent = signed_normal(GENESIS_ID, 0, [TxOutput(9, A_ADDR)])  # t1 spent it first
+    overspend = signed_normal(chain.t2.txid(), 0, [TxOutput(11, U_ADDR)])
+    blocks = [chain.add(A_ADDR, tx) for tx in (garbled, spent, overspend)]
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=blocks[-1])
+    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
+    entries = {e.block_id: e for e in build.ledger.entries}
+    reasons = [entries[bid].reason for bid in blocks]
+    assert reasons == ["bad signature", "input not in utxo", "outputs exceed inputs"]
+    for bid in blocks:
+        rec = build.rewards[bid]
+        assert (rec.kind, rec.status, rec.amount) == (BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, PARAMS.r_n)
+
+
+def test_rule_a_normal_tx_spends_each_input_once(chain):
+    """Inputs must be distinct unspent outputs: listing one outpoint twice
+    would count its value twice.  The transaction is rejected and the fold
+    goes on with its UTXO set untouched."""
+    op = (chain.t2.txid(), 0)  # worth 10
+    bare = Transaction(TxKind.NORMAL, inputs=(TxInput(*op, b""),) * 2, outputs=(TxOutput(20, U_ADDR),))
+    witness = S.witness(U_SECRET, sighash(bare))
+    twice = Transaction(TxKind.NORMAL, inputs=(TxInput(*op, witness),) * 2, outputs=bare.outputs)
+    utxo = genesis_utxo(GENESIS_OUTPUTS)
+    assert verify_normal(twice, utxo) == (False, 0, "input not in utxo")
+    assert utxo == genesis_utxo(GENESIS_OUTPUTS)
+
+    before = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS).ledger.utxo
+    bid = chain.add(A_ADDR, twice)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=bid)
+    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
+    entry = next(e for e in build.ledger.entries if e.block_id == bid)
+    assert (entry.accepted, entry.reason) == (False, "input not in utxo")
+    assert build.ledger.utxo == before
+    assert build.rewards[bid].amount == PARAMS.r_n
+
+
 def test_build_deterministic_and_reload_stable(chain):
     b1 = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
     b2 = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
@@ -211,6 +252,30 @@ def test_peer_chain_chronology_in_dfs(chain):
             parent = sdag.blocks[bid].idp
             if parent in pos:
                 assert pos[parent] < pos[bid]
+
+
+def test_rule_milestone_bonus_counts_the_level_size_less_one(chain):
+    """A main milestone earns r_m plus delta * r_n for every other block of
+    its level set, rounded down."""
+    sdag = chain.sdag
+    assert [len(sdag.level_set(ms)) for ms in (chain.m1, chain.m2)] == [4, 2]
+    build = build_from_dag(sdag, PARAMS, GENESIS_OUTPUTS)
+    # r_m = 3, delta * r_n = 1/2: int(1/2 * 3) = 1 and int(1/2 * 1) = 0
+    assert build.rewards[chain.m1].amount == 3 + 1
+    assert build.rewards[chain.m2].amount == 3 + 0
+
+
+def test_rule_dfs_visits_the_own_chain_reference_before_the_tip_reference():
+    """A level set is ordered by post-order DFS from its milestone, each
+    block's own-chain reference (idp) before its tip reference (idt)."""
+    b = Builder()
+    a1 = b.add(A_ADDR, EMPTY_TX)
+    a2 = b.add(A_ADDR, EMPTY_TX)
+    b1 = b.add(B_ADDR, EMPTY_TX)
+    m1 = b.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=a2)
+    assert b.sdag.main_chain == [GENESIS_ID, m1]
+    # m1's own chain is b1; its tip reference a2 brings a1 along
+    assert dfs_order(b.sdag, m1) == [b1, a1, a2, m1]
 
 
 # -- registration and redemption ------------------------------------------
@@ -270,6 +335,22 @@ def test_redemption_wrong_amount_rejected(chain):
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert not entry.accepted and "claimed" in entry.reason
+    with pytest.raises(WrongAmount):
+        validate_redemption(chain.sdag, build.peer_views[A_ADDR], red_block, build.rewards)
+
+
+def test_rule_a_redemption_claims_exactly_what_accrued(chain):
+    """A redemption must claim exactly the rewards its chain accrued since
+    the previous claim: less is refused like more."""
+    _, _, accrued = accrued_for(chain, A_ADDR)
+    assert accrued > 1
+    red = make_redemption(accrued - 1, A_SECRET, A_ADDR)
+    red_block = chain.add(A_ADDR, red)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=red_block)
+    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
+    entry = next(e for e in build.ledger.entries if e.txid == red.txid())
+    assert not entry.accepted and entry.reason == f"claimed {accrued - 1}, accrued {accrued}"
+    assert (red.txid(), 0) not in build.ledger.utxo
     with pytest.raises(WrongAmount):
         validate_redemption(chain.sdag, build.peer_views[A_ADDR], red_block, build.rewards)
 

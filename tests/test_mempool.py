@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sdag.core import Transaction, TxKind, TxOutput, TxInput, encode_tx, sha256, tx_distance
-from sdag.mempool import Mempool, collision_prob, estimate_power
+from sdag.mempool import Mempool, collision_prob, estimate_power, power_share
 
 HEAD = sha256(b"head")
 
@@ -133,6 +133,14 @@ def test_estimate_power_counts_recent_levels(demo):
         assert q1 == Fraction(in_last, len(last))
     with pytest.raises(ValueError):
         estimate_power(sdag, demo.peers[1], window=0)
+
+
+def test_rule_a_miner_with_no_blocks_assumes_an_equal_share():
+    """A miner absent from the window assumes an equal split among the
+    miners observed there and itself."""
+    counts = {sha256(b"x"): 3, sha256(b"y"): 1}
+    assert power_share(counts, 4, sha256(b"absent")) == Fraction(1, 3)
+    assert power_share(counts, 4, sha256(b"x")) == Fraction(3, 4)
 
 
 def test_estimate_power_no_data():
