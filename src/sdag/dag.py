@@ -81,7 +81,8 @@ class DagFacts:
     """Facts that are pure functions of the blocks, and the one block store
     of the SDags that share the table:
     - `levels`: milestone id -> level set (its confirm set minus its
-      parent's, in discovery order);
+      parent's, in discovery order; the genesis pseudo-level holds the
+      genesis alone);
     - `level_of`: block id -> the tuple of milestones whose level sets
       hold it, in the order they were walked (more than one only when
       forks put it in several; the genesis holds itself);
@@ -102,7 +103,7 @@ class DagFacts:
 
     def __init__(self, params: Params):
         self.params = params
-        self.levels: dict[bytes, tuple[bytes, ...]] = {}
+        self.levels: dict[bytes, tuple[bytes, ...]] = {GENESIS_ID: (GENESIS_ID,)}
         self.level_of: dict[bytes, tuple[bytes, ...]] = {GENESIS_ID: (GENESIS_ID,)}
         self.blocks: dict[bytes, Block] = {GENESIS_ID: GENESIS}
         self.serial: dict[bytes, int] = {GENESIS_ID: 0}
@@ -357,12 +358,14 @@ class SDag:
 
     def level_set(self, ms: bytes) -> list[bytes]:
         """Blocks confirmed by main-chain milestone ms but by none before it,
-        in deterministic discovery order; the genesis confirms itself."""
-        return list(self.facts.levels[ms]) if self.level_index(ms) else [GENESIS_ID]
+        in deterministic discovery order; the genesis confirms itself.
+        KeyError if ms is not on the main chain."""
+        self.level_index(ms)
+        return list(self.facts.levels[ms])
 
     def level_sets(self) -> list[list[bytes]]:
         levels = self.facts.levels
-        return [[GENESIS_ID]] + [list(levels[ms]) for ms in self.main_chain[1:]]
+        return [list(levels[ms]) for ms in self.main_chain]
 
     def recent_levels(self, count: int) -> list[tuple[bytes, ...]]:
         """The last `count` main-chain level sets (never the genesis

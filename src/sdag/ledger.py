@@ -7,10 +7,10 @@ through the UTXO recurrence yields a ledger every peer with the same DAG
 agrees on byte for byte.
 
 Rewards follow a six-row table keyed on block kind (regular+ vs main-chain
-milestone), peer-chain status, and transaction validity; forked peer-chain
-branches earn nothing.  Accumulated rewards are claimed through a chain of
-redemption transactions anchored at a registration, each signed with the
-key of the previously declared address.
+milestone), peer-chain status, and the fee the fold accepted; forked
+peer-chain branches earn nothing.  Accumulated rewards are claimed through
+a chain of redemption transactions anchored at a registration, each signed
+with the key of the previously declared address.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ class BlockKind(Enum):
 class ChainStatus(Enum):
     ON_PEER_CHAIN = "on-peer-chain"
     FORKED = "forked"
-
-
-class TxValidity(Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    NONE = "none"
 
 
 class RewardRecord(NamedTuple):
@@ -98,22 +92,16 @@ class WrongAmount(RedemptionError):
         self.claimed = claimed
 
 
-def block_reward(
-    kind: BlockKind,
-    status: ChainStatus,
-    validity: TxValidity,
-    fee: int,
-    lev_size: int,
-    params: Params,
-) -> int:
-    """Exact reward amount for one block per the reward table."""
+def block_reward(kind: BlockKind, status: ChainStatus, fee: int, lev_size: int, params: Params) -> int:
+    """Exact reward amount for one block per the reward table.  `fee` is
+    the fee the fold accepted: 0 for a block whose transaction it rejected,
+    for a registration or redemption, and for a block without one."""
     if status is ChainStatus.FORKED:
         return 0
-    fee_part = fee if validity is TxValidity.VALID else 0
     if kind is BlockKind.REGULAR_PLUS:
-        return params.r_n + fee_part
+        return params.r_n + fee
     bonus = int(params.delta * params.r_n * max(lev_size - 1, 0))
-    return params.r_m + fee_part + bonus
+    return params.r_m + fee + bonus
 
 
 # -- ordering ------------------------------------------------------------
@@ -128,7 +116,7 @@ def dfs_order(sdag: SDag, ms: bytes) -> list[bytes]:
     chronology is preserved: a miner's earlier block precedes its later one.
     `ms` must be on the main chain (KeyError otherwise).
     """
-    members = set(sdag.facts.levels[ms]) if sdag.level_index(ms) else {ms}
+    members = set(sdag.level_set(ms))
     blocks = sdag.blocks
     visited = {ms}
     order: list[bytes] = []
@@ -150,22 +138,6 @@ def dfs_order(sdag: SDag, ms: bytes) -> list[bytes]:
             order.append(bid)
             stack.pop()
     return order
-
-
-class OrderedBlock(NamedTuple):
-    block_id: bytes
-    level_index: int
-
-
-def iter_ordered_blocks(sdag: SDag) -> list[OrderedBlock]:
-    """All confirmed non-genesis blocks in canonical ledger order."""
-    out: list[OrderedBlock] = []
-    for k, ms in enumerate(sdag.main_chain):
-        if k == 0:
-            continue
-        for bid in dfs_order(sdag, ms):
-            out.append(OrderedBlock(bid, k))
-    return out
 
 
 # -- peer chains ---------------------------------------------------------
@@ -325,14 +297,16 @@ class _PeerChainContext(NamedTuple):
 def _fold_tx(
     ledger: Ledger,
     tx: Transaction,
-    ob: OrderedBlock,
+    bid: bytes,
+    level_index: int,
     context: Optional[_PeerChainContext],
-) -> tuple[bool, int]:
-    """Judge one transaction, apply it if accepted and append its entry;
-    return (accepted, fee).  A normal transaction must pass `verify_normal`;
-    a registration counts only at position 0 of its miner's peer chain and
-    a redemption must pass `validate_redemption`, so those two need the
-    `context` that only `build_from_dag` has."""
+) -> int:
+    """Judge the transaction of block `bid` in level `level_index`, apply
+    it if accepted and append its entry; return its fee, which is 0 unless
+    it is an accepted normal transaction.  A normal transaction must pass
+    `verify_normal`; a registration counts only at position 0 of its
+    miner's peer chain and a redemption must pass `validate_redemption`, so
+    those two need the `context` that only `build_from_dag` has."""
     txid = tx.txid()
     accepted, fee, reason = False, 0, ""
     if txid in ledger.accepted_ids:
@@ -346,27 +320,27 @@ def _fold_tx(
             for j, out in enumerate(tx.outputs):
                 utxo[_new_tuple(Outpoint, (txid, j))] = (out.value, out.address)
     elif tx.kind is TxKind.REGISTRATION:
-        accepted = context.view.position.get(ob.block_id) == 0
+        accepted = context.view.position.get(bid) == 0
         reason = "" if accepted else "not the canonical registration"
     elif tx.kind is TxKind.REDEMPTION:
         try:
-            payout = validate_redemption(context.sdag, context.view, ob.block_id, context.rewards)
+            payout = validate_redemption(context.sdag, context.view, bid, context.rewards)
             ledger.utxo[_new_tuple(Outpoint, (txid, 0))] = (tx.reward_claim or 0, payout)
             accepted = True
         except RedemptionError as exc:
             reason = str(exc)
     if accepted:
         ledger.accepted_ids.add(txid)
-    ledger.entries.append(LedgerEntry(txid, ob.block_id, ob.level_index, accepted, reason))
-    return accepted, fee
+    ledger.entries.append(LedgerEntry(txid, bid, level_index, accepted, reason))
+    return fee
 
 
 def build_ledger(
-    ordered: Iterable[tuple[Transaction, OrderedBlock]],
+    ordered: Iterable[tuple[Transaction, bytes, int]],
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
 ) -> Ledger:
-    """Fold an ordered sequence of normal transactions through the UTXO
-    recurrence.
+    """Fold an ordered sequence of normal transactions, each with its
+    block id and level index, through the UTXO recurrence.
 
     First-seen wins among conflicting spends; rejected transactions leave
     the state untouched.  Any other kind raises ValueError: a registration
@@ -374,10 +348,10 @@ def build_ledger(
     `build_from_dag` resolves.
     """
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
-    for tx, ob in ordered:
+    for tx, bid, level_index in ordered:
         if tx.kind is not TxKind.NORMAL:
             raise ValueError(f"a {tx.kind.name} is judged by build_from_dag, not build_ledger")
-        _fold_tx(ledger, tx, ob, None)
+        _fold_tx(ledger, tx, bid, level_index, None)
     return ledger
 
 
@@ -388,52 +362,52 @@ def build_from_dag(
     genesis_outputs: Sequence[tuple[int, bytes]] = (),
     finality_depth: int = 0,
 ) -> LedgerBuild:
-    """One deterministic pass: order blocks, fold the ledger, and compute
-    reward records for every block whose level set is at least
-    `finality_depth` milestones below the tip.  Runs with the cyclic
-    collector paused (`collector_paused`): the fold makes no cyclic
+    """One deterministic pass over the main chain's level sets, low to
+    high: order each by `dfs_order`, fold its blocks' transactions, and
+    compute reward records for every block whose level set is at least
+    `finality_depth` milestones below the tip.  A miner's peer chain is
+    resolved when the pass first meets one of its blocks.  Runs with the
+    cyclic collector paused (`collector_paused`): the fold makes no cyclic
     garbage."""
-    ordered_blocks = iter_ordered_blocks(sdag)
     blocks = sdag.blocks
     main_chain = sdag.main_chain
     final_levels = max(len(main_chain) - finality_depth, 1)
     levels = sdag.facts.levels
-    # the genesis pseudo-level holds the genesis alone
-    lev_sizes = [1] + [len(levels[ms]) for ms in main_chain[1:]]
-    miners = {blocks[ob.block_id].peer for ob in ordered_blocks}
-    views = {m: resolve_peer_chain(sdag, m) for m in miners}
+    views: dict[bytes, PeerChainView] = {}
     rewards: dict[bytes, RewardRecord] = {}
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
-    for ob in ordered_blocks:
-        bid, level_index = ob
-        block = blocks[bid]
-        view = views[block.peer]
-        validity = TxValidity.NONE
-        fee = 0
-        tx = block.mes
-        tx_kind = tx.kind
-        if tx_kind is not TxKind.EMPTY:
-            # only a registration or a redemption reads its peer chain
-            context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
-            accepted, fee = _fold_tx(ledger, tx, ob, context)
-            validity = TxValidity.VALID if accepted else TxValidity.INVALID
-        if level_index < final_levels:
-            kind = BlockKind.MAIN_MILESTONE if main_chain[level_index] == bid else BlockKind.REGULAR_PLUS
-            status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
-            amount = block_reward(kind, status, validity, fee, lev_sizes[level_index], params)
-            rewards[bid] = RewardRecord(bid, kind, status, amount)
+    for level_index, ms in enumerate(main_chain[1:], 1):
+        final = level_index < final_levels
+        lev_size = len(levels[ms])
+        for bid in dfs_order(sdag, ms):
+            block = blocks[bid]
+            view = views.get(block.peer)
+            if view is None:
+                view = views[block.peer] = resolve_peer_chain(sdag, block.peer)
+            fee = 0
+            tx = block.mes
+            tx_kind = tx.kind
+            if tx_kind is not TxKind.EMPTY:
+                # only a registration or a redemption reads its peer chain
+                context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
+                fee = _fold_tx(ledger, tx, bid, level_index, context)
+            if final:
+                kind = BlockKind.MAIN_MILESTONE if bid == ms else BlockKind.REGULAR_PLUS
+                status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
+                amount = block_reward(kind, status, fee, lev_size, params)
+                rewards[bid] = RewardRecord(bid, kind, status, amount)
     return LedgerBuild(ledger, rewards, views, final_levels)
 
 
 def _accrued_span(
     view: PeerChainView, pos: int, rewards: dict[bytes, RewardRecord]
 ) -> Optional[int]:
-    """Rewards claimable by the redemption at `pos`: every chain block from
-    the previous claim (inclusive, its own fixed reward rolls forward) up to
-    but excluding this one.  None if any span block has no settled reward."""
+    """Rewards claimable by the signed redemption at `pos`: every chain
+    block from the previous claim (inclusive, its own fixed reward rolls
+    forward) up to but excluding this one.  A signed claim always has a
+    previous one, since signing needs the registration at position 0.
+    None if any span block has no settled reward."""
     prev = view.claims[pos].prev
-    if prev is None:
-        return None
     total = 0
     for bid in view.blocks[prev:pos]:
         rec = rewards.get(bid)

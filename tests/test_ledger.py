@@ -29,15 +29,12 @@ from sdag.dag import SDag
 from sdag.ledger import (
     BlockKind,
     ChainStatus,
-    OrderedBlock,
     Outpoint,
-    TxValidity,
     block_reward,
     build_from_dag,
     build_ledger,
     dfs_order,
     genesis_utxo,
-    iter_ordered_blocks,
     ledger_csv,
     resolve_peer_chain,
     validate_redemption,
@@ -123,14 +120,15 @@ def chain():
 
 
 def test_reward_table_rows():
-    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.FORKED, TxValidity.VALID, 5, 9, PARAMS) == 0
-    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, TxValidity.NONE, 0, 9, PARAMS) == 1
-    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, TxValidity.VALID, 5, 9, PARAMS) == 6
-    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, TxValidity.INVALID, 5, 9, PARAMS) == 1
+    # the fee is the one the fold accepted: 0 for a rejected transaction
+    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.FORKED, 5, 9, PARAMS) == 0
+    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, 0, 9, PARAMS) == 1
+    assert block_reward(BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, 5, 9, PARAMS) == 6
     # milestone bonus: delta * r_n * (|lev| - 1) = 4 at |lev| = 9
-    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, TxValidity.NONE, 0, 9, PARAMS) == 7
-    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, TxValidity.VALID, 2, 9, PARAMS) == 9
-    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, TxValidity.NONE, 0, 1, PARAMS) == 3
+    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.FORKED, 2, 9, PARAMS) == 0
+    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, 0, 9, PARAMS) == 7
+    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, 2, 9, PARAMS) == 9
+    assert block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, 0, 1, PARAMS) == 3
 
 
 def test_basic_build_accepts_and_rewards(chain):
@@ -324,7 +322,7 @@ def test_redemption_happy_path(chain):
     assert validate_redemption(chain.sdag, view, red_block, build.rewards) == A_ADDR
     # the plain fold has no peer chains to judge a redemption on
     with pytest.raises(ValueError, match="build_from_dag"):
-        build_ledger([(red, OrderedBlock(red_block, 1))])
+        build_ledger([(red, red_block, 1)])
 
 
 def test_redemption_wrong_amount_rejected(chain):
@@ -424,8 +422,12 @@ def test_build_from_dag_judges_normal_txs_like_build_ledger():
         payloads = RandomPayloads(len(genesis), U_SECRET)
         sdag = random_dag(rng, n_blocks=80, params=RANDOM_PARAMS, payload=payloads)
         build = build_from_dag(sdag, RANDOM_PARAMS, genesis)
-        ordered = [(sdag.blocks[ob.block_id].mes, ob) for ob in iter_ordered_blocks(sdag)]
-        plain = build_ledger([(tx, ob) for tx, ob in ordered if tx.kind is TxKind.NORMAL], genesis)
+        ordered = [
+            (sdag.blocks[bid].mes, bid, k)
+            for k, ms in enumerate(sdag.main_chain[1:], 1)
+            for bid in dfs_order(sdag, ms)
+        ]
+        plain = build_ledger([slot for slot in ordered if slot[0].kind is TxKind.NORMAL], genesis)
         normal = [e for e in build.ledger.entries if sdag.blocks[e.block_id].mes.kind is TxKind.NORMAL]
         assert len(normal) == len(plain.entries)
         for got, want in zip(normal, plain.entries):
