@@ -377,7 +377,6 @@ def build_from_dag(
     rewards: dict[bytes, RewardRecord] = {}
     ledger = Ledger(utxo=genesis_utxo(genesis_outputs))
     for level_index, ms in enumerate(main_chain[1:], 1):
-        final = level_index < final_levels
         lev_size = len(levels[ms])
         for bid in dfs_order(sdag, ms):
             block = blocks[bid]
@@ -391,7 +390,7 @@ def build_from_dag(
                 # only a registration or a redemption reads its peer chain
                 context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
                 fee = _fold_tx(ledger, tx, bid, level_index, context)
-            if final:
+            if level_index < final_levels:
                 kind = BlockKind.MAIN_MILESTONE if bid == ms else BlockKind.REGULAR_PLUS
                 status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
                 amount = block_reward(kind, status, fee, lev_size, params)

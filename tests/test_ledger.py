@@ -34,7 +34,6 @@ from sdag.ledger import (
     build_from_dag,
     build_ledger,
     dfs_order,
-    genesis_utxo,
     ledger_csv,
     resolve_peer_chain,
     validate_redemption,
@@ -172,20 +171,9 @@ def test_duplicate_tx_rejected_once(chain):
 
 
 def test_bad_signature_and_overspend_rejected(chain):
-    garbled = signed_normal(chain.t1.txid(), 0, [TxOutput(9, U_ADDR)], garble=True)
-    overspend = signed_normal(chain.t2.txid(), 0, [TxOutput(11, U_ADDR)])
-    chain.add(A_ADDR, garbled)
-    ob = chain.add(A_ADDR, overspend)
-    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=ob)
-    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
-    entries = {e.txid: e for e in build.ledger.entries}
-    assert entries[garbled.txid()].reason == "bad signature"
-    assert entries[overspend.txid()].reason == "outputs exceed inputs"
-
-
-def test_rejected_normal_txs_earn_their_blocks_no_fee(chain):
-    """A block whose normal transaction the fold rejects earns the bare
-    regular+ reward: each of these would pay a fee of 1 if it were valid."""
+    """The fold rejects a bad signature, a spent input and an over-spend,
+    and each block earns the bare regular+ reward: the first two would pay
+    a fee of 1 if they were valid."""
     garbled = signed_normal(chain.t1.txid(), 0, [TxOutput(8, U_ADDR)], garble=True)
     spent = signed_normal(GENESIS_ID, 0, [TxOutput(9, A_ADDR)])  # t1 spent it first
     overspend = signed_normal(chain.t2.txid(), 0, [TxOutput(11, U_ADDR)])
@@ -208,9 +196,7 @@ def test_rule_a_normal_tx_spends_each_input_once(chain):
     bare = Transaction(TxKind.NORMAL, inputs=(TxInput(*op, b""),) * 2, outputs=(TxOutput(20, U_ADDR),))
     witness = S.witness(U_SECRET, sighash(bare))
     twice = Transaction(TxKind.NORMAL, inputs=(TxInput(*op, witness),) * 2, outputs=bare.outputs)
-    utxo = genesis_utxo(GENESIS_OUTPUTS)
-    assert verify_normal(twice, utxo) == (False, 0, "input not in utxo")
-    assert utxo == genesis_utxo(GENESIS_OUTPUTS)
+    assert verify_normal(twice, {Outpoint(*op): (10, U_ADDR)}) == (False, 0, "input not in utxo")
 
     before = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS).ledger.utxo
     bid = chain.add(A_ADDR, twice)
