@@ -95,6 +95,14 @@ def _write_artifacts(
 _STRATEGIES = ("none", "private-milestone-fork", "peer-chain-fork")
 
 
+def _config_number(key: str, raw: str, kind: type, form: str):
+    """`kind(raw)`, refused with the config key and the form it expects."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config key {key}: expected {form}, got {raw!r}") from None
+
+
 def _parse_strategy(value: str):
     if value == "none":
         return None
@@ -108,7 +116,10 @@ def _parse_strategy(value: str):
     got, _, number = arg.partition("=")
     if arg and got != "victim":
         raise ValueError(f"{name} takes victim=N, got {arg!r}")
-    return PeerChainFork(int(number)) if arg else PeerChainFork()
+    if not arg:
+        return PeerChainFork()
+    victim = _config_number("adversary_strategy", number, int, f"{name}:victim=N, N an integer")
+    return PeerChainFork(victim)
 
 
 def load_sim_config(path: str) -> SimConfig:
@@ -132,9 +143,9 @@ def load_sim_config(path: str) -> SimConfig:
         if f.name == "adversary_strategy":
             kwargs[field_name] = _parse_strategy(raw)
         elif f.type in ("int", int):
-            kwargs[field_name] = int(raw)
+            kwargs[field_name] = _config_number(key, raw, int, "an integer")
         elif f.type in ("float", float):
-            kwargs[field_name] = float(raw)
+            kwargs[field_name] = _config_number(key, raw, float, "a number")
         else:
             kwargs[field_name] = raw
     config = SimConfig(**kwargs)

@@ -42,7 +42,6 @@ class ChainStatus(Enum):
 
 
 class RewardRecord(NamedTuple):
-    block_id: bytes
     kind: BlockKind
     status: ChainStatus
     amount: int
@@ -288,25 +287,21 @@ def verify_normal(tx: Transaction, utxo: dict[Outpoint, tuple[int, bytes]]) -> t
     return True, total_in - total_out, ""
 
 
-class _PeerChainContext(NamedTuple):
-    sdag: SDag
-    view: PeerChainView  # the canonical peer chain of the block's miner
-    rewards: dict[bytes, RewardRecord]  # settled so far
-
-
 def _fold_tx(
     ledger: Ledger,
     tx: Transaction,
     bid: bytes,
     level_index: int,
-    context: Optional[_PeerChainContext],
+    view: Optional[PeerChainView],
+    rewards: Optional[dict[bytes, RewardRecord]],
 ) -> int:
     """Judge the transaction of block `bid` in level `level_index`, apply
     it if accepted and append its entry; return its fee, which is 0 unless
     it is an accepted normal transaction.  A normal transaction must pass
-    `verify_normal`; a registration counts only at position 0 of its
-    miner's peer chain and a redemption must pass `validate_redemption`, so
-    those two need the `context` that only `build_from_dag` has."""
+    `verify_normal`; a registration counts only at position 0 of `view`,
+    its miner's canonical peer chain, and a redemption must pass
+    `validate_redemption` on `view` against the `rewards` settled so far.
+    Only `build_from_dag` has those two; `build_ledger` passes None."""
     txid = tx.txid()
     accepted, fee, reason = False, 0, ""
     if txid in ledger.accepted_ids:
@@ -320,12 +315,12 @@ def _fold_tx(
             for j, out in enumerate(tx.outputs):
                 utxo[_new_tuple(Outpoint, (txid, j))] = (out.value, out.address)
     elif tx.kind is TxKind.REGISTRATION:
-        accepted = context.view.position.get(bid) == 0
+        accepted = view.position.get(bid) == 0
         reason = "" if accepted else "not the canonical registration"
     elif tx.kind is TxKind.REDEMPTION:
         try:
-            payout = validate_redemption(context.sdag, context.view, bid, context.rewards)
-            ledger.utxo[_new_tuple(Outpoint, (txid, 0))] = (tx.reward_claim or 0, payout)
+            payout = validate_redemption(view, bid, tx, rewards)
+            ledger.utxo[_new_tuple(Outpoint, (txid, 0))] = (tx.reward_claim, payout)
             accepted = True
         except RedemptionError as exc:
             reason = str(exc)
@@ -351,7 +346,7 @@ def build_ledger(
     for tx, bid, level_index in ordered:
         if tx.kind is not TxKind.NORMAL:
             raise ValueError(f"a {tx.kind.name} is judged by build_from_dag, not build_ledger")
-        _fold_tx(ledger, tx, bid, level_index, None)
+        _fold_tx(ledger, tx, bid, level_index, None, None)
     return ledger
 
 
@@ -383,62 +378,46 @@ def build_from_dag(
             view = views.get(block.peer)
             if view is None:
                 view = views[block.peer] = resolve_peer_chain(sdag, block.peer)
-            fee = 0
             tx = block.mes
-            tx_kind = tx.kind
-            if tx_kind is not TxKind.EMPTY:
-                # only a registration or a redemption reads its peer chain
-                context = None if tx_kind is TxKind.NORMAL else _PeerChainContext(sdag, view, rewards)
-                fee = _fold_tx(ledger, tx, bid, level_index, context)
+            fee = 0 if tx.kind is TxKind.EMPTY else _fold_tx(ledger, tx, bid, level_index, view, rewards)
             if level_index < final_levels:
                 kind = BlockKind.MAIN_MILESTONE if bid == ms else BlockKind.REGULAR_PLUS
                 status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
                 amount = block_reward(kind, status, fee, lev_size, params)
-                rewards[bid] = RewardRecord(bid, kind, status, amount)
+                rewards[bid] = RewardRecord(kind, status, amount)
     return LedgerBuild(ledger, rewards, views, final_levels)
 
 
-def _accrued_span(
-    view: PeerChainView, pos: int, rewards: dict[bytes, RewardRecord]
-) -> Optional[int]:
-    """Rewards claimable by the signed redemption at `pos`: every chain
-    block from the previous claim (inclusive, its own fixed reward rolls
-    forward) up to but excluding this one.  A signed claim always has a
-    previous one, since signing needs the registration at position 0.
-    None if any span block has no settled reward."""
-    prev = view.claims[pos].prev
-    total = 0
-    for bid in view.blocks[prev:pos]:
-        rec = rewards.get(bid)
-        if rec is None:
-            return None
-        total += rec.amount
-    return total
-
-
 def validate_redemption(
-    sdag: SDag,
     view: PeerChainView,
     block_id: bytes,
+    tx: Transaction,
     rewards: dict[bytes, RewardRecord],
 ) -> bytes:
-    """Check one redemption block on a resolved chain against the rewards
-    settled so far and return its payout address: the address declared
-    before it, whose key must have signed it (`resolve_peer_chain` checked
-    the signature and recorded the verdict in the claim).  Raises
-    RedemptionError (BadSignature or WrongAmount for a claim that fails)."""
+    """Check redemption `tx`, the transaction of block `block_id`, on its
+    miner's resolved chain `view` against the rewards settled so far and
+    return its payout address: the address declared before it, whose key
+    must have signed it (`resolve_peer_chain` checked the signature and
+    recorded the verdict in the claim).  The claim must equal the settled
+    rewards of every chain block from the previous claim (inclusive, its
+    own fixed reward rolls forward) up to but excluding this one; a signed
+    claim always has a previous one, since signing needs the registration
+    at position 0.  Raises RedemptionError: BadSignature, or WrongAmount
+    with expected -1 if a block in that span has no settled reward."""
     pos = view.position.get(block_id)
     if pos is None:
         raise RedemptionError("block not on the canonical peer chain")
-    tx = sdag.blocks[block_id].mes
-    if tx.kind is not TxKind.REDEMPTION:
-        raise RedemptionError("not a redemption block")
     claim = view.claims[pos]
     if not claim.signed:
         raise BadSignature("signature does not match declared address")
-    expected = _accrued_span(view, pos, rewards)
-    if expected is None or tx.reward_claim != expected:
-        raise WrongAmount(expected if expected is not None else -1, tx.reward_claim or 0)
+    expected = 0
+    for bid in view.blocks[claim.prev:pos]:
+        rec = rewards.get(bid)
+        if rec is None:
+            raise WrongAmount(-1, tx.reward_claim)
+        expected += rec.amount
+    if tx.reward_claim != expected:
+        raise WrongAmount(expected, tx.reward_claim)
     return claim.address
 
 

@@ -820,8 +820,8 @@ class Simulation:
         identity_to_index = {node.identity: i for i, node in enumerate(self.nodes)}
         reward_by_miner: dict[int, int] = {}
         reward_amounts: list[int] = []
-        for rec in build.rewards.values():
-            peer = ref.sdag.blocks[rec.block_id].peer
+        for bid, rec in build.rewards.items():
+            peer = ref.sdag.blocks[bid].peer
             idx = identity_to_index.get(peer, -1)
             reward_by_miner[idx] = reward_by_miner.get(idx, 0) + rec.amount
             reward_amounts.append(rec.amount)

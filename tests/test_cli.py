@@ -86,6 +86,39 @@ def test_simulate_rejects_non_finite_floats(tmp_path, key, value):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,refusal",
+    [
+        ("n", "1e2", "expected an integer, got '1e2'"),
+        ("seed", "5.0", "expected an integer, got '5.0'"),
+        ("finality_depth", "two", "expected an integer, got 'two'"),
+        ("mu", "fast", "expected a number, got 'fast'"),
+        ("lambda", "1/2", "expected a number, got '1/2'"),
+        ("adversary_strategy", "peer-chain-fork:victim=", "expected peer-chain-fork:victim=N, N an integer, got ''"),
+        (
+            "adversary_strategy",
+            "peer-chain-fork:victim=first",
+            "expected peer-chain-fork:victim=N, N an integer, got 'first'",
+        ),
+    ],
+    ids=["n", "seed", "finality_depth", "mu", "lambda", "victim-empty", "victim-word"],
+)
+def test_simulate_names_the_key_of_a_malformed_value(tmp_path, capsys, monkeypatch, key, value, refusal):
+    """A value of the wrong form was refused with Python's own message,
+    such as "invalid literal for int() with base 10: '1e2'" for `n = 1e2`,
+    which named neither the key nor the form it takes."""
+    monkeypatch.setattr(Simulation, "run", refuse_run)
+    lines = [line for line in SMALL_INI.splitlines() if not line.startswith(f"{key} =")]
+    if key == "adversary_strategy":
+        lines.append("adversary_share = 0.3")
+    path = tmp_path / "sim.ini"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: config key {key}: {refusal}\n"
+    assert not (out / "metrics.csv").exists()
+
+
 def test_load_sim_config_unknown_key(tmp_path, capsys):
     # the fee is a constant (simnet.TX_FEE), not a setting
     for key in ("bogus", "fee"):

@@ -305,7 +305,7 @@ def test_redemption_happy_path(chain):
     assert build.ledger.utxo[(red.txid(), 0)] == (accrued, A_ADDR)
     assert {type(op) for op in build.ledger.utxo} == {Outpoint}
     view = build.peer_views[A_ADDR]
-    assert validate_redemption(chain.sdag, view, red_block, build.rewards) == A_ADDR
+    assert validate_redemption(view, red_block, red, build.rewards) == A_ADDR
     # the plain fold has no peer chains to judge a redemption on
     with pytest.raises(ValueError, match="build_from_dag"):
         build_ledger([(red, red_block, 1)])
@@ -320,7 +320,7 @@ def test_redemption_wrong_amount_rejected(chain):
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert not entry.accepted and "claimed" in entry.reason
     with pytest.raises(WrongAmount):
-        validate_redemption(chain.sdag, build.peer_views[A_ADDR], red_block, build.rewards)
+        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
 
 
 def test_rule_a_redemption_claims_exactly_what_accrued(chain):
@@ -336,7 +336,7 @@ def test_rule_a_redemption_claims_exactly_what_accrued(chain):
     assert not entry.accepted and entry.reason == f"claimed {accrued - 1}, accrued {accrued}"
     assert (red.txid(), 0) not in build.ledger.utxo
     with pytest.raises(WrongAmount):
-        validate_redemption(chain.sdag, build.peer_views[A_ADDR], red_block, build.rewards)
+        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
 
 
 def test_redemption_wrong_key_rejected(chain):
@@ -348,7 +348,7 @@ def test_redemption_wrong_key_rejected(chain):
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert not entry.accepted and "signature" in entry.reason
     with pytest.raises(BadSignature):
-        validate_redemption(chain.sdag, build.peer_views[A_ADDR], red_block, build.rewards)
+        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
 
 
 def test_registration_only_at_chain_start(chain):
@@ -371,6 +371,53 @@ def test_forked_branch_earns_nothing(chain):
     assert fork in view.forked
     assert build.rewards[fork].status is ChainStatus.FORKED
     assert build.rewards[fork].amount == 0
+
+
+def test_rule_a_redemption_off_the_canonical_peer_chain_is_refused(chain):
+    """Rewards are claimed only on the miner's canonical peer chain: a
+    redemption on a forked branch is refused even when it is signed and
+    claims what its own branch accrued, and its block earns nothing."""
+    # the canonical branch redeems a1..a3; the fork off a1 redeems a1 alone
+    build, _, accrued = accrued_for(chain, A_ADDR)
+    red = make_redemption(accrued, A_SECRET, A_ADDR)
+    red_block = chain.add(A_ADDR, red)
+    forked = make_redemption(build.rewards[chain.a1].amount, A_SECRET, A_ADDR)
+    forked_block = chain.add(A_ADDR, forked, idp=chain.a1)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=red_block)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=forked_block)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE)
+    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
+    assert forked_block in build.peer_views[A_ADDR].forked
+    entries = {e.block_id: e for e in build.ledger.entries}
+    assert entries[red_block].accepted, entries[red_block].reason
+    assert not entries[forked_block].accepted
+    assert entries[forked_block].reason == "block not on the canonical peer chain"
+    assert (forked.txid(), 0) not in build.ledger.utxo
+    assert build.rewards[forked_block].status is ChainStatus.FORKED
+    assert build.rewards[forked_block].amount == 0
+
+
+def test_rule_a_redemption_spanning_an_unsettled_reward_is_refused(chain):
+    """A redemption claims settled rewards only: a span that reaches a
+    block whose level is within `finality_depth` of the tip has no amount
+    to match, so the claim is refused with accrued -1.  ROADMAP item 6
+    will replace this rule with a provisional entry that flips to accepted
+    once the level is final."""
+    _, _, accrued = accrued_for(chain, A_ADDR)
+    red = make_redemption(accrued, A_SECRET, A_ADDR)
+    red_block = chain.add(A_ADDR, red)
+    chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=red_block)
+    # levels: m1 holds a1 and a2, m2 holds a3, the third holds the claim
+    assert chain.a3 in chain.sdag.level_set(chain.m2)
+    final = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
+    assert next(e for e in final.ledger.entries if e.block_id == red_block).accepted
+    # at depth 2 only m1's level is settled, so a3 has no reward yet
+    build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS, finality_depth=2)
+    assert chain.a2 in build.rewards and chain.a3 not in build.rewards
+    entry = next(e for e in build.ledger.entries if e.block_id == red_block)
+    assert not entry.accepted
+    assert entry.reason == f"claimed {accrued}, accrued -1"
+    assert (red.txid(), 0) not in build.ledger.utxo
 
 
 def test_unsigned_longer_branch_loses_to_redeemed_chain(chain):

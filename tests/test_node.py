@@ -149,6 +149,20 @@ def node_view(node):
     )
 
 
+def test_rule_drain_stores_orphans_depth_first_in_id_order():
+    """The orphans an arrival completes are stored depth first from the
+    last block taken, the blocks waiting on one parent in sorted-id order:
+    the order in which a cascade's milestones switch the main chain."""
+    a, b, c, d, e, f = (bytes([k]) * 32 for k in range(1, 7))
+    waiting_on = {a: {c, b}, b: {d}, c: {e, f}}
+    taken = []
+    node_module.drain(a, waiting_on, lambda bid: bid != f and not taken.append(bid))
+    # a releases b, then c; c, taken last, releases e (f is refused) before
+    # b releases d
+    assert taken == [b, c, e, d]
+    assert waiting_on == {}
+
+
 def test_orphan_solidification_and_relay_once():
     """A block that arrives before its parent waits in the orphan buffer
     until the parent is stored; a block delivered again, stored or

@@ -558,6 +558,44 @@ def test_private_milestone_fork_runs_and_reorgs():
     assert len(set(utxo_digests(sim))) == 1
 
 
+def test_rule_the_public_height_is_the_best_any_honest_node_holds():
+    """The public height at t is the best height among the milestones some
+    honest node stored at or before t: a store at t itself counts, and a
+    lower milestone stored later does not lower it."""
+    fork = Simulation(small(adversary_share=0.3, adversary_strategy=PrivateMilestoneFork())).adversary
+    fork.milestone_stored(4.0, 7)
+    fork.milestone_stored(4.5, 2)
+    fork.milestone_stored(6.0, 9)
+    assert fork.public_height(3.9) == 0
+    assert fork.public_height(4.0) == 7
+    assert fork.public_height(5.0) == 7
+    assert fork.public_height(6.0) == 9
+
+
+def test_rule_the_private_fork_releases_only_when_its_own_block_leads(monkeypatch):
+    """PrivateMilestoneFork withholds every block it mines and releases the
+    withheld branch exactly when its chain, topped by its own block, is
+    higher than the public height: a tie keeps the branch private."""
+    decisions = []
+    on_mine = simnet._PrivateForkRun.on_mine
+
+    def recorded(self, t):
+        before = self.releases
+        on_mine(self, t)
+        node = self.sim.adv_node
+        own = node.sdag.blocks[node.sdag.chain_tip()].peer == node.identity
+        decisions.append((node.sdag.height() - self.public_height(t), own, self.releases > before))
+
+    monkeypatch.setattr(simnet._PrivateForkRun, "on_mine", recorded)
+    run(small(adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=0))
+    for lead, own, released in decisions:
+        assert released == (lead > 0 and own)
+        # an honest tip never leads: its maker stored it when it made it
+        assert lead <= 0 or own
+    # not vacuous: a release, and an own tip that only tied and waited
+    assert (1, True, True) in decisions and (0, True, False) in decisions
+
+
 def test_peer_chain_fork_no_reward_no_consensus_damage():
     # share kept below the victim's own rate so the true chain stays longest
     cfg = small(
