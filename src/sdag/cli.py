@@ -122,11 +122,10 @@ def _parse_strategy(value: str):
     return PeerChainFork(victim)
 
 
-def load_sim_config(path: str) -> SimConfig:
+def load_sim_config(source: bytes, path: str) -> SimConfig:
+    """The config in `source`, the bytes of the file `path` (named in errors)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
+    parser.read_file(io.TextIOWrapper(io.BytesIO(source)), source=path)
     if "simulation" not in parser:
         raise ValueError("config needs a [simulation] section")
     section = parser["simulation"]
@@ -166,7 +165,12 @@ def _make_out_dir(path: str) -> Path:
 
 
 def cmd_simulate(args, command: list[str]) -> int:
-    config = load_sim_config(args.config)
+    # read once: the manifest digests the bytes the run was configured from
+    try:
+        source = Path(args.config).read_bytes()
+    except OSError:
+        raise ValueError(f"cannot read config file {args.config}") from None
+    config = load_sim_config(source, args.config)
     if args.seed is not None:
         config.seed = args.seed
         config.validate()
@@ -186,8 +190,7 @@ def cmd_simulate(args, command: list[str]) -> int:
     files["counters.json"] = json.dumps(metrics.counters, indent=2) + "\n"
     # wall seconds: the one artifact that differs between reruns
     files["timings.json"] = json.dumps(sim.timings, indent=2) + "\n"
-    digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    _write_artifacts(out_dir, files, "manifest.json", config.seed, digest, command)
+    _write_artifacts(out_dir, files, "manifest.json", config.seed, hashlib.sha256(source).hexdigest(), command)
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
 

@@ -20,8 +20,9 @@ and at one instant each block that arrived then, in broadcast order,
 followed by the orphans it completes, in `node.drain` order.  Orphan
 counts come from the vectors too.  The adversary holds its own blocks
 from creation, so a delivery can move its tip only to an honest
-milestone; as a release needs its own block at the tip above the public
-height, which only grows, it can release only right after it mines.
+milestone, held by its maker since it was made; as a release needs a
+chain above the public height, which only grows, it can release only
+right after it mines.
 
 Difficulty is pinned at d = 1 so every mined hash is valid and the
 milestone/regular split emerges from the real block hash with probability p;
@@ -105,8 +106,8 @@ MAX_NODES = 10**5
 
 @dataclass(frozen=True)
 class PrivateMilestoneFork:
-    """Withhold own milestones on a private branch; release when it
-    overtakes the public chain."""
+    """Withhold every block it mines on a private branch; release the
+    branch when it overtakes the public chain."""
 
     def start(self, sim: Simulation) -> _PrivateForkRun:
         return _PrivateForkRun(sim)
@@ -146,13 +147,13 @@ class _PrivateForkRun:
 
     def on_mine(self, t: float) -> None:
         """Withhold the new block; release every withheld one once the
-        adversary's own block tops a chain above the public height, the global
-        best: an oracle that makes the strategy as strong as the model allows."""
+        adversary's chain is higher than the public height, the global best:
+        an oracle that makes the strategy as strong as the model allows."""
         sim, node = self.sim, self.sim.adv_node
         block = node.create_block()
         sim.adversary_block_ids.add(sim._record_block(block, t))
         self.pending.append(block)
-        if node.sdag.height() > self.public_height(t) and node.sdag.blocks[node.sdag.chain_tip()].peer == node.identity:
+        if node.sdag.height() > self.public_height(t):
             for block in self.pending:
                 sim._broadcast(block, t, skip=sim.cfg.n)
             self.pending.clear()
@@ -404,8 +405,6 @@ class Simulation:
             r_m=2,
         )
         self.master = random.Random(config.seed)
-        self.honest_rate = config.mu * (1.0 - config.adversary_share)
-        self.adv_rate = config.n * config.mu * config.adversary_share
 
         self.user_secret = sha256(b"sim-user")
         self.user_address = DEFAULT_SCHEME.address(DEFAULT_SCHEME.derive_public(self.user_secret))
@@ -416,23 +415,19 @@ class Simulation:
         # and counts the same tips: the first to need a fact derives it and
         # the rest read it
         self.facts = DagFacts(self.params)
-        self.nodes = [
-            NodeState(
-                self.params,
-                secret=sha256(b"sim-peer-" + i.to_bytes(4, "big")),
-                seed=self.master.getrandbits(64),
-                facts=self.facts,
-            )
-            for i in range(config.n)
-        ]
-        self.adv_node: Optional[NodeState] = None
+        # the receivers, the adversary last: every one a miner, with a key
+        # and its mining rate, its share of the hash power
+        honest = config.mu * (1.0 - config.adversary_share)
+        miners = [(b"sim-peer-" + i.to_bytes(4, "big"), honest) for i in range(config.n)]
         if config.adversary_strategy is not None:
-            self.adv_node = NodeState(
-                self.params,
-                secret=sha256(b"sim-adversary"),
-                seed=self.master.getrandbits(64),
-                facts=self.facts,
-            )
+            miners.append((b"sim-adversary", config.n * config.mu * config.adversary_share))
+        self.receivers = [
+            NodeState(self.params, secret=sha256(key), seed=self.master.getrandbits(64), facts=self.facts)
+            for key, _rate in miners
+        ]
+        self.rates = [rate for _key, rate in miners]
+        self.nodes = self.receivers[: config.n]
+        self.adv_node: Optional[NodeState] = self.receivers[config.n] if config.adversary_strategy is not None else None
         # the strategy's run state; only one that reads the public height
         # hears of each milestone's first honest store time
         self.adversary = None if config.adversary_strategy is None else config.adversary_strategy.start(self)
@@ -448,10 +443,9 @@ class Simulation:
         # store-time vectors are made
         self.events = [0] * len(_RANK_NAMES)
 
-        # the receivers, the adversary last, and their view of the network:
-        # every transaction in arrival order, the store times of recent
-        # broadcasts, and per receiver how far it has taken both in
-        self.receivers = self.nodes + ([self.adv_node] if self.adv_node is not None else [])
+        # the receivers' view of the network: every transaction in arrival
+        # order, the store times of recent broadcasts, and per receiver how
+        # far it has taken both in
         width = len(self.receivers)
         self.tx_log: list[tuple[bytes, Transaction]] = []
         self.tx_arrival: dict[bytes, float] = {}  # for the queueing latencies
@@ -699,13 +693,13 @@ class Simulation:
 
     def _handle_mine(self, i: int, t: float) -> None:
         self._catch_up(i, t)
-        block = self.nodes[i].create_block()
-        self._record_block(block, t)
-        self._broadcast(block, t, skip=i)
-
-    def _handle_adv_mine(self, t: float) -> None:
-        self._catch_up(self.cfg.n, t)
-        self.adversary.on_mine(t)
+        if i < self.cfg.n:
+            block = self.receivers[i].create_block()
+            self._record_block(block, t)
+            self._broadcast(block, t, skip=i)
+        else:
+            self.adversary.on_mine(t)
+        self._push(t + self.master.expovariate(self.rates[i]), _RANK_MINE, i)
 
     # -- main loop -------------------------------------------------------
 
@@ -713,10 +707,8 @@ class Simulation:
         cfg = self.cfg
         clock = time.perf_counter
         started = clock()
-        for i in range(cfg.n):
-            self._push(self.master.expovariate(self.honest_rate), _RANK_MINE, i)
-        if self.adv_node is not None:
-            self._push(self.master.expovariate(self.adv_rate), _RANK_MINE, cfg.n)
+        for i, rate in enumerate(self.rates):
+            self._push(self.master.expovariate(rate), _RANK_MINE, i)
         if cfg.lam > 0:
             self._push(self.master.expovariate(cfg.lam), _RANK_TX, 0)
         sample_step = cfg.horizon / MEMPOOL_SAMPLES
@@ -732,12 +724,7 @@ class Simulation:
             if rank == _RANK_TX:
                 self._handle_tx(t)
             elif rank == _RANK_MINE:
-                if actor == cfg.n:
-                    self._handle_adv_mine(t)
-                else:
-                    self._handle_mine(actor, t)
-                rate = self.adv_rate if actor == cfg.n else self.honest_rate
-                self._push(t + self.master.expovariate(rate), _RANK_MINE, actor)
+                self._handle_mine(actor, t)
             elif rank == _RANK_SAMPLE:
                 # the mempool fill time constant is long; sample only the
                 # final quarter so transients do not drag the mean down

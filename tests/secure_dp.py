@@ -88,6 +88,12 @@ def failure_dp(
     return result
 
 
+def binomial_z(frequency: float, prob: float, paths: int) -> float:
+    """How many binomial sigma a failure frequency over `paths` paths lies
+    from the failure probability `prob`."""
+    return (frequency - prob) / math.sqrt(prob * (1.0 - prob) / paths)
+
+
 def failure_dp_extrapolated(
     honest_rate: float,
     adversary_rate: float,

@@ -30,7 +30,7 @@ from dagtools import (
     reinsert_random_order,
 )
 from mc_oracles import infection_chain_mc, tag_sequence_mc
-from secure_dp import failure_dp_extrapolated
+from secure_dp import binomial_z, failure_dp_extrapolated
 from test_ledger import (
     A_ADDR,
     B_ADDR,
@@ -188,7 +188,7 @@ def test_criterion_6_counts_match_the_forward_dp(criterion_6_runs):
         honest, adversary = analysis.rates_for_share(share, pn_mu)
         exact = failure_dp_extrapolated(honest, adversary, t0, curve, [p.horizon for p in res])
         for point, prob in zip(res, exact):
-            z = (point.frequency - prob) / math.sqrt(prob * (1.0 - prob) / point.paths)
+            z = binomial_z(point.frequency, prob, point.paths)
             if abs(z) > 4.0:
                 far.append(f"{share:.0%}/T={point.horizon:g}: {point.failures} of {point.paths}, DP {prob:.6g}, z {z:.2f}")
     assert not far, "; ".join(far)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config parsing, exit codes, manifests."""
 
+import hashlib
 import json
 import math
 import time
@@ -40,7 +41,7 @@ def config_file(tmp_path):
 
 
 def test_load_sim_config_maps_lambda(config_file):
-    cfg = load_sim_config(str(config_file))
+    cfg = load_sim_config(config_file.read_bytes(), str(config_file))
     assert cfg.lam == 0.4 and cfg.n == 4 and cfg.seed == 5
 
 
@@ -49,11 +50,11 @@ def test_load_sim_config_strategy(tmp_path):
     path.write_text(
         SMALL_INI + "adversary_share = 0.3\nadversary_strategy = private-milestone-fork\n"
     )
-    assert load_sim_config(str(path)).adversary_strategy == PrivateMilestoneFork()
+    assert load_sim_config(path.read_bytes(), str(path)).adversary_strategy == PrivateMilestoneFork()
     path.write_text(
         SMALL_INI + "adversary_share = 0.3\nadversary_strategy = peer-chain-fork:victim=2\n"
     )
-    assert load_sim_config(str(path)).adversary_strategy == PeerChainFork(2)
+    assert load_sim_config(path.read_bytes(), str(path)).adversary_strategy == PeerChainFork(2)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +71,7 @@ def test_strategy_argument_needs_its_own_key(tmp_path, strategy):
     path = tmp_path / "adv.ini"
     path.write_text(SMALL_INI + f"adversary_share = 0.3\nadversary_strategy = {strategy}\n")
     with pytest.raises(ValueError):
-        load_sim_config(str(path))
+        load_sim_config(path.read_bytes(), str(path))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
 
@@ -125,7 +126,7 @@ def test_load_sim_config_unknown_key(tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(SMALL_INI + f"{key} = 1\n")
         with pytest.raises(ValueError, match=key):
-            load_sim_config(str(path))
+            load_sim_config(path.read_bytes(), str(path))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
         assert f"unknown config key: {key}" in capsys.readouterr().err
@@ -326,6 +327,31 @@ def test_simulate_bad_config_exit_code(tmp_path):
         main(["simulate", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "y")])
         == EXIT_BAD_INPUT
     )
+
+
+@pytest.mark.parametrize("change", ["edit", "delete"])
+def test_simulate_digests_the_config_it_ran(config_file, tmp_path, monkeypatch, change):
+    """The manifest's digest came from a second read of the config file
+    after the run: a file edited to n = 50 during a run of n = 4 was
+    digested as edited, and a file deleted during the run failed the
+    command after it ran, with none of its artifacts written."""
+    source = config_file.read_bytes()
+    run = Simulation.run
+
+    def run_while_the_file_changes(self):
+        if change == "edit":
+            config_file.write_text(SMALL_INI.replace("n = 4", "n = 50"))
+        else:
+            config_file.unlink()
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", run_while_the_file_changes)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_digest"] == hashlib.sha256(source).hexdigest()
+    header, row = (out / "metrics.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["n"] == "4"
 
 
 def test_analyze_theta(capsys):

@@ -267,6 +267,55 @@ def test_simulation_keeps_no_strategy_state():
     assert not found, f"Simulation branches on or holds strategy state: {'; '.join(found)}"
 
 
+# the methods that mine: an honest node's `create_block`, a strategy's `on_mine`
+MINING_CALLS = {"create_block", "on_mine"}
+MINING_HANDLER = "_handle_mine"
+
+
+def mining_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """In the class `Simulation`: each read of a `MINING_CALLS` attribute,
+    called or not (an alias calls it later), with the name of the method
+    that makes it ('' in the class body)."""
+    found = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Simulation":
+            for member in cls.body:
+                scope = member.name if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+                found += [
+                    (scope, ast.unparse(node))
+                    for node in ast.walk(member)
+                    if isinstance(node, ast.Attribute) and node.attr in MINING_CALLS
+                ]
+    return found
+
+
+def test_mining_calls_flagged():
+    tree = ast.parse(
+        "class Simulation:\n"
+        "    def _handle_mine(self, i, t):\n        self.receivers[i].create_block()\n"
+        "    def _handle_adv_mine(self, t):\n        self.adversary.on_mine(t)\n"
+        "    def run(self):\n        mine = self.nodes[0].create_block\n        self.create_blocks()\n"
+        "class _PrivateForkRun:\n    def on_mine(self, t):\n        self.sim.adv_node.create_block()\n"
+    )
+    assert mining_calls(tree) == [
+        ("_handle_mine", "self.receivers[i].create_block"),
+        ("_handle_adv_mine", "self.adversary.on_mine"),
+        ("run", "self.nodes[0].create_block"),
+    ]
+
+
+def test_simulation_has_one_mining_path():
+    """Every miner, the adversary included, mines through
+    `Simulation._handle_mine`, which catches it up first and queues its
+    next mining time after: no other method makes an honest block or calls
+    a strategy's `on_mine`."""
+    path = Path(sdag.__file__).parent / "simnet.py"
+    found = mining_calls(ast.parse(path.read_text(), filename=str(path)))
+    stray = sorted(f"{scope}: {what}" for scope, what in found if scope != MINING_HANDLER)
+    assert not stray, f"Simulation mines outside {MINING_HANDLER}: {'; '.join(stray)}"
+    assert found, f"{MINING_HANDLER} no longer mines"
+
+
 # a node's per-delivery receive path: the library API that the simulator's
 # store-time oracle replays
 PER_DELIVERY = {"on_receive_block", "on_tx"}

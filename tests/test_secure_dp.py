@@ -3,14 +3,12 @@ Carlo on the delay curves criterion 6 does not use, and its step-size
 error.  Criterion 6's own counts are checked against it in
 `tests/test_acceptance.py`, which reads criterion 6's run."""
 
-import math
-
 import pytest
 
 from sdag.analysis import rates_for_share, secure_latency_mc
 from sdag.curves import make_curve
 
-from secure_dp import failure_dp, failure_dp_extrapolated
+from secure_dp import binomial_z, failure_dp, failure_dp_extrapolated
 
 T0 = 2.0
 
@@ -26,7 +24,7 @@ def test_dp_matches_the_monte_carlo(name, seed):
     exact = failure_dp_extrapolated(honest, adversary, T0, curve, grid)
     points = secure_latency_mc(honest, adversary, T0, curve, grid, paths=200_000, seed=seed)
     for point, prob in zip(points, exact):
-        z = (point.frequency - prob) / math.sqrt(prob * (1.0 - prob) / point.paths)
+        z = binomial_z(point.frequency, prob, point.paths)
         assert abs(z) <= 4.0, (name, point.horizon, point.failures, prob, z)
 
 

@@ -252,7 +252,6 @@ def replay_deliveries(cfg):
 
     record("_handle_tx", lambda t: (t, 0, 0))
     record("_handle_mine", lambda i, t: (t, 2, i))
-    record("_handle_adv_mine", lambda t: (t, 2, n))
     record_block, broadcast = sim._record_block, sim._broadcast
     public_height = getattr(sim.adversary, "public_height", None)
 
@@ -735,7 +734,7 @@ def test_picked_transactions_are_unspent_at_the_pickers_tip(name, tmp_path, monk
     not yet accepted in the ledger of its own DAG."""
     config = tmp_path / "sim.ini"
     config.write_text(PINNED_OUTPUTS[name][0])
-    sim = Simulation(cli.load_sim_config(str(config)))
+    sim = Simulation(cli.load_sim_config(config.read_bytes(), str(config)))
     pick = NodeState._pick_tx
     checked = []
 
