@@ -40,7 +40,7 @@ from .ledger import (
 from .mempool import Mempool, collision_prob, estimate_power
 from .node import NodeState
 from .sigs import DEFAULT_SCHEME, MockScheme
-from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, SimMetrics, run
+from .simnet import PeerChainFork, PrivateMilestoneFork, SimConfig, SimMetrics
 
 __version__ = "0.1.0"
 
@@ -87,6 +87,5 @@ __all__ = [
     "PrivateMilestoneFork",
     "SimConfig",
     "SimMetrics",
-    "run",
     "__version__",
 ]

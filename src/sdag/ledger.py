@@ -42,7 +42,6 @@ class ChainStatus(Enum):
 
 
 class RewardRecord(NamedTuple):
-    kind: BlockKind
     status: ChainStatus
     amount: int
 
@@ -71,7 +70,6 @@ class PeerChainView:
     blocks: list[bytes]
     registered: bool
     current_address: Optional[bytes]
-    forked: set[bytes]
     position: dict[bytes, int]
     claims: dict[int, Claim]
 
@@ -87,8 +85,6 @@ class BadSignature(RedemptionError):
 class WrongAmount(RedemptionError):
     def __init__(self, expected: int, claimed: int):
         super().__init__(f"claimed {claimed}, accrued {expected}")
-        self.expected = expected
-        self.claimed = claimed
 
 
 def block_reward(kind: BlockKind, status: ChainStatus, fee: int, lev_size: int, params: Params) -> int:
@@ -183,7 +179,7 @@ def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
         if best is None or key > best_key or (key == best_key and bid < best):
             best, best_key = bid, key
     if best is None:
-        return PeerChainView([], False, None, set(), {}, {})
+        return PeerChainView([], False, None, {}, {})
 
     blocks = []
     cur = best
@@ -205,8 +201,7 @@ def resolve_peer_chain(sdag: SDag, miner: bytes) -> PeerChainView:
             prev_claim = pos
         before = walk
     registered, _, _, _, address = walks[best]
-    forked = set(walks).difference(position)
-    return PeerChainView(blocks, registered, address, forked, position, claims_at)
+    return PeerChainView(blocks, registered, address, position, claims_at)
 
 
 # -- ledger construction -------------------------------------------------
@@ -255,8 +250,6 @@ class LedgerBuild:
 
     ledger: Ledger
     rewards: dict[bytes, RewardRecord]
-    peer_views: dict[bytes, PeerChainView]
-    finalized_levels: int
 
 
 def genesis_utxo(outputs: Sequence[tuple[int, bytes]]) -> dict[Outpoint, tuple[int, bytes]]:
@@ -384,8 +377,8 @@ def build_from_dag(
                 kind = BlockKind.MAIN_MILESTONE if bid == ms else BlockKind.REGULAR_PLUS
                 status = ChainStatus.ON_PEER_CHAIN if bid in view.position else ChainStatus.FORKED
                 amount = block_reward(kind, status, fee, lev_size, params)
-                rewards[bid] = RewardRecord(kind, status, amount)
-    return LedgerBuild(ledger, rewards, views, final_levels)
+                rewards[bid] = RewardRecord(status, amount)
+    return LedgerBuild(ledger, rewards)
 
 
 def validate_redemption(

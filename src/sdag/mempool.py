@@ -13,16 +13,12 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .core import HASH_BYTES, SCALE_BITS, Transaction, encode_tx
+from .core import HASH_BYTES, SCALE, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
 
 # wide enough that per-miner counts are ~20 at desk scale; narrower windows
 # make the share estimate noisy, which visibly depresses assignment throughput
 DEFAULT_POWER_WINDOW = 100
-
-
-# the largest 32-byte digest: every digest is at or below it
-_TOP_DIGEST = b"\xff" * HASH_BYTES
 
 
 class Mempool:
@@ -56,12 +52,10 @@ class Mempool:
             raise ValueError("head id must be 32 bytes")
         # tx_distance(head, tx) = N / 2**256 for the digest N read as a
         # big-endian integer, so distance <= cq  <=>  N <= floor(cq * 2**256);
-        # 32-byte big-endian digests compare and sort as their integers do,
-        # and from cq = 1 on the bound is above every digest
-        if cq >= 1:
-            limit = _TOP_DIGEST
-        else:
-            limit = ((cq.numerator << SCALE_BITS) // cq.denominator).to_bytes(HASH_BYTES, "big")
+        # 32-byte big-endian digests compare and sort as their integers do;
+        # from cq = 1 on the bound passes every digest, so it is capped at
+        # the largest one to fit in 32 bytes
+        limit = min((cq.numerator << SCALE_BITS) // cq.denominator, SCALE - 1).to_bytes(HASH_BYTES, "big")
         sha = hashlib.sha256
         hits = []
         for txid, tx in self.entries.items():

@@ -146,8 +146,6 @@ class NodeState:
         """Count a switch away from `old` as a reorg if it drops one of
         old's milestones, and keep the deepest drop."""
         new = self.sdag.main_chain
-        if new is old:
-            return
         # both chains are paths from the genesis in one milestone tree, so
         # where they agree at a height they agree below it too
         fork = min(len(old), len(new))

@@ -65,7 +65,9 @@ from . import node as node_module
 from .node import DEFAULT_MINE_BUDGET, NodeState, drain
 from .sigs import DEFAULT_SCHEME
 
-# event ranks for deterministic tie-breaking: (time, rank, actor, seq)
+# event ranks for deterministic tie-breaking: events are queued as
+# (time, rank, actor), which only two mempool samples, interchangeable,
+# could share
 _RANK_TX = 0
 _RANK_DELIVER = 1
 _RANK_MINE = 2
@@ -175,7 +177,9 @@ class _PeerForkRun:
             # public chain and defeat the impersonation
             template = Block(chain[-2], node.sdag.chain_tip(), GENESIS_ID, self.victim_peer, pow=0, mes=EMPTY_TX)
             nonce = node.rng.getrandbits(64)
-            block = mine(template, sim.params, DEFAULT_MINE_BUDGET, start_nonce=nonce, want=BlockClass.REGULAR).block
+            result = mine(template, sim.params, DEFAULT_MINE_BUDGET, start_nonce=nonce, want=BlockClass.REGULAR)
+            node.mining_attempts += result.attempts
+            block = result.block
             violation = node.sdag.insert(block)
             assert violation is None, violation
             sim.adversary_block_ids.add(sim._record_block(block, t))
@@ -331,7 +335,7 @@ class StoreTimes:
     each column: per receiver, the block's store time (`s`) and whether it
     arrived before then, as an orphan (`orphan`); per block, its serial in
     the shared store, whether it is a milestone, its id, its references
-    and the id of the transaction it carries (None for an empty one)."""
+    and the id of the transaction it carries."""
 
     _COLUMNS = ("s", "orphan", "serial", "milestone", "bid", "idp", "idm", "idt", "txid")
 
@@ -366,8 +370,7 @@ class StoreTimes:
         self.idp[k] = block.idp
         self.idm[k] = block.idm
         self.idt[k] = block.idt
-        tx = block.mes
-        self.txid[k] = None if tx.kind is TxKind.EMPTY else tx.txid()
+        self.txid[k] = block.mes.txid()
         self.row_of[bid] = self.end
         self.end += 1
 
@@ -434,8 +437,7 @@ class Simulation:
         self.milestone_stored = getattr(self.adversary, "milestone_stored", None)
         self.adversary_block_ids: set[bytes] = set()
 
-        self.heap: list[tuple[float, int, int, int]] = []
-        self.seq = 0
+        self.heap: list[tuple[float, int, int]] = []
         self.created_at: dict[bytes, float] = {}
         self.mempool_samples: list[float] = []
         self.chains_at_horizon: list[list[bytes]] = []
@@ -471,8 +473,7 @@ class Simulation:
         """Queue an event unless it falls past the horizon, the one place
         that bounds the traffic; callers draw its time either way."""
         if time <= self.cfg.horizon:
-            self.seq += 1
-            heapq.heappush(self.heap, (time, rank, actor, self.seq))
+            heapq.heappush(self.heap, (time, rank, actor))
 
     def _broadcast(self, block: Block, t: float, skip: int) -> None:
         """Send `block`, made at `t` by receiver `skip` (`n` for the
@@ -597,7 +598,7 @@ class Simulation:
             times.bid[rows].tolist(),
             (times.idp[rows].tolist(), times.idm[rows].tolist(), times.idt[rows].tolist()),
             serials[due].tolist(),
-            [txid for txid in times.txid[rows].tolist() if txid is not None],
+            times.txid[rows].tolist(),
             self._cascades(j, rows, milestones) if len(milestones) else (),
         )
 
@@ -719,7 +720,7 @@ class Simulation:
         pop = heapq.heappop
         events = self.events
         while heap:
-            t, rank, actor, _seq = pop(heap)
+            t, rank, actor = pop(heap)
             events[rank] += 1
             if rank == _RANK_TX:
                 self._handle_tx(t)
@@ -856,7 +857,3 @@ class Simulation:
             adversary_releases=getattr(self.adversary, "releases", 0),
             counters=self.counters(),
         )
-
-
-def run(config: SimConfig) -> SimMetrics:
-    return Simulation(config).run()

@@ -19,9 +19,9 @@ from acceptance_report import record
 from sdag import analysis
 from sdag.core import EMPTY_TX, BlockClass
 from sdag.curves import make_curve
-from sdag.ledger import build_from_dag, dfs_order, ledger_csv
+from sdag.ledger import build_from_dag, dfs_order, ledger_csv, resolve_peer_chain
 from sdag.mempool import collision_prob
-from sdag.simnet import PeerChainFork, SimConfig, Simulation, run
+from sdag.simnet import PeerChainFork, SimConfig, Simulation
 
 from dagtools import (
     brute_force_confirm,
@@ -200,7 +200,7 @@ DESK_SEEDS = (1, 2, 3, 4, 5)
 @pytest.fixture(scope="module")
 def desk_runs():
     """Five desk-scale runs at the default configuration (n=100, 2000 s)."""
-    return [run(SimConfig(seed=s)) for s in DESK_SEEDS]
+    return [Simulation(SimConfig(seed=s)).run() for s in DESK_SEEDS]
 
 
 def test_criterion_7a_common_prefix(desk_runs):
@@ -398,14 +398,14 @@ def test_criterion_8e_peer_chain_fork_harmless():
         for bid in sim.adversary_block_ids
         if bid in build.rewards
     )
-    victim_view = build.peer_views[sim.nodes[0].identity]
+    victim_view = resolve_peer_chain(ref.sdag, sim.nodes[0].identity)
     ok = (
         m.adversary_blocks > 0
         and attacker_reward == 0
         and m.common_prefix_violations == 0
         and not (set(ref.sdag.main_chain) & sim.adversary_block_ids)
         and victim_view.current_address == sim.nodes[0].identity
-        and sim.adv_node.identity not in build.peer_views
+        and resolve_peer_chain(ref.sdag, sim.adv_node.identity).blocks == []
     )
     check(
         "criterion 8e (peer-chain fork attack)",

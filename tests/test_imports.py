@@ -630,18 +630,23 @@ def test_every_knob_has_a_caller_outside_the_tests():
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def bench_names(tree: ast.Module) -> set[str]:
-    """What a benchmark script can reach in the package by name: the names
-    and attributes it reads, but not an attribute of a module it imports
-    from outside the package (`statistics.mean` names no `mean` of sdag),
-    and its string constants (the tracer binds its targets by name)."""
-    foreign = {
+def foreign_modules(tree: ast.Module) -> set[str]:
+    """Local names of the modules a script imports from outside the package."""
+    return {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         for alias in node.names
         if alias.name.split(".")[0] != "sdag"
     }
+
+
+def bench_names(tree: ast.Module) -> set[str]:
+    """What a benchmark script can reach in the package by name: the names
+    and attributes it reads, but not an attribute of a module it imports
+    from outside the package (`statistics.mean` names no `mean` of sdag),
+    and its string constants (the tracer binds its targets by name)."""
+    foreign = foreign_modules(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -715,6 +720,121 @@ def test_public_definitions_are_reached():
     assert not orphans, f"public definitions only tests reach: {', '.join(orphans)}"
     stale = sorted(set(TEST_ONLY_DEFINITIONS) - set(unreached))
     assert not stale, f"exempt definitions that are gone or reached: {', '.join(stale)}"
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """The attributes a module reads, but not those of a module it imports
+    from outside the package, and the constant names it passes to
+    `getattr`.  A store, a `del` or an augmented assignment (`self.n += 1`)
+    reads nothing."""
+    foreign = foreign_modules(tree)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def class_fields(module: str, tree: ast.Module) -> dict[str, str]:
+    """`Class.field` -> where, of each field a class declares in its body,
+    annotated or assigned (bar dunder names), and each attribute its
+    methods assign on `self`."""
+    found = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            elif isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    found.setdefault(f"{cls.name}.{target.id}", f"{module}:{stmt.lineno}")
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                found.setdefault(f"{cls.name}.{node.attr}", f"{module}:{node.lineno}")
+    return found
+
+
+def unread_fields(package: dict[str, ast.Module], bench: list[ast.Module]) -> dict[str, str]:
+    """`Class.field` -> where, of each field of the package that no module
+    of it reads and no benchmark script reads.  Fields are matched by name
+    across classes and modules, as definitions are."""
+    defined = {}
+    reads = set()
+    for module, tree in package.items():
+        for field, where in class_fields(module, tree).items():
+            defined.setdefault(field, where)
+        reads |= attribute_reads(tree)
+    for tree in bench:
+        reads |= attribute_reads(tree)
+    return {field: where for field, where in defined.items() if field.rsplit(".", 1)[1] not in reads}
+
+
+def field_problems(unread: dict[str, str], exempt: dict[str, str]) -> list[str]:
+    """Each unread field that `exempt` does not list, then each entry of
+    `exempt` that is gone or read."""
+    problems = [f"{field} ({where}) is never read" for field, where in sorted(unread.items()) if field not in exempt]
+    problems += [f"exempt field {field} is gone or read" for field in sorted(set(exempt) - set(unread))]
+    return problems
+
+
+def test_unread_fields_flagged():
+    package = {
+        "a.py": ast.parse(
+            "import statistics\n"
+            "class R(NamedTuple):\n    kind: int\n    amount: int\n"
+            "class E(Exception):\n    def __init__(self, x):\n        self.x = x\n        self.hits = 0\n"
+            "    def bump(self):\n        self.hits += 1\n"
+            "class S:\n    LIMIT = 3\n    __slots__ = ()\n    def __init__(self):\n        self.seen = set()\n        self.log = []\n"
+            "r.amount\nstatistics.kind\ngetattr(s, 'seen')\nS.LIMIT\n"
+        )
+    }
+    bench = [ast.parse("import statistics\nfrom sdag.a import S\nstatistics.x\nS().log\n")]
+    unread = unread_fields(package, bench)
+    assert unread == {"R.kind": "a.py:3", "E.x": "a.py:7", "E.hits": "a.py:8"}
+    exempt = {"E.x": "why", "E.hits": "why"}
+    assert field_problems(unread, {**exempt, "R.kind": "why"}) == []
+    assert field_problems(unread, exempt) == ["R.kind (a.py:3) is never read"]
+    assert field_problems(unread, {**exempt, "R.kind": "", "R.amount": ""}) == ["exempt field R.amount is gone or read"]
+
+
+# fields that only tests read, each with why it stays
+TEST_ONLY_FIELDS = {
+    "PeerChainView.registered": "whether the canonical peer chain starts at a registration (the signature-continuity tests)",
+    "PeerChainView.current_address": "the payout address in force (criterion 8e and the signature-continuity tests)",
+    "SimMetrics.reward_by_miner": "each miner's total reward, which criterion 7e compares with its hash-power share",
+    "SimMetrics.reward_amounts": "every reward amount, whose squares give criterion 7e's sigma",
+    "DemoDag.ids": "the demo block ids by name, by which the demo and DAG tests find blocks",
+    "DemoDag.peers": "the demo miners' identities, which the DAG and mempool tests read",
+}
+
+
+def test_every_field_is_read():
+    """Every class field and `self` attribute in the package is read
+    somewhere in it (as an attribute or a constant `getattr` name) or by a
+    benchmark script, but for `TEST_ONLY_FIELDS`: a value nothing reads is
+    kept for nothing, and one only tests read belongs in the tests."""
+    package = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    problems = field_problems(unread_fields(package, parse(BENCH_SCRIPTS)), TEST_ONLY_FIELDS)
+    assert not problems, "; ".join(problems)
 
 
 def environment_reads(tree: ast.Module) -> list[str]:

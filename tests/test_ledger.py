@@ -138,7 +138,9 @@ def test_basic_build_accepts_and_rewards(chain):
     # fee flows into the block reward
     assert build.rewards[chain.a2].amount == 1 + 1
     assert build.rewards[chain.a3].amount == 1 + 0
-    assert build.rewards[chain.m1].kind is BlockKind.MAIN_MILESTONE
+    lev_size = len(chain.sdag.level_set(chain.m1))
+    milestone = block_reward(BlockKind.MAIN_MILESTONE, ChainStatus.ON_PEER_CHAIN, 0, lev_size, PARAMS)
+    assert build.rewards[chain.m1].amount == milestone > PARAMS.r_n
     # both spends landed: genesis outputs gone, new outputs present
     utxo = build.ledger.utxo
     assert (GENESIS_ID, 0) not in {(op.txid, op.index) for op in utxo}
@@ -184,8 +186,8 @@ def test_bad_signature_and_overspend_rejected(chain):
     reasons = [entries[bid].reason for bid in blocks]
     assert reasons == ["bad signature", "input not in utxo", "outputs exceed inputs"]
     for bid in blocks:
-        rec = build.rewards[bid]
-        assert (rec.kind, rec.status, rec.amount) == (BlockKind.REGULAR_PLUS, ChainStatus.ON_PEER_CHAIN, PARAMS.r_n)
+        # r_n is the regular+ amount without a fee: a milestone earns at least r_m
+        assert build.rewards[bid] == (ChainStatus.ON_PEER_CHAIN, PARAMS.r_n)
 
 
 def test_rule_a_normal_tx_spends_each_input_once(chain):
@@ -221,7 +223,9 @@ def test_build_deterministic_and_reload_stable(chain):
 def test_finality_depth_limits_rewards(chain):
     full = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS, finality_depth=0)
     partial = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS, finality_depth=1)
-    assert partial.finalized_levels == len(chain.sdag.main_chain) - 1
+    # every level but the tip's is final
+    final = {bid for ms in chain.sdag.main_chain[1:-1] for bid in chain.sdag.level_set(ms)}
+    assert set(partial.rewards) == final
     assert set(partial.rewards) < set(full.rewards)
     for bid, rec in partial.rewards.items():
         assert rec == full.rewards[bid]
@@ -286,7 +290,7 @@ def accrued_for(chain, miner):
     chain from its last claim (inclusive) to its head: what a redemption
     appended at the head may claim."""
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
-    view = build.peer_views[miner]
+    view = resolve_peer_chain(chain.sdag, miner)
     start = next(reversed(view.claims), 0)
     accrued = sum(build.rewards[bid].amount for bid in view.blocks[start:] if bid in build.rewards)
     return build, view, accrued
@@ -304,7 +308,7 @@ def test_redemption_happy_path(chain):
     # the claim becomes a spendable output at the rolled-forward address
     assert build.ledger.utxo[(red.txid(), 0)] == (accrued, A_ADDR)
     assert {type(op) for op in build.ledger.utxo} == {Outpoint}
-    view = build.peer_views[A_ADDR]
+    view = resolve_peer_chain(chain.sdag, A_ADDR)
     assert validate_redemption(view, red_block, red, build.rewards) == A_ADDR
     # the plain fold has no peer chains to judge a redemption on
     with pytest.raises(ValueError, match="build_from_dag"):
@@ -320,7 +324,7 @@ def test_redemption_wrong_amount_rejected(chain):
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert not entry.accepted and "claimed" in entry.reason
     with pytest.raises(WrongAmount):
-        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
+        validate_redemption(resolve_peer_chain(chain.sdag, A_ADDR), red_block, red, build.rewards)
 
 
 def test_rule_a_redemption_claims_exactly_what_accrued(chain):
@@ -336,7 +340,7 @@ def test_rule_a_redemption_claims_exactly_what_accrued(chain):
     assert not entry.accepted and entry.reason == f"claimed {accrued - 1}, accrued {accrued}"
     assert (red.txid(), 0) not in build.ledger.utxo
     with pytest.raises(WrongAmount):
-        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
+        validate_redemption(resolve_peer_chain(chain.sdag, A_ADDR), red_block, red, build.rewards)
 
 
 def test_redemption_wrong_key_rejected(chain):
@@ -348,7 +352,7 @@ def test_redemption_wrong_key_rejected(chain):
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert not entry.accepted and "signature" in entry.reason
     with pytest.raises(BadSignature):
-        validate_redemption(build.peer_views[A_ADDR], red_block, red, build.rewards)
+        validate_redemption(resolve_peer_chain(chain.sdag, A_ADDR), red_block, red, build.rewards)
 
 
 def test_registration_only_at_chain_start(chain):
@@ -358,7 +362,7 @@ def test_registration_only_at_chain_start(chain):
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
     entry = next(e for e in build.ledger.entries if e.block_id == late)
     assert not entry.accepted
-    view = build.peer_views[A_ADDR]
+    view = resolve_peer_chain(chain.sdag, A_ADDR)
     assert view.current_address == A_ADDR  # the hijack did not move the payout
 
 
@@ -367,8 +371,8 @@ def test_forked_branch_earns_nothing(chain):
     fork = chain.add(A_ADDR, EMPTY_TX, idp=chain.a1)
     chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=fork)
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
-    view = build.peer_views[A_ADDR]
-    assert fork in view.forked
+    view = resolve_peer_chain(chain.sdag, A_ADDR)
+    assert fork not in view.position
     assert build.rewards[fork].status is ChainStatus.FORKED
     assert build.rewards[fork].amount == 0
 
@@ -387,7 +391,7 @@ def test_rule_a_redemption_off_the_canonical_peer_chain_is_refused(chain):
     chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=forked_block)
     chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE)
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
-    assert forked_block in build.peer_views[A_ADDR].forked
+    assert forked_block not in resolve_peer_chain(chain.sdag, A_ADDR).position
     entries = {e.block_id: e for e in build.ledger.entries}
     assert entries[red_block].accepted, entries[red_block].reason
     assert not entries[forked_block].accepted
@@ -434,9 +438,9 @@ def test_unsigned_longer_branch_loses_to_redeemed_chain(chain):
     chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=red_block)
     chain.add(B_ADDR, EMPTY_TX, want=BlockClass.MILESTONE, idt=forged[-1])
     build = build_from_dag(chain.sdag, PARAMS, GENESIS_OUTPUTS)
-    view = build.peer_views[A_ADDR]
+    view = resolve_peer_chain(chain.sdag, A_ADDR)
     # redemption continuity outranks length: the true chain stays canonical
-    assert all(f in view.forked for f in forged)
+    assert not any(f in view.position for f in forged)
     assert all(build.rewards[f].amount == 0 for f in forged if f in build.rewards)
     entry = next(e for e in build.ledger.entries if e.txid == red.txid())
     assert entry.accepted
@@ -470,7 +474,7 @@ def test_build_from_dag_judges_normal_txs_like_build_ledger():
         for got in build.ledger.entries:
             block = sdag.blocks[got.block_id]
             if block.mes.kind is TxKind.REGISTRATION:
-                at_start = build.peer_views[block.peer].position.get(got.block_id) == 0
+                at_start = resolve_peer_chain(sdag, block.peer).position.get(got.block_id) == 0
                 assert not got.accepted or at_start
                 late_registrations += not at_start
         assert build.ledger.utxo == plain.utxo
@@ -620,7 +624,7 @@ def test_resolve_peer_chain_matches_path_enumeration():
             assert view.blocks == blocks
             assert view.registered == registered
             assert view.current_address == address
-            assert view.forked == forked
+            assert set(sdag.peer_block_ids(miner)) - set(view.position) == forked
             assert view.position == {bid: i for i, bid in enumerate(blocks)}
             assert view.claims == claims
             for pos, claim in view.claims.items():

@@ -12,7 +12,7 @@ import pytest
 from sdag import cli, node as node_module, simnet
 from sdag.core import BlockClass, TxKind, block_id, classify_hash
 from sdag.dag import DagFacts
-from sdag.ledger import build_from_dag, verify_normal
+from sdag.ledger import build_from_dag, resolve_peer_chain, verify_normal
 from sdag.mempool import power_counts
 from sdag.node import POWER_KEEP_DEPTH, NodeState
 from sdag.simnet import (
@@ -25,7 +25,6 @@ from sdag.simnet import (
     SimConfig,
     Simulation,
     common_prefix_violations,
-    run,
 )
 
 SMALL = SimConfig(
@@ -104,7 +103,7 @@ def test_same_seed_same_trace():
     assert m1.duplicate_count == m2.duplicate_count
     assert m1.queueing_latency == m2.queueing_latency
     assert utxo_digests(sim1) == utxo_digests(sim2)
-    m3 = run(small(seed=43))
+    m3 = Simulation(small(seed=43)).run()
     assert (m3.blocks_created, m3.chain_height) != (m1.blocks_created, m1.chain_height)
 
 
@@ -119,7 +118,7 @@ def test_full_delivery_converges():
 
 
 def test_metrics_row_is_flat():
-    m = run(small())
+    m = Simulation(small()).run()
     row = m.row()
     assert row["seed"] == 42
     assert row["n"] == 5
@@ -127,7 +126,7 @@ def test_metrics_row_is_flat():
 
 
 def test_queueing_and_infection_samples_plausible():
-    m = run(small())
+    m = Simulation(small()).run()
     assert m.queueing_latency and all(s >= 0 for s in m.queueing_latency)
     assert m.infection_latency and all(s >= 0 for s in m.infection_latency)
     horizon = SMALL.horizon
@@ -196,7 +195,7 @@ def test_common_prefix_violations_match_pairwise_oracle():
 
 def test_counters_account_for_an_honest_run():
     cfg = small()
-    m = run(cfg)
+    m = Simulation(cfg).run()
     c = m.counters
     assert c["orphans_evicted"] == 0 and c["rejected_blocks"] == 0
     # without an adversary every mine event makes one block, and the
@@ -208,7 +207,7 @@ def test_counters_account_for_an_honest_run():
     assert c["reorgs"] == m.reorg_count
     assert c["mining_attempts"] >= m.blocks_created
     assert 0 < c["orphan_peak_per_node"] <= c["orphans_buffered"]
-    assert run(cfg).counters == c
+    assert Simulation(cfg).run().counters == c
 
 
 # many orphans, cascades and reorgs: long delays against a fast block rate
@@ -315,7 +314,7 @@ def replay_deliveries(cfg):
             horizon_chains = [node.sdag.main_chain for node in nodes[:n]]
 
     heap = []
-    pushed = itertools.count()  # the push order breaks ties, as `seq` did
+    pushed = itertools.count()  # deliveries to a node at one instant go in broadcast order
     for key, effects in steps:
         while heap and heap[0][:3] < key:
             t, _rank, j, _seq, block = heapq.heappop(heap)
@@ -433,7 +432,7 @@ def first_store_pushes(cfg, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(simnet.heapq, "heappush", counted)
-        run(cfg)
+        Simulation(cfg).run()
     return pushed
 
 
@@ -475,16 +474,16 @@ def test_orphan_cap_is_checked(monkeypatch):
     per-delivery path would evict one, stops the run with a ValueError: the
     input is outside what the simulator models.  Holding exactly the cap is
     fine."""
-    peak = run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"]
+    peak = Simulation(small(**ORPHAN_HEAVY)).run().counters["orphan_peak_per_node"]
     assert peak > 2
     monkeypatch.setattr(node_module, "ORPHAN_CAP", 2)
     with pytest.raises(ValueError, match="orphan_cap of 2"):
-        run(small(**ORPHAN_HEAVY))
+        Simulation(small(**ORPHAN_HEAVY)).run()
     monkeypatch.setattr(node_module, "ORPHAN_CAP", peak)
-    assert run(small(**ORPHAN_HEAVY)).counters["orphan_peak_per_node"] == peak
+    assert Simulation(small(**ORPHAN_HEAVY)).run().counters["orphan_peak_per_node"] == peak
     monkeypatch.setattr(node_module, "ORPHAN_CAP", peak - 1)
     with pytest.raises(ValueError, match="orphan_cap"):
-        run(small(**ORPHAN_HEAVY))
+        Simulation(small(**ORPHAN_HEAVY)).run()
 
 
 def test_orphan_folds_sort_each_event_a_bounded_number_of_times(monkeypatch):
@@ -586,7 +585,7 @@ def test_rule_the_private_fork_releases_only_when_its_own_block_leads(monkeypatc
         decisions.append((node.sdag.height() - self.public_height(t), own, self.releases > before))
 
     monkeypatch.setattr(simnet._PrivateForkRun, "on_mine", recorded)
-    run(small(adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=0))
+    Simulation(small(adversary_share=0.3, adversary_strategy=PrivateMilestoneFork(), seed=0)).run()
     for lead, own, released in decisions:
         assert released == (lead > 0 and own)
         # an honest tip never leads: its maker stored it when it made it
@@ -620,12 +619,22 @@ def test_peer_chain_fork_no_reward_no_consensus_damage():
             assert rec.amount == 0
     # the victim's payout address still belongs to the victim
     victim = sim.nodes[cfg.adversary_strategy.victim]
-    view = build.peer_views.get(victim.identity)
-    assert view is not None and view.registered
+    view = resolve_peer_chain(ref.sdag, victim.identity)
+    assert view.registered and view.blocks[0] in build.rewards
     assert view.current_address == victim.identity
-    # the adversary has no registered chain of its own
+    # the adversary has no chain of its own
     assert sim.adv_node is not None
-    assert sim.adv_node.identity not in build.peer_views
+    assert resolve_peer_chain(ref.sdag, sim.adv_node.identity).blocks == []
+
+
+def test_peer_chain_fork_counts_the_forgers_hashes():
+    """The mining counters sum every receiver's hashes, the forger's too,
+    and each block costs at least one."""
+    sim = Simulation(small(adversary_share=0.3, adversary_strategy=PeerChainFork(victim=0), seed=4))
+    m = sim.run()
+    assert m.adversary_blocks > 0
+    assert sim.adv_node.mining_attempts >= m.adversary_blocks
+    assert m.counters["mining_attempts"] >= m.blocks_created
 
 
 def test_adversary_strategies_deterministic():
@@ -635,15 +644,15 @@ def test_adversary_strategies_deterministic():
         horizon=200.0,
         seed=5,
     )
-    a = run(cfg)
-    b = run(cfg)
+    a = Simulation(cfg).run()
+    b = Simulation(cfg).run()
     assert a.adversary_blocks == b.adversary_blocks
     assert a.adversary_releases == b.adversary_releases
     assert a.chain_height == b.chain_height
 
 
 def test_zero_traffic_mines_empty_blocks():
-    m = run(small(lam=0.0))
+    m = Simulation(small(lam=0.0)).run()
     assert m.tps_effective == 0.0
     assert m.blocks_created > 0
     assert m.duplicate_count == 0
@@ -665,7 +674,7 @@ def test_no_traffic_past_the_horizon():
 def test_long_own_chain_resolves_without_recursion():
     # each miner's own chain grows past the interpreter's recursion limit,
     # which peer-chain resolution once walked recursively
-    m = run(SimConfig(n=2, mu=1.0, horizon=1300, lam=0.2))
+    m = Simulation(SimConfig(n=2, mu=1.0, horizon=1300, lam=0.2)).run()
     assert m.blocks_created > 2 * sys.getrecursionlimit()
     assert set(m.reward_by_miner) == {0, 1}
 
@@ -686,6 +695,7 @@ finality_depth = 3
 # sha256 of metrics.csv, queueing_latency.csv and infection_latency.csv,
 # recorded before peers shared block verdicts, level sets and peer counts,
 # and of counters.json, recorded while every delivery was still an event
+# (peer-chain-fork's again once its mining_attempts counted the forger's)
 PINNED_OUTPUTS = {
     "n8": (
         PINNED_INI.format(n=8),
@@ -708,7 +718,7 @@ PINNED_OUTPUTS = {
         "41862921c985a793f8cecdd852122c549528d1c580b6ee1113a275c5a1452104",
         "9acd4f93ca92438b58176650e9ef6fb6a41f0c5e24c7727e82716030050da3fc",
         "f305ca8e56492aee7d472aac08ffe88a0ea67ecdafb95fa57717b59c886e64d0",
-        "5bc60b83b0fddcabf196e5dd93bb260464633622e501871e27b6a44a3329cfd9",
+        "4d601171d956d91de04e5b01e4e25eaf44674a5694f19f404331e686a2e22694",
     ),
 }
 
