@@ -1,9 +1,12 @@
 """Outstanding-transaction buffer with distance-based assignment.
 
-A transaction is workable for a miner only if its hash distance to the
-miner's chain head falls below c*q, where q is the miner's estimated share
-of total hashing power.  The closed-form collision estimate quantifies how
-rarely two miners can work the same transaction.
+A pool is a txid-to-transaction dict, `Mempool.entries`, that its node
+edits directly as transactions arrive and blocks carry them off;
+`Mempool.workable` is the assignment rule.  A transaction is workable for
+a miner only if its hash distance to the miner's chain head falls below
+c*q, where q is the miner's estimated share of total hashing power.  The
+closed-form collision estimate quantifies how rarely two miners can work
+the same transaction.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .core import HASH_BYTES, SCALE, SCALE_BITS, Transaction, encode_tx
 from .dag import SDag
@@ -26,20 +28,6 @@ class Mempool:
         # txid -> the pending transaction; a transaction is immutable, so
         # one object can sit in many pools at once
         self.entries: dict[bytes, Transaction] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def add_all(self, pairs: Iterable[tuple[bytes, Transaction]]) -> None:
-        """Add (txid, transaction) pairs in one update; a txid already
-        pooled keeps its place."""
-        self.entries.update(pairs)
-
-    def remove_all(self, txids: Iterable[bytes]) -> None:
-        """Remove each id that is in the pool."""
-        pop = self.entries.pop
-        for txid in txids:
-            pop(txid, None)
 
     def workable(self, head_id: bytes, cq: Fraction) -> list[bytes]:
         """Transaction ids with distance <= c*q to the given head, nearest

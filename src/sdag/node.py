@@ -13,7 +13,9 @@ of another peer; pick the workable normal transaction nearest the
 miner's head from the mempool; mine once (no retry: `MiningExhausted`
 reaches the caller); publish.  Whether that transaction is valid is
 again left to the fold, which pays a block with an invalid one without
-its fee.
+its fee.  `mine_block` mines and stores every block a node makes, the
+honest template and a forger's (`simnet.PeerChainFork`) alike, through
+the store step a received block takes.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from .core import (
     EMPTY_TX,
     GENESIS_ID,
     Block,
+    BlockClass,
     Params,
     Transaction,
     TxKind,
     block_id,
     mine,
 )
-from .dag import DagFacts, SDag
+from .dag import DagFacts, SDag, Violation
 from .mempool import Mempool, power_counts, power_share
 from .sigs import DEFAULT_SCHEME
 
@@ -121,14 +124,18 @@ class NodeState:
         for ref in missing:
             self.orphans_by_missing.setdefault(ref, set()).add(bid)
 
-    def _try_insert(self, block: Block) -> bool:
+    def _store(self, block: Block) -> Optional[Violation]:
+        """Insert `block` and drop its transaction from the pool."""
         violation = self.sdag.insert(block)
-        if violation is not None:
-            self.rejected_blocks += 1
-            return False
-        if block.mes.kind is not TxKind.EMPTY:
-            self.mempool.remove_all((block.mes.txid(),))
-        return True
+        if violation is None and block.mes.kind is not TxKind.EMPTY:
+            self.mempool.entries.pop(block.mes.txid(), None)
+        return violation
+
+    def _try_insert(self, block: Block) -> bool:
+        if self._store(block) is None:
+            return True
+        self.rejected_blocks += 1
+        return False
 
     def _drain_orphans(self, arrived: bytes) -> None:
         sdag = self.sdag
@@ -178,8 +185,10 @@ class NodeState:
         # (pool | arrived) - carried, without growing the pool's table by
         # every arrival first: a dict never shrinks its table
         carried = set(txids)
-        self.mempool.remove_all(carried)
-        self.mempool.add_all([pair for pair in entries if pair[0] not in carried])
+        pool = self.mempool.entries
+        for txid in carried:
+            pool.pop(txid, None)
+        pool.update([pair for pair in entries if pair[0] not in carried])
         sdag = self.sdag
         sdag.hold(bids, parents, serials)
         for delivered_milestone, milestones in cascades:
@@ -191,7 +200,7 @@ class NodeState:
 
     def on_tx(self, tx: Transaction) -> None:
         """Add a pending transaction; it may be shared with other nodes."""
-        self.mempool.add_all(((tx.txid(), tx),))
+        self.mempool.entries[tx.txid()] = tx
 
     # -- create path -----------------------------------------------------
 
@@ -239,17 +248,17 @@ class NodeState:
             pow=0,
             mes=self._pick_tx(),
         )
-        result = mine(
-            template,
-            self.params,
-            DEFAULT_MINE_BUDGET,
-            start_nonce=self.rng.getrandbits(64),
-        )
-        self.mining_attempts += result.attempts
-        block = result.block
-        violation = self.sdag.insert(block)
-        assert violation is None, f"self-created block invalid: {violation}"
+        block = self.mine_block(template)
         self.my_head = block_id(block)
-        if block.mes.kind is not TxKind.EMPTY:
-            self.mempool.remove_all((block.mes.txid(),))
         return block
+
+    def mine_block(self, template: Block, want: Optional[BlockClass] = None) -> Block:
+        """Mine `template` once from a nonce drawn from this node's `rng`, of
+        class `want` if given, and store it; caller broadcasts it.
+        `MiningExhausted` leaves the pool, DAG and attempt count as they
+        were."""
+        result = mine(template, self.params, DEFAULT_MINE_BUDGET, start_nonce=self.rng.getrandbits(64), want=want)
+        self.mining_attempts += result.attempts
+        violation = self._store(result.block)
+        assert violation is None, f"self-mined block invalid: {violation}"
+        return result.block

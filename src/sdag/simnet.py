@@ -54,7 +54,6 @@ from .core import (
     TxOutput,
     TxKind,
     block_id,
-    mine,
     sha256,
     sighash,
 )
@@ -176,12 +175,7 @@ class _PeerForkRun:
             # regular-class only: a forged milestone would show up on the
             # public chain and defeat the impersonation
             template = Block(chain[-2], node.sdag.chain_tip(), GENESIS_ID, self.victim_peer, pow=0, mes=EMPTY_TX)
-            nonce = node.rng.getrandbits(64)
-            result = mine(template, sim.params, DEFAULT_MINE_BUDGET, start_nonce=nonce, want=BlockClass.REGULAR)
-            node.mining_attempts += result.attempts
-            block = result.block
-            violation = node.sdag.insert(block)
-            assert violation is None, violation
+            block = node.mine_block(template, want=BlockClass.REGULAR)
             sim.adversary_block_ids.add(sim._record_block(block, t))
             sim._broadcast(block, t, skip=sim.cfg.n)
 
@@ -731,7 +725,7 @@ class Simulation:
                 # final quarter so transients do not drag the mean down
                 if t >= cfg.horizon * 0.75:
                     self._catch_up(0, t)
-                    self.mempool_samples.append(float(len(self.nodes[0].mempool)))
+                    self.mempool_samples.append(float(len(self.nodes[0].mempool.entries)))
         looped = clock()
         self._snapshot_horizon()
         for j in range(len(self.receivers)):

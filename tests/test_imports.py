@@ -316,6 +316,73 @@ def test_simulation_has_one_mining_path():
     assert found, f"{MINING_HANDLER} no longer mines"
 
 
+# the functions that may grind a nonce with `core.mine`, each with why
+MINERS = {
+    "node.NodeState.mine_block": "every block a node makes, honest or forged",
+    "demo.build_demo": "grinds each block of the fixed example to its class from nonce 0 on a bare SDag",
+}
+
+
+def mine_uses(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each read of `core.mine`, called or not (an alias calls it later):
+    a name imported as it from `core` or `sdag`, or a `.mine` attribute,
+    with the dotted name of the definitions around it ('' at module
+    level)."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("core", "sdag.core", "sdag")
+        for alias in node.names
+        if alias.name == "mine"
+    }
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, DEFINITIONS):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Attribute) and node.attr == "mine":
+            found.append((scope, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id in aliases and isinstance(node.ctx, ast.Load):
+            found.append((scope, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_mine_uses_flagged():
+    tree = ast.parse(
+        "from .core import Block, mine as grind\n"
+        "class NodeState:\n    def mine_block(self, t):\n        return grind(t, self.params, 16)\n"
+        "class _PeerForkRun:\n    def on_mine(self, t):\n        core.mine(t, p, 16)\n"
+        "def f(counts):\n    mine = counts.get(0)\n    return mine, grind\n"
+    )
+    assert mine_uses(tree) == [
+        ("NodeState.mine_block", "grind"),
+        ("_PeerForkRun.on_mine", "core.mine"),
+        ("f", "grind"),
+    ]
+    # a local named `mine` is no use where `core.mine` is not imported under it
+    assert mine_uses(ast.parse("def f(counts):\n    mine = counts.get(0)\n    return mine\n")) == []
+
+
+def test_only_mine_block_mines():
+    """A node mines every block it makes, an honest miner's and a forger's,
+    through `NodeState.mine_block`, which draws the nonce from the node's
+    `rng`, counts the attempts and stores the block: no other function of
+    the package calls `core.mine`, bar `MINERS`."""
+    found = [
+        (f"{path.stem}.{scope}", what)
+        for path in MODULES
+        for scope, what in mine_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    stray = sorted(f"{scope}: {what}" for scope, what in found if scope not in MINERS)
+    assert not stray, f"core.mine called outside {', '.join(MINERS)}: {'; '.join(stray)}"
+    stale = sorted(set(MINERS) - {scope for scope, _what in found})
+    assert not stale, f"exempt functions that no longer mine: {', '.join(stale)}"
+
+
 # a node's per-delivery receive path: the library API that the simulator's
 # store-time oracle replays
 PER_DELIVERY = {"on_receive_block", "on_tx"}

@@ -21,17 +21,7 @@ def normal_tx(i):
 
 
 def fill(pool, txs):
-    pool.add_all((tx.txid(), tx) for tx in txs)
-
-
-def test_add_all_remove_all():
-    pool = Mempool()
-    txs = [normal_tx(i) for i in range(3)]
-    fill(pool, txs)
-    fill(pool, txs[:1])  # a pooled txid keeps its place
-    assert list(pool.entries) == [tx.txid() for tx in txs] and len(pool) == 3
-    pool.remove_all([txs[1].txid(), txs[1].txid(), sha256(b"never pooled")])
-    assert pool.entries == {txs[0].txid(): txs[0], txs[2].txid(): txs[2]}
+    pool.entries.update((tx.txid(), tx) for tx in txs)
 
 
 def test_workable_threshold_and_order():
@@ -99,7 +89,7 @@ def test_workable_matches_fraction_oracle_when_saturated(cq):
     fill(pool, [normal_tx(i) for i in range(12)])
     got = pool.workable(HEAD, cq)
     assert got == oracle_workable(pool, HEAD, cq)
-    assert len(got) == len(pool)
+    assert len(got) == len(pool.entries)
 
 
 def test_shared_entry_is_immutable_and_dropped_per_pool():
@@ -110,7 +100,7 @@ def test_shared_entry_is_immutable_and_dropped_per_pool():
     fill(a, [tx])
     fill(b, [tx])
     assert a.entries[tx.txid()] is b.entries[tx.txid()] is tx
-    a.remove_all([tx.txid()])
+    del a.entries[tx.txid()]
     assert tx.txid() not in a.entries and tx.txid() in b.entries
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from sdag import node as node_module
 from sdag.core import (
+    EMPTY_TX,
     GENESIS_ID,
     Block,
     BlockClass,
@@ -94,7 +95,8 @@ def test_spent_tx_not_repicked():
 def test_create_block_mines_once_and_keeps_its_state_when_exhausted(monkeypatch):
     """One template, one nonce budget: a budget that runs out reaches the
     caller as `MiningExhausted` (once retried on eight templates), and the
-    node's head, pool and DAG stay as they were."""
+    node's head, pool and DAG stay as they were.  So it does for a forger's
+    template mined for a class no hash has."""
     node = make_node(b"exhausted")
     node.create_block()  # registration, at d = 1
     node.on_tx(user_tx(0))
@@ -113,6 +115,14 @@ def test_create_block_mines_once_and_keeps_its_state_when_exhausted(monkeypatch)
     with pytest.raises(MiningExhausted) as exc:
         node.create_block()
     assert exc.value.attempts == 16 and [t.mes for t in templates] == [user_tx(0)]
+    assert (node.my_head, node.mempool.entries, node.sdag.blocks, node.mining_attempts) == state
+    # `simnet.PeerChainFork`'s template: at p = 1 every valid hash is a milestone
+    node.params = Params(d=Fraction(1), p=Fraction(1), c=PARAMS.c, r_n=1, r_m=2)
+    victim = make_node(b"victim").identity
+    forged = Block(node.my_head, node.sdag.chain_tip(), GENESIS_ID, victim, pow=0, mes=EMPTY_TX)
+    with pytest.raises(MiningExhausted) as exc:
+        node.mine_block(forged, want=BlockClass.REGULAR)
+    assert exc.value.attempts == 16 and templates[1:] == [forged]
     assert (node.my_head, node.mempool.entries, node.sdag.blocks, node.mining_attempts) == state
 
 

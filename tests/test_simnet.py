@@ -332,7 +332,7 @@ def replay_deliveries(cfg):
                 assert block.idm == node.sdag.chain_tip()
                 assert block.mes.kind is not TxKind.NORMAL or block.mes.txid() in node.mempool.entries
                 assert node.sdag.insert(block) is None
-                node.mempool.remove_all([block.mes.txid()])
+                node.mempool.entries.pop(block.mes.txid(), None)
             elif effect[0] == "public":
                 assert effect[1] == max(node.sdag.height() for node in nodes[:n])
             else:
