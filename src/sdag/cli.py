@@ -123,9 +123,15 @@ def _parse_strategy(value: str):
 
 
 def load_sim_config(source: bytes, path: str) -> SimConfig:
-    """The config in `source`, the bytes of the file `path` (named in errors)."""
+    """The config in `source`, the bytes of the file `path` (named in errors),
+    read as UTF-8 whatever the locale."""
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not UTF-8: byte {exc.start} ({exc.reason})") from None
     parser = configparser.ConfigParser()
-    parser.read_file(io.TextIOWrapper(io.BytesIO(source)), source=path)
+    # newline=None ends a line at \r\n or \r too, as a file opened as text does
+    parser.read_file(io.StringIO(text, newline=None), source=path)
     if "simulation" not in parser:
         raise ValueError("config needs a [simulation] section")
     section = parser["simulation"]
@@ -249,7 +255,8 @@ def _cmd_secure(args, command: list[str]) -> int:
     # checked before the Monte Carlo, which can run for minutes
     if csv_path is not None:
         if not csv_path.parent.is_dir():
-            raise ValueError(f"output directory {csv_path.parent} does not exist")
+            problem = "is not a directory" if csv_path.parent.exists() else "does not exist"
+            raise ValueError(f"output directory {csv_path.parent} {problem}")
         _refuse_directories(csv_path.parent, (csv_path.name, csv_path.name + ".manifest.json"))
     honest, adv_rate = rates_for_share(args.share, args.pnmu)
     points = secure_latency_mc(

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdag
 from sdag.analysis import MAX_CHAIN_NODES, MAX_PATHS, theta
 from sdag.cli import (
     EXIT_BAD_INPUT,
@@ -329,6 +334,31 @@ def test_simulate_bad_config_exit_code(tmp_path):
     )
 
 
+# a locale in which Python reads and writes text as ASCII unless told otherwise
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize(
+    "source, code, err",
+    [
+        ("[simulation]\n# arrival rate \u03bb per second\nn = 3\nhorizon = 50\n".encode(), 0, ""),
+        (b"\xff\xfe[simulation]\nn = 3\n", EXIT_BAD_INPUT, "error: config file {} is not UTF-8"),
+    ],
+    ids=["utf-8", "not-utf-8"],
+)
+def test_simulate_reads_its_config_as_utf8_in_an_ascii_locale(tmp_path, source, code, err):
+    """The same config bytes give the same run on any host: a UTF-8 comment
+    reads in an ASCII locale too, and a file that is not UTF-8 is refused
+    with its path."""
+    config = tmp_path / "sim.ini"
+    config.write_bytes(source)
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": str(Path(sdag.__file__).parents[1])}
+    argv = [sys.executable, "-m", "sdag.cli", "simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert run.stderr.decode().startswith(err.format(config))
+
+
 @pytest.mark.parametrize("change", ["edit", "delete"])
 def test_simulate_digests_the_config_it_ran(config_file, tmp_path, monkeypatch, change):
     """The manifest's digest came from a second read of the config file
@@ -546,6 +576,14 @@ def test_analyze_secure_unwritable_out_exit_code(tmp_path, capsys, target):
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_analyze_secure_out_under_a_file_is_not_a_directory(tmp_path, capsys):
+    (tmp_path / "file").write_text("keep me\n")
+    argv = ["analyze", "secure", "--share", "0.1", "--grid", "20:20:40", "--paths", "100"]
+    assert main(argv + ["--out", str(tmp_path / "file" / "secure.csv")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: output directory {tmp_path / 'file'} is not a directory\n"
+    assert (tmp_path / "file").read_text() == "keep me\n"
 
 
 def test_analyze_secure_honest_fixed_exits_2(capsys):

@@ -3,15 +3,25 @@ public names resolve.  No linter is assumed; these checks read the source
 with `ast`."""
 
 import ast
+import re
 import typing
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import sdag
 import sdag.simnet
 
-MODULES = sorted(Path(sdag.__file__).parent.glob("*.py"))
+PACKAGE = Path(sdag.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+# the benchmark scripts, without their tests
+BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
+# every file that a check reads, parsed once, as UTF-8 whatever the locale
+TREES = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in {*MODULES, *CALLER_FILES}}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,9 +57,8 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    names = imported_names(tree)
-    unused = sorted(f"{name} (line {names[name]})" for name in set(names) - used_names(tree))
+    names = imported_names(TREES[path])
+    unused = sorted(f"{name} (line {names[name]})" for name in set(names) - used_names(TREES[path]))
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
@@ -67,8 +76,8 @@ def test_private_definitions_are_read():
     defined = {}
     read = set()
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, DEFINITIONS):
                 if node.name.startswith("_") and not node.name.startswith("__"):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -126,7 +135,7 @@ def test_whole_store_reads_flagged():
 def test_no_whole_store_reads(path):
     """No module tests membership in `.blocks` or iterates over it: it goes
     through `bid in sdag`, `SDag.block_ids` and `SDag.peer_block_ids`."""
-    found = whole_store_reads(ast.parse(path.read_text(), filename=str(path)))
+    found = whole_store_reads(TREES[path])
     assert not found, f"{path.name} reads the whole block store: {'; '.join(found)}"
 
 
@@ -137,7 +146,7 @@ def is_private(name: str) -> bool:
 def private_members(path: Path, cls: str) -> set[str]:
     """The private methods a class defines and the private attributes it
     assigns on `self`."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(TREES[path]):
         if isinstance(node, ast.ClassDef) and node.name == cls:
             names = set()
             for sub in ast.walk(node):
@@ -167,8 +176,7 @@ def foreign_private_reads(tree: ast.Module, names: set[str]) -> list[str]:
 
 
 def sdag_and_node_privates() -> set[str]:
-    package = Path(sdag.__file__).parent
-    return private_members(package / "dag.py", "SDag") | private_members(package / "node.py", "NodeState")
+    return private_members(PACKAGE / "dag.py", "SDag") | private_members(PACKAGE / "node.py", "NodeState")
 
 
 def test_foreign_private_reads_flagged():
@@ -186,8 +194,7 @@ def test_simnet_reads_no_private_state_of_sdag_or_node():
     (`catch_up`, `create_block`, ...), so the bulk path and the
     per-delivery path share one copy of the held, unreferenced and
     chain-switch logic."""
-    path = Path(sdag.__file__).parent / "simnet.py"
-    found = foreign_private_reads(ast.parse(path.read_text(), filename=str(path)), sdag_and_node_privates())
+    found = foreign_private_reads(TREES[PACKAGE / "simnet.py"], sdag_and_node_privates())
     assert not found, f"simnet.py reads private state: {'; '.join(found)}"
 
 
@@ -244,8 +251,7 @@ def test_simulation_keeps_no_strategy_state():
     generic hooks: no method of `Simulation` tests a strategy's type or
     holds an attribute that only one strategy uses.  `SimConfig.validate`
     may still test the type, to check a strategy's arguments."""
-    path = Path(sdag.__file__).parent / "simnet.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[PACKAGE / "simnet.py"]
     hint = typing.get_type_hints(sdag.simnet.SimConfig)["adversary_strategy"]
     strategies = {cls.__name__ for cls in typing.get_args(hint)} - {"NoneType"}
     attributes = set(STRATEGY_ONLY)
@@ -267,292 +273,216 @@ def test_simulation_keeps_no_strategy_state():
     assert not found, f"Simulation branches on or holds strategy state: {'; '.join(found)}"
 
 
-# the methods that mine: an honest node's `create_block`, a strategy's `on_mine`
-MINING_CALLS = {"create_block", "on_mine"}
-MINING_HANDLER = "_handle_mine"
+class Read(NamedTuple):
+    """A read of a name: `how` is "attribute" (`origin` its receiver if a bare
+    name), "name" (`y` of `from M import x as y`, matched as x and y, `origin`
+    M) or "import" (`origin` M); `keywords` are those its call passes."""
+
+    scope: str
+    how: str
+    origin: str
+    keywords: frozenset
+    text: str
 
 
-def mining_calls(tree: ast.Module) -> list[tuple[str, str]]:
-    """In the class `Simulation`: each read of a `MINING_CALLS` attribute,
-    called or not (an alias calls it later), with the name of the method
-    that makes it ('' in the class body)."""
+def scoped_reads(tree: ast.Module, module: str, names: set[str]) -> list[Read]:
+    """Each read of one of `names`, called or not (an alias calls it later),
+    with the dotted name of the definitions around it, from `module` on."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    aliases = {alias.asname or alias.name: (alias.name, node.module) for node in imports for alias in node.names}
     found = []
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "Simulation":
-            for member in cls.body:
-                scope = member.name if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
-                found += [
-                    (scope, ast.unparse(node))
-                    for node in ast.walk(member)
-                    if isinstance(node, ast.Attribute) and node.attr in MINING_CALLS
-                ]
+
+    def visit(node, scope, call):
+        if isinstance(node, DEFINITIONS):
+            scope = f"{scope}.{node.name}"
+        keywords = frozenset(kw.arg for kw in call.keywords) if call else frozenset()
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            receiver = node.value.id if isinstance(node.value, ast.Name) else ""
+            found.append(Read(scope, "attribute", receiver, keywords, ast.unparse(node)))
+        elif isinstance(node, ast.Name):
+            name, origin = aliases.get(node.id, (node.id, ""))
+            if name in names or node.id in names:
+                found.append(Read(scope, "name", origin, keywords, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            imported = [alias.name for alias in node.names if alias.name in names]
+            found.extend(Read(scope, "import", node.module, keywords, f"from {node.module} import {x}") for x in imported)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, node if isinstance(node, ast.Call) and child is node.func else None)
+
+    visit(tree, module, None)
     return found
 
 
-def test_mining_calls_flagged():
-    tree = ast.parse(
-        "class Simulation:\n"
-        "    def _handle_mine(self, i, t):\n        self.receivers[i].create_block()\n"
-        "    def _handle_adv_mine(self, t):\n        self.adversary.on_mine(t)\n"
-        "    def run(self):\n        mine = self.nodes[0].create_block\n        self.create_blocks()\n"
-        "class _PrivateForkRun:\n    def on_mine(self, t):\n        self.sim.adv_node.create_block()\n"
-    )
-    assert mining_calls(tree) == [
-        ("_handle_mine", "self.receivers[i].create_block"),
-        ("_handle_adv_mine", "self.adversary.on_mine"),
-        ("run", "self.nodes[0].create_block"),
-    ]
+class Rule(NamedTuple):
+    """Reads of `names` of a kind in `kinds`, (how, origin) with None for any
+    origin, in a scope that `covers` matches from its start, may be made
+    only in the `allowed` scopes, each given with why.  A call that passes
+    the keyword `unless` is no read."""
+
+    names: set[str]
+    kinds: set[tuple[str, str | None]]
+    allowed: dict[str, str]
+    message: str
+    covers: str = ""
+    unless: str = ""
+
+    def reads(self, module: str, tree: ast.Module) -> list[Read]:
+        return [
+            r
+            for r in scoped_reads(tree, module, self.names)
+            if {(r.how, None), (r.how, r.origin)} & self.kinds
+            and re.match(self.covers, r.scope)
+            and self.unless not in r.keywords
+        ]
 
 
-def test_simulation_has_one_mining_path():
-    """Every miner, the adversary included, mines through
-    `Simulation._handle_mine`, which catches it up first and queues its
-    next mining time after: no other method makes an honest block or calls
-    a strategy's `on_mine`."""
-    path = Path(sdag.__file__).parent / "simnet.py"
-    found = mining_calls(ast.parse(path.read_text(), filename=str(path)))
-    stray = sorted(f"{scope}: {what}" for scope, what in found if scope != MINING_HANDLER)
-    assert not stray, f"Simulation mines outside {MINING_HANDLER}: {'; '.join(stray)}"
-    assert found, f"{MINING_HANDLER} no longer mines"
+HELPER = "collector_paused"
+ATTRIBUTE = {("attribute", None)}
 
-
-# the functions that may grind a nonce with `core.mine`, each with why
-MINERS = {
-    "node.NodeState.mine_block": "every block a node makes, honest or forged",
-    "demo.build_demo": "grinds each block of the fixed example to its class from nonce 0 on a bare SDag",
+RULES = {
+    # an honest node's `create_block` and a strategy's `on_mine`, in a class `Simulation`
+    "mining_calls": Rule(
+        {"create_block", "on_mine"}, ATTRIBUTE,
+        {"simnet.Simulation._handle_mine": "catches every miner up first and queues its next mining time after"},
+        "Simulation mines outside _handle_mine", covers=r".*\bSimulation\b",
+    ),
+    "mine_uses": Rule(
+        {"mine"}, ATTRIBUTE | {("name", "core"), ("name", "sdag.core"), ("name", "sdag")},
+        {
+            "node.NodeState.mine_block": "every block a node makes, honest or forged",
+            "demo.build_demo": "grinds each block of the fixed example to its class from nonce 0 on a bare SDag",
+        },
+        "core.mine read outside NodeState.mine_block, which draws the nonce, counts the attempts and stores the block",
+    ),
+    # a node's per-delivery receive path: the library API that the simulator's store-time oracle replays
+    "per_delivery_uses": Rule(
+        {"on_receive_block", "on_tx"}, ATTRIBUTE, {},
+        "simnet.py takes a delivery in outside NodeState.catch_up, every receiver's one way in", covers=r"simnet\b",
+    ),
+    # the scheme's primitives, which `sigs.MockScheme.witness` and `.opens` wrap
+    # with the witness layout and the owner's address
+    "signature_primitive_uses": Rule(
+        {"sign", "verify"}, ATTRIBUTE, {},
+        "signs or verifies outside sigs.py, the one home of the witness layout and the ownership check",
+        covers=r"(?!sigs\b)",
+    ),
+    "heap_pushes": Rule(
+        {"heappush", "heappushpop", "heapreplace"}, ATTRIBUTE | {("name", None), ("import", "heapq")},
+        {
+            "simnet.Simulation._push": "the event queue, which drops every event past the horizon",
+            "simnet._PrivateForkRun.milestone_stored": "milestone first-store times, not events",
+        },
+        "heap pushes outside Simulation._push, so the horizon would not bound every event",
+    ),
+    # switching the cyclic collector off or on, retuning it or moving objects between its generations
+    "collector_switches": Rule(
+        {"disable", "enable", "freeze", "unfreeze", "set_threshold"}, {("attribute", "gc"), ("name", "gc")},
+        {f"dag.{HELPER}": "every pause restores the state it found"},
+        f"switches the cyclic collector outside dag.{HELPER}",
+    ),
+    "environment_reads": Rule(
+        {"environ", "getenv"}, {("attribute", "os"), ("import", "os")}, {},
+        "reads the environment, a second way to set an input, which no manifest records",
+    ),
+    "locale_text_io": Rule(
+        {"open", "TextIOWrapper", "read_text", "write_text"}, ATTRIBUTE | {("name", None)}, {},
+        "reads or writes text in the locale's encoding, which differs by host: pass encoding=", unless="encoding",
+    ),
 }
 
+GC_TREE = (
+    f"import gc\nfrom gc import freeze as f\ndef {HELPER}():\n    gc.disable()\n    gc.freeze()\n    gc.unfreeze()\n"
+    "    gc.enable()\ndef run():\n    gc.disable()\n    f()\n    gc.unfreeze()\n    gc.set_threshold(0)\n"
+    "    gc.collect()\n    gc.isenabled()\n    gc.get_freeze_count()\n"
+)
 
-def mine_uses(tree: ast.Module) -> list[tuple[str, str]]:
-    """Each read of `core.mine`, called or not (an alias calls it later):
-    a name imported as it from `core` or `sdag`, or a `.mine` attribute,
-    with the dotted name of the definitions around it ('' at module
-    level)."""
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in ("core", "sdag.core", "sdag")
-        for alias in node.names
-        if alias.name == "mine"
-    }
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, DEFINITIONS):
-            scope = f"{scope}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Attribute) and node.attr == "mine":
-            found.append((scope, ast.unparse(node)))
-        elif isinstance(node, ast.Name) and node.id in aliases and isinstance(node.ctx, ast.Load):
-            found.append((scope, node.id))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
-
-
-def test_mine_uses_flagged():
-    tree = ast.parse(
-        "from .core import Block, mine as grind\n"
-        "class NodeState:\n    def mine_block(self, t):\n        return grind(t, self.params, 16)\n"
-        "class _PeerForkRun:\n    def on_mine(self, t):\n        core.mine(t, p, 16)\n"
-        "def f(counts):\n    mine = counts.get(0)\n    return mine, grind\n"
-    )
-    assert mine_uses(tree) == [
-        ("NodeState.mine_block", "grind"),
-        ("_PeerForkRun.on_mine", "core.mine"),
-        ("f", "grind"),
-    ]
+# (rule, module the source is read as, source, what the rule flags outside
+# its allowed scopes: each hit as (scope, text), or their number)
+SCOPED_READ_CASES = [
+    ("mining_calls", "m", "class Simulation:\n"
+     "    def _handle_mine(self, i, t):\n        self.receivers[i].create_block()\n"
+     "    def _handle_adv_mine(self, t):\n        self.adversary.on_mine(t)\n"
+     "    def run(self):\n        mine = self.nodes[0].create_block\n        self.create_blocks()\n"
+     "class _PrivateForkRun:\n    def on_mine(self, t):\n        self.sim.adv_node.create_block()\n",
+     [("m.Simulation._handle_mine", "self.receivers[i].create_block"),
+      ("m.Simulation._handle_adv_mine", "self.adversary.on_mine"), ("m.Simulation.run", "self.nodes[0].create_block")]),
+    ("mine_uses", "m", "from .core import Block, mine as grind\n"
+     "class NodeState:\n    def mine_block(self, t):\n        return grind(t, self.params, 16)\n"
+     "class _PeerForkRun:\n    def on_mine(self, t):\n        core.mine(t, p, 16)\n"
+     "def f(counts):\n    mine = counts.get(0)\n    return mine, grind\n",
+     [("m.NodeState.mine_block", "grind"), ("m._PeerForkRun.on_mine", "core.mine"), ("m.f", "grind")]),
     # a local named `mine` is no use where `core.mine` is not imported under it
-    assert mine_uses(ast.parse("def f(counts):\n    mine = counts.get(0)\n    return mine\n")) == []
+    ("mine_uses", "m", "def f(counts):\n    mine = counts.get(0)\n    return mine\n", []),
+    ("per_delivery_uses", "simnet", "node.on_tx(e)\nself.adv_node.on_receive_block(b)\nf = node.on_tx\n"
+     "node.catch_up(e)\n", 3),
+    ("signature_primitive_uses", "m", "S.sign(k, m)\nDEFAULT_SCHEME.verify(p, m, s)\ncheck = S.verify\n"
+     "S.witness(k, m)\nS.opens(w, a, m)\nsign(k, m)\n",
+     [("m", "S.sign"), ("m", "DEFAULT_SCHEME.verify"), ("m", "S.verify")]),
+    ("heap_pushes", "m", "import heapq\nfrom heapq import heappush as hp, heappop\n"
+     "class Simulation:\n    def _push(self, e):\n        heapq.heappush(self.heap, e)\n"
+     "    def run(self):\n        push = heapq.heappush\n        heapq.heapreplace(self.heap, 1)\n"
+     "        heapq.heappop(self.heap)\ndef f(heap):\n    heappushpop(heap, 1)\n",
+     [("m", "from heapq import heappush"), ("m.Simulation._push", "heapq.heappush"),
+      ("m.Simulation.run", "heapq.heappush"), ("m.Simulation.run", "heapq.heapreplace"), ("m.f", "heappushpop")]),
+    ("collector_switches", "dag", GC_TREE, 4),
+    ("collector_switches", "cli", GC_TREE, 8),
+    ("environment_reads", "m", "import os\nfrom os import getenv\nos.environ.get('A')\nos.getenv('B')\n"
+     "os.environ['C']\nos.cpu_count()\nconfig.environ\n", 4),
+    ("locale_text_io", "m", "import io\nfrom io import TextIOWrapper as Text\nopen(p)\nopen(p, encoding='utf-8')\n"
+     "io.TextIOWrapper(b)\nText(b, encoding='utf-8')\nPath(p).read_text()\np.write_text(s, encoding='utf-8')\n"
+     "reader = p.read_text\n",
+     [("m", "open"), ("m", "io.TextIOWrapper"), ("m", "Path(p).read_text"), ("m", "p.read_text")]),
+]
 
 
-def test_only_mine_block_mines():
-    """A node mines every block it makes, an honest miner's and a forger's,
-    through `NodeState.mine_block`, which draws the nonce from the node's
-    `rng`, counts the attempts and stores the block: no other function of
-    the package calls `core.mine`, bar `MINERS`."""
-    found = [
-        (f"{path.stem}.{scope}", what)
-        for path in MODULES
-        for scope, what in mine_uses(ast.parse(path.read_text(), filename=str(path)))
-    ]
-    stray = sorted(f"{scope}: {what}" for scope, what in found if scope not in MINERS)
-    assert not stray, f"core.mine called outside {', '.join(MINERS)}: {'; '.join(stray)}"
-    stale = sorted(set(MINERS) - {scope for scope, _what in found})
-    assert not stale, f"exempt functions that no longer mine: {', '.join(stale)}"
+@pytest.mark.parametrize(
+    "rule, module, source, expected", SCOPED_READ_CASES, ids=[f"{c[0]}-{c[1]}" for c in SCOPED_READ_CASES]
+)
+def test_scoped_reads_flagged(rule, module, source, expected):
+    rule = RULES[rule]
+    found = [(r.scope, r.text) for r in rule.reads(module, ast.parse(source)) if r.scope not in rule.allowed]
+    assert (len(found) if isinstance(expected, int) else found) == expected
 
 
-# a node's per-delivery receive path: the library API that the simulator's
-# store-time oracle replays
-PER_DELIVERY = {"on_receive_block", "on_tx"}
+def stray_reads(rule: Rule, paths: list[Path]) -> tuple[list[Read], list[str]]:
+    """Every read of the rule's names in the modules at `paths`, and those of
+    them outside the scopes it allows, as "scope: text"."""
+    found = [r for path in paths for r in rule.reads(path.stem, TREES[path])]
+    return found, sorted(f"{r.scope}: {r.text}" for r in found if r.scope not in rule.allowed)
 
 
-def per_delivery_uses(tree: ast.Module) -> list[str]:
-    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in PER_DELIVERY]
+@pytest.mark.parametrize("rule", RULES.values(), ids=list(RULES))
+def test_only_allowed_scopes_read(rule):
+    """No module of the package reads a rule's names outside the scopes it
+    allows, and each scope it allows still reads one."""
+    found, stray = stray_reads(rule, MODULES)
+    assert not stray, f"{rule.message}: {'; '.join(stray)}"
+    stale = sorted(set(rule.allowed) - {r.scope for r in found})
+    assert not stale, f"allowed scopes that no longer read {', '.join(sorted(rule.names))}: {', '.join(stale)}"
 
 
-def test_per_delivery_uses_flagged():
-    tree = ast.parse("node.on_tx(e)\nself.adv_node.on_receive_block(b)\nf = node.on_tx\nnode.catch_up(e)\n")
-    assert len(per_delivery_uses(tree)) == 3
-
-
-def test_simnet_has_one_receive_path():
-    """Every receiver of the simulator, the adversary included, takes
-    broadcasts and transactions in through `NodeState.catch_up` alone."""
-    path = Path(sdag.__file__).parent / "simnet.py"
-    found = per_delivery_uses(ast.parse(path.read_text(), filename=str(path)))
-    assert not found, f"simnet.py uses the per-delivery path: {'; '.join(found)}"
-
-
-# the scheme's primitives, which `sigs.MockScheme.witness` and `.opens` wrap
-# with the witness layout and the owner's address
-SIGNATURE_PRIMITIVES = {"sign", "verify"}
-
-
-def signature_primitive_uses(tree: ast.Module) -> list[str]:
-    """Each read of a `sign` or `verify` attribute, called or not (an alias
-    calls it later)."""
-    return [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in SIGNATURE_PRIMITIVES
-    ]
-
-
-def test_signature_primitive_uses_flagged():
-    tree = ast.parse(
-        "S.sign(k, m)\nDEFAULT_SCHEME.verify(p, m, s)\ncheck = S.verify\n"
-        "S.witness(k, m)\nS.opens(w, a, m)\nsign(k, m)\n"
-    )
-    assert sorted(signature_primitive_uses(tree)) == ["DEFAULT_SCHEME.verify", "S.sign", "S.verify"]
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Every input of a run comes from its arguments or its config, which a
+    manifest records; no module reads `os.environ` or `os.getenv`."""
+    _found, stray = stray_reads(RULES["environment_reads"], [path])
+    assert not stray, f"{path.name} {RULES['environment_reads'].message}: {'; '.join(stray)}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sigs.py"], ids=lambda p: p.name)
 def test_only_sigs_signs_and_verifies(path):
     """A witness is built and opened in one place: every module but
-    `sigs.py` goes through `witness` and `opens`, never `sign` or `verify`,
-    so the witness layout and the ownership check have one home."""
-    found = signature_primitive_uses(ast.parse(path.read_text(), filename=str(path)))
-    assert not found, f"{path.name} signs or verifies outside sigs: {'; '.join(found)}"
-
-
-# calls that put an item on a heap, and the functions outside
-# `Simulation._push` that may make them, each with the heap it keeps
-HEAP_PUSHES = {"heappush", "heappushpop", "heapreplace"}
-QUEUE = "simnet.Simulation._push"
-OTHER_HEAPS = {"simnet._PrivateForkRun.milestone_stored": "milestone first-store times, not events"}
-
-
-def heap_pushes(tree: ast.Module) -> list[tuple[str, str]]:
-    """Each use of a `HEAP_PUSHES` function, called or not (an alias pushes
-    too), and each import of one from `heapq`, with the dotted name of the
-    definitions around it ('' at module level)."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Attribute) and node.attr in HEAP_PUSHES:
-            found.append((scope, ast.unparse(node)))
-        elif isinstance(node, ast.Name) and node.id in HEAP_PUSHES:
-            found.append((scope, node.id))
-        elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
-            found.extend((scope, f"from heapq import {a.name}") for a in node.names if a.name in HEAP_PUSHES)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
-
-
-def test_heap_pushes_flagged():
-    tree = ast.parse(
-        "import heapq\nfrom heapq import heappush as hp, heappop\n"
-        "class Simulation:\n    def _push(self, e):\n        heapq.heappush(self.heap, e)\n"
-        "    def run(self):\n        push = heapq.heappush\n        heapq.heapreplace(self.heap, 1)\n"
-        "        heapq.heappop(self.heap)\n"
-        "def f(heap):\n    heappushpop(heap, 1)\n"
-    )
-    assert heap_pushes(tree) == [
-        ("", "from heapq import heappush"),
-        ("Simulation._push", "heapq.heappush"),
-        ("Simulation.run", "heapq.heappush"),
-        ("Simulation.run", "heapq.heapreplace"),
-        ("f", "heappushpop"),
-    ]
-
-
-def test_only_push_queues_events():
-    """`Simulation._push` drops every event past the horizon, so it is the
-    one place the horizon bounds the traffic only if no other code queues
-    an event: nothing else in the package pushes onto a heap, bar the
-    exempt functions, whose heaps hold no events."""
-    found = [
-        (f"{path.stem}.{scope}", what)
-        for path in MODULES
-        for scope, what in heap_pushes(ast.parse(path.read_text(), filename=str(path)))
-    ]
-    stray = sorted(f"{scope}: {what}" for scope, what in found if scope != QUEUE and scope not in OTHER_HEAPS)
-    assert not stray, f"heap pushes outside {QUEUE}: {'; '.join(stray)}"
-    stale = sorted({QUEUE, *OTHER_HEAPS} - {scope for scope, _what in found})
-    assert not stale, f"push sites that no longer push: {', '.join(stale)}"
-
-
-# calls that switch the cyclic collector off or on, retune it or move
-# objects between its generations
-GC_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
-HELPER = "collector_paused"
-
-
-def collector_switches(tree: ast.Module, helper_module: bool) -> list[str]:
-    """Calls of `GC_SWITCHES`, through `gc.` or imported from `gc`, outside
-    the body of the helper (counted only in the helper's own module)."""
-    from_gc = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "gc"
-        for alias in node.names
-        if alias.name in GC_SWITCHES
-    }
-    exempt = set()
-    if helper_module:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == HELPER:
-                exempt.update(id(sub) for sub in ast.walk(node))
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in exempt:
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in GC_SWITCHES
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "gc"
-        ) or (isinstance(func, ast.Name) and func.id in from_gc):
-            found.append(ast.unparse(node))
-    return found
-
-
-def test_collector_switches_flagged():
-    tree = ast.parse(
-        "import gc\nfrom gc import freeze as f\n"
-        f"def {HELPER}():\n    gc.disable()\n    gc.freeze()\n    gc.unfreeze()\n    gc.enable()\n"
-        "def run():\n    gc.disable()\n    f()\n    gc.unfreeze()\n    gc.set_threshold(0)\n"
-        "    gc.collect()\n    gc.isenabled()\n    gc.get_freeze_count()\n"
-    )
-    assert len(collector_switches(tree, helper_module=True)) == 4
-    assert len(collector_switches(tree, helper_module=False)) == 8
+    `sigs.py` goes through `witness` and `opens`, never `sign` or `verify`."""
+    _found, stray = stray_reads(RULES["signature_primitive_uses"], [path])
+    assert not stray, f"{path.name} {RULES['signature_primitive_uses'].message}: {'; '.join(stray)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_helper_switches_the_collector(path):
-    """`dag.collector_paused` alone turns the cyclic collector off and back
-    on and promotes objects, so every pause restores the state it found."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = collector_switches(tree, helper_module=path.name == "dag.py")
-    assert not found, f"{path.name} switches the cyclic collector: {'; '.join(found)}"
+    """Only `dag.collector_paused` switches the cyclic collector, and every
+    pause it makes restores the state it found."""
+    _found, stray = stray_reads(RULES["collector_switches"], [path])
+    assert not stray, f"{path.name} {RULES['collector_switches'].message}: {'; '.join(stray)}"
 
 
 def test_only_load_and_fold_pause_the_collector():
@@ -561,9 +491,8 @@ def test_only_load_and_fold_pause_the_collector():
     simulation run does make some, so it runs with the collector on."""
     paused, other = [], []
     for path in MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
         decorators = set()
-        for node in ast.walk(tree):
+        for node in ast.walk(TREES[path]):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for d in node.decorator_list:
                     if isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == HELPER:
@@ -571,15 +500,11 @@ def test_only_load_and_fold_pause_the_collector():
                         paused.append(node.name)
         other += [
             f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
+            for node in ast.walk(TREES[path])
             if isinstance(node, ast.Name) and node.id == HELPER and id(node) not in decorators
         ]
     assert sorted(paused) == ["build_from_dag", "load"]
     assert not other, f"{HELPER} used other than as a decorator: {', '.join(other)}"
-
-
-ROOT = Path(__file__).resolve().parents[1]
-CALLER_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def defaulted_params(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
@@ -659,8 +584,8 @@ def test_unset_knobs_flagged():
     assert unset_knobs([definitions], [callers]) == ["C(y)", "f(c)", "m(v)", "s(v)"]
 
 
-def parse(paths) -> list[ast.Module]:
-    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+def trees(paths) -> list[ast.Module]:
+    return [TREES[p] for p in paths]
 
 
 def test_every_knob_has_a_caller():
@@ -668,12 +593,9 @@ def test_every_knob_has_a_caller():
     package, is passed at some call in `src/`, `tests/` or `bench/`: one that
     never is can only ever hold its default.  Callees are matched by name,
     and a constructor by its class."""
-    flagged = unset_knobs(parse(MODULES), parse(CALLER_FILES))
+    flagged = unset_knobs(trees(MODULES), trees(CALLER_FILES))
     assert not flagged, f"parameters no call passes: {', '.join(flagged)}"
 
-
-# the benchmark scripts, without their tests
-BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
 
 # parameters that only tests pass, each with why it stays
 TEST_ONLY_KNOBS = {
@@ -687,14 +609,11 @@ def test_every_knob_has_a_caller_outside_the_tests():
     in a benchmark script, but for `TEST_ONLY_KNOBS`: a value that only
     tests set is a setting no command or simulation can reach, and the
     tests can set a module constant instead (`monkeypatch`)."""
-    flagged = set(unset_knobs(parse(MODULES), parse(MODULES + BENCH_SCRIPTS)))
+    flagged = set(unset_knobs(trees(MODULES), trees(MODULES + BENCH_SCRIPTS)))
     only_tests = sorted(flagged - set(TEST_ONLY_KNOBS))
     assert not only_tests, f"parameters only tests pass: {', '.join(only_tests)}"
     stale = sorted(set(TEST_ONLY_KNOBS) - flagged)
     assert not stale, f"exempt parameters that are gone or have a caller: {', '.join(stale)}"
-
-
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def foreign_modules(tree: ast.Module) -> set[str]:
@@ -781,8 +700,8 @@ def test_public_definitions_are_reached():
     read somewhere in it or named by a benchmark script, but for
     `TEST_ONLY_DEFINITIONS`: code that only tests reach belongs in the
     tests, or goes with its last caller."""
-    package = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
-    unreached = unreached_public_definitions(package, parse(BENCH_SCRIPTS))
+    package = {p.name: TREES[p] for p in MODULES}
+    unreached = unreached_public_definitions(package, trees(BENCH_SCRIPTS))
     orphans = sorted(f"{name} ({where})" for name, where in unreached.items() if name not in TEST_ONLY_DEFINITIONS)
     assert not orphans, f"public definitions only tests reach: {', '.join(orphans)}"
     stale = sorted(set(TEST_ONLY_DEFINITIONS) - set(unreached))
@@ -899,47 +818,9 @@ def test_every_field_is_read():
     somewhere in it (as an attribute or a constant `getattr` name) or by a
     benchmark script, but for `TEST_ONLY_FIELDS`: a value nothing reads is
     kept for nothing, and one only tests read belongs in the tests."""
-    package = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
-    problems = field_problems(unread_fields(package, parse(BENCH_SCRIPTS)), TEST_ONLY_FIELDS)
+    package = {p.name: TREES[p] for p in MODULES}
+    problems = field_problems(unread_fields(package, trees(BENCH_SCRIPTS)), TEST_ONLY_FIELDS)
     assert not problems, "; ".join(problems)
-
-
-def environment_reads(tree: ast.Module) -> list[str]:
-    """Reads of the process environment: `os.environ` (and so
-    `os.environ.get`), `os.getenv`, and either name imported from `os`."""
-    found = [
-        f"from os import {alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "os"
-        for alias in node.names
-        if alias.name in ("environ", "getenv")
-    ]
-    found += [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in ("environ", "getenv")
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "os"
-    ]
-    return found
-
-
-def test_environment_reads_flagged():
-    tree = ast.parse(
-        "import os\nfrom os import getenv\nos.environ.get('A')\nos.getenv('B')\nos.environ['C']\n"
-        "os.cpu_count()\nconfig.environ\n"
-    )
-    assert len(environment_reads(tree)) == 4
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_module_reads_the_environment(path):
-    """Each input has one way in: a flag or a config key.  A value read from
-    the environment as well is a second way to set it, which no manifest
-    records."""
-    found = environment_reads(ast.parse(path.read_text(), filename=str(path)))
-    assert not found, f"{path.name} reads the environment: {'; '.join(found)}"
 
 
 def parser_dests(tree: ast.Module, builder: str) -> set[str]:
@@ -1002,8 +883,7 @@ def test_every_flag_is_read():
     """Every option the parser accepts is read as `args.<dest>` in `cli.py`:
     one that nothing reads is accepted and ignored.  Hashing `vars(args)`
     into a digest is not a read."""
-    path = Path(sdag.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[PACKAGE / "cli.py"]
     dests = parser_dests(tree, "build_parser")
     assert {"config", "seed", "pnmu", "out"} <= dests
     unread = sorted(dests - args_reads(tree))
